@@ -67,19 +67,15 @@ from .spectral import (
     DeterminantReport,
     EquivariantSpectrum,
     HeatTail,
-    ScalarSpectrum,
     TauReport,
     TorsionReport,
     ZetaReport,
     borcherds_report,
-    curve_determinant,
+    curve_determinant_report,
     dolbeault_zeta,
-    equivariant_determinant,
+    dolbeault_zetas,
     equivariant_determinant_report,
-    equivariant_torsion,
     equivariant_torsion_report,
-    spectrum_scale,
-    spectrum_union,
     tau_iota,
     truncate_entries,
     zeta_signed,

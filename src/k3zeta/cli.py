@@ -149,15 +149,16 @@ def cmd_zeta(args) -> None:
     spec = _load_spectrum(args)
     plus = spectral.zeta_signed(spec, 1, args.tol)
     minus = spectral.zeta_signed(spec, -1, args.tol)
+    q0, q1, q2 = spectral.dolbeault_zetas(spec, args.tol)
     _emit(
         args,
         {
             "plus": _zeta_dict(plus),
             "minus": _zeta_dict(minus),
             "dolbeault": {
-                "q0": _zeta_dict(spectral.dolbeault_zeta(spec, 0, args.tol)),
-                "q1": _zeta_dict(spectral.dolbeault_zeta(spec, 1, args.tol)),
-                "q2": _zeta_dict(spectral.dolbeault_zeta(spec, 2, args.tol)),
+                "q0": _zeta_dict(q0),
+                "q1": _zeta_dict(q1),
+                "q2": _zeta_dict(q2),
             },
         },
     )

@@ -17,8 +17,13 @@ Wire shapes:
                "tail": {"dim": n, "straight": [num],
                         "twisted": "free" | [num]},
                "cutoff": num (omitted when complete)}
-  curve       {"volume": num, "spectrum": scalar spectrum with
-               [[lam, m]] entries and integer kernel}
+  curve       {"volume": num, "spectrum": {"entries": [[lam, m]],
+               "kernel": k, "tail": {"dim": n, "straight": [num]},
+               "cutoff": num (omitted when complete)}}
+
+A curve's Laplacian decodes into the one spectrum type with the trivial
+involution: entries (lam, m, 0), kernel (k, 0), and a twisted tail equal to
+the straight one. Its wire format keeps only the plus sector.
 """
 
 from __future__ import annotations
@@ -29,12 +34,7 @@ import math
 from . import frames as frames_mod
 from . import lattices
 from .errors import InputError
-from .spectral import (
-    CurveComponent,
-    EquivariantSpectrum,
-    HeatTail,
-    ScalarSpectrum,
-)
+from .spectral import CurveComponent, EquivariantSpectrum, HeatTail
 
 
 def _emit(x, out: list) -> None:
@@ -201,15 +201,15 @@ def decode_spectrum(obj) -> EquivariantSpectrum:
         _require(obj, "entries", list),
         _require(obj, "kernel", list),
         _decode_tail(_require(obj, "tail", dict)),
-        float(obj.get("cutoff", math.inf)) if isinstance(obj, dict) else math.inf,
+        obj.get("cutoff", math.inf),
     )
 
 
 def encode_curve(curve: CurveComponent) -> dict:
     spec = curve.spectrum
     out = {
-        "entries": [[lam, m] for lam, m in spec.entries],
-        "kernel": spec.kernel,
+        "entries": [[lam, mp] for lam, mp, _ in spec.entries],
+        "kernel": spec.kernel[0],
         "tail": {
             "dim": spec.tail.dim,
             "straight": [float(c) for c in spec.tail.straight],
@@ -223,13 +223,14 @@ def encode_curve(curve: CurveComponent) -> dict:
 def decode_curve(obj) -> CurveComponent:
     spec_obj = _require(obj, "spectrum", dict)
     tail_obj = _require(spec_obj, "tail", dict)
-    tail = HeatTail(
-        _require(tail_obj, "dim", int), _require(tail_obj, "straight", list), None
+    entries = _require(spec_obj, "entries", list)
+    if not all(isinstance(e, list) and len(e) == 2 for e in entries):
+        raise InputError("curve spectrum entries must be [eigenvalue, multiplicity]")
+    straight = _require(tail_obj, "straight", list)
+    spectrum = EquivariantSpectrum(
+        [(lam, m, 0) for lam, m in entries],
+        (_require(spec_obj, "kernel", int), 0),
+        HeatTail(_require(tail_obj, "dim", int), straight, straight),
+        spec_obj.get("cutoff", math.inf),
     )
-    scalar = ScalarSpectrum(
-        _require(spec_obj, "entries", list),
-        _require(spec_obj, "kernel", int),
-        tail,
-        float(spec_obj.get("cutoff", math.inf)),
-    )
-    return CurveComponent(_require(obj, "volume", (int, float)), scalar)
+    return CurveComponent(_require(obj, "volume", (int, float)), spectrum)

@@ -184,19 +184,6 @@ def direct_sum(*lattices: Lattice) -> Lattice:
     return Lattice(g)
 
 
-def signature(latt: Lattice) -> tuple[int, int]:
-    """Exact (n_plus, n_minus); raises DegenerateLatticeError if singular."""
-    return latt.signature()
-
-
-def is_isometry(latt: Lattice, matrix) -> bool:
-    try:
-        LatticeIsometry(latt, matrix)
-    except InputError:
-        return False
-    return True
-
-
 def enriques_involution() -> LatticeIsometry:
     """The standard involution on the K3 lattice: swap the first two
     hyperbolic planes, negate the third, swap the two E8 blocks."""

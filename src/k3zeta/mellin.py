@@ -54,14 +54,12 @@ class TraceModel:
     next_exponent: float
 
     @staticmethod
-    def from_ladder(dim: int, coeffs, exact: bool = False) -> "TraceModel":
-        """Model on the ladder t^((j - dim)/2), j = 0 .. len(coeffs)-1.
-        `exact` marks an exponentially small remainder (complete ladders,
-        for instance flat tori)."""
+    def from_ladder(dim: int, coeffs) -> "TraceModel":
+        """Model on the ladder t^((j - dim)/2), j = 0 .. len(coeffs)-1."""
         pairs = tuple(
             (Fraction(j - dim, 2), float(c)) for j, c in enumerate(coeffs)
         )
-        nxt = math.inf if exact else (len(coeffs) - dim) / 2.0
+        nxt = (len(coeffs) - dim) / 2.0
         return TraceModel(coeffs=pairs, next_exponent=nxt)
 
     def coeff_at_zero(self) -> float:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .errors import AccuracyError, InputError
 from .intlinalg import det_bareiss, is_symmetric, rational_inertia, to_int_matrix
-from .spectral import CurveComponent, EquivariantSpectrum, HeatTail, ScalarSpectrum
+from .spectral import CurveComponent, EquivariantSpectrum, HeatTail
 
 DEFAULT_SPHERE_LMAX = 250
 DEFAULT_TORUS_CUTOFF = 1000.0
@@ -119,15 +119,9 @@ def round_sphere_curve(
     radius: float = 1.0, l_max: int = DEFAULT_SPHERE_LMAX
 ) -> CurveComponent:
     """The sphere as a fixed-curve component: volume 4 pi r^2 and its
-    scalar spectrum."""
-    eq = round_sphere_spectrum(radius, antipodal=False, l_max=l_max)
-    scalar = ScalarSpectrum(
-        [(lam, mp) for lam, mp, _ in eq.entries],
-        1,
-        HeatTail(2, eq.tail.straight, None),
-        eq.cutoff,
-    )
-    return CurveComponent(4.0 * math.pi * float(radius) ** 2, scalar)
+    spectrum without the deck action."""
+    spectrum = round_sphere_spectrum(radius, antipodal=False, l_max=l_max)
+    return CurveComponent(4.0 * math.pi * float(radius) ** 2, spectrum)
 
 
 def _fraction_inverse(a):
@@ -221,19 +215,13 @@ def flat_torus_spectrum(
 
 def flat_torus_curve(gram, cutoff: float = DEFAULT_TORUS_CUTOFF) -> CurveComponent:
     """A flat 2-torus as a fixed-curve component: volume (2 pi)^2 sqrt(det Q)
-    and its scalar spectrum."""
+    and its spectrum under the trivial character."""
     q = to_int_matrix(gram)
     if len(q) != 2:
         raise InputError("curve components are 2-dimensional")
-    eq = flat_torus_spectrum(q, None, cutoff)
-    scalar = ScalarSpectrum(
-        [(lam, mp) for lam, mp, _ in eq.entries],
-        1,
-        HeatTail(2, eq.tail.straight, None),
-        eq.cutoff,
-    )
+    spectrum = flat_torus_spectrum(q, None, cutoff)
     volume = (2.0 * math.pi) ** 2 * math.sqrt(float(det_bareiss(q)))
-    return CurveComponent(volume, scalar)
+    return CurveComponent(volume, spectrum)
 
 
 _PRESETS = {

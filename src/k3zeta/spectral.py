@@ -4,19 +4,23 @@ An equivariant spectrum stores positive eigenvalues with signed
 multiplicities (m_plus, m_minus) for the two involution eigenspaces, the
 kernel dimensions, and a heat-tail declaration describing the t -> 0 trace
 on the ladder t^((j - dim)/2). dim = 0 means the entries are the complete
-spectrum of a finite model and the tail is the exact constant.
+spectrum of a finite model and the tail is the exact constant. A fixed
+curve's Laplacian is the same type with the trivial involution: no minus
+states and a twisted tail equal to the straight one.
 
 From one spectrum the module evaluates, all through the same continuation
 engine:
 
   * zeta_signed        the plus/minus zeta functions at s = 0
-  * dolbeault_zeta     the (0, q) combinations; q = 0 is continued directly
-                       from the twisted trace, so comparing it with the
-                       signed difference is a genuine two-route check
-  * equivariant_determinant   exp(-zeta_plus'(0) + zeta_minus'(0))
-  * equivariant_torsion       exp(zeta^{0,1}'(0) - 2 zeta^{0,2}'(0)),
+  * dolbeault_zetas    the (0, q) combinations for q = 0, 1, 2 from one
+                       continuation; q = 0 is continued directly from the
+                       twisted trace, so comparing it with the signed
+                       difference is a genuine two-route check
+  * equivariant_determinant_report   exp(-zeta_plus'(0) + zeta_minus'(0))
+  * equivariant_torsion_report       exp(zeta^{0,1}'(0) - 2 zeta^{0,2}'(0)),
                        recording the residual against determinant^-2
-  * curve_determinant  scalar determinants for fixed-curve components
+  * curve_determinant_report  det* of a fixed-curve component, from its
+                       plus sector
   * tau_iota           the torsion invariant, free or with curve factors
   * borcherds_report   the implied automorphic-form norm and its round trip
 """
@@ -55,11 +59,13 @@ class HeatTail:
     twisted: tuple[float, ...] | None
 
     def __init__(self, dim, straight, twisted=None):
-        dim = int(dim)
-        if dim < 0:
-            raise InputError("tail dimension must be >= 0")
-        s = tuple(float(c) for c in straight)
-        t = None if twisted is None else tuple(float(c) for c in twisted)
+        dim = _count(dim, "tail dimension")
+        s = tuple(_finite(c, "tail coefficient") for c in straight)
+        t = (
+            None
+            if twisted is None
+            else tuple(_finite(c, "tail coefficient") for c in twisted)
+        )
         if dim == 0:
             if len(s) != 1:
                 raise InputError("a complete spectrum declares one constant")
@@ -103,23 +109,53 @@ class HeatTail:
         return TraceModel.from_ladder(self.dim, coeffs)
 
 
-def _check_entries(entries, width):
+def _finite(x, what: str) -> float:
+    try:
+        v = float(x)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise InputError("%s must be a finite number, not %r" % (what, x))
+    return v
+
+
+def _count(x, what: str) -> int:
+    """A nonnegative integer, from an int or an integral float."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x or n < 0:
+        raise InputError("%s must be a nonnegative integer, not %r" % (what, x))
+    return n
+
+
+def _fields(x, width: int, what: str) -> tuple:
+    try:
+        x = tuple(x)
+    except TypeError:
+        x = ()
+    if len(x) != width:
+        raise InputError("%s must have %d fields" % (what, width))
+    return x
+
+
+def _check_entries(entries):
     out = []
     prev = 0.0
     for e in entries:
-        e = tuple(e)
-        if len(e) != width:
-            raise InputError("spectrum entries must have %d fields" % width)
-        lam = float(e[0])
-        ms = [int(m) for m in e[1:]]
+        lam, mp, mm = _fields(e, 3, "spectrum entries")
+        lam = _finite(lam, "eigenvalue")
+        mp = _count(mp, "multiplicity")
+        mm = _count(mm, "multiplicity")
         if lam <= 0.0:
             raise InputError("eigenvalues must be positive")
         if lam <= prev:
             raise InputError("eigenvalues must be strictly ascending")
-        if any(m < 0 for m in ms) or sum(ms) == 0:
-            raise InputError("multiplicities must be nonnegative, not all zero")
+        if mp + mm == 0:
+            raise InputError("multiplicities must not be all zero")
         prev = lam
-        out.append((lam, *ms))
+        out.append((lam, mp, mm))
     return tuple(out)
 
 
@@ -133,13 +169,10 @@ class EquivariantSpectrum:
     cutoff: float
 
     def __init__(self, entries, kernel, tail, cutoff=math.inf):
-        ent = _check_entries(entries, 3)
-        k = (int(kernel[0]), int(kernel[1]))
-        if k[0] < 0 or k[1] < 0:
-            raise InputError("kernel dimensions must be nonnegative")
+        ent = _check_entries(entries)
+        k = tuple(_count(n, "kernel dimension") for n in _fields(kernel, 2, "kernel"))
         if not isinstance(tail, HeatTail):
             raise InputError("tail must be a HeatTail")
-        cut = float(cutoff)
         if tail.dim == 0:
             cut = math.inf
             total = k[0] + k[1] + sum(mp + mm for _, mp, mm in ent)
@@ -149,16 +182,19 @@ class EquivariantSpectrum:
                     "complete spectrum: straight constant %.17g != total"
                     " state count %d" % (tail.straight[0], total)
                 )
-            if tail.twisted is not None:
-                signed = k[0] - k[1] + sum(mp - mm for _, mp, mm in ent)
-                if abs(tail.twisted[0] - signed) > scale:
-                    raise InputError(
-                        "complete spectrum: twisted constant %.17g != signed"
-                        " state count %d" % (tail.twisted[0], signed)
-                    )
+            # a free tail declares a vanishing twisted trace
+            twisted = 0.0 if tail.free else tail.twisted[0]
+            signed = k[0] - k[1] + sum(mp - mm for _, mp, mm in ent)
+            if abs(twisted - signed) > scale:
+                note = " (a free tail declares 0)" if tail.free else ""
+                raise InputError(
+                    "complete spectrum: twisted constant %.17g != signed"
+                    " state count %d%s" % (twisted, signed, note)
+                )
         else:
-            if not math.isfinite(cut) or cut <= 0.0:
-                raise InputError("a truncated spectrum needs a finite cutoff")
+            cut = _finite(cutoff, "a truncated spectrum's cutoff")
+            if cut <= 0.0:
+                raise InputError("a truncated spectrum needs a positive cutoff")
             if ent and ent[-1][0] > cut:
                 raise InputError("entries extend beyond the declared cutoff")
         object.__setattr__(self, "entries", ent)
@@ -236,50 +272,28 @@ class EquivariantSpectrum:
 
 
 @dataclass(frozen=True)
-class ScalarSpectrum:
-    """A plain (unsigned) spectrum for curve components."""
-
-    entries: tuple[tuple[float, int], ...]
-    kernel: int
-    tail: HeatTail
-    cutoff: float
-
-    def __init__(self, entries, kernel, tail, cutoff=math.inf):
-        ent = _check_entries(entries, 2)
-        k = int(kernel)
-        if k < 0:
-            raise InputError("kernel dimension must be nonnegative")
-        if not isinstance(tail, HeatTail) or not tail.free:
-            raise InputError("curve spectra use a straight-only tail")
-        cut = float(cutoff)
-        if tail.dim == 0:
-            cut = math.inf
-            total = k + sum(m for _, m in ent)
-            if abs(tail.straight[0] - total) > _REL * max(1.0, total):
-                raise InputError(
-                    "complete curve spectrum: constant != state count"
-                )
-        elif not math.isfinite(cut) or cut <= 0.0 or (ent and ent[-1][0] > cut):
-            raise InputError("curve spectrum cutoff is missing or too small")
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "kernel", k)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "cutoff", cut)
-
-
-@dataclass(frozen=True)
 class CurveComponent:
-    """One fixed-curve component: its volume and scalar spectrum."""
+    """One fixed-curve component: its volume and its Laplacian, a spectrum
+    on which the involution acts trivially."""
 
     volume: float
-    spectrum: ScalarSpectrum
+    spectrum: EquivariantSpectrum
 
     def __init__(self, volume, spectrum):
-        v = float(volume)
+        v = _finite(volume, "curve volume")
         if v <= 0.0:
             raise InputError("curve volume must be positive")
-        if not isinstance(spectrum, ScalarSpectrum):
-            raise InputError("curve component needs a ScalarSpectrum")
+        if not isinstance(spectrum, EquivariantSpectrum):
+            raise InputError("curve component needs an EquivariantSpectrum")
+        if (
+            spectrum.kernel[1]
+            or any(mm for _, _, mm in spectrum.entries)
+            or spectrum.tail.twisted != spectrum.tail.straight
+        ):
+            raise InputError(
+                "a curve spectrum needs the trivial involution: no minus"
+                " states and a twisted tail equal to the straight one"
+            )
         object.__setattr__(self, "volume", v)
         object.__setattr__(self, "spectrum", spectrum)
 
@@ -351,39 +365,42 @@ def zeta_signed(
     return _as_report(res)
 
 
-def dolbeault_zeta(
-    spectrum: EquivariantSpectrum, q: int, tol: float = DEFAULT_TARGET
-) -> ZetaReport:
-    """The (0, q) zeta combinations.
+def dolbeault_zetas(
+    spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET
+) -> tuple[ZetaReport, ZetaReport, ZetaReport]:
+    """The (0, q) zeta combinations for q = 0, 1, 2, from one continuation.
 
     q = 0 is continued directly from the twisted trace (weights
     m_plus - m_minus against the twisted tail model), q = 2 is its exact
     negative, and q = 1 is their sum, identically zero.
     """
-    if q == 0:
-        res = continue_trace(
-            spectrum.lambdas(),
-            spectrum.mults(1) - spectrum.mults(-1),
-            float(spectrum.kernel[0] - spectrum.kernel[1]),
-            spectrum.tail.twisted_model(),
-            spectrum.tail.straight_model(),
-            spectrum.cutoff,
-            complete=spectrum.complete,
-            target=tol,
-        )
-        return _as_report(res)
-    if q == 2:
-        r0 = dolbeault_zeta(spectrum, 0, tol)
-        return ZetaReport(-r0.zeta_at_0, -r0.zeta_prime_at_0, r0.error_estimate)
-    if q == 1:
-        r0 = dolbeault_zeta(spectrum, 0, tol)
-        r2 = dolbeault_zeta(spectrum, 2, tol)
-        return ZetaReport(
-            r0.zeta_at_0 + r2.zeta_at_0,
-            r0.zeta_prime_at_0 + r2.zeta_prime_at_0,
-            r0.error_estimate + r2.error_estimate,
-        )
-    raise InputError("q must be 0, 1, or 2")
+    res = continue_trace(
+        spectrum.lambdas(),
+        spectrum.mults(1) - spectrum.mults(-1),
+        float(spectrum.kernel[0] - spectrum.kernel[1]),
+        spectrum.tail.twisted_model(),
+        spectrum.tail.straight_model(),
+        spectrum.cutoff,
+        complete=spectrum.complete,
+        target=tol,
+    )
+    r0 = _as_report(res)
+    r2 = ZetaReport(-r0.zeta_at_0, -r0.zeta_prime_at_0, r0.error_estimate)
+    r1 = ZetaReport(
+        r0.zeta_at_0 + r2.zeta_at_0,
+        r0.zeta_prime_at_0 + r2.zeta_prime_at_0,
+        r0.error_estimate + r2.error_estimate,
+    )
+    return r0, r1, r2
+
+
+def dolbeault_zeta(
+    spectrum: EquivariantSpectrum, q: int, tol: float = DEFAULT_TARGET
+) -> ZetaReport:
+    """The (0, q) zeta combination; see dolbeault_zetas."""
+    if q not in (0, 1, 2):
+        raise InputError("q must be 0, 1, or 2")
+    return dolbeault_zetas(spectrum, tol)[int(q)]
 
 
 def equivariant_determinant_report(
@@ -397,20 +414,13 @@ def equivariant_determinant_report(
     return DeterminantReport(value, err, plus, minus)
 
 
-def equivariant_determinant(
-    spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET
-) -> float:
-    return equivariant_determinant_report(spectrum, tol).value
-
-
 def equivariant_torsion_report(
     spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET
 ) -> TorsionReport:
     """Torsion from the Dolbeault route, with the residual against the
     determinant route (log tau + 2 log det, which vanishes identically in
     exact arithmetic) recorded rather than assumed."""
-    r1 = dolbeault_zeta(spectrum, 1, tol)
-    r2 = dolbeault_zeta(spectrum, 2, tol)
+    _, r1, r2 = dolbeault_zetas(spectrum, tol)
     log_tau = r1.zeta_prime_at_0 - 2.0 * r2.zeta_prime_at_0
     err_log = r1.error_estimate + 2.0 * r2.error_estimate
     det = equivariant_determinant_report(spectrum, tol)
@@ -419,35 +429,14 @@ def equivariant_torsion_report(
     return TorsionReport(value, value * err_log, log_tau, residual)
 
 
-def equivariant_torsion(
-    spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET
-) -> float:
-    return equivariant_torsion_report(spectrum, tol).value
-
-
 def curve_determinant_report(
-    scalar: ScalarSpectrum, tol: float = DEFAULT_TARGET
+    spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET
 ) -> tuple[float, float]:
-    """(det*, error) of a curve component's scalar Laplacian."""
-    lams = np.array([lam for lam, _ in scalar.entries], dtype=float)
-    ws = np.array([m for _, m in scalar.entries], dtype=float)
-    model = scalar.tail.straight_model()
-    res = continue_trace(
-        lams,
-        ws,
-        float(scalar.kernel),
-        model,
-        model,
-        scalar.cutoff,
-        complete=scalar.tail.dim == 0,
-        target=tol,
-    )
+    """(det*, error) of a curve component's Laplacian, exp(-zeta'(0)) of
+    its plus sector (the whole spectrum, the involution acting trivially)."""
+    res = zeta_signed(spectrum, 1, tol)
     value = math.exp(-res.zeta_prime_at_0)
     return value, value * res.error_estimate
-
-
-def curve_determinant(scalar: ScalarSpectrum, tol: float = DEFAULT_TARGET) -> float:
-    return curve_determinant_report(scalar, tol)[0]
 
 
 def tau_iota(
@@ -519,10 +508,6 @@ def borcherds_report(
     return BorcherdsReport(tau, nu, norm, round_trip, factor, with_constant)
 
 
-def spectrum_scale(spectrum: EquivariantSpectrum, factor: float) -> EquivariantSpectrum:
-    return spectrum.scaled(factor)
-
-
 def truncate_entries(
     spectrum: EquivariantSpectrum, max_terms: int
 ) -> EquivariantSpectrum:
@@ -538,12 +523,6 @@ def truncate_entries(
         return spectrum
     ent = spectrum.entries[:n]
     return EquivariantSpectrum(ent, spectrum.kernel, spectrum.tail, ent[-1][0])
-
-
-def spectrum_union(
-    a: EquivariantSpectrum, b: EquivariantSpectrum
-) -> EquivariantSpectrum:
-    return a.union(b)
 
 
 def direct_zeta(spectrum: EquivariantSpectrum, sign: int) -> ZetaReport:

@@ -39,7 +39,6 @@ from k3zeta.spectral import (
     dolbeault_zeta,
     equivariant_determinant_report,
     equivariant_torsion_report,
-    spectrum_scale,
     tau_iota,
     zeta_signed,
 )
@@ -234,7 +233,7 @@ def test_determinant_scaling_law():
         det = equivariant_determinant_report(spectrum, TOL)
         exponent = det.plus.zeta_at_0 - det.minus.zeta_at_0
         for c in (2.0, 10.0):
-            scaled = equivariant_determinant_report(spectrum_scale(spectrum, c), TOL)
+            scaled = equivariant_determinant_report(spectrum.scaled(c), TOL)
             want = det.value * c**exponent
             worst = max(worst, abs(scaled.value - want) / abs(want))
     assert worst < 1e-8

@@ -6,6 +6,7 @@ import pytest
 
 from k3zeta import jsonio
 from k3zeta.cli import main
+from k3zeta.errors import InputError
 from k3zeta.frames import HKFrame, random_compatible_frame, seed_compatible_frame
 from k3zeta.lattices import enriques_involution
 from k3zeta.models import flat_torus_spectrum
@@ -122,6 +123,39 @@ def test_input_error_exit_code(capsys):
     assert err.strip()
     code, _, err = run(capsys, ["lattice", "--in", "/nonexistent.json"])
     assert code == 2
+
+
+_SPECTRUM = {
+    "entries": [[1.0, 2, 1], [2.0, 1, 0]],
+    "kernel": [1, 0],
+    "tail": {"dim": 0, "straight": [5.0], "twisted": [3.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"entries": [[1.0, 2, 1], [math.inf, 1, 0]]},
+        {"entries": [[math.nan, 2, 1], [2.0, 1, 0]]},
+        {"entries": [[1.0, 2.5, 1], [2.0, 1, 0]]},
+        {"kernel": [1]},
+        {"kernel": [1, 0, 0]},
+        {"tail": {"dim": 0, "straight": [math.nan], "twisted": [3.0]}},
+        {"tail": {"dim": 0, "straight": [5.0], "twisted": "free"}},
+    ],
+)
+def test_malformed_spectrum_file_exit_code(tmp_path, capsys, change):
+    obj = {**_SPECTRUM, **change}
+    # refused when the file is decoded, before any continuation runs
+    with pytest.raises(InputError):
+        jsonio.decode_spectrum(obj)
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["zeta", "--spectrum", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
 
 
 def test_accuracy_error_exit_code(capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from k3zeta.lattices import (
 from k3zeta.models import (
     flat_torus_curve,
     flat_torus_spectrum,
+    round_sphere_curve,
     round_sphere_spectrum,
 )
 from k3zeta.periods import period_of
@@ -120,10 +122,28 @@ def test_complete_spectrum_omits_cutoff():
 
 def test_curve_roundtrip():
     curve = flat_torus_curve(((2, 1), (1, 3)), cutoff=8.0)
-    dec = jsonio.decode_curve(jsonio.encode_curve(curve))
-    assert dec.volume == curve.volume
-    assert dec.spectrum.entries == curve.spectrum.entries
-    assert dec.spectrum.kernel == curve.spectrum.kernel
+    enc = jsonio.encode_curve(curve)
+    dec = jsonio.decode_curve(enc)
+    assert dec == curve
+    # the wire format keeps the plus sector only
+    spec = enc["spectrum"]
+    assert spec["kernel"] == 1
+    assert spec["entries"] == [[lam, mp] for lam, mp, _ in curve.spectrum.entries]
+    assert set(spec["tail"]) == {"dim", "straight"}
+
+
+def test_decode_curve_validates():
+    enc = jsonio.encode_curve(round_sphere_curve(l_max=6))
+    three = json.loads(json.dumps(enc))
+    three["spectrum"]["entries"] = [e + [0] for e in three["spectrum"]["entries"]]
+    for bad in (
+        three,
+        {"volume": 1.0, "spectrum": {**enc["spectrum"], "entries": [5.0]}},
+        {"volume": 1.0, "spectrum": {**enc["spectrum"], "kernel": [1, 0]}},
+        {"volume": 1.0, "spectrum": {**enc["spectrum"], "cutoff": "far"}},
+    ):
+        with pytest.raises(InputError):
+            jsonio.decode_curve(bad)
 
 
 def test_decode_spectrum_validates():

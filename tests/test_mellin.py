@@ -13,8 +13,6 @@ def test_trace_model_ladder():
     assert m.next_exponent == 1.5
     # pole part: c0 / (-1) + c4 / 1
     assert abs(m.pole_part() - (-2.0 + 0.1)) < 1e-15
-    exact = TraceModel.from_ladder(2, [2.0], exact=True)
-    assert math.isinf(exact.next_exponent)
     assert TraceModel(coeffs=(), next_exponent=math.inf)(0.3) == 0.0
 
 

@@ -128,7 +128,7 @@ def test_curve_volumes():
     assert math.isclose(
         torus.volume, (2 * math.pi) ** 2 * math.sqrt(5.0), rel_tol=1e-15
     )
-    assert torus.spectrum.kernel == 1
+    assert torus.spectrum.kernel == (1, 0)
 
 
 def test_builtin_dispatch():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from k3zeta import cli, spectral
 from k3zeta.errors import ConsistencyError, InputError
 from k3zeta.models import (
     flat_torus_curve,
@@ -13,14 +14,12 @@ from k3zeta.spectral import (
     CurveComponent,
     EquivariantSpectrum,
     HeatTail,
-    ScalarSpectrum,
     borcherds_report,
+    curve_determinant_report,
     direct_zeta,
     dolbeault_zeta,
     equivariant_determinant_report,
     equivariant_torsion_report,
-    spectrum_scale,
-    spectrum_union,
     tau_iota,
     truncate_entries,
     zeta_signed,
@@ -42,6 +41,13 @@ def test_heat_tail_validation():
         HeatTail(2, (-1.0, 0.0, 0.0))  # leading coefficient is a volume
     with pytest.raises(InputError):
         HeatTail(0, (1.0, 2.0))  # dim 0 is a single constant
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError):
+            HeatTail(2, (2.0, bad, 1.0))
+        with pytest.raises(InputError):
+            HeatTail(2, (2.0, 0.0, 1.0), (2.0, 0.0, bad))
+    with pytest.raises(InputError):
+        HeatTail(1.5, (2.0, 0.0, 1.0))
     assert HeatTail(2, (2.0, 0.0, 1.0)).free
     assert not HeatTail(2, (2.0, 0.0, 1.0), (2.0, 0.0, 1.0)).free
 
@@ -65,6 +71,36 @@ def test_spectrum_validation():
     assert SYNTH.complete and SYNTH.cutoff == math.inf
 
 
+
+@pytest.mark.parametrize(
+    "entries, kernel, tail",
+    [
+        (((math.nan, 1, 0),), (0, 0), HeatTail(0, (1.0,), (1.0,))),
+        (((1.0, 1, 0), (math.inf, 1, 0)), (0, 0), HeatTail(0, (2.0,), (2.0,))),
+        (((1.0, 1.7, 0),), (0, 0), HeatTail(0, (1.0,), (1.0,))),
+        (((1.0, 1, 0.5),), (0, 0), HeatTail(0, (1.0,), (1.0,))),
+        (((1.0, 1, 0),), (1,), HeatTail(0, (2.0,), (2.0,))),
+        (((1.0, 1, 0),), (1, 0, 0), HeatTail(0, (2.0,), (2.0,))),
+        (((1.0, 1, 0),), 1, HeatTail(0, (2.0,), (2.0,))),
+        (((1.0, 1, 0),), (0.5, 0.5), HeatTail(0, (1.0,), (1.0,))),
+        (((1.0, 1, 0),), (-1, 1), HeatTail(0, (1.0,), (1.0,))),
+        (((1.0, 1),), (0, 0), HeatTail(0, (1.0,), (1.0,))),
+        # a free tail declares a signed state count of zero, here 3
+        (((1.0, 2, 1),), (1, 0), HeatTail(0, (4.0,))),
+    ],
+)
+def test_malformed_spectra_are_refused_at_construction(entries, kernel, tail):
+    with pytest.raises(InputError):
+        EquivariantSpectrum(entries, kernel, tail)
+
+
+def test_truncated_spectrum_needs_a_finite_cutoff():
+    tail = HeatTail(2, (2.0, 0.0, 1.0))
+    for cutoff in (math.nan, math.inf, -1.0, "four"):
+        with pytest.raises(InputError):
+            EquivariantSpectrum(((1.0, 1, 0),), (0, 0), tail, cutoff)
+    assert EquivariantSpectrum(((1.0, 1, 0),), (0.0, 0), tail, 4).kernel == (0, 0)
+
 def test_direct_zeta_matches_engine_on_complete_spectrum():
     for sign in (1, -1):
         direct = direct_zeta(SYNTH, sign)
@@ -78,7 +114,7 @@ def test_direct_zeta_matches_engine_on_complete_spectrum():
 def test_scaling_law():
     base = round_sphere_spectrum(l_max=200)
     for c in (2.0, 10.0):
-        scaled = spectrum_scale(base, c)
+        scaled = base.scaled(c)
         for sign in (1, -1):
             z0 = zeta_signed(base, sign, TOL)
             zc = zeta_signed(scaled, sign, TOL)
@@ -90,7 +126,7 @@ def test_scaling_law():
 def test_union_is_additive():
     sphere = round_sphere_spectrum(l_max=200)
     torus = flat_torus_spectrum(I2, character=(1, 0), cutoff=900.0)
-    both = spectrum_union(sphere, torus)
+    both = sphere.union(torus)
     for sign in (1, -1):
         zs = zeta_signed(sphere, sign, TOL)
         zt = zeta_signed(torus, sign, TOL)
@@ -105,9 +141,9 @@ def test_union_rejects_mismatched_kinds():
     free = round_sphere_spectrum(l_max=30)
     pinned = flat_torus_spectrum(I2, character=(0, 0), cutoff=30.0)
     with pytest.raises(ConsistencyError):
-        spectrum_union(free, pinned)
+        free.union(pinned)
     with pytest.raises(ConsistencyError):
-        spectrum_union(free, SYNTH)
+        free.union(SYNTH)
 
 
 def test_dolbeault_identities_are_exact():
@@ -125,6 +161,27 @@ def test_dolbeault_identities_are_exact():
     with pytest.raises(InputError):
         dolbeault_zeta(round_sphere_spectrum(l_max=30), 3, TOL)
 
+
+
+def test_each_distinct_continuation_runs_once(monkeypatch, capsys):
+    calls = []
+    real = spectral.continue_trace
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "continue_trace", counting)
+    spectrum = round_sphere_spectrum(l_max=300)
+    equivariant_torsion_report(spectrum, TOL)
+    assert len(calls) == 3
+    del calls[:]
+    assert cli.main(["zeta", "--builtin", "s2-antipodal"]) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == 3
+    del calls[:]
+    dolbeault_zeta(spectrum, 1, TOL)
+    assert len(calls) == 1
 
 def test_torsion_residual_is_small():
     for spectrum in (
@@ -157,12 +214,66 @@ def test_free_tau_is_inverse_square_of_determinant():
 
 def test_neutral_curve_leaves_tau_at_inverse_square():
     pinned = flat_torus_spectrum(I2, character=(0, 0), cutoff=900.0)
-    neutral = CurveComponent(1.0, ScalarSpectrum(((1.0, 1),), 0, HeatTail(0, (1.0,))))
+    neutral = CurveComponent(
+        1.0, EquivariantSpectrum(((1.0, 1, 0),), (0, 0), HeatTail(0, (1.0,), (1.0,)))
+    )
     tau = tau_iota(pinned, (neutral,), TOL)
     assert len(tau.curve_factors) == 1
     assert math.isclose(tau.curve_factors[0], 1.0, rel_tol=1e-14)
     assert math.isclose(tau.value, tau.determinant.value**-2.0, rel_tol=1e-12)
 
+
+
+def test_curve_determinant_is_the_plus_sector_determinant():
+    for curve in (
+        round_sphere_curve(radius=1.3, l_max=300),
+        flat_torus_curve(((2, 1), (1, 3)), cutoff=500.0),
+    ):
+        spec = curve.spectrum
+        plus = zeta_signed(spec, +1, TOL)
+        value = math.exp(-plus.zeta_prime_at_0)
+        assert curve_determinant_report(spec, TOL) == (
+            value,
+            value * plus.error_estimate,
+        )
+        # the plus sector continues with the straight model itself
+        straight = spec.tail.straight_model()
+        res = spectral.continue_trace(
+            spec.lambdas(),
+            spec.mults(1),
+            float(spec.kernel[0]),
+            straight,
+            straight,
+            spec.cutoff,
+            complete=spec.complete,
+            target=TOL,
+        )
+        assert res.zeta_prime_at_0 == plus.zeta_prime_at_0
+        assert res.error_estimate == plus.error_estimate
+
+
+def test_curve_component_needs_the_trivial_involution():
+    ok = round_sphere_curve(l_max=10).spectrum
+    tail = HeatTail(0, (3.0,), (3.0,))
+    assert CurveComponent(1.0, EquivariantSpectrum(((1.0, 2, 0),), (1, 0), tail))
+    for bad in (
+        EquivariantSpectrum(((1.0, 1, 1),), (1, 0), HeatTail(0, (3.0,), (1.0,))),
+        EquivariantSpectrum(((1.0, 2, 0),), (0, 1), HeatTail(0, (3.0,), (1.0,))),
+        round_sphere_spectrum(l_max=10),  # antipodal: minus states, free tail
+        EquivariantSpectrum(
+            ok.entries, ok.kernel, HeatTail(2, ok.tail.straight), ok.cutoff
+        ),
+        EquivariantSpectrum(
+            ok.entries,
+            ok.kernel,
+            HeatTail(2, ok.tail.straight, ok.tail.straight[:-1] + (1.0,)),
+            ok.cutoff,
+        ),
+    ):
+        with pytest.raises(InputError):
+            CurveComponent(1.0, bad)
+    with pytest.raises(InputError):
+        CurveComponent(math.nan, ok)
 
 def test_tau_kind_mismatch():
     free = round_sphere_spectrum(l_max=30)
