@@ -13,7 +13,6 @@ from .errors import (
 from .frames import (
     FlatModel,
     HKFrame,
-    InvolutionAction,
     RotationSO3,
     check_antiholomorphic_sign,
     compatible_frames,

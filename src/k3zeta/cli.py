@@ -17,6 +17,7 @@ produce byte-identical reports. Exit codes: 0 success, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import jsonio, lattices, models, spectral
@@ -211,10 +212,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the JSON report to this file")
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            "expected a positive finite number, got %r" % text
+        )
+    return tol
+
+
 def _add_tol(p: argparse.ArgumentParser, default: float) -> None:
     p.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=default,
         help="accuracy target (default %g)" % default,
     )

@@ -49,8 +49,13 @@ class HKFrame:
     gammas: np.ndarray
 
     def __init__(self, form, gammas, tol: float = DEFAULT_TOL):
-        g = np.asarray(form, dtype=float)
-        v = np.asarray(gammas, dtype=float)
+        try:
+            g = np.asarray(form, dtype=float)
+            v = np.asarray(gammas, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError("frame entries must be numbers (%s)" % exc) from None
+        if not (np.isfinite(g).all() and np.isfinite(v).all()):
+            raise InputError("frame entries must be finite")
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise InputError("ambient form must be square")
         if not np.allclose(g, g.T, atol=tol, rtol=0.0):
@@ -94,26 +99,6 @@ class RotationSO3:
 
     def compose(self, other: "RotationSO3") -> "RotationSO3":
         return RotationSO3(self.matrix @ other.matrix)
-
-
-@dataclass(frozen=True, eq=False)
-class InvolutionAction:
-    """An ambient involutive isometry, kept as a float matrix."""
-
-    form: np.ndarray
-    matrix: np.ndarray
-
-    def __init__(self, form, matrix, tol: float = DEFAULT_TOL):
-        g = np.asarray(form, dtype=float)
-        t = _as_matrix(matrix)
-        if t.shape != g.shape:
-            raise InputError("involution and form dimensions differ")
-        if float(np.max(np.abs(t.T @ g @ t - g))) > tol:
-            raise InputError("involution does not preserve the form")
-        if float(np.max(np.abs(t @ t - np.eye(len(t))))) > tol:
-            raise InputError("matrix squared is not the identity")
-        object.__setattr__(self, "form", _readonly(g))
-        object.__setattr__(self, "matrix", _readonly(t))
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,18 +22,21 @@ def to_int_matrix(obj) -> list[list[int]]:
     """
     rows = []
     width = None
-    for row in obj:
-        out = []
-        for x in row:
-            xi = int(x)
-            if xi != x:
-                raise InputError("matrix entry %r is not an integer" % (x,))
-            out.append(xi)
-        if width is None:
-            width = len(out)
-        elif len(out) != width:
-            raise InputError("ragged matrix rows")
-        rows.append(out)
+    try:
+        for row in obj:
+            out = []
+            for x in row:
+                xi = int(x)
+                if xi != x:
+                    raise InputError("matrix entry %r is not an integer" % (x,))
+                out.append(xi)
+            if width is None:
+                width = len(out)
+            elif len(out) != width:
+                raise InputError("ragged matrix rows")
+            rows.append(out)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError("matrix must be rows of integers (%s)" % exc) from None
     if width == 0 and rows:
         raise InputError("matrix rows must be nonempty")
     return rows

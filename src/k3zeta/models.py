@@ -7,8 +7,9 @@ heat coefficient is Vol / (2 pi)^(n/2)):
     multiplicity 2l+1, optionally carrying the antipodal involution
     (a free involution; parity of l decides the eigenspace);
   * flat tori R^n / 2 pi L with Gram matrix Q of L, eigenvalues
-    (1/2) m^T Q^{-1} m grouped exactly over the dual lattice, optionally
-    twisted by a half-period translation character in {0,1}^n.
+    (1/2) m^T Q^{-1} m over the dual lattice, grouped by the exact integer
+    key m^T adj(Q) m = 2 det(Q) lambda, optionally twisted by a
+    half-period translation character in {0,1}^n.
 
 Sphere tails come from the exact Laurent expansion of the trace; torus
 tails are the single Weyl term, the remainder being exponentially small.
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import AccuracyError, InputError
-from .intlinalg import det_bareiss, is_symmetric, rational_inertia, to_int_matrix
+from .intlinalg import det_bareiss, is_symmetric, matvec, rational_inertia, to_int_matrix
 from .spectral import CurveComponent, EquivariantSpectrum, HeatTail
 
 DEFAULT_SPHERE_LMAX = 250
@@ -124,34 +125,14 @@ def round_sphere_curve(
     return CurveComponent(4.0 * math.pi * float(radius) ** 2, spectrum)
 
 
-def _fraction_inverse(a):
-    n = len(a)
-    m = [
-        [Fraction(a[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise InputError("gram matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
 def flat_torus_spectrum(
     gram,
     character=None,
     cutoff: float = DEFAULT_TORUS_CUTOFF,
 ) -> EquivariantSpectrum:
-    """Complete flat-torus spectrum up to `cutoff`, eigenvalues grouped in
-    exact rational arithmetic so equal ones never split.
+    """Complete flat-torus spectrum up to `cutoff`. Each eigenvalue
+    (1/2) m^T Q^{-1} m is keyed by the integer m^T adj(Q) m = 2 det(Q) lambda,
+    so equal ones never split.
 
     `character` in {0,1}^n twists by translation through the corresponding
     half period; the involution is free unless the character is trivial,
@@ -174,9 +155,7 @@ def flat_torus_spectrum(
     cut = float(cutoff)
     if not math.isfinite(cut) or cut <= 0.0:
         raise InputError("cutoff must be positive and finite")
-    cut_frac = Fraction(cut)
 
-    qinv = _fraction_inverse(q)
     # |m_i| <= sqrt(2 cutoff Q_ii) on the ellipsoid; pad one to be safe
     bounds = [math.isqrt(int(2.0 * cut * q[i][i])) + 1 for i in range(n)]
     box = 1
@@ -188,24 +167,28 @@ def flat_torus_spectrum(
             achievable=None,
         )
 
-    groups: dict[Fraction, list[int]] = {}
+    det = det_bareiss(q)
+    # adj(Q)_ij is the (j, i) cofactor
+    adj = [
+        [
+            (-1) ** (i + j)
+            * det_bareiss([r[:i] + r[i + 1 :] for k, r in enumerate(q) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    # key <= top exactly when lambda <= cut; key = 0 only at m = 0
+    cut_frac = Fraction(cut)
+    top = cut_frac.numerator * 2 * det // cut_frac.denominator
+    groups: dict[int, list[int]] = {}
     for mvec in itertools.product(*(range(-b, b + 1) for b in bounds)):
-        if not any(mvec):
-            continue
-        lam = Fraction(0)
-        for i in range(n):
-            row = qinv[i]
-            if mvec[i]:
-                lam += mvec[i] * sum(row[j] * mvec[j] for j in range(n))
-        lam /= 2
-        if lam > cut_frac:
-            continue
-        sign = sum(mvec[i] * eps[i] for i in range(n)) % 2
-        acc = groups.setdefault(lam, [0, 0])
-        acc[sign] += 1
-    entries = [(float(lam), mp, mm) for lam, (mp, mm) in sorted(groups.items())]
+        key = sum(x * y for x, y in zip(mvec, matvec(adj, mvec)))
+        if 0 < key <= top:
+            sign = sum(mvec[i] * eps[i] for i in range(n)) % 2
+            groups.setdefault(key, [0, 0])[sign] += 1
+    entries = [(key / (2 * det), mp, mm) for key, (mp, mm) in sorted(groups.items())]
 
-    c0 = (2.0 * math.pi) ** (n / 2.0) * math.sqrt(float(det_bareiss(q)))
+    c0 = (2.0 * math.pi) ** (n / 2.0) * math.sqrt(float(det))
     straight = (c0,) + (0.0,) * (n + 8)
     twisted = straight if not any(eps) else None
     return EquivariantSpectrum(

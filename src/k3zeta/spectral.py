@@ -491,12 +491,17 @@ def borcherds_report(
     up to a normalizing constant, applied when `constant` is given.
     """
     tau = float(tau)
-    if tau <= 0.0:
-        raise InputError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise InputError("tau must be positive and finite")
     nu = int(nu)
     if nu < 1:
         raise InputError("nu must be a positive integer")
-    norm = tau ** (-2 * nu)
+    try:
+        norm = tau ** (-2 * nu)
+    except OverflowError:
+        norm = math.inf
+    if not 0.0 < norm < math.inf:
+        raise InputError("implied norm tau**(-2 nu) is out of floating-point range")
     round_trip = norm ** (-1.0 / (2 * nu))
     factor = norm**0.25 if nu == 1 else None
     with_constant = None

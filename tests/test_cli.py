@@ -171,3 +171,80 @@ def test_cli_output_is_deterministic(capsys):
     _, first, _ = run(capsys, ["tau", "--builtin", "t2-flat"])
     _, second, _ = run(capsys, ["tau", "--builtin", "t2-flat"])
     assert first == second
+
+
+def exit_and_stderr(capsys, argv):
+    """main's return code, or the code argparse exits with, and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gram", ["[[1e400]]", "[[NaN]]", '[["a"]]', "[[null]]", "[1]"])
+def test_non_integer_lattice_file_exit_code(tmp_path, capsys, gram):
+    path = tmp_path / "lattice.json"
+    path.write_text('{"gram": %s}' % gram)
+    code, err = exit_and_stderr(capsys, ["lattice", "--in", str(path)])
+    assert code == 2
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["x", None, math.nan, math.inf])
+def test_non_finite_frame_file_exit_code(tmp_path, capsys, bad):
+    obj = jsonio.encode_frame(seed_compatible_frame())
+    obj["gammas"][0][3] = bad
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(obj))
+    code, err = exit_and_stderr(
+        capsys, ["period", "--frame", str(path), "--involution", "enriques"]
+    )
+    assert code == 2
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, tol",
+    [
+        ("period", "nan"),
+        ("zeta", "nan"),
+        ("zeta", "-1"),
+        ("zeta", "0"),
+        ("tau", "inf"),
+        ("tau", "-1"),
+    ],
+)
+def test_tol_must_be_positive_and_finite(tmp_path, capsys, command, tol):
+    if command == "period":
+        path = tmp_path / "frame.json"
+        frame = jsonio.encode_frame(seed_compatible_frame())
+        path.write_text(jsonio.canonical_dumps(frame))
+        argv = ["period", "--frame", str(path), "--involution", "enriques"]
+    else:
+        argv = [command, "--builtin", "s2-antipodal"]
+    code, err = exit_and_stderr(capsys, argv + ["--tol", tol])
+    assert code == 2
+    assert "argument --tol" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--tau", "inf"],
+        ["report", "--tau", "nan"],
+        ["report", "--tau", "1e300"],
+        ["report", "--tau", "1e-300"],
+        ["report", "--tau", "0.5", "--nu", "100000"],
+        ["tau", "--builtin", "s2-antipodal", "--nu", "100000"],
+    ],
+)
+def test_out_of_range_norm_exit_code(capsys, argv):
+    code, err = exit_and_stderr(capsys, argv)
+    assert code == 2
+    # refused as a bad tau, not later as an unserializable report
+    assert err.startswith("input error:") and "tau" in err
+    assert "Traceback" not in err

@@ -1,7 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3zeta.errors import AccuracyError, InputError
 from k3zeta.models import (
@@ -100,6 +104,74 @@ def test_torus_character_counts():
     assert table[12.5] == (6, 6)
     assert math.isclose(spec.tail.straight[0], (2 * math.pi), rel_tol=1e-15)
     assert all(c == 0.0 for c in spec.tail.straight[1:])
+
+
+@st.composite
+def torus_cases(draw):
+    """A positive-definite Gram matrix L L^T with off-diagonal entries, a
+    character (or None) and a cutoff that keeps the enumeration small."""
+    n = draw(st.integers(1, 3))
+    low = [[0] * n for _ in range(n)]
+    for i in range(n):
+        low[i][i] = draw(st.integers(1, 3))
+        for j in range(i):
+            low[i][j] = draw(st.integers(-2, 2))
+    gram = [
+        [sum(low[i][k] * low[j][k] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    character = draw(
+        st.one_of(st.none(), st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    )
+    cutoff = draw(st.floats(0.25, (20.0, 12.0, 4.0)[n - 1]))
+    return gram, character, cutoff
+
+
+def float_torus_entries(gram, character, cutoff):
+    """(lambda, m_plus, m_minus) by float enumeration: lambda = m.Q^{-1}m / 2
+    from numpy.linalg.solve, over a box from the largest eigenvalue of Q,
+    grouped at relative tolerance 1e-12. Keeps lambda <= cutoff (1 + 1e-9)."""
+    q = np.array(gram, dtype=float)
+    n = len(q)
+    eps = np.zeros(n, dtype=int) if character is None else np.array(character)
+    reach = int(math.sqrt(2.0 * cutoff * np.linalg.eigvalsh(q)[-1])) + 1
+    points = np.array(
+        [m for m in itertools.product(range(-reach, reach + 1), repeat=n) if any(m)],
+        dtype=float,
+    )
+    lams = 0.5 * np.einsum("ij,ij->i", points, np.linalg.solve(q, points.T).T)
+    signs = (points.astype(int) @ eps) % 2
+    keep = lams <= cutoff * (1.0 + 1e-9)
+    groups = []
+    for lam, sign in sorted(zip(lams[keep], signs[keep])):
+        if not groups or lam > groups[-1][0] * (1.0 + 1e-12):
+            groups.append([lam, 0, 0])
+        groups[-1][1 + sign] += 1
+    return groups
+
+
+@settings(max_examples=80, deadline=None)
+@given(torus_cases())
+def test_torus_matches_float_enumeration(case):
+    gram, character, cutoff = case
+    spec = flat_torus_spectrum(gram, character, cutoff)
+    assert all(0.0 < lam <= cutoff for lam, _, _ in spec.entries)
+    # eigenvalues within 1e-9 of the cutoff are the boundary test's business
+    inside = cutoff * (1.0 - 1e-9)
+    got = [e for e in spec.entries if e[0] < inside]
+    want = [g for g in float_torus_entries(gram, character, cutoff) if g[0] < inside]
+    assert len(got) == len(want)
+    for (lam, mp, mm), (ref, rp, rm) in zip(got, want):
+        assert math.isclose(lam, ref, rel_tol=1e-12)
+        assert (mp, mm) == (rp, rm)
+
+
+def test_torus_cutoff_is_inclusive():
+    # lambda = 2.5 at m = (1, 2) and its images under sign changes and swaps
+    at = flat_torus_spectrum(I2, character=(1, 0), cutoff=2.5)
+    assert at.entries[-1] == (2.5, 4, 4)
+    below = flat_torus_spectrum(I2, character=(1, 0), cutoff=math.nextafter(2.5, 0))
+    assert below.entries == at.entries[:-1]
 
 
 def test_torus_trivial_character_is_untwisted():
