@@ -27,7 +27,7 @@ def to_int_matrix(obj) -> list[list[int]]:
             out = []
             for x in row:
                 xi = int(x)
-                if xi != x:
+                if xi != x or isinstance(x, bool):
                     raise InputError("matrix entry %r is not an integer" % (x,))
                 out.append(xi)
             if width is None:
@@ -146,6 +146,25 @@ def _columns(a):
     return [list(col) for col in zip(*a)]
 
 
+def _clear_row(cols, r: int, lead: int) -> bool:
+    """Integer column operations among cols[lead:] until row r has at most
+    one nonzero entry, swapped into cols[lead]; True iff there is one."""
+    while True:
+        live = [j for j in range(lead, len(cols)) if cols[j][r] != 0]
+        if not live:
+            return False
+        j0 = min(live, key=lambda j: abs(cols[j][r]))
+        cols[lead], cols[j0] = cols[j0], cols[lead]
+        if len(live) == 1:
+            return True
+        p = cols[lead][r]
+        for j in range(lead + 1, len(cols)):
+            if cols[j][r] != 0:
+                q = cols[j][r] // p
+                if q:
+                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[lead])]
+
+
 def column_hnf(basis_columns: list[list[int]]) -> list[list[int]]:
     """Canonical Hermite form of an integer column span.
 
@@ -161,22 +180,7 @@ def column_hnf(basis_columns: list[list[int]]) -> list[list[int]]:
     m = len(cols[0])
     lead = 0
     for r in range(m):
-        # shrink row r to a single nonzero among columns >= lead
-        while True:
-            live = [j for j in range(lead, len(cols)) if cols[j][r] != 0]
-            if not live:
-                break
-            j0 = min(live, key=lambda j: abs(cols[j][r]))
-            cols[lead], cols[j0] = cols[j0], cols[lead]
-            if len(live) == 1:
-                break
-            p = cols[lead][r]
-            for j in range(lead + 1, len(cols)):
-                if cols[j][r] != 0:
-                    q = cols[j][r] // p
-                    if q:
-                        cols[j] = [x - q * y for x, y in zip(cols[j], cols[lead])]
-        if lead >= len(cols) or cols[lead][r] == 0:
+        if not _clear_row(cols, r, lead):
             continue
         if cols[lead][r] < 0:
             cols[lead] = [-x for x in cols[lead]]
@@ -199,32 +203,16 @@ def integer_kernel(a) -> list[list[int]]:
     """
     if not a:
         raise InputError("empty matrix has no well-defined kernel here")
-    n = len(a[0])
-    cols = _columns(a)
-    u = _columns(identity(n))
+    m, n = len(a), len(a[0])
+    # columns of A stacked over I: reducing A's rows records the transform below
+    cols = [col + e for col, e in zip(_columns(a), identity(n))]
     lead = 0
-    for r in range(len(a)):
-        while True:
-            live = [j for j in range(lead, n) if cols[j][r] != 0]
-            if not live:
-                break
-            j0 = min(live, key=lambda j: abs(cols[j][r]))
-            cols[lead], cols[j0] = cols[j0], cols[lead]
-            u[lead], u[j0] = u[j0], u[lead]
-            if len(live) == 1:
-                break
-            p = cols[lead][r]
-            for j in range(lead + 1, n):
-                if cols[j][r] != 0:
-                    q = cols[j][r] // p
-                    if q:
-                        cols[j] = [x - q * y for x, y in zip(cols[j], cols[lead])]
-                        u[j] = [x - q * y for x, y in zip(u[j], u[lead])]
-        if lead < n and cols[lead][r] != 0:
+    for r in range(m):
+        if _clear_row(cols, r, lead):
             lead += 1
             if lead == n:
                 break
-    kernel = [u[j] for j in range(lead, n)]
+    kernel = [col[m:] for col in cols[lead:]]
     assert all(all(x == 0 for x in matvec(a, k)) for k in kernel)
     return column_hnf(kernel) if kernel else []
 

@@ -79,7 +79,7 @@ def canonical_dumps(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
         raise InputError("invalid JSON: %s" % exc) from None
 
 

@@ -4,6 +4,10 @@ The ambient objects here are integer Gram matrices. Signatures come from
 exact congruence diagonalization, determinants from fraction-free
 elimination, and discriminant groups from Smith divisors, so every invariant
 this module reports is exact, never floating point.
+
+A sublattice computes its induced lattice B^T G B, and a lattice its
+signature, once, on first use, and keeps it on the object; every reader goes
+through those two values.
 """
 
 from __future__ import annotations
@@ -35,8 +39,12 @@ class Lattice:
     def rank(self) -> int:
         return len(self.gram)
 
+    @functools.cached_property
+    def _inertia(self) -> tuple[int, int]:
+        return intlinalg.rational_inertia([list(r) for r in self.gram])
+
     def signature(self) -> tuple[int, int]:
-        return _signature_cached(self.gram)
+        return self._inertia
 
     def det(self) -> int:
         return intlinalg.det_bareiss([list(r) for r in self.gram])
@@ -46,11 +54,6 @@ class Lattice:
 
     def is_unimodular(self) -> bool:
         return abs(self.det()) == 1
-
-
-@functools.lru_cache(maxsize=None)
-def _signature_cached(gram) -> tuple[int, int]:
-    return intlinalg.rational_inertia([list(r) for r in gram])
 
 
 @dataclass(frozen=True)
@@ -113,13 +116,15 @@ class SublatticeBasis:
         """Ambient-rank x sublattice-rank matrix whose columns are the basis."""
         return intlinalg.transpose([list(v) for v in self.vectors])
 
-    def induced_gram(self) -> list[list[int]]:
+    @functools.cached_property
+    def _induced(self) -> Lattice:
         b = self.basis_matrix()
         g = [list(r) for r in self.ambient.gram]
-        return intlinalg.matmul(intlinalg.matmul(intlinalg.transpose(b), g), b)
+        return Lattice(intlinalg.matmul(intlinalg.matmul(intlinalg.transpose(b), g), b))
 
     def induced_lattice(self) -> Lattice:
-        return Lattice(self.induced_gram())
+        """The lattice with Gram matrix B^T G B, computed once per object."""
+        return self._induced
 
 
 @dataclass(frozen=True)
@@ -234,10 +239,11 @@ def discriminant_info(sub: SublatticeBasis) -> DiscriminantInfo:
     """
     if sub.rank == 0:
         return DiscriminantInfo((), 0, True, 1)
-    induced = sub.induced_gram()
-    if intlinalg.det_bareiss(induced) == 0:
+    induced = sub.induced_lattice()
+    if induced.det() == 0:
         raise DegenerateLatticeError("induced gram matrix is singular")
-    divisors = tuple(d for d in intlinalg.smith_divisors(induced) if d > 1)
+    smith = intlinalg.smith_divisors([list(r) for r in induced.gram])
+    divisors = tuple(d for d in smith if d > 1)
     order = 1
     for d in divisors:
         order *= d
@@ -253,8 +259,7 @@ def is_hyperbolic_type(sub: SublatticeBasis) -> bool:
     """True iff the induced form has signature (1, rank-1)."""
     if sub.rank == 0:
         return False
-    pos, neg = intlinalg.rational_inertia(sub.induced_gram())
-    return (pos, neg) == (1, sub.rank - 1)
+    return sub.induced_lattice().signature() == (1, sub.rank - 1)
 
 
 def is_saturated(sub: SublatticeBasis) -> bool:

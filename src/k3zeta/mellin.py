@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import exp1
@@ -50,15 +49,13 @@ class TraceModel:
     kernel included. `next_exponent` is the first ladder power *not*
     declared (math.inf when the remainder is exponentially small)."""
 
-    coeffs: tuple[tuple[Fraction, float], ...]
+    coeffs: tuple[tuple[float, float], ...]
     next_exponent: float
 
     @staticmethod
     def from_ladder(dim: int, coeffs) -> "TraceModel":
         """Model on the ladder t^((j - dim)/2), j = 0 .. len(coeffs)-1."""
-        pairs = tuple(
-            (Fraction(j - dim, 2), float(c)) for j, c in enumerate(coeffs)
-        )
+        pairs = tuple(((j - dim) / 2.0, float(c)) for j, c in enumerate(coeffs))
         nxt = (len(coeffs) - dim) / 2.0
         return TraceModel(coeffs=pairs, next_exponent=nxt)
 
@@ -70,7 +67,7 @@ class TraceModel:
         out = np.zeros_like(t)
         for e, c in self.coeffs:
             if c != 0.0:
-                out = out + c * t ** float(e)
+                out = out + c * t ** e
         return out
 
     def abs_model(self) -> "TraceModel":
@@ -82,7 +79,7 @@ class TraceModel:
     def pole_part(self) -> float:
         """sum over nonzero exponents of p_e / e, exactly ordered."""
         terms = sorted(
-            ((float(e), c) for e, c in self.coeffs if e != 0 and c != 0.0),
+            ((e, c) for e, c in self.coeffs if e != 0 and c != 0.0),
             key=lambda ec: ec[0],
         )
         return math.fsum(c / e for e, c in terms)

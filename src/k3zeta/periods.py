@@ -8,6 +8,8 @@ positive 2-frame of the lattice.
 
 Coordinates are always taken in the exact integer basis of the lattice, so
 projective comparisons and labels are basis-independent by construction.
+Every check and label reads the sublattice's induced lattice, which the
+sublattice computes once, on first use, as does that lattice its signature.
 """
 
 from __future__ import annotations
@@ -25,15 +27,10 @@ ISOTROPY_RTOL = 1e-9
 PROJECTIVE_TOL = 1e-9
 
 
-@functools.lru_cache(maxsize=128)
-def _exact_signature(sub: lattices.SublatticeBasis) -> tuple[int, int]:
-    return intlinalg.rational_inertia(sub.induced_gram())
-
-
 def _check_domain_lattice(sub: lattices.SublatticeBasis) -> None:
     if sub.rank < 2:
         raise GeometryError("period domain needs rank >= 2")
-    pos, neg = _exact_signature(sub)
+    pos, neg = sub.induced_lattice().signature()
     if pos != 2:
         raise GeometryError(
             "period domain needs signature (2, rank-2), got (%d, %d)" % (pos, neg)
@@ -48,19 +45,19 @@ class PeriodPoint:
     sublattice: lattices.SublatticeBasis
     coords: np.ndarray
 
-    def __init__(self, sublattice, coords, rtol: float = ISOTROPY_RTOL):
+    def __init__(self, sublattice, coords):
         _check_domain_lattice(sublattice)
         eta = np.asarray(coords, dtype=complex)
         if eta.shape != (sublattice.rank,):
             raise InputError(
                 "period coordinates must have length %d" % sublattice.rank
             )
-        g = np.asarray(sublattice.induced_gram(), dtype=float)
+        g = np.asarray(sublattice.induced_lattice().gram, dtype=float)
         norm2 = float(np.real(eta @ g @ np.conj(eta)))
         if norm2 <= 0.0:
             raise GeometryError("period vector has <eta, eta-bar> <= 0")
         iso = complex(eta @ g @ eta)
-        if abs(iso) > rtol * norm2:
+        if abs(iso) > ISOTROPY_RTOL * norm2:
             raise GeometryError(
                 "period vector is not isotropic (|<eta,eta>| / <eta,eta-bar>"
                 " = %.3e)" % (abs(iso) / norm2)
@@ -71,10 +68,10 @@ class PeriodPoint:
         object.__setattr__(self, "coords", arr)
 
     def induced_gram(self) -> np.ndarray:
-        return np.asarray(self.sublattice.induced_gram(), dtype=float)
+        return np.asarray(self.sublattice.induced_lattice().gram, dtype=float)
 
 
-def omega_contains(sub: lattices.SublatticeBasis, eta, rtol: float = ISOTROPY_RTOL) -> bool:
+def omega_contains(sub: lattices.SublatticeBasis, eta) -> bool:
     """Membership test for the period domain of `sub` (must have signature
     (2, rank-2); that precondition failing is a geometry error, a vector
     merely failing isotropy or positivity just returns False)."""
@@ -85,7 +82,7 @@ def omega_contains(sub: lattices.SublatticeBasis, eta, rtol: float = ISOTROPY_RT
     if not np.any(arr):
         raise InputError("eta must be nonzero")
     try:
-        PeriodPoint(sub, arr, rtol=rtol)
+        PeriodPoint(sub, arr)
     except GeometryError:
         return False
     return True
@@ -95,7 +92,7 @@ def conjugate_period(p: PeriodPoint) -> PeriodPoint:
     return PeriodPoint(p.sublattice, np.conj(p.coords))
 
 
-def projectively_equal(p, q, tol: float = PROJECTIVE_TOL) -> bool:
+def projectively_equal(p, q) -> bool:
     """[p] == [q] via vanishing of all 2x2 minors, scale-invariantly."""
     a = p.coords if isinstance(p, PeriodPoint) else np.asarray(p, dtype=complex)
     b = q.coords if isinstance(q, PeriodPoint) else np.asarray(q, dtype=complex)
@@ -106,7 +103,7 @@ def projectively_equal(p, q, tol: float = PROJECTIVE_TOL) -> bool:
     scale = float(np.linalg.norm(a) * np.linalg.norm(b))
     if scale == 0.0:
         raise InputError("projective comparison needs nonzero vectors")
-    return float(np.max(minors)) <= tol * scale
+    return float(np.max(minors)) <= PROJECTIVE_TOL * scale
 
 
 @functools.lru_cache(maxsize=128)
@@ -114,7 +111,7 @@ def _reference_positive_frame(sub: lattices.SublatticeBasis) -> np.ndarray:
     """A fixed positive 2-frame of the lattice (columns, lattice coords),
     from the two positive eigen-directions of the induced Gram matrix; signs
     are pinned so the frame is deterministic."""
-    g = np.asarray(sub.induced_gram(), dtype=float)
+    g = np.asarray(sub.induced_lattice().gram, dtype=float)
     w, v = np.linalg.eigh(g)
     ref = v[:, -2:]
     for k in range(2):
@@ -125,7 +122,7 @@ def _reference_positive_frame(sub: lattices.SublatticeBasis) -> np.ndarray:
     return ref
 
 
-def component_label(p: PeriodPoint, reference=None, tol: float = 1e-12) -> int:
+def component_label(p: PeriodPoint) -> int:
     """Which of the two components [eta] lies in: the orientation sign of
     the plane (Re eta, Im eta) paired against the reference 2-frame.
 
@@ -133,13 +130,7 @@ def component_label(p: PeriodPoint, reference=None, tol: float = 1e-12) -> int:
     domain, because the pairing determinant of two positive 2-planes in
     signature (2, k) never vanishes.
     """
-    ref = (
-        np.asarray(reference, dtype=float)
-        if reference is not None
-        else _reference_positive_frame(p.sublattice)
-    )
-    if ref.shape != (p.sublattice.rank, 2):
-        raise InputError("reference frame must be rank x 2")
+    ref = _reference_positive_frame(p.sublattice)
     g = p.induced_gram()
     re, im = np.real(p.coords), np.imag(p.coords)
     m = np.vstack([re, im]) @ g @ ref
@@ -147,7 +138,7 @@ def component_label(p: PeriodPoint, reference=None, tol: float = 1e-12) -> int:
     scale = float(
         np.linalg.norm(np.vstack([re, im]) @ g) * np.linalg.norm(ref) + 1.0
     )
-    if abs(d) <= tol * scale:
+    if abs(d) <= 1e-12 * scale:
         raise GeometryError("component label is numerically ambiguous")
     return 1 if d > 0 else -1
 
@@ -175,14 +166,10 @@ class PeriodPair:
         return component_label(self.plus), component_label(self.minus)
 
 
-def same_period_pair(a: PeriodPair, b: PeriodPair, tol: float = PROJECTIVE_TOL) -> bool:
+def same_period_pair(a: PeriodPair, b: PeriodPair) -> bool:
     """Equality of unordered pairs of projective classes."""
-    straight = projectively_equal(a.plus, b.plus, tol) and projectively_equal(
-        a.minus, b.minus, tol
-    )
-    crossed = projectively_equal(a.plus, b.minus, tol) and projectively_equal(
-        a.minus, b.plus, tol
-    )
+    straight = projectively_equal(a.plus, b.plus) and projectively_equal(a.minus, b.minus)
+    crossed = projectively_equal(a.plus, b.minus) and projectively_equal(a.minus, b.plus)
     return straight or crossed
 
 
@@ -211,7 +198,8 @@ def _marking_context(
     _check_domain_lattice(comp)
     b = np.asarray(comp.basis_matrix(), dtype=float)
     g = np.asarray(invol.lattice.gram, dtype=float)
-    coords_of = np.linalg.solve(b.T @ g @ b, b.T @ g)
+    induced = np.asarray(comp.induced_lattice().gram, dtype=float)
+    coords_of = np.linalg.solve(induced, b.T @ g)
     coords_of.setflags(write=False)
     b.setflags(write=False)
     return _MarkingContext(image, comp, b, coords_of)

@@ -125,7 +125,7 @@ def _count(x, what: str) -> int:
         n = int(x)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or n != x or n < 0:
+    if n is None or n != x or n < 0 or isinstance(x, bool):
         raise InputError("%s must be a nonnegative integer, not %r" % (what, x))
     return n
 

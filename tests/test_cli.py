@@ -142,6 +142,7 @@ _SPECTRUM = {
         {"kernel": [1, 0, 0]},
         {"tail": {"dim": 0, "straight": [math.nan], "twisted": [3.0]}},
         {"tail": {"dim": 0, "straight": [5.0], "twisted": "free"}},
+        {"entries": [[1.0, 2, 1], [2.0, True, 0]]},
     ],
 )
 def test_malformed_spectrum_file_exit_code(tmp_path, capsys, change):
@@ -182,7 +183,19 @@ def exit_and_stderr(capsys, argv):
     return code, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("gram", ["[[1e400]]", "[[NaN]]", '[["a"]]', "[[null]]", "[1]"])
+@pytest.mark.parametrize(
+    "gram",
+    [
+        "[[1e400]]",
+        "[[NaN]]",
+        '[["a"]]',
+        "[[null]]",
+        "[1]",
+        "[[true]]",
+        # over Python's 4300-digit limit: json raises a plain ValueError
+        pytest.param("[[%s]]" % ("9" * 5000), id="long-integer"),
+    ],
+)
 def test_non_integer_lattice_file_exit_code(tmp_path, capsys, gram):
     path = tmp_path / "lattice.json"
     path.write_text('{"gram": %s}' % gram)

@@ -1,6 +1,10 @@
+import collections
+
 import numpy as np
 import pytest
 
+from k3zeta import intlinalg, periods
+from k3zeta.cli import main
 from k3zeta.errors import GeometryError, InputError, MarkingError
 from k3zeta.frames import (
     compatible_frames,
@@ -122,3 +126,30 @@ def test_marking_by_the_involution_itself():
     assert same_period_pair(plain, marked)
     assert marked.labels() == plain.labels()
     assert np.max(np.abs(marked.plus.coords + plain.plus.coords)) < 1e-12
+
+
+def test_induced_lattice_and_signature_are_computed_once(monkeypatch, capsys):
+    iso = enriques_involution()
+    frame = seed_compatible_frame()
+    calls = collections.Counter()
+    for name in ("matmul", "rational_inertia"):
+
+        def counted(*args, _fn=getattr(intlinalg, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(intlinalg, name, counted)
+    periods._marking_context.cache_clear()
+    periods._reference_positive_frame.cache_clear()
+    pair = period_of(frame, iso)
+    pair.labels()
+    # is_involution, the complement's pairings, and B^T G B (two products)
+    assert calls["matmul"] == 4
+    sub = pair.plus.sublattice
+    assert sub.induced_lattice() is sub.induced_lattice()
+
+    calls.clear()
+    assert main(["involution", "--builtin", "enriques"]) == 0
+    capsys.readouterr()
+    # one signature per eigenlattice, shared by its report and is_hyperbolic_type
+    assert calls["rational_inertia"] == 2
