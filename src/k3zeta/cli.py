@@ -106,7 +106,7 @@ def cmd_involution(args) -> None:
             raise InputError("give --builtin or both --lattice and --matrix")
         lat = jsonio.decode_lattice(jsonio.load_path(args.lattice))
         iso = jsonio.decode_isometry(jsonio.load_path(args.matrix), lat)
-    if not iso.is_involution():
+    if not iso.is_involution:
         raise InputError("matrix squared is not the identity")
     plus = lattices.eigenlattice(iso, +1)
     minus = lattices.eigenlattice(iso, -1)

@@ -31,6 +31,14 @@ def _as_matrix(obj) -> np.ndarray:
     return m
 
 
+def _holds_bool(x) -> bool:
+    """True if a nested list of numbers, as JSON decodes it, has a boolean
+    entry (numpy would read it as 0 or 1)."""
+    if isinstance(x, (list, tuple)):
+        return any(_holds_bool(e) for e in x)
+    return isinstance(x, bool)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -54,6 +62,8 @@ class HKFrame:
             v = np.asarray(gammas, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError("frame entries must be numbers (%s)" % exc) from None
+        if _holds_bool(form) or _holds_bool(gammas):
+            raise InputError("frame entries must be numbers, not booleans")
         if not (np.isfinite(g).all() and np.isfinite(v).all()):
             raise InputError("frame entries must be finite")
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -72,13 +82,6 @@ class HKFrame:
             )
         object.__setattr__(self, "form", _readonly(g))
         object.__setattr__(self, "gammas", _readonly(v))
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.form.shape[0]
-
-    def pair(self, u, v) -> float:
-        return float(np.asarray(u) @ self.form @ np.asarray(v))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,6 @@ Wire shapes:
 
   lattice     {"gram": [[int]]}
   isometry    {"matrix": [[int]]}          (lattice supplied by context)
-  sublattice  {"ambient": lattice, "basis": [[int]]}
   frame       {"form": [[num]], "gammas": [[num]] (3 rows)}
   period      {"re": [num], "im": [num]}
   pair        {"plus": period, "minus": period}
@@ -111,24 +110,8 @@ def decode_lattice(obj) -> lattices.Lattice:
     return lattices.Lattice(_require(obj, "gram", list))
 
 
-def encode_isometry(iso: lattices.LatticeIsometry) -> dict:
-    return {"matrix": [list(r) for r in iso.matrix]}
-
-
 def decode_isometry(obj, lattice: lattices.Lattice) -> lattices.LatticeIsometry:
     return lattices.LatticeIsometry(lattice, _require(obj, "matrix", list))
-
-
-def encode_sublattice(sub: lattices.SublatticeBasis) -> dict:
-    return {
-        "ambient": encode_lattice(sub.ambient),
-        "basis": [list(v) for v in sub.vectors],
-    }
-
-
-def decode_sublattice(obj) -> lattices.SublatticeBasis:
-    ambient = decode_lattice(_require(obj, "ambient", dict))
-    return lattices.SublatticeBasis(ambient, _require(obj, "basis", list))
 
 
 # -- frames and periods -----------------------------------------------------

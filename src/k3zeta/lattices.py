@@ -5,9 +5,10 @@ exact congruence diagonalization, determinants from fraction-free
 elimination, and discriminant groups from Smith divisors, so every invariant
 this module reports is exact, never floating point.
 
-A sublattice computes its induced lattice B^T G B, and a lattice its
-signature, once, on first use, and keeps it on the object; every reader goes
-through those two values.
+A sublattice computes its induced lattice B^T G B, a lattice its
+signature, and an isometry its involution check and its two eigenlattices,
+once, on first use, and keeps them on the object; every reader goes through
+those values.
 """
 
 from __future__ import annotations
@@ -75,9 +76,28 @@ class LatticeIsometry:
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "matrix", _freeze(m))
 
+    @functools.cached_property
     def is_involution(self) -> bool:
         m = [list(r) for r in self.matrix]
         return intlinalg.matmul(m, m) == intlinalg.identity(self.lattice.rank)
+
+    def _kernel_of(self, sign: int) -> "SublatticeBasis":
+        """Saturated basis of the kernel of f - sign * id."""
+        n = self.lattice.rank
+        m = [
+            [self.matrix[i][j] - (sign if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        kernel = intlinalg.integer_kernel(m)
+        return SublatticeBasis(self.lattice, [tuple(v) for v in kernel])
+
+    @functools.cached_property
+    def _plus(self) -> "SublatticeBasis":
+        return self._kernel_of(1)
+
+    @functools.cached_property
+    def _minus(self) -> "SublatticeBasis":
+        return self._kernel_of(-1)
 
     def trace(self) -> int:
         return sum(self.matrix[i][i] for i in range(self.lattice.rank))
@@ -209,15 +229,13 @@ def enriques_involution() -> LatticeIsometry:
 
 
 def eigenlattice(f: LatticeIsometry, sign: int) -> SublatticeBasis:
-    """Saturated basis of the (+1 or -1) eigenlattice of an involution."""
+    """Saturated basis of the (+1 or -1) eigenlattice of an involution,
+    computed once per isometry object."""
     if sign not in (1, -1):
         raise InputError("eigenvalue sign must be +1 or -1")
-    if not f.is_involution():
+    if not f.is_involution:
         raise InputError("eigenlattice needs an involution (f squared != id)")
-    n = f.lattice.rank
-    m = [[f.matrix[i][j] - (sign if i == j else 0) for j in range(n)] for i in range(n)]
-    kernel = intlinalg.integer_kernel(m)
-    return SublatticeBasis(f.lattice, [tuple(v) for v in kernel])
+    return f._plus if sign == 1 else f._minus
 
 
 def orthogonal_complement(sub: SublatticeBasis) -> SublatticeBasis:

@@ -25,6 +25,19 @@ number.
 Reductions over eigenvalue entries run in fixed-size chunks in ascending
 order and the chunk partials are combined with math.fsum, so results are
 deterministic and compensated no matter how entries are batched.
+
+E1 is computed here rather than imported: it is the only special function
+the continuation needs, and importing scipy.special would more than double
+the start-up time of every command. `exp1` follows the E1XB routine of
+Zhang and Jin, *Computation of Special Functions* (1996), operation for
+operation, so it reproduces scipy's exp1 (which follows the same routine)
+to the bit. That fixes its constants and its arithmetic order: Euler's
+gamma as the correctly rounded double np.euler_gamma (the
+0.5772156649015328 printed with the routine is one ulp lower and changes
+most results below 1), exp(-x) * (1 / (x + t0)) rather than
+exp(-x) / (x + t0), which differs by an ulp on about a quarter of inputs,
+and libm's exp and log through the math module, since numpy's vectorized
+exp need not round the same way.
 """
 
 from __future__ import annotations
@@ -33,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import AccuracyError, InputError
 
@@ -103,6 +115,38 @@ def ordered_chunk_sum(values: np.ndarray) -> float:
         math.fsum(v[i : i + _CHUNK].tolist()) for i in range(0, v.size, _CHUNK)
     ]
     return math.fsum(partials)
+
+
+def exp1(lams) -> np.ndarray:
+    """E1(x) for positive, ascending x, by E1XB: a power series for x <= 1
+    and a backward continued fraction of depth 20 + int(80/x) above 1.
+
+    Ascending order makes the entries still live at depth k a prefix, so
+    the continued fraction runs over prefix slices; exp(-x) underflows to 0
+    for every x >= 746.
+    """
+    x = np.asarray(lams, dtype=float)
+    out = np.zeros_like(x)
+    lo = int(np.searchsorted(x, 1.0, side="right"))
+    hi = int(np.searchsorted(x, 746.0))
+    for i, v in enumerate(x[:lo].tolist()):
+        e = r = 1.0
+        for k in range(1, 26):
+            r = -r * k * v / ((k + 1.0) * (k + 1.0))
+            e += r
+            if abs(r) <= abs(e) * 1e-15:
+                break
+        out[i] = -np.euler_gamma - math.log(v) + v * e
+    xs = x[lo:hi]
+    t0 = np.zeros_like(xs)
+    if xs.size:
+        depth = 20 + (80.0 / xs).astype(int)
+        top = int(depth[0])
+        live = np.searchsorted(-depth, -np.arange(top, 0, -1), side="right")
+        for k, p in zip(range(top, 0, -1), live.tolist()):
+            t0[:p] = k / (1.0 + k / (xs[:p] + t0[:p]))
+    out[lo:hi] = np.array([math.exp(-v) for v in xs.tolist()]) * (1.0 / (xs + t0))
+    return out
 
 
 def _theta_at(lams, weights, kernel_weight, ts):
@@ -178,9 +222,7 @@ def continue_trace(
         float(np.max(np.abs(weights))) if weights.size else 0.0,
     )
 
-    with np.errstate(over="ignore"):
-        e1 = exp1(lams) if lams.size else np.zeros(0)
-    b_term = ordered_chunk_sum(weights * e1)
+    b_term = ordered_chunk_sum(weights * exp1(lams))
     pole = model.pole_part()
 
     if complete:

@@ -38,7 +38,6 @@ from .mellin import (
     ContinuationResult,
     TraceModel,
     continue_trace,
-    ordered_chunk_sum,
 )
 
 _REL = 1e-9
@@ -111,7 +110,7 @@ class HeatTail:
 
 def _finite(x, what: str) -> float:
     try:
-        v = float(x)
+        v = math.nan if isinstance(x, bool) else float(x)
     except (TypeError, ValueError):
         v = math.nan
     if not math.isfinite(v):
@@ -529,15 +528,3 @@ def truncate_entries(
     ent = spectrum.entries[:n]
     return EquivariantSpectrum(ent, spectrum.kernel, spectrum.tail, ent[-1][0])
 
-
-def direct_zeta(spectrum: EquivariantSpectrum, sign: int) -> ZetaReport:
-    """Direct summation for complete spectra: zeta(0) = sum of
-    multiplicities, zeta'(0) = -sum m log lambda. Used as the second route
-    in tests; refuses truncated spectra."""
-    if not spectrum.complete:
-        raise InputError("direct summation needs a complete spectrum")
-    w = spectrum.mults(sign)
-    lams = spectrum.lambdas()
-    z0 = ordered_chunk_sum(w)
-    zp = -ordered_chunk_sum(w * np.log(lams))
-    return ZetaReport(z0, zp, 1e-14 * (abs(z0) + abs(zp) + 1.0))

@@ -184,3 +184,19 @@ def fd_sphere_eigenvalues(mode: int, count: int, n_grid: int = 1500):
     off = -sin_h / (h * h * np.sqrt(sin_c[:-1] * sin_c[1:]))
     vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
     return vals
+
+
+# ---------------------------------------------------------------------------
+# Complete spectra: direct summation, the second route the Mellin engine
+# must agree with. Reads only the spectrum's entries.
+# ---------------------------------------------------------------------------
+
+
+def direct_zeta(spectrum, sign: int):
+    """(zeta(0), zeta'(0)) of one sign sector of a complete spectrum:
+    the sum of the multiplicities m, and -sum m log lambda."""
+    col = 1 if sign > 0 else 2
+    entries = spectrum.entries
+    zeta0 = math.fsum(e[col] for e in entries)
+    zeta_prime0 = -math.fsum(e[col] * math.log(e[0]) for e in entries)
+    return zeta0, zeta_prime0

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import k3zeta
 from k3zeta import jsonio
 from k3zeta.cli import main
 from k3zeta.errors import InputError
@@ -261,3 +265,56 @@ def test_out_of_range_norm_exit_code(capsys, argv):
     # refused as a bad tau, not later as an unserializable report
     assert err.startswith("input error:") and "tau" in err
     assert "Traceback" not in err
+
+
+def _frame_with_true_in(field):
+    obj = jsonio.encode_frame(seed_compatible_frame())
+    # an entry equal to 1, so the boolean reads as the same number
+    row, col = (0, 1) if field == "form" else (2, 4)
+    assert obj[field][row][col] == 1.0
+    obj[field][row][col] = True
+    return ["period", "--involution", "enriques", "--frame"], obj
+
+
+def _spectrum_with_true_eigenvalue(_):
+    obj = {**_SPECTRUM, "entries": [[True, 2, 1], [2.0, 1, 0]]}
+    return ["zeta", "--spectrum"], obj
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (_frame_with_true_in, "form"),
+        (_frame_with_true_in, "gammas"),
+        (_spectrum_with_true_eigenvalue, None),
+    ],
+    ids=["frame-form", "frame-gammas", "spectrum-eigenvalue"],
+)
+def test_boolean_where_a_number_is_read_exit_code(tmp_path, capsys, make, field):
+    argv, obj = make(field)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code, err = exit_and_stderr(capsys, argv + [str(path)])
+    assert code == 2
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+def test_cli_never_loads_scipy():
+    script = (
+        "import sys\n"
+        "import k3zeta.cli\n"
+        "after_import = 'scipy' in sys.modules\n"
+        "code = k3zeta.cli.main(['zeta', '--builtin', 's2-antipodal'])\n"
+        "sys.stderr.write(repr((code, after_import, 'scipy' in sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k3zeta.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stderr == "(0, False, False)"
+    assert json.loads(done.stdout)["plus"]

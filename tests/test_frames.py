@@ -91,7 +91,7 @@ def test_rotation_recovery():
 def test_unit_sphere_structure_domain():
     frame = seed_compatible_frame()
     v = unit_sphere_structure(frame, [0.0, 0.6, 0.8])
-    assert v.shape == (frame.ambient_dim,)
+    assert v.shape == (frame.form.shape[0],)
     with pytest.raises(InputError):
         unit_sphere_structure(frame, [1.0, 1.0, 0.0])
 

@@ -1,5 +1,6 @@
 import pytest
 
+from k3zeta import intlinalg
 from k3zeta.errors import DegenerateLatticeError, InputError
 from k3zeta.lattices import (
     Lattice,
@@ -65,7 +66,7 @@ def test_isometry_validation():
 
 def test_enriques_involution_eigenlattices():
     iso = enriques_involution()
-    assert iso.is_involution()
+    assert iso.is_involution
     assert iso.trace() == -2
 
     plus = eigenlattice(iso, +1)
@@ -87,6 +88,23 @@ def test_enriques_involution_eigenlattices():
     assert minfo.two_elementary
     assert not is_hyperbolic_type(minus)
     assert is_saturated(minus)
+
+
+def test_eigenlattices_are_computed_once_per_isometry(monkeypatch):
+    calls = []
+
+    def counted(m, _fn=intlinalg.integer_kernel):
+        calls.append(1)
+        return _fn(m)
+
+    monkeypatch.setattr(intlinalg, "integer_kernel", counted)
+    iso = enriques_involution()
+    for sign in (1, -1, 1, -1):
+        assert eigenlattice(iso, sign) is eigenlattice(iso, sign)
+    assert len(calls) == 2
+    # a fresh isometry starts cold
+    assert eigenlattice(enriques_involution(), 1) is not eigenlattice(iso, 1)
+    assert len(calls) == 3
 
 
 def test_eigenlattices_are_mutual_complements():

@@ -1,10 +1,45 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from k3zeta.errors import AccuracyError, InputError
-from k3zeta.mellin import TraceModel, continue_trace, ordered_chunk_sum
+from k3zeta.mellin import TraceModel, continue_trace, exp1, ordered_chunk_sum
+
+
+def test_exp1_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    x = np.sort(
+        np.concatenate(
+            [
+                10.0 ** rng.uniform(-17.0, 6.1, 100_000),
+                rng.uniform(0.5, 3.0, 20_000),
+                rng.uniform(745.0, 746.0, 2_000),
+                [1.0, np.nextafter(1.0, 2.0), 746.0],
+            ]
+        )
+    )
+    got = exp1(x)
+    want = scipy.special.exp1(x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert exp1(np.zeros(0)).shape == (0,)
+
+
+def test_exp1_against_mpmath():
+    rng = np.random.default_rng(5)
+    x = np.sort(
+        np.concatenate(
+            [10.0 ** rng.uniform(-12.0, 2.8, 1500), rng.uniform(0.5, 2.0, 500)]
+        )
+    )
+    got = exp1(x)
+    worst = max(
+        abs(g - float(mpmath.e1(mpmath.mpf(float(v))))) / g
+        for v, g in zip(x.tolist(), got.tolist())
+    )
+    assert worst < 4e-15
 
 
 def test_trace_model_ladder():
