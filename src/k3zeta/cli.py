@@ -23,6 +23,7 @@ import sys
 from . import jsonio, lattices, models, spectral
 from .errors import AccuracyError, GeometryError, InputError
 from .frames import DEFAULT_TOL
+from .mellin import ContinuationResult
 from .periods import period_of
 
 _LATTICE_BUILTINS = ("u", "e8(-1)", "k3")
@@ -48,7 +49,7 @@ def _load_spectrum(args) -> spectral.EquivariantSpectrum:
     return spec
 
 
-def _zeta_dict(r: spectral.ZetaReport) -> dict:
+def _zeta_dict(r: ContinuationResult) -> dict:
     return {
         "zeta_at_0": r.zeta_at_0,
         "zeta_prime_at_0": r.zeta_prime_at_0,

@@ -7,8 +7,9 @@ rotates frames simply transitively over a fixed 3-space, and an ambient
 involution restricts to a symmetric orthogonal 3x3 matrix on the span whose
 admissible eigenvalue pattern is (+1, -1, -1).
 
-All checks use one absolute tolerance, DEFAULT_TOL, unless a caller passes
-its own.
+All checks use one absolute tolerance, DEFAULT_TOL, with two exceptions:
+is_compatible takes the tolerance of the period computation that calls it,
+and involution_eigenframe checks its eigenvector rotation at 1e-8.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class HKFrame:
     form: np.ndarray
     gammas: np.ndarray
 
-    def __init__(self, form, gammas, tol: float = DEFAULT_TOL):
+    def __init__(self, form, gammas):
         try:
             g = np.asarray(form, dtype=float)
             v = np.asarray(gammas, dtype=float)
@@ -68,7 +69,7 @@ class HKFrame:
             raise InputError("frame entries must be finite")
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise InputError("ambient form must be square")
-        if not np.allclose(g, g.T, atol=tol, rtol=0.0):
+        if not np.allclose(g, g.T, atol=DEFAULT_TOL, rtol=0.0):
             raise InputError("ambient form must be symmetric")
         if v.shape != (3, g.shape[0]):
             raise InputError(
@@ -76,7 +77,7 @@ class HKFrame:
             )
         pairing = v @ g @ v.T
         dev = float(np.max(np.abs(pairing - 2.0 * np.eye(3))))
-        if dev > tol:
+        if dev > DEFAULT_TOL:
             raise GeometryError(
                 "frame pairing is not 2*identity (max deviation %.3e)" % dev
             )
@@ -141,7 +142,7 @@ def two_form_of(metric, structure) -> np.ndarray:
     return m @ s
 
 
-def check_antiholomorphic_sign(metric, s, tol: float = DEFAULT_TOL) -> dict:
+def check_antiholomorphic_sign(metric, s) -> dict:
     """Check that pulling back the flat model's J-form by the involution s
     flips its sign, entrywise.
 
@@ -153,17 +154,17 @@ def check_antiholomorphic_sign(metric, s, tol: float = DEFAULT_TOL) -> dict:
     sm = np.asarray(s, dtype=float)
     if m.shape != (4, 4) or sm.shape != (4, 4):
         raise InputError("the flat model check lives on R^4")
-    if float(np.max(np.abs(sm.T @ m @ sm - m))) > tol:
+    if float(np.max(np.abs(sm.T @ m @ sm - m))) > DEFAULT_TOL:
         raise InputError("s is not an isometry of the metric")
-    if float(np.max(np.abs(sm @ sm - np.eye(4)))) > tol:
+    if float(np.max(np.abs(sm @ sm - np.eye(4)))) > DEFAULT_TOL:
         raise InputError("s is not an involution")
     j = standard_flat_model().J.astype(float)
-    if float(np.max(np.abs(sm @ j + j @ sm))) > tol:
+    if float(np.max(np.abs(sm @ j + j @ sm))) > DEFAULT_TOL:
         raise InputError("s does not anticommute with the complex structure")
     pullback = sm.T @ two_form_of(m, j) @ sm
     target = -two_form_of(sm.T @ m @ sm, j)
     dev = float(np.max(np.abs(pullback - target)))
-    return {"max_deviation": dev, "sign_flipped": dev <= tol}
+    return {"max_deviation": dev, "sign_flipped": dev <= DEFAULT_TOL}
 
 
 def rotate_frame(frame: HKFrame, rot: RotationSO3) -> HKFrame:
@@ -171,34 +172,34 @@ def rotate_frame(frame: HKFrame, rot: RotationSO3) -> HKFrame:
     return HKFrame(frame.form, rot.matrix @ frame.gammas)
 
 
-def recover_rotation(a: HKFrame, b: HKFrame, tol: float = DEFAULT_TOL) -> RotationSO3:
+def recover_rotation(a: HKFrame, b: HKFrame) -> RotationSO3:
     """The unique rotation with rotate_frame(a, A) = b, if the frames span
     the same 3-space; A_ab = <gamma'_a, gamma_b> / 2."""
     mat = (b.gammas @ a.form @ a.gammas.T) / 2.0
     try:
-        rot = RotationSO3(mat, tol=tol)
+        rot = RotationSO3(mat)
     except InputError as exc:
         raise GeometryError("frames do not span the same 3-space (%s)" % exc) from exc
     residual = float(np.max(np.abs(rot.matrix @ a.gammas - b.gammas)))
-    if residual > max(tol, 1e-9 * float(np.max(np.abs(b.gammas)))):
+    if residual > max(DEFAULT_TOL, 1e-9 * float(np.max(np.abs(b.gammas)))):
         raise GeometryError(
             "frames are not related by a rotation (residual %.3e)" % residual
         )
     return rot
 
 
-def unit_sphere_structure(frame: HKFrame, coeffs, tol: float = DEFAULT_TOL) -> np.ndarray:
+def unit_sphere_structure(frame: HKFrame, coeffs) -> np.ndarray:
     """Two-form class of the complex structure a I + b J + c K, requiring
     a^2 + b^2 + c^2 = 1."""
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (3,):
         raise InputError("need exactly three sphere coefficients")
-    if abs(float(c @ c) - 1.0) > tol:
+    if abs(float(c @ c) - 1.0) > DEFAULT_TOL:
         raise InputError("coefficients are off the unit sphere")
     return c @ frame.gammas
 
 
-def restricted_action(frame: HKFrame, invol, tol: float = DEFAULT_TOL) -> np.ndarray:
+def restricted_action(frame: HKFrame, invol) -> np.ndarray:
     """The symmetric 3x3 matrix of the involution on the frame's 3-space,
     R_ab with T gamma_a = sum_b R_ab gamma_b. Raises GeometryError when the
     involution does not preserve the span."""
@@ -206,25 +207,25 @@ def restricted_action(frame: HKFrame, invol, tol: float = DEFAULT_TOL) -> np.nda
     moved = frame.gammas @ t.T
     r = (moved @ frame.form @ frame.gammas.T) / 2.0
     residual = float(np.max(np.abs(r @ frame.gammas - moved)))
-    if residual > max(tol, 1e-9 * float(np.max(np.abs(moved)))):
+    if residual > max(DEFAULT_TOL, 1e-9 * float(np.max(np.abs(moved)))):
         raise GeometryError(
             "involution does not preserve the frame 3-space (residual %.3e)"
             % residual
         )
-    if float(np.max(np.abs(r - r.T))) > tol:
+    if float(np.max(np.abs(r - r.T))) > DEFAULT_TOL:
         raise GeometryError("restricted action is not symmetric")
     return r
 
 
 def involution_eigenframe(
-    frame: HKFrame, invol, tol: float = DEFAULT_TOL
+    frame: HKFrame, invol
 ) -> tuple[HKFrame, tuple[int, int, int]]:
     """Rotate the frame so the involution acts diagonally with signs
     (+1, -1, -1); any other eigenvalue pattern is a geometry error."""
-    r = restricted_action(frame, invol, tol=tol)
-    if float(np.max(np.abs(r @ r - np.eye(3)))) > 1e2 * tol:
+    r = restricted_action(frame, invol)
+    if float(np.max(np.abs(r @ r - np.eye(3)))) > 1e2 * DEFAULT_TOL:
         raise GeometryError("restricted action is not an involution")
-    if abs(float(np.trace(r)) + 1.0) > 1e2 * tol:
+    if abs(float(np.trace(r)) + 1.0) > 1e2 * DEFAULT_TOL:
         raise GeometryError(
             "involution eigenvalues on the frame 3-space are not (+1, -1, -1)"
             " (trace %.6f)" % float(np.trace(r))
@@ -252,9 +253,7 @@ def is_compatible(frame: HKFrame, invol, tol: float = DEFAULT_TOL) -> bool:
     )
 
 
-def compatible_frames(
-    frame: HKFrame, invol, branch: int, psi: float, tol: float = DEFAULT_TOL
-) -> HKFrame:
+def compatible_frames(frame: HKFrame, invol, branch: int, psi: float) -> HKFrame:
     """The family of frames compatible with the involution, parametrized by
     a branch sign and an angle.
 
@@ -263,7 +262,7 @@ def compatible_frames(
     """
     if branch not in (1, -1):
         raise InputError("branch must be +1 or -1")
-    if not is_compatible(frame, invol, tol=tol):
+    if not is_compatible(frame, invol):
         raise GeometryError(
             "frame is not compatible with the involution (sign pattern"
             " (+1, -1, -1) fails)"
@@ -272,7 +271,7 @@ def compatible_frames(
 
 
 def recover_compatible_parameters(
-    base: HKFrame, other: HKFrame, tol: float = DEFAULT_TOL
+    base: HKFrame, other: HKFrame
 ) -> tuple[int, float, float]:
     """Invert compatible_frames: find (branch, psi) taking `base` to
     `other`, returning the reconstruction residual as well."""
@@ -284,7 +283,7 @@ def recover_compatible_parameters(
         psi = float(np.arctan2(c[1, 2], c[1, 1]))
     rebuilt = compatible_frames_unchecked(base, branch, psi)
     residual = float(np.max(np.abs(rebuilt.gammas - other.gammas)))
-    if residual > max(1e-6, tol):
+    if residual > 1e-6:
         raise GeometryError(
             "frame is not in the compatible family (residual %.3e)" % residual
         )

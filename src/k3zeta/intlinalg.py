@@ -5,11 +5,17 @@ determinant, Smith divisors, kernels) must be exact, and the matrices involved
 are small (rank <= 22), so simple cubic algorithms on list-of-list matrices
 are both fast enough and easy to audit.
 
+One integer elimination loop, `_clear_row`, serves the Hermite form, integer
+kernels, ranks (the length of a Hermite form) and Smith divisors (Hermite
+forms of a matrix and of its transpose, in turn). Determinants use Bareiss
+elimination and signatures a rational congruence diagonalization.
+
 Matrices are lists of rows of ints unless a function says otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DegenerateLatticeError, InputError
@@ -142,10 +148,6 @@ def rational_inertia(gram) -> tuple[int, int]:
     return pos, neg
 
 
-def _columns(a):
-    return [list(col) for col in zip(*a)]
-
-
 def _clear_row(cols, r: int, lead: int) -> bool:
     """Integer column operations among cols[lead:] until row r has at most
     one nonzero entry, swapped into cols[lead]; True iff there is one."""
@@ -205,7 +207,7 @@ def integer_kernel(a) -> list[list[int]]:
         raise InputError("empty matrix has no well-defined kernel here")
     m, n = len(a), len(a[0])
     # columns of A stacked over I: reducing A's rows records the transform below
-    cols = [col + e for col, e in zip(_columns(a), identity(n))]
+    cols = [col + e for col, e in zip(transpose(a), identity(n))]
     lead = 0
     for r in range(m):
         if _clear_row(cols, r, lead):
@@ -219,64 +221,22 @@ def integer_kernel(a) -> list[list[int]]:
 
 def smith_divisors(a) -> list[int]:
     """Invariant factors d_1 | d_2 | ... of an integer matrix (positive,
-    one per rank). Transforms are not tracked, only the divisors."""
-    m = [row[:] for row in a]
-    if not m or not m[0]:
-        return []
-    rows, cols = len(m), len(m[0])
-    divisors = []
-    t = 0
-    while t < min(rows, cols):
-        entries = [
-            (abs(m[i][j]), i, j)
-            for i in range(t, rows)
-            for j in range(t, cols)
-            if m[i][j] != 0
-        ]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        m[t], m[pi] = m[pi], m[t]
-        for row in m:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            p = m[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    q = m[i][t] // p
-                    m[i] = [x - q * y for x, y in zip(m[i], m[t])]
-                    if m[i][t] != 0:
-                        m[t], m[i] = m[i], m[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q = m[t][j] // p
-                    for i in range(rows):
-                        m[i][j] -= q * m[i][t]
-                    if m[t][j] != 0:
-                        for i in range(rows):
-                            m[i][t], m[i][j] = m[i][j], m[i][t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            p = m[t][t]
-            bad = next(
-                (
-                    i
-                    for i in range(t + 1, rows)
-                    if any(m[i][j] % p for j in range(t + 1, cols))
-                ),
-                None,
-            )
-            if bad is not None:
-                m[t] = [x + y for x, y in zip(m[t], m[bad])]
-                continue
-            break
-        divisors.append(abs(m[t][t]))
-        t += 1
-    return divisors
+    one per rank). Transforms are not tracked, only the divisors.
+
+    After Kannan and Bachem (1979): the column Hermite form of the matrix
+    and of its transpose, taken in turn, until every remaining column has
+    one nonzero entry; the gcd/lcm exchanges (d_i, d_j) -> (gcd, d_i d_j /
+    gcd) then put that diagonal in divisibility order.
+    """
+    # Terminates: a round either shrinks the first pivot not yet alone in its
+    # row and column, or, when that pivot divides the rest, clears both.
+    cols = column_hnf(transpose(a))
+    while any(sum(1 for x in c if x) > 1 for c in cols):
+        cols = column_hnf(transpose(cols))
+    # each column is now one positive pivot and zeros
+    d = [max(c) for c in cols]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d

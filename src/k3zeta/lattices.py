@@ -121,10 +121,8 @@ class SublatticeBasis:
         n = ambient.rank
         if any(len(v) != n for v in vs):
             raise InputError("basis vectors must have ambient rank %d" % n)
-        if vs:
-            cols = [list(v) for v in vs]
-            if len(intlinalg.smith_divisors(intlinalg.transpose(cols))) != len(vs):
-                raise InputError("basis vectors are linearly dependent")
+        if len(intlinalg.column_hnf(vs)) != len(vs):
+            raise InputError("basis vectors are linearly dependent")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "vectors", _freeze(vs))
 
@@ -257,10 +255,9 @@ def discriminant_info(sub: SublatticeBasis) -> DiscriminantInfo:
     """
     if sub.rank == 0:
         return DiscriminantInfo((), 0, True, 1)
-    induced = sub.induced_lattice()
-    if induced.det() == 0:
+    smith = intlinalg.smith_divisors([list(r) for r in sub.induced_lattice().gram])
+    if len(smith) < sub.rank:
         raise DegenerateLatticeError("induced gram matrix is singular")
-    smith = intlinalg.smith_divisors([list(r) for r in induced.gram])
     divisors = tuple(d for d in smith if d > 1)
     order = 1
     for d in divisors:

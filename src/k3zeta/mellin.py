@@ -197,7 +197,6 @@ def continue_trace(
     model: TraceModel,
     bound_model: TraceModel,
     cutoff: float,
-    complete: bool,
     target: float = DEFAULT_TARGET,
 ) -> ContinuationResult:
     """Continue zeta(s) = sum w_i lambda_i^{-s} to s = 0 and differentiate.
@@ -205,8 +204,9 @@ def continue_trace(
     `model` declares the t -> 0 behaviour of the full trace (kernel
     included) in the sector being continued; `bound_model` is a nonnegative
     model dominating the absolute trace, used only for truncation bounds.
-    `complete` asserts the entries are the entire spectrum, in which case
-    the model must be the matching constant and no splitting is needed.
+    An infinite `cutoff` asserts the entries are the entire spectrum, in
+    which case the model must be the matching constant and no splitting is
+    needed.
     """
     lams = np.asarray(lams, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -225,7 +225,7 @@ def continue_trace(
     b_term = ordered_chunk_sum(weights * exp1(lams))
     pole = model.pole_part()
 
-    if complete:
+    if cutoff == math.inf:
         const = model.coeff_at_zero()
         mismatch = abs(const - (kernel_weight + ordered_chunk_sum(weights)))
         if mismatch > 1e-9 * scale * max(1.0, lams.size):
@@ -248,7 +248,7 @@ def continue_trace(
         zp = np.euler_gamma * zeta0 + pole + r_term + b_term
         return ContinuationResult(zeta0, zp, err, 0.0)
 
-    if cutoff <= 0.0 or not math.isfinite(cutoff):
+    if not cutoff > 0.0:
         raise InputError("a truncated spectrum needs a positive finite cutoff")
     abs_bound = bound_model.abs_model()
 
@@ -276,12 +276,11 @@ def continue_trace(
     best = None
     for i in candidates:
         delta = float(grid[i])
-        est = below_estimate(delta) + float(tvals[i]) * (
-            math.log(1.0 / delta) + 1.0
-        )
+        below = below_estimate(delta)
+        est = below + float(tvals[i]) * (math.log(1.0 / delta) + 1.0)
         if best is None or est < best[1]:
-            best = (delta, est)
-    delta, est = best
+            best = (delta, est, below)
+    delta, est, below = best
     if est > target:
         raise AccuracyError(
             "requested tolerance %.3e is not reachable with cutoff %.6g"
@@ -297,7 +296,7 @@ def continue_trace(
     r_term, quad_err = _integrate_panels(integrand, panels)
     trunc_r, _ = _integrate_panels(lambda ts: trunc_bound(ts) / ts, panels)
     err = (
-        below_estimate(delta)
+        below
         + abs(trunc_r)
         + float(trunc_bound(1.0))
         + quad_err

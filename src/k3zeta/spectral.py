@@ -119,13 +119,17 @@ def _finite(x, what: str) -> float:
 
 
 def _count(x, what: str) -> int:
-    """A nonnegative integer, from an int or an integral float."""
+    """A nonnegative integer that float() can hold, from an int or an
+    integral float."""
     try:
         n = int(x)
+        float(n)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != x or n < 0 or isinstance(x, bool):
-        raise InputError("%s must be a nonnegative integer, not %r" % (what, x))
+        raise InputError(
+            "%s must be a nonnegative integer in float range, not %r" % (what, x)
+        )
     return n
 
 
@@ -174,7 +178,9 @@ class EquivariantSpectrum:
             raise InputError("tail must be a HeatTail")
         if tail.dim == 0:
             cut = math.inf
-            total = k[0] + k[1] + sum(mp + mm for _, mp, mm in ent)
+            total = _count(
+                k[0] + k[1] + sum(mp + mm for _, mp, mm in ent), "total state count"
+            )
             scale = _REL * max(1.0, total)
             if abs(tail.straight[0] - total) > scale:
                 raise InputError(
@@ -298,18 +304,11 @@ class CurveComponent:
 
 
 @dataclass(frozen=True)
-class ZetaReport:
-    zeta_at_0: float
-    zeta_prime_at_0: float
-    error_estimate: float
-
-
-@dataclass(frozen=True)
 class DeterminantReport:
     value: float
     error_estimate: float
-    plus: ZetaReport
-    minus: ZetaReport
+    plus: ContinuationResult
+    minus: ContinuationResult
 
 
 @dataclass(frozen=True)
@@ -339,63 +338,59 @@ class BorcherdsReport:
     determinant_with_constant: float | None
 
 
-def _as_report(res: ContinuationResult) -> ZetaReport:
-    return ZetaReport(res.zeta_at_0, res.zeta_prime_at_0, res.error_estimate)
-
-
 def zeta_signed(
     spectrum: EquivariantSpectrum, sign: int, tol: float = DEFAULT_TARGET
-) -> ZetaReport:
+) -> ContinuationResult:
     """zeta_{+/-}(s) = sum over the (1 +/- involution)/2 eigenspace,
     continued to s = 0."""
     if sign not in (1, -1):
         raise InputError("sign must be +1 or -1")
     k = spectrum.kernel[0] if sign > 0 else spectrum.kernel[1]
-    res = continue_trace(
+    return continue_trace(
         spectrum.lambdas(),
         spectrum.mults(sign),
         float(k),
         spectrum.tail.signed_model(sign),
         spectrum.tail.straight_model(),
         spectrum.cutoff,
-        complete=spectrum.complete,
         target=tol,
     )
-    return _as_report(res)
 
 
 def dolbeault_zetas(
     spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET
-) -> tuple[ZetaReport, ZetaReport, ZetaReport]:
+) -> tuple[ContinuationResult, ContinuationResult, ContinuationResult]:
     """The (0, q) zeta combinations for q = 0, 1, 2, from one continuation.
 
     q = 0 is continued directly from the twisted trace (weights
     m_plus - m_minus against the twisted tail model), q = 2 is its exact
-    negative, and q = 1 is their sum, identically zero.
+    negative, and q = 1 is their sum, identically zero; all three carry
+    q = 0's split point.
     """
-    res = continue_trace(
+    r0 = continue_trace(
         spectrum.lambdas(),
         spectrum.mults(1) - spectrum.mults(-1),
         float(spectrum.kernel[0] - spectrum.kernel[1]),
         spectrum.tail.twisted_model(),
         spectrum.tail.straight_model(),
         spectrum.cutoff,
-        complete=spectrum.complete,
         target=tol,
     )
-    r0 = _as_report(res)
-    r2 = ZetaReport(-r0.zeta_at_0, -r0.zeta_prime_at_0, r0.error_estimate)
-    r1 = ZetaReport(
+    r2 = ContinuationResult(
+        -r0.zeta_at_0, -r0.zeta_prime_at_0, r0.error_estimate, r0.split_point
+    )
+    r1 = ContinuationResult(
         r0.zeta_at_0 + r2.zeta_at_0,
         r0.zeta_prime_at_0 + r2.zeta_prime_at_0,
         r0.error_estimate + r2.error_estimate,
+        r0.split_point,
     )
     return r0, r1, r2
 
 
 def dolbeault_zeta(
     spectrum: EquivariantSpectrum, q: int, tol: float = DEFAULT_TARGET
-) -> ZetaReport:
+) -> ContinuationResult:
     """The (0, q) zeta combination; see dolbeault_zetas."""
     if q not in (0, 1, 2):
         raise InputError("q must be 0, 1, or 2")

@@ -2,12 +2,14 @@
 PASS line with the measured quantity so a -s run reads as a checklist."""
 
 import math
+import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
+import k3zeta
 from k3zeta.frames import (
     compatible_frames,
     random_compatible_frame,
@@ -260,8 +262,12 @@ def test_tau_assembly_and_norm_round_trip():
 
 def test_cli_preset_runs_are_byte_identical():
     cmd = [sys.executable, "-m", "k3zeta.cli", "tau", "--builtin", "s2-antipodal"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    # the child imports the k3zeta this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k3zeta.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert first.stdout.strip()
     print("PASS CLI preset output byte-identical across two invocations")

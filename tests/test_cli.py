@@ -135,6 +135,11 @@ _SPECTRUM = {
     "tail": {"dim": 0, "straight": [5.0], "twisted": [3.0]},
 }
 
+_TRUNCATED = {
+    "tail": {"dim": 2, "straight": [1.0, 0.0, 0.0], "twisted": "free"},
+    "cutoff": 3.0,
+}
+
 
 @pytest.mark.parametrize(
     "change",
@@ -147,6 +152,12 @@ _SPECTRUM = {
         {"tail": {"dim": 0, "straight": [math.nan], "twisted": [3.0]}},
         {"tail": {"dim": 0, "straight": [5.0], "twisted": "free"}},
         {"entries": [[1.0, 2, 1], [2.0, True, 0]]},
+        # counts that float() cannot hold: a 401-digit JSON integer
+        {"entries": [[1.0, 10**400, 1], [2.0, 1, 0]]},
+        {**_TRUNCATED, "entries": [[1.0, 10**400, 1], [2.0, 1, 0]]},
+        {**_TRUNCATED, "kernel": [10**400, 0]},
+        # each count fits a float, the complete spectrum's total does not
+        {"entries": [[1.0, 10**308, 0], [2.0, 10**308, 0]]},
     ],
 )
 def test_malformed_spectrum_file_exit_code(tmp_path, capsys, change):

@@ -1,3 +1,7 @@
+import itertools
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,3 +134,62 @@ def test_smith_divisors_divide_in_order_and_multiply_to_det(rows):
         for x in d:
             prod *= x
         assert prod == abs(det)
+
+
+@st.composite
+def int_matrices(draw, max_dim=4):
+    """Up to max_dim x max_dim, any shape, with zero rows and rows that are
+    combinations of earlier ones."""
+    m, n = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["free", "free", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "combination" and rows:
+            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([a * x + b * y for x, y in zip(r1, r2)])
+        else:
+            entry = st.one_of(st.just(0), st.integers(-9, 9))
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return rows
+
+
+def minor_gcd(rows, k) -> int:
+    """The k-th determinantal divisor: gcd of all k x k minors."""
+    g = 0
+    for r in itertools.combinations(range(len(rows)), k):
+        for c in itertools.combinations(range(len(rows[0])), k):
+            g = math.gcd(g, det_bareiss([[rows[i][j] for j in c] for i in r]))
+    return g
+
+
+@given(int_matrices())
+@settings(max_examples=150, deadline=None)
+def test_smith_divisors_are_determinantal_divisor_ratios(rows):
+    # d_1 ... d_k is the gcd of the k x k minors, which vanishes past the rank
+    d = smith_divisors(rows)
+    assert all(x > 0 for x in d)
+    prefix = 1
+    for k in range(1, min(len(rows), len(rows[0])) + 1):
+        if k <= len(d):
+            prefix *= d[k - 1]
+            assert minor_gcd(rows, k) == prefix
+        else:
+            assert minor_gcd(rows, k) == 0
+
+
+def test_smith_divisors_of_a_unimodular_congruence():
+    # U^T D U for a seeded unimodular U with 18-digit entries in U^T D U
+    rng = random.Random(22)
+    u = identity(22)
+    for _ in range(300):
+        i, j = rng.sample(range(22), 2)
+        q = rng.randint(-3, 3)
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    assert abs(det_bareiss(u)) == 1
+    diag = [2] * 10 + [6] * 12
+    rng.shuffle(diag)
+    d = [[diag[i] if i == j else 0 for j in range(22)] for i in range(22)]
+    assert smith_divisors(matmul(transpose(u), matmul(d, u))) == [2] * 10 + [6] * 12

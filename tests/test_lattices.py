@@ -133,12 +133,24 @@ def test_degenerate_sublattice_rejected():
     iso_vec = SublatticeBasis(u, [(1, 0)])  # isotropic direction
     with pytest.raises(DegenerateLatticeError):
         discriminant_info(iso_vec)
+    # induced Gram [[2, 0], [0, 0]]: one Smith divisor for rank 2
+    uu = direct_sum(u, u)
+    half = SublatticeBasis(uu, [(1, 1, 0, 0), (0, 0, 1, 0)])
+    with pytest.raises(DegenerateLatticeError):
+        discriminant_info(half)
 
 
 def test_dependent_basis_rejected():
     u = build_standard_lattice("u")
     with pytest.raises(InputError):
         SublatticeBasis(u, [(1, 0), (2, 0)])
+    k3 = build_standard_lattice("k3")
+    a = tuple((5 * i) % 7 - 3 for i in range(22))
+    b = tuple((3 * i * i) % 11 - 5 for i in range(22))
+    c = tuple(2 * x - 3 * y for x, y in zip(a, b))
+    assert SublatticeBasis(k3, [a, b]).rank == 2
+    with pytest.raises(InputError):
+        SublatticeBasis(k3, [a, b, c])
 
 
 def test_non_saturated_basis_detected():

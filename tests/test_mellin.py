@@ -62,7 +62,7 @@ def test_complete_spectrum_is_summed_exactly():
     lams = np.array([0.5, 1.5, 4.0])
     ws = np.array([2.0, 1.0, 3.0])
     model = TraceModel.from_ladder(0, [ws.sum() + 1.0])
-    res = continue_trace(lams, ws, 1.0, model, model, math.inf, complete=True)
+    res = continue_trace(lams, ws, 1.0, model, model, math.inf)
     assert abs(res.zeta_at_0 - ws.sum()) < 1e-12
     direct = -float(ws @ np.log(lams))
     assert abs(res.zeta_prime_at_0 - direct) < 1e-12 * (1.0 + abs(direct))
@@ -74,7 +74,7 @@ def test_complete_spectrum_constant_mismatch_rejected():
     ws = np.array([1.0, 1.0])
     model = TraceModel.from_ladder(0, [5.0])  # should be 2 + kernel
     with pytest.raises(InputError):
-        continue_trace(lams, ws, 0.0, model, model, math.inf, complete=True)
+        continue_trace(lams, ws, 0.0, model, model, math.inf)
 
 
 def test_monotone_inputs_required():
@@ -87,8 +87,15 @@ def test_monotone_inputs_required():
             model,
             model,
             math.inf,
-            complete=True,
         )
+
+
+@pytest.mark.parametrize("cutoff", [0.0, -1.0, -math.inf, math.nan])
+def test_truncated_cutoff_must_be_positive(cutoff):
+    # an infinite cutoff means a complete spectrum; any other must be > 0
+    model = TraceModel.from_ladder(2, [1.0, 0.0, 0.3])
+    with pytest.raises(InputError):
+        continue_trace(np.array([1.0]), np.array([1.0]), 0.0, model, model, cutoff)
 
 
 def test_unreachable_tolerance_reports_achievable():
@@ -97,7 +104,7 @@ def test_unreachable_tolerance_reports_achievable():
     ws = np.ones(5)
     model = TraceModel.from_ladder(2, [1.0, 0.0, 0.3])
     with pytest.raises(AccuracyError) as err:
-        continue_trace(lams, ws, 1.0, model, model, 5.0, complete=False, target=1e-10)
+        continue_trace(lams, ws, 1.0, model, model, 5.0, target=1e-10)
     assert err.value.achievable is not None
     assert err.value.achievable > 1e-10
 
@@ -114,9 +121,7 @@ def test_truncated_continuation_value_and_determinism():
         2, [2.0, 0.0, 0.5, 0.0, 1.0 / 24.0, 0.0, 0.0, 0.0, -1.0 / 5760.0]
     )
     out = [
-        continue_trace(
-            lams, ws, 1.0, model, model, 200.0, complete=False, target=1e-6
-        )
+        continue_trace(lams, ws, 1.0, model, model, 200.0, target=1e-6)
         for _ in range(2)
     ]
     assert out[0].zeta_prime_at_0 == out[1].zeta_prime_at_0

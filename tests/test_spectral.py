@@ -244,7 +244,6 @@ def test_curve_determinant_is_the_plus_sector_determinant():
             straight,
             straight,
             spec.cutoff,
-            complete=spec.complete,
             target=TOL,
         )
         assert res.zeta_prime_at_0 == plus.zeta_prime_at_0
