@@ -11,25 +11,34 @@ heat coefficient is Vol / (2 pi)^(n/2)):
     key m^T adj(Q) m = 2 det(Q) lambda, optionally twisted by a
     half-period translation character in {0,1}^n.
 
+The torus box is walked with numpy in fixed blocks of _BLOCK points; each
+block's keys are counted per character sign with np.unique, and the
+counts merge once at the end. The keys are exact integers: int64 when
+n^2 max|adj(Q)| max|m|^2 bounds them below 2^63, Python ints in an object
+array otherwise, through the same statements. Each eigenvalue is the
+Python-int quotient key / (2 det Q), so it is correctly rounded.
+
 Sphere tails come from the exact Laurent expansion of the trace; torus
 tails are the single Weyl term, the remainder being exponentially small.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import AccuracyError, InputError
-from .intlinalg import det_bareiss, is_symmetric, matvec, rational_inertia, to_int_matrix
+from .intlinalg import det_bareiss, is_symmetric, rational_inertia, to_int_matrix
 from .spectral import CurveComponent, EquivariantSpectrum, HeatTail
 
 DEFAULT_SPHERE_LMAX = 250
 DEFAULT_TORUS_CUTOFF = 1000.0
 _SPHERE_TAIL_TERMS = 8
 _MAX_LATTICE_BOX = 2_000_000
+_BLOCK = 1 << 16  # box points per numpy block of the torus enumeration
 
 
 @lru_cache(maxsize=None)
@@ -125,6 +134,41 @@ def round_sphere_curve(
     return CurveComponent(4.0 * math.pi * float(radius) ** 2, spectrum)
 
 
+def _key_counts(adj, eps, bounds, top) -> list[tuple[int, int, int]]:
+    """(key, m_plus, m_minus) in ascending key order: the points m of the
+    box |m_i| <= bounds[i] with key = m^T adj m in (0, top], counted by the
+    sign eps.m mod 2 (m_plus for even)."""
+    n = len(adj)
+    # |adj @ m| and |key| both stay within reach
+    reach = n * n * max(abs(a) for row in adj for a in row) * max(bounds) ** 2
+    dtype = np.int64 if reach < 2**63 else object
+    # no key passes reach; the clamp keeps top inside the int64 range
+    top = min(top, reach)
+    adj_a = np.array(adj, dtype=dtype)
+    eps_a = np.array(eps, dtype=dtype)
+    low = np.array(bounds, dtype=dtype).reshape(n, 1)
+    shape = tuple(2 * b + 1 for b in bounds)
+    box = math.prod(shape)
+    # distinct keys of each block and sign, their counts, and that sign
+    keys, counts, signs = [], [], []
+    for start in range(0, box, _BLOCK):
+        index = np.unravel_index(np.arange(start, min(start + _BLOCK, box)), shape)
+        m = np.array(index, dtype=dtype) - low
+        key = (m * (adj_a @ m)).sum(axis=0)
+        inside = (key > 0) & (key <= top)
+        m, key = m[:, inside], key[inside]
+        sign = (eps_a @ (m % 2)) % 2
+        for s in (0, 1):
+            k, c = np.unique(key[sign == s], return_counts=True)
+            keys.append(k)
+            counts.append(c)
+            signs.append(np.full(len(k), s))
+    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
+    mults = np.zeros((len(keys), 2), dtype=np.int64)
+    np.add.at(mults, (where, np.concatenate(signs)), np.concatenate(counts))
+    return [(k, mp, mm) for k, (mp, mm) in zip(keys.tolist(), mults.tolist())]
+
+
 def flat_torus_spectrum(
     gram,
     character=None,
@@ -133,6 +177,13 @@ def flat_torus_spectrum(
     """Complete flat-torus spectrum up to `cutoff`. Each eigenvalue
     (1/2) m^T Q^{-1} m is keyed by the integer m^T adj(Q) m = 2 det(Q) lambda,
     so equal ones never split.
+
+    The box |m_i| <= sqrt(2 cutoff Q_ii) + 1 is enumerated with numpy in
+    blocks of _BLOCK points, in int64 when n^2 max|adj(Q)| max|m_i|^2 is
+    below 2^63 and on Python ints (dtype object) otherwise. Eigenvalues are
+    divided as Python ints, key / (2 det Q), because a float division of a
+    key past 2^53 would round twice; distinct keys whose quotients round to
+    the same float share one entry.
 
     `character` in {0,1}^n twists by translation through the corresponding
     half period; the involution is free unless the character is trivial,
@@ -158,9 +209,7 @@ def flat_torus_spectrum(
 
     # |m_i| <= sqrt(2 cutoff Q_ii) on the ellipsoid; pad one to be safe
     bounds = [math.isqrt(int(2.0 * cut * q[i][i])) + 1 for i in range(n)]
-    box = 1
-    for b in bounds:
-        box *= 2 * b + 1
+    box = math.prod(2 * b + 1 for b in bounds)
     if box > _MAX_LATTICE_BOX:
         raise AccuracyError(
             "dual-lattice enumeration needs %d points; lower the cutoff" % box,
@@ -180,13 +229,15 @@ def flat_torus_spectrum(
     # key <= top exactly when lambda <= cut; key = 0 only at m = 0
     cut_frac = Fraction(cut)
     top = cut_frac.numerator * 2 * det // cut_frac.denominator
-    groups: dict[int, list[int]] = {}
-    for mvec in itertools.product(*(range(-b, b + 1) for b in bounds)):
-        key = sum(x * y for x, y in zip(mvec, matvec(adj, mvec)))
-        if 0 < key <= top:
-            sign = sum(mvec[i] * eps[i] for i in range(n)) % 2
-            groups.setdefault(key, [0, 0])[sign] += 1
-    entries = [(key / (2 * det), mp, mm) for key, (mp, mm) in sorted(groups.items())]
+    entries = []
+    for key, mp, mm in _key_counts(adj, eps, bounds, top):
+        # true division of Python ints rounds correctly; keys above 2^53
+        # can still round to one float, and then their counts merge
+        lam = key / (2 * det)
+        if entries and entries[-1][0] == lam:
+            entries[-1] = (lam, entries[-1][1] + mp, entries[-1][2] + mm)
+        else:
+            entries.append((lam, mp, mm))
 
     c0 = (2.0 * math.pi) ** (n / 2.0) * math.sqrt(float(det))
     straight = (c0,) + (0.0,) * (n + 8)

@@ -176,11 +176,12 @@ class EquivariantSpectrum:
         k = tuple(_count(n, "kernel dimension") for n in _fields(kernel, 2, "kernel"))
         if not isinstance(tail, HeatTail):
             raise InputError("tail must be a HeatTail")
+        # a float-range total also keeps every heat-trace sum finite
+        total = _count(
+            k[0] + k[1] + sum(mp + mm for _, mp, mm in ent), "total state count"
+        )
         if tail.dim == 0:
             cut = math.inf
-            total = _count(
-                k[0] + k[1] + sum(mp + mm for _, mp, mm in ent), "total state count"
-            )
             scale = _REL * max(1.0, total)
             if abs(tail.straight[0] - total) > scale:
                 raise InputError(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -159,6 +160,65 @@ def torus_zeta_prime0(gram, character=None):
     if not twisted:
         zp -= 2 * c_a * mp.pi ** (mp.mpf(n) / 2) / n
     return z0, zp
+
+
+# ---------------------------------------------------------------------------
+# Flat-torus spectrum in exact rational arithmetic: a Gauss-Jordan inverse of
+# Q in Fractions and one plain loop over the box, each eigenvalue exact until
+# Fraction.__float__ rounds it once.
+# ---------------------------------------------------------------------------
+
+
+def _fraction_inverse(gram):
+    n = len(gram)
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(gram)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def exact_torus_eigenvalues(gram, character, cutoff):
+    """{lambda: [m_plus, m_minus]} over the nonzero integer vectors m with
+    lambda = m^T Q^{-1} m / 2 <= cutoff, exact; m_minus counts the m with
+    odd m.character."""
+    n = len(gram)
+    inv = _fraction_inverse(gram)
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    num = [[int(x * den) for x in row] for row in inv]
+    eps = [0] * n if character is None else list(character)
+    cut = Fraction(cutoff)
+    # m^T Q^{-1} m <= 2 cutoff forces m_i^2 <= 2 cutoff Q_ii
+    reach = [math.isqrt(math.floor(2 * cut * gram[i][i])) for i in range(n)]
+    out = {}
+    for m in itertools.product(*(range(-r, r + 1) for r in reach)):
+        twice = sum(m[i] * num[i][j] * m[j] for i in range(n) for j in range(n))
+        lam = Fraction(twice, 2 * den)
+        if 0 < lam <= cut:
+            sign = sum(a * e for a, e in zip(m, eps)) % 2
+            out.setdefault(lam, [0, 0])[sign] += 1
+    return out
+
+
+def exact_torus_entries(gram, character, cutoff):
+    """Ascending (float(lambda), m_plus, m_minus), each float the correctly
+    rounded lambda; eigenvalues that round to one float share an entry."""
+    out = []
+    for lam, (plus, minus) in sorted(exact_torus_eigenvalues(gram, character, cutoff).items()):
+        x = float(lam)
+        if out and out[-1][0] == x:
+            out[-1] = (x, out[-1][1] + plus, out[-1][2] + minus)
+        else:
+            out.append((x, plus, minus))
+    return out
 
 
 # ---------------------------------------------------------------------------

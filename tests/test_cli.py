@@ -158,6 +158,8 @@ _TRUNCATED = {
         {**_TRUNCATED, "kernel": [10**400, 0]},
         # each count fits a float, the complete spectrum's total does not
         {"entries": [[1.0, 10**308, 0], [2.0, 10**308, 0]]},
+        # the same total in a truncated spectrum would overflow its heat trace
+        {**_TRUNCATED, "entries": [[1.0, 10**308, 0], [2.0, 10**308, 0]]},
     ],
 )
 def test_malformed_spectrum_file_exit_code(tmp_path, capsys, change):
@@ -172,6 +174,7 @@ def test_malformed_spectrum_file_exit_code(tmp_path, capsys, change):
     assert out == ""
     assert err.startswith("input error:")
     assert "Traceback" not in err
+    assert "Warning" not in err
 
 
 def test_accuracy_error_exit_code(capsys):

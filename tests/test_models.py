@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3zeta import models
 from k3zeta.errors import AccuracyError, InputError
 from k3zeta.models import (
     build_model_spectrum,
@@ -18,7 +19,7 @@ from k3zeta.models import (
     sphere_heat_coefficients,
 )
 
-from oracles import fd_sphere_eigenvalues
+from oracles import exact_torus_eigenvalues, exact_torus_entries, fd_sphere_eigenvalues
 
 I2 = ((1, 0), (0, 1))
 
@@ -164,6 +165,44 @@ def test_torus_matches_float_enumeration(case):
     for (lam, mp, mm), (ref, rp, rm) in zip(got, want):
         assert math.isclose(lam, ref, rel_tol=1e-12)
         assert (mp, mm) == (rp, rm)
+
+
+@st.composite
+def scaled_torus_cases(draw):
+    """torus_cases, some Gram matrices scaled by 10^15..10^19 with a
+    perturbed diagonal (their keys pass 2^63 and 2^53), the cutoff scaled
+    to match."""
+    gram, character, cutoff = draw(torus_cases())
+    scale = draw(st.sampled_from([1, 1, 10**15, 10**17, 10**19]))
+    if scale > 1:
+        gram = [
+            [x * scale + (draw(st.integers(0, 9)) if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(gram)
+        ]
+    return gram, character, cutoff / scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(scaled_torus_cases())
+def test_torus_entries_match_exact_enumeration(case):
+    gram, character, cutoff = case
+    spec = flat_torus_spectrum(gram, character, cutoff)
+    assert list(spec.entries) == exact_torus_entries(gram, character, cutoff)
+
+
+def test_torus_entries_match_exact_enumeration_over_blocks():
+    # 259^2 = 67,081 box points: more than one block
+    assert models._BLOCK < 259**2
+    spec = flat_torus_spectrum(I2, (1, 0), 8300.0)
+    assert list(spec.entries) == exact_torus_entries(I2, (1, 0), 8300.0)
+
+
+def test_torus_float_equal_eigenvalues_share_an_entry():
+    # distinct keys near 10^21 round to one float key / (2 det Q)
+    gram, character, cutoff = [[10**19, 5], [5, 3 * 10**19]], [1, 1], 2e-18
+    spec = flat_torus_spectrum(gram, character, cutoff)
+    assert len(spec.entries) < len(exact_torus_eigenvalues(gram, character, cutoff))
+    assert list(spec.entries) == exact_torus_entries(gram, character, cutoff)
 
 
 def test_torus_cutoff_is_inclusive():
