@@ -331,11 +331,11 @@ def seed_compatible_frame() -> HKFrame:
     return HKFrame(g, np.vstack([gi / np.sqrt(2.0), gj / np.sqrt(2.0), gk]))
 
 
-def _split_directions(basis: np.ndarray, gram: np.ndarray, want_pos: int):
-    """Form-orthonormal positive and negative directions of the induced form
-    on span(basis); raises GeometryError if the positive count is wrong."""
-    induced = basis.T @ gram @ basis
-    w, v = np.linalg.eigh(induced)
+def _split_directions(sub, want_pos: int):
+    """Form-orthonormal positive and negative directions of the sublattice's
+    exact induced form; raises GeometryError if the positive count is wrong."""
+    basis = np.asarray(sub.basis_matrix(), dtype=float)
+    w, v = np.linalg.eigh(np.asarray(sub.induced_lattice().gram, dtype=float))
     if int(np.sum(w > 0)) != want_pos:
         raise GeometryError(
             "eigenspace has %d positive directions, expected %d"
@@ -362,9 +362,9 @@ def random_compatible_frame(invol, rng) -> HKFrame:
     if not isinstance(invol, lattices.LatticeIsometry):
         raise InputError("random_compatible_frame needs an exact lattice isometry")
     g = np.asarray(invol.lattice.gram, dtype=float)
-    bp = np.asarray(lattices.eigenlattice(invol, +1).basis_matrix(), dtype=float)
-    bm = np.asarray(lattices.eigenlattice(invol, -1).basis_matrix(), dtype=float)
-    if bp.size == 0 or bm.size == 0:
+    plus = lattices.eigenlattice(invol, +1)
+    minus = lattices.eigenlattice(invol, -1)
+    if plus.rank == 0 or minus.rank == 0:
         raise GeometryError("involution has a trivial eigenlattice")
 
     def _unit_neg(neg):
@@ -372,12 +372,12 @@ def random_compatible_frame(invol, rng) -> HKFrame:
         q = float(u @ g @ u)
         return u / np.sqrt(-q)
 
-    pos_p, neg_p = _split_directions(bp, g, want_pos=1)
+    pos_p, neg_p = _split_directions(plus, want_pos=1)
     alpha = rng.uniform(0.0, 0.8)
     x = float(rng.choice([-1.0, 1.0])) * pos_p[:, 0] + alpha * _unit_neg(neg_p)
     gi = x * np.sqrt(2.0 / float(x @ g @ x))
 
-    pos_m, neg_m = _split_directions(bm, g, want_pos=2)
+    pos_m, neg_m = _split_directions(minus, want_pos=2)
     phi = rng.uniform(0.0, 2.0 * np.pi)
     p1 = np.cos(phi) * pos_m[:, 0] + np.sin(phi) * pos_m[:, 1]
     p2 = -np.sin(phi) * pos_m[:, 0] + np.cos(phi) * pos_m[:, 1]

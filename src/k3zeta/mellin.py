@@ -273,20 +273,27 @@ def continue_trace(
         idx = np.linspace(0, len(candidates) - 1, 24).astype(int)
         candidates = [candidates[i] for i in idx]
 
-    best = None
-    for i in candidates:
+    def split_estimate(i: int) -> tuple[float, float]:
+        """(search estimate, below-split part) of the split at grid[i]."""
         delta = float(grid[i])
         below = below_estimate(delta)
-        est = below + float(tvals[i]) * (math.log(1.0 / delta) + 1.0)
-        if best is None or est < best[1]:
-            best = (delta, est, below)
-    delta, est, below = best
+        return below + float(tvals[i]) * (math.log(1.0 / delta) + 1.0), below
+
+    estimates = {i: split_estimate(i) for i in candidates}
+    best = min(candidates, key=lambda i: estimates[i][0])
+    delta = float(grid[best])
+    est, below = estimates[best]
     if est > target:
+        # the least estimate over the whole grid, whatever the target
+        achievable = min(
+            (estimates[i] if i in estimates else split_estimate(i))[0]
+            for i in range(grid.size)
+        )
         raise AccuracyError(
             "requested tolerance %.3e is not reachable with cutoff %.6g"
             " (achievable about %.3e); extend the spectrum or relax --tol"
-            % (target, cutoff, est),
-            achievable=est,
+            % (target, cutoff, achievable),
+            achievable=achievable,
         )
 
     def integrand(ts):

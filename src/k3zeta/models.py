@@ -18,15 +18,15 @@ n^2 max|adj(Q)| max|m|^2 bounds them below 2^63, Python ints in an object
 array otherwise, through the same statements. Each eigenvalue is the
 Python-int quotient key / (2 det Q), so it is correctly rounded.
 
-Sphere tails come from the exact Laurent expansion of the trace; torus
-tails are the single Weyl term, the remainder being exponentially small.
+Sphere tails come from a constant table of the nine exact Laurent
+coefficients of the trace; torus tails are the single Weyl term, the
+remainder being exponentially small.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,59 +36,31 @@ from .spectral import CurveComponent, EquivariantSpectrum, HeatTail
 
 DEFAULT_SPHERE_LMAX = 250
 DEFAULT_TORUS_CUTOFF = 1000.0
-_SPHERE_TAIL_TERMS = 8
 _MAX_LATTICE_BOX = 2_000_000
 _BLOCK = 1 << 16  # box points per numpy block of the torus enumeration
 
-
-@lru_cache(maxsize=None)
-def _bernoulli(n: int) -> Fraction:
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for k in range(n):
-        acc += math.comb(n + 1, k) * _bernoulli(k)
-    return -acc / (n + 1)
-
-
-@lru_cache(maxsize=None)
-def sphere_heat_coefficients(terms: int) -> tuple[Fraction, ...]:
-    """Exact Laurent coefficients (a_{-1}, a_0, ..., a_{terms-1}) of the
-    unit-sphere trace sum_l (2l+1) exp(-l(l+1) u) as u -> 0.
-
-    Writing the sum as exp(u/4) M(u) with
-    M(u) = 1/u + sum_k mu_k u^{k-1},
-    mu_k = (1 - 2^{1-2k}) B_{2k} (-1)^{k-1} / (k (k-1)!),
-    the a_j are the Cauchy products of the two series. The first few are
-    1, 1/3, 1/15, 4/315.
-    """
-    if terms < 1:
-        raise InputError("need at least one tail term")
-    # m_i: coefficient of u^i in M, i = -1 .. terms-1
-    m = {-1: Fraction(1)}
-    for k in range(1, terms + 1):
-        m[k - 1] = (
-            (1 - Fraction(2) ** (1 - 2 * k))
-            * _bernoulli(2 * k)
-            * (-1) ** (k - 1)
-            / (k * math.factorial(k - 1))
-        )
-    out = []
-    for j in range(-1, terms):
-        a_j = Fraction(0)
-        for i in range(-1, j + 1):
-            p = j - i
-            a_j += m[i] * Fraction(1, 4) ** p / math.factorial(p)
-        out.append(a_j)
-    return tuple(out)
+# Laurent coefficients (a_{-1}, a_0, ..., a_7) of the unit-sphere trace
+# sum_l (2l+1) exp(-l(l+1) u) = sum_j a_j u^j as u -> 0; tests/oracles.py
+# derives them from Bernoulli numbers.
+SPHERE_HEAT_COEFFICIENTS = (
+    Fraction(1),
+    Fraction(1, 3),
+    Fraction(1, 15),
+    Fraction(4, 315),
+    Fraction(1, 315),
+    Fraction(4, 3465),
+    Fraction(382, 675675),
+    Fraction(232, 675675),
+    Fraction(2833, 11486475),
+)
 
 
 def _sphere_tail(two_r2: float, with_twisted: bool) -> HeatTail:
-    a = sphere_heat_coefficients(_SPHERE_TAIL_TERMS)
-    straight = [0.0] * (2 * _SPHERE_TAIL_TERMS + 1)
+    a = SPHERE_HEAT_COEFFICIENTS
+    straight = [0.0] * (2 * len(a) - 1)
     straight[0] = float(a[0]) * two_r2
-    for j in range(_SPHERE_TAIL_TERMS):
-        straight[2 * j + 2] = float(a[j + 1]) / two_r2**j
+    for j, a_j in enumerate(a[1:]):
+        straight[2 * j + 2] = float(a_j) / two_r2**j
     twisted = tuple(straight) if with_twisted else None
     return HeatTail(2, tuple(straight), twisted)
 
@@ -208,7 +180,12 @@ def flat_torus_spectrum(
         raise InputError("cutoff must be positive and finite")
 
     # |m_i| <= sqrt(2 cutoff Q_ii) on the ellipsoid; pad one to be safe
-    bounds = [math.isqrt(int(2.0 * cut * q[i][i])) + 1 for i in range(n)]
+    try:
+        bounds = [math.isqrt(int(2.0 * cut * q[i][i])) + 1 for i in range(n)]
+    except OverflowError:
+        raise InputError(
+            "cutoff times a gram diagonal entry passes float range"
+        ) from None
     box = math.prod(2 * b + 1 for b in bounds)
     if box > _MAX_LATTICE_BOX:
         raise AccuracyError(
@@ -217,6 +194,10 @@ def flat_torus_spectrum(
         )
 
     det = det_bareiss(q)
+    try:
+        root_det = math.sqrt(float(det))
+    except OverflowError:
+        raise InputError("det of the gram matrix passes float range") from None
     # adj(Q)_ij is the (j, i) cofactor
     adj = [
         [
@@ -239,7 +220,7 @@ def flat_torus_spectrum(
         else:
             entries.append((lam, mp, mm))
 
-    c0 = (2.0 * math.pi) ** (n / 2.0) * math.sqrt(float(det))
+    c0 = (2.0 * math.pi) ** (n / 2.0) * root_det
     straight = (c0,) + (0.0,) * (n + 8)
     twisted = straight if not any(eps) else None
     return EquivariantSpectrum(
@@ -259,12 +240,8 @@ def flat_torus_curve(gram, cutoff: float = DEFAULT_TORUS_CUTOFF) -> CurveCompone
 
 
 _PRESETS = {
-    "s2-antipodal": {"model": "round_sphere", "radius": 1.0, "antipodal": True},
-    "t2-flat": {
-        "model": "flat_torus",
-        "gram": [[1, 0], [0, 1]],
-        "character": [1, 0],
-    },
+    "s2-antipodal": lambda: round_sphere_spectrum(1.0, True),
+    "t2-flat": lambda: flat_torus_spectrum([[1, 0], [0, 1]], [1, 0]),
 }
 
 
@@ -272,33 +249,13 @@ def builtin_model_names() -> tuple[str, ...]:
     return tuple(sorted(_PRESETS))
 
 
-def build_model_spectrum(descriptor) -> EquivariantSpectrum:
-    """Build a spectrum from a preset name or a descriptor dict with a
-    `model` key (`round_sphere` or `flat_torus`) plus that model's
-    parameters."""
-    if isinstance(descriptor, str):
-        try:
-            descriptor = _PRESETS[descriptor]
-        except KeyError:
-            raise InputError(
-                "unknown builtin model %r (available: %s)"
-                % (descriptor, ", ".join(builtin_model_names()))
-            ) from None
-    if not isinstance(descriptor, dict):
-        raise InputError("model descriptor must be a name or a dict")
-    kind = descriptor.get("model")
-    if kind == "round_sphere":
-        return round_sphere_spectrum(
-            descriptor.get("radius", 1.0),
-            bool(descriptor.get("antipodal", True)),
-            int(descriptor.get("l_max", DEFAULT_SPHERE_LMAX)),
-        )
-    if kind == "flat_torus":
-        if "gram" not in descriptor:
-            raise InputError("flat_torus model needs a gram matrix")
-        return flat_torus_spectrum(
-            descriptor["gram"],
-            descriptor.get("character"),
-            float(descriptor.get("cutoff", DEFAULT_TORUS_CUTOFF)),
-        )
-    raise InputError("model must be 'round_sphere' or 'flat_torus'")
+def build_model_spectrum(name: str) -> EquivariantSpectrum:
+    """Build the spectrum of a preset model by name."""
+    try:
+        build = _PRESETS[name]
+    except (KeyError, TypeError):
+        raise InputError(
+            "unknown builtin model %r (available: %s)"
+            % (name, ", ".join(builtin_model_names()))
+        ) from None
+    return build()

@@ -10,6 +10,12 @@ Coordinates are always taken in the exact integer basis of the lattice, so
 projective comparisons and labels are basis-independent by construction.
 Every check and label reads the sublattice's induced lattice, which the
 sublattice computes once, on first use, as does that lattice its signature.
+
+The period domain of an involution is its anti-invariant eigenlattice, the
+one its isometry computes and keeps; under a marking m it is the image of
+that lattice, in Hermite form. For an involution of a nondegenerate lattice
+that is the orthogonal complement of the (marked) invariant lattice, so no
+complement is computed.
 """
 
 from __future__ import annotations
@@ -175,8 +181,7 @@ def same_period_pair(a: PeriodPair, b: PeriodPair) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class _MarkingContext:
-    invariant_image: lattices.SublatticeBasis
-    complement: lattices.SublatticeBasis
+    domain: lattices.SublatticeBasis
     basis: np.ndarray
     coords_of: np.ndarray
 
@@ -185,24 +190,21 @@ class _MarkingContext:
 def _marking_context(
     invol: lattices.LatticeIsometry, marking: lattices.LatticeIsometry | None
 ) -> _MarkingContext:
-    plus = lattices.eigenlattice(invol, +1)
+    domain = lattices.eigenlattice(invol, -1)
     if marking is not None:
         if marking.lattice != invol.lattice:
             raise MarkingError("marking acts on a different lattice")
         mm = [list(r) for r in marking.matrix]
-        vectors = [tuple(intlinalg.matvec(mm, list(v))) for v in plus.vectors]
-        image = lattices.SublatticeBasis(invol.lattice, vectors)
-    else:
-        image = plus
-    comp = lattices.orthogonal_complement(image)
-    _check_domain_lattice(comp)
-    b = np.asarray(comp.basis_matrix(), dtype=float)
+        image = [intlinalg.matvec(mm, list(v)) for v in domain.vectors]
+        domain = lattices.SublatticeBasis(invol.lattice, intlinalg.column_hnf(image))
+    _check_domain_lattice(domain)
+    b = np.asarray(domain.basis_matrix(), dtype=float)
     g = np.asarray(invol.lattice.gram, dtype=float)
-    induced = np.asarray(comp.induced_lattice().gram, dtype=float)
+    induced = np.asarray(domain.induced_lattice().gram, dtype=float)
     coords_of = np.linalg.solve(induced, b.T @ g)
     coords_of.setflags(write=False)
     b.setflags(write=False)
-    return _MarkingContext(image, comp, b, coords_of)
+    return _MarkingContext(domain, b, coords_of)
 
 
 def period_of(
@@ -212,11 +214,11 @@ def period_of(
     tol: float = frames_mod.DEFAULT_TOL,
 ) -> PeriodPair:
     """Period pair of a compatible frame: coordinates of the marked
-    anti-invariant part of (gamma_J, gamma_K) in the exact orthogonal
-    complement of the marked invariant lattice.
+    anti-invariant part of (gamma_J, gamma_K) in the exact basis of the
+    marked anti-invariant lattice.
 
     Errors: an incompatible frame is a geometry error; a marking that does
-    not move the anti-invariant directions into the complement is a marking
+    not move the anti-invariant directions into that lattice is a marking
     error.
     """
     if frame.form.shape[0] != invol.lattice.rank or not np.allclose(
@@ -248,6 +250,6 @@ def period_of(
             "anti-invariant frame vectors do not land in the marked"
             " complement (residual %.3e)" % residual
         )
-    plus = PeriodPoint(ctx.complement, xj + 1j * xk)
-    minus = PeriodPoint(ctx.complement, xj - 1j * xk)
+    plus = PeriodPoint(ctx.domain, xj + 1j * xk)
+    minus = PeriodPoint(ctx.domain, xj - 1j * xk)
     return PeriodPair(plus, minus)

@@ -2,9 +2,11 @@
 
 Everything here is computed by a different route than the package uses:
 Hurwitz zeta expansions for the sphere, the incomplete-gamma (Chowla and
-Selberg style) representation of Epstein zeta functions for flat tori, and
-a finite-difference discretization of the sphere Laplacian. Values are
-mpmath at 50 digits; the callers freeze what they need.
+Selberg style) representation of Epstein zeta functions for flat tori, a
+finite-difference discretization of the sphere Laplacian, and the sphere
+trace's exact Laurent coefficients from Bernoulli numbers, which the
+package keeps as a table. Values are mpmath at 50 digits; the callers
+freeze what they need.
 
 Conventions match the package: half-Laplacian eigenvalues, so the sphere
 has lambda_l = l(l+1)/(2 r^2) and the torus lambda_m = m^T Q^{-1} m / 2.
@@ -84,6 +86,40 @@ def sphere_radius_shift(zeta0, zeta_prime0, radius):
     """lambda -> lambda / r^2 rescaling: zeta_r(s) = r^{2s} zeta_1(s)."""
     r = mp.mpf(radius)
     return zeta0, zeta_prime0 + 2 * mp.log(r) * zeta0
+
+
+def _bernoulli(n: int) -> Fraction:
+    """B_n with B_1 = -1/2, from sum_{k<=n} binom(n+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b[n]
+
+
+def sphere_heat_coefficients(terms: int) -> tuple[Fraction, ...]:
+    """Exact Laurent coefficients (a_{-1}, a_0, ..., a_{terms-1}) of the
+    unit-sphere trace sum_l (2l+1) exp(-l(l+1) u) as u -> 0.
+
+    Writing the sum as exp(u/4) M(u) with
+    M(u) = 1/u + sum_k mu_k u^{k-1},
+    mu_k = (1 - 2^{1-2k}) B_{2k} (-1)^{k-1} / (k (k-1)!),
+    the a_j are the Cauchy products of the two series.
+    """
+    # m[i + 1]: coefficient of u^i in M, i = -1 .. terms-1
+    m = [Fraction(1)] + [
+        (1 - Fraction(2) ** (1 - 2 * k))
+        * _bernoulli(2 * k)
+        * (-1) ** (k - 1)
+        / (k * math.factorial(k - 1))
+        for k in range(1, terms + 1)
+    ]
+    return tuple(
+        sum(
+            m[i + 1] * Fraction(1, 4) ** (j - i) / math.factorial(j - i)
+            for i in range(-1, j + 1)
+        )
+        for j in range(-1, terms)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import itertools
 import math
-from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,30 +10,39 @@ from hypothesis import strategies as st
 from k3zeta import models
 from k3zeta.errors import AccuracyError, InputError
 from k3zeta.models import (
+    SPHERE_HEAT_COEFFICIENTS,
     build_model_spectrum,
     builtin_model_names,
     flat_torus_curve,
     flat_torus_spectrum,
     round_sphere_curve,
     round_sphere_spectrum,
-    sphere_heat_coefficients,
 )
 
-from oracles import exact_torus_eigenvalues, exact_torus_entries, fd_sphere_eigenvalues
+from oracles import (
+    exact_torus_eigenvalues,
+    exact_torus_entries,
+    fd_sphere_eigenvalues,
+    sphere_heat_coefficients,
+)
 
 I2 = ((1, 0), (0, 1))
 
 
 def test_sphere_heat_coefficients_exact():
-    # terms=n yields a_{-1}, a_0, ..., a_{n-1}
-    coeffs = sphere_heat_coefficients(4)
-    assert coeffs == (
-        Fraction(1),
-        Fraction(1, 3),
-        Fraction(1, 15),
-        Fraction(4, 315),
-        Fraction(1, 315),
+    assert len(SPHERE_HEAT_COEFFICIENTS) == 9
+    assert SPHERE_HEAT_COEFFICIENTS == sphere_heat_coefficients(8)
+    # the truncated series against the trace itself at u = 1/50, where the
+    # first omitted term a_8 u^8 is about 2e-4 u^8
+    u = mpmath.mpf(1) / 50
+    trace = mpmath.nsum(
+        lambda l: (2 * l + 1) * mpmath.exp(-l * (l + 1) * u), [0, mpmath.inf]
     )
+    series = sum(
+        mpmath.mpf(a.numerator) / a.denominator * u ** (j - 1)
+        for j, a in enumerate(SPHERE_HEAT_COEFFICIENTS)
+    )
+    assert abs(trace - series) < 1e-3 * u**8
 
 
 def test_sphere_spectrum_structure():
@@ -232,6 +241,21 @@ def test_torus_rejects_oversized_enumeration():
         flat_torus_spectrum(I2, cutoff=1e13)
 
 
+@pytest.mark.parametrize(
+    "gram, cutoff",
+    [
+        ([[10**400]], 1.0),  # a Gram entry past float range
+        ([[10**200, 0], [0, 10**200]], 1e-199),  # det Q past float range
+    ],
+)
+def test_torus_rejects_gram_past_float_range(gram, cutoff):
+    with pytest.raises(InputError):
+        flat_torus_spectrum(gram, None, cutoff)
+    if len(gram) == 2:
+        with pytest.raises(InputError):
+            flat_torus_curve(gram, cutoff)
+
+
 def test_curve_volumes():
     sphere = round_sphere_curve(radius=2.0, l_max=5)
     assert math.isclose(sphere.volume, 16.0 * math.pi, rel_tol=1e-15)
@@ -251,16 +275,3 @@ def test_builtin_dispatch():
     assert torus.entries == reference.entries
     with pytest.raises(InputError):
         build_model_spectrum("klein-bottle")
-
-
-def test_descriptor_dispatch():
-    spec = build_model_spectrum({"model": "round_sphere", "radius": 2.0, "l_max": 8})
-    assert spec.cutoff == 9 * 10 / (2.0 * 4.0)
-    torus = build_model_spectrum(
-        {"model": "flat_torus", "gram": [[1, 0], [0, 1]], "character": [1, 0], "cutoff": 9.0}
-    )
-    assert torus.cutoff == 9.0
-    with pytest.raises(InputError):
-        build_model_spectrum({"model": "flat_torus"})
-    with pytest.raises(InputError):
-        build_model_spectrum(42)

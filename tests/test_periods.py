@@ -7,6 +7,7 @@ from k3zeta import intlinalg, periods
 from k3zeta.cli import main
 from k3zeta.errors import GeometryError, InputError, MarkingError
 from k3zeta.frames import (
+    HKFrame,
     compatible_frames,
     random_compatible_frame,
     random_rotation,
@@ -14,9 +15,13 @@ from k3zeta.frames import (
     seed_compatible_frame,
 )
 from k3zeta.lattices import (
+    Lattice,
     LatticeIsometry,
+    SublatticeBasis,
     build_standard_lattice,
+    eigenlattice,
     enriques_involution,
+    orthogonal_complement,
 )
 from k3zeta.periods import (
     PeriodPoint,
@@ -128,11 +133,78 @@ def test_marking_by_the_involution_itself():
     assert np.max(np.abs(marked.plus.coords + plain.plus.coords)) < 1e-12
 
 
+def _random_root(rng) -> list[int]:
+    """A root of the K3 lattice: e - f or e + f in a hyperbolic plane,
+    +-e + alpha with alpha a simple root of an E8(-1) block, or alpha."""
+    r = [0] * 22
+    plane = 2 * int(rng.integers(3))
+    alpha = (6, 14)[int(rng.integers(2))] + int(rng.integers(8))
+    kind = int(rng.integers(3))
+    sign = int(rng.choice((-1, 1)))
+    if kind == 0:
+        r[plane], r[plane + 1] = 1, sign
+    elif kind == 1:
+        r[plane + int(rng.integers(2))] = sign
+        r[alpha] = 1
+    else:
+        r[alpha] = 1
+    return r
+
+
+def _reflection_word(lattice, rng, length: int) -> LatticeIsometry:
+    """A product of `length` root reflections x -> x - 2 (x.r) / (r.r) r."""
+    g = [list(row) for row in lattice.gram]
+    word = intlinalg.identity(22)
+    for _ in range(length):
+        r = _random_root(rng)
+        gr = intlinalg.matvec(g, r)
+        c = 2 // sum(x * y for x, y in zip(r, gr))
+        step = [
+            [(i == j) - c * r[i] * gr[j] for j in range(22)] for i in range(22)
+        ]
+        word = intlinalg.matmul(word, step)
+    return LatticeIsometry(lattice, word)
+
+
+def test_domain_is_the_complement_of_the_marked_invariant_lattice():
+    # (L+)^perp = L- for an involution of a nondegenerate lattice, and
+    # m((L+)^perp) = (m L+)^perp; both bases are Hermite forms, so equal
+    iso = enriques_involution()
+    frame = seed_compatible_frame()
+    plus = eigenlattice(iso, +1)
+    assert (
+        period_of(frame, iso).plus.sublattice.vectors
+        == orthogonal_complement(plus).vectors
+    )
+    rng = np.random.default_rng(59)
+    for length in range(3, 9):
+        marking = _reflection_word(iso.lattice, rng, length)
+        mm = [list(row) for row in marking.matrix]
+        image = [intlinalg.matvec(mm, list(v)) for v in plus.vectors]
+        complement = orthogonal_complement(SublatticeBasis(iso.lattice, image))
+        pair = period_of(frame, iso, marking)
+        assert pair.plus.sublattice.vectors == complement.vectors
+        assert set(pair.labels()) == {1, -1}
+
+
+def test_domain_on_a_degenerate_ambient_is_the_anti_invariant_lattice():
+    # the involution fixes the radical e4, which is orthogonal to the
+    # invariant lattice span(e1, e4) but not anti-invariant; the period
+    # domain is span(e2, e3), of signature (2, 0)
+    lattice = Lattice([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]])
+    iso = LatticeIsometry(lattice, np.diag([1, -1, -1, 1]))
+    frame = HKFrame(lattice.gram, np.eye(3, 4))
+    pair = period_of(frame, iso)
+    assert pair.plus.sublattice.vectors == ((0, 1, 0, 0), (0, 0, 1, 0))
+    assert projectively_equal(pair.plus, [1, 1j])
+    assert set(pair.labels()) == {1, -1}
+
+
 def test_induced_lattice_and_signature_are_computed_once(monkeypatch, capsys):
     iso = enriques_involution()
     frame = seed_compatible_frame()
     calls = collections.Counter()
-    for name in ("matmul", "rational_inertia"):
+    for name in ("matmul", "integer_kernel", "rational_inertia"):
 
         def counted(*args, _fn=getattr(intlinalg, name), _name=name):
             calls[_name] += 1
@@ -143,9 +215,13 @@ def test_induced_lattice_and_signature_are_computed_once(monkeypatch, capsys):
     periods._reference_positive_frame.cache_clear()
     pair = period_of(frame, iso)
     pair.labels()
-    # is_involution, the complement's pairings, and B^T G B (two products)
-    assert calls["matmul"] == 4
+    # is_involution and B^T G B (two products)
+    assert calls["matmul"] == 3
+    # the one kernel and the one signature of the anti-invariant lattice
+    assert calls["integer_kernel"] == 1
+    assert calls["rational_inertia"] == 1
     sub = pair.plus.sublattice
+    assert sub is eigenlattice(iso, -1)
     assert sub.induced_lattice() is sub.induced_lattice()
 
     calls.clear()

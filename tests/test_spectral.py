@@ -3,7 +3,7 @@ import math
 import pytest
 
 from k3zeta import cli, spectral
-from k3zeta.errors import ConsistencyError, InputError
+from k3zeta.errors import AccuracyError, ConsistencyError, InputError
 from k3zeta.models import (
     flat_torus_curve,
     flat_torus_spectrum,
@@ -101,6 +101,20 @@ def test_truncated_spectrum_needs_a_finite_cutoff():
         with pytest.raises(InputError):
             EquivariantSpectrum(((1.0, 1, 0),), (0, 0), tail, cutoff)
     assert EquivariantSpectrum(((1.0, 1, 0),), (0.0, 0), tail, 4).kernel == (0, 0)
+
+def test_achievable_does_not_depend_on_the_tolerance():
+    # no split reaches these targets; the least estimate over the whole grid
+    # of splits is the same whatever the target asked for
+    spec = flat_torus_spectrum(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 0, 0), 80.0)
+    for sign in (1, -1):
+        seen = set()
+        for tol in (1e-8, 1e-6, 1e-4):
+            with pytest.raises(AccuracyError) as err:
+                zeta_signed(spec, sign, tol)
+            seen.add(err.value.achievable)
+        assert len(seen) == 1
+        assert seen.pop() > 1e-4
+
 
 def test_direct_zeta_matches_engine_on_complete_spectrum():
     for sign in (1, -1):
