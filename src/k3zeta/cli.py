@@ -126,15 +126,8 @@ def cmd_period(args) -> None:
     if args.involution == "enriques":
         iso = lattices.enriques_involution()
     else:
-        from .intlinalg import to_int_matrix
-
-        gram = to_int_matrix([[round(x) for x in row] for row in frame.form])
-        import numpy as np
-
-        if not np.array_equal(np.asarray(gram, dtype=float), frame.form):
-            raise InputError("frame form must be integral to define a lattice")
         iso = jsonio.decode_isometry(
-            jsonio.load_path(args.involution), lattices.Lattice(gram)
+            jsonio.load_path(args.involution), lattices.Lattice(frame.form.tolist())
         )
     marking = None
     if args.marking:
@@ -149,9 +142,7 @@ def cmd_period(args) -> None:
 
 def cmd_zeta(args) -> None:
     spec = _load_spectrum(args)
-    plus = spectral.zeta_signed(spec, 1, args.tol)
-    minus = spectral.zeta_signed(spec, -1, args.tol)
-    q0, q1, q2 = spectral.dolbeault_zetas(spec, args.tol)
+    plus, minus, (q0, q1, q2) = spectral.zeta_values(spec, args.tol)
     _emit(
         args,
         {

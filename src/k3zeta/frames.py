@@ -32,12 +32,13 @@ def _as_matrix(obj) -> np.ndarray:
     return m
 
 
-def _holds_bool(x) -> bool:
-    """True if a nested list of numbers, as JSON decodes it, has a boolean
-    entry (numpy would read it as 0 or 1)."""
+def _holds(x, kind) -> bool:
+    """True if a nested list of numbers, as JSON decodes it, has an entry
+    of `kind` (numpy would read a boolean as 0 or 1 and parse a numeric
+    string)."""
     if isinstance(x, (list, tuple)):
-        return any(_holds_bool(e) for e in x)
-    return isinstance(x, bool)
+        return any(_holds(e, kind) for e in x)
+    return isinstance(x, kind)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -63,8 +64,9 @@ class HKFrame:
             v = np.asarray(gammas, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError("frame entries must be numbers (%s)" % exc) from None
-        if _holds_bool(form) or _holds_bool(gammas):
-            raise InputError("frame entries must be numbers, not booleans")
+        for kind, name in ((bool, "booleans"), (str, "strings")):
+            if _holds(form, kind) or _holds(gammas, kind):
+                raise InputError("frame entries must be numbers, not %s" % name)
         if not (np.isfinite(g).all() and np.isfinite(v).all()):
             raise InputError("frame entries must be finite")
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -75,7 +77,10 @@ class HKFrame:
             raise InputError(
                 "frame needs 3 vectors of ambient dimension %d" % g.shape[0]
             )
-        pairing = v @ g @ v.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairing = v @ g @ v.T
+        if not np.isfinite(pairing).all():
+            raise InputError("frame pairing overflows the float range")
         dev = float(np.max(np.abs(pairing - 2.0 * np.eye(3))))
         if dev > DEFAULT_TOL:
             raise GeometryError(

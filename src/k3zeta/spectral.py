@@ -8,20 +8,26 @@ spectrum of a finite model and the tail is the exact constant. A fixed
 curve's Laplacian is the same type with the trivial involution: no minus
 states and a twisted tail equal to the straight one.
 
-From one spectrum the module evaluates, all through the same continuation
-engine:
+A spectrum has three sectors, each continued to s = 0 by the engine in
+`mellin`: plus and minus, the (1 +/- involution)/2 eigenspaces, and the
+twisted trace, weighted by m_plus - m_minus. `_sector` holds the one table
+from a sector to its continuation arguments, and every value below is
+arithmetic on the results of one runner, `_continue`, which continues
+each requested sector once. When sectors miss the tolerance the runner
+still finishes the others and refuses with the largest achievable bound,
+so a report's `achievable` covers all of its sectors.
 
   * zeta_signed        the plus/minus zeta functions at s = 0
-  * dolbeault_zetas    the (0, q) combinations for q = 0, 1, 2 from one
-                       continuation; q = 0 is continued directly from the
+  * dolbeault_zetas    the (0, q) combinations for q = 0, 1, 2 from the
+                       twisted sector; q = 0 is continued directly from the
                        twisted trace, so comparing it with the signed
                        difference is a genuine two-route check
+  * zeta_values        plus, minus and the (0, q) triple together
   * equivariant_determinant_report   exp(-zeta_plus'(0) + zeta_minus'(0))
   * equivariant_torsion_report       exp(zeta^{0,1}'(0) - 2 zeta^{0,2}'(0)),
                        recording the residual against determinant^-2
-  * curve_determinant_report  det* of a fixed-curve component, from its
-                       plus sector
-  * tau_iota           the torsion invariant, free or with curve factors
+  * tau_iota           the torsion invariant, free or with curve factors;
+                       a curve's det* is exp(-zeta'(0)) of its plus sector
   * borcherds_report   the implied automorphic-form norm and its round trip
 """
 
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError
+from .errors import AccuracyError, ConsistencyError, InputError
 from .mellin import (
     DEFAULT_TARGET,
     ContinuationResult,
@@ -91,27 +97,13 @@ class HeatTail:
     def straight_model(self) -> TraceModel:
         return TraceModel.from_ladder(self.dim, self.straight)
 
-    def twisted_model(self) -> TraceModel:
-        if self.twisted is None:
-            return TraceModel(coeffs=(), next_exponent=math.inf)
-        return TraceModel.from_ladder(self.dim, self.twisted)
-
-    def signed_model(self, sign: int) -> TraceModel:
-        """(straight + sign * twisted) / 2 on the shared ladder."""
-        s = self.straight
-        t = self.twisted
-        if t is None:
-            coeffs = [c / 2.0 for c in s]
-            return TraceModel.from_ladder(self.dim, coeffs)
-        n = min(len(s), len(t))
-        coeffs = [(s[j] + sign * t[j]) / 2.0 for j in range(n)]
-        return TraceModel.from_ladder(self.dim, coeffs)
-
 
 def _finite(x, what: str) -> float:
+    """A finite float from a number: booleans, strings and values past
+    float range are refused."""
     try:
-        v = math.nan if isinstance(x, bool) else float(x)
-    except (TypeError, ValueError):
+        v = math.nan if isinstance(x, (bool, str)) else float(x)
+    except (TypeError, ValueError, OverflowError):
         v = math.nan
     if not math.isfinite(v):
         raise InputError("%s must be a finite number, not %r" % (what, x))
@@ -237,45 +229,6 @@ class EquivariantSpectrum:
             ent, self.kernel, HeatTail(n, st, tw), self.cutoff * c
         )
 
-    def union(self, other: "EquivariantSpectrum") -> "EquivariantSpectrum":
-        """Disjoint-union spectrum: multiplicities, kernels, and tail
-        coefficients add; the cutoff is the weaker completeness claim."""
-        if self.tail.dim != other.tail.dim:
-            raise ConsistencyError("union needs equal tail dimensions")
-        if self.tail.free != other.tail.free:
-            raise ConsistencyError("union needs matching twisted-tail kinds")
-        cut = min(self.cutoff, other.cutoff)
-        merged: dict[float, list[int]] = {}
-        for spec in (self, other):
-            for lam, mp, mm in spec.entries:
-                if lam > cut:
-                    break  # entries beyond the joint completeness claim
-                acc = merged.setdefault(lam, [0, 0])
-                acc[0] += mp
-                acc[1] += mm
-        ent = [(lam, mp, mm) for lam, (mp, mm) in sorted(merged.items())]
-        kernel = (self.kernel[0] + other.kernel[0], self.kernel[1] + other.kernel[1])
-
-        def _addpad(a, b):
-            n = max(len(a), len(b))
-            return tuple(
-                (a[j] if j < len(a) else 0.0) + (b[j] if j < len(b) else 0.0)
-                for j in range(n)
-            )
-
-        st = _addpad(self.tail.straight, other.tail.straight)
-        tw = (
-            None
-            if self.tail.free
-            else _addpad(self.tail.twisted, other.tail.twisted)
-        )
-        return EquivariantSpectrum(
-            ent,
-            kernel,
-            HeatTail(self.tail.dim, st, tw),
-            cut,
-        )
-
 
 @dataclass(frozen=True)
 class CurveComponent:
@@ -339,44 +292,62 @@ class BorcherdsReport:
     determinant_with_constant: float | None
 
 
-def zeta_signed(
-    spectrum: EquivariantSpectrum, sign: int, tol: float = DEFAULT_TARGET
-) -> ContinuationResult:
-    """zeta_{+/-}(s) = sum over the (1 +/- involution)/2 eigenspace,
-    continued to s = 0."""
-    if sign not in (1, -1):
-        raise InputError("sign must be +1 or -1")
-    k = spectrum.kernel[0] if sign > 0 else spectrum.kernel[1]
-    return continue_trace(
-        spectrum.lambdas(),
-        spectrum.mults(sign),
-        float(k),
-        spectrum.tail.signed_model(sign),
-        spectrum.tail.straight_model(),
-        spectrum.cutoff,
-        target=tol,
-    )
+_TWISTED = 0  # the sector of the twisted trace; +1 and -1 are the eigenspaces
 
 
-def dolbeault_zetas(
-    spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET
-) -> tuple[ContinuationResult, ContinuationResult, ContinuationResult]:
-    """The (0, q) zeta combinations for q = 0, 1, 2, from one continuation.
+def _sector(spectrum: EquivariantSpectrum, sector: int):
+    """(weights, kernel weight, t -> 0 model) of one sector: the +1 or -1
+    eigenspace, with model (straight + sign * twisted) / 2, or the twisted
+    trace, weighted by m_plus - m_minus against the twisted model."""
+    tail = spectrum.tail
+    if sector == _TWISTED:
+        weights = spectrum.mults(1) - spectrum.mults(-1)
+        kernel = float(spectrum.kernel[0] - spectrum.kernel[1])
+        if tail.free:
+            return weights, kernel, TraceModel(coeffs=(), next_exponent=math.inf)
+        return weights, kernel, TraceModel.from_ladder(tail.dim, tail.twisted)
+    if tail.free:
+        coeffs = [c / 2.0 for c in tail.straight]
+    else:
+        coeffs = [(s + sector * t) / 2.0 for s, t in zip(tail.straight, tail.twisted)]
+    kernel = float(spectrum.kernel[0] if sector > 0 else spectrum.kernel[1])
+    return spectrum.mults(sector), kernel, TraceModel.from_ladder(tail.dim, coeffs)
 
-    q = 0 is continued directly from the twisted trace (weights
-    m_plus - m_minus against the twisted tail model), q = 2 is its exact
-    negative, and q = 1 is their sum, identically zero; all three carry
-    q = 0's split point.
+
+def _continue(requests, tol: float) -> list[ContinuationResult]:
+    """Continue each (spectrum, sector) of `requests` once, in order.
+
+    A sector that misses `tol` does not stop the rest: once all have run,
+    the AccuracyError with the largest achievable bound is raised, so a
+    report refuses with the figure of its worst sector, not of the first
+    one to miss.
     """
-    r0 = continue_trace(
-        spectrum.lambdas(),
-        spectrum.mults(1) - spectrum.mults(-1),
-        float(spectrum.kernel[0] - spectrum.kernel[1]),
-        spectrum.tail.twisted_model(),
-        spectrum.tail.straight_model(),
-        spectrum.cutoff,
-        target=tol,
-    )
+    results, misses = [], []
+    for spectrum, sector in requests:
+        weights, kernel_weight, model = _sector(spectrum, sector)
+        try:
+            results.append(
+                continue_trace(
+                    spectrum.lambdas(),
+                    weights,
+                    kernel_weight,
+                    model,
+                    spectrum.tail.straight_model(),
+                    spectrum.cutoff,
+                    target=tol,
+                )
+            )
+        except AccuracyError as exc:
+            misses.append(exc)
+    if misses:
+        raise max(misses, key=lambda exc: exc.achievable)
+    return results
+
+
+def _dolbeault(r0: ContinuationResult):
+    """The (0, q) triple from the twisted sector: q = 2 is the exact
+    negative of q = 0 and q = 1 their sum, identically zero; all three
+    carry q = 0's split point."""
     r2 = ContinuationResult(
         -r0.zeta_at_0, -r0.zeta_prime_at_0, r0.error_estimate, r0.split_point
     )
@@ -389,6 +360,32 @@ def dolbeault_zetas(
     return r0, r1, r2
 
 
+def _determinant(
+    plus: ContinuationResult, minus: ContinuationResult
+) -> DeterminantReport:
+    value = math.exp(-plus.zeta_prime_at_0 + minus.zeta_prime_at_0)
+    err = value * (plus.error_estimate + minus.error_estimate)
+    return DeterminantReport(value, err, plus, minus)
+
+
+def zeta_signed(
+    spectrum: EquivariantSpectrum, sign: int, tol: float = DEFAULT_TARGET
+) -> ContinuationResult:
+    """zeta_{+/-}(s) = sum over the (1 +/- involution)/2 eigenspace,
+    continued to s = 0."""
+    if sign not in (1, -1):
+        raise InputError("sign must be +1 or -1")
+    return _continue([(spectrum, sign)], tol)[0]
+
+
+def dolbeault_zetas(
+    spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET
+) -> tuple[ContinuationResult, ContinuationResult, ContinuationResult]:
+    """The (0, q) zeta combinations for q = 0, 1, 2, from the one
+    continuation of the twisted sector."""
+    return _dolbeault(*_continue([(spectrum, _TWISTED)], tol))
+
+
 def dolbeault_zeta(
     spectrum: EquivariantSpectrum, q: int, tol: float = DEFAULT_TARGET
 ) -> ContinuationResult:
@@ -398,15 +395,19 @@ def dolbeault_zeta(
     return dolbeault_zetas(spectrum, tol)[int(q)]
 
 
+def zeta_values(spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET):
+    """(plus, minus, (q0, q1, q2)): both signed zetas and the Dolbeault
+    triple, from one continuation of each of the three sectors."""
+    plus, minus, twisted = _continue(
+        [(spectrum, 1), (spectrum, -1), (spectrum, _TWISTED)], tol
+    )
+    return plus, minus, _dolbeault(twisted)
+
+
 def equivariant_determinant_report(
     spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET
 ) -> DeterminantReport:
-    plus = zeta_signed(spectrum, 1, tol)
-    minus = zeta_signed(spectrum, -1, tol)
-    log_det = -plus.zeta_prime_at_0 + minus.zeta_prime_at_0
-    value = math.exp(log_det)
-    err = value * (plus.error_estimate + minus.error_estimate)
-    return DeterminantReport(value, err, plus, minus)
+    return _determinant(*_continue([(spectrum, 1), (spectrum, -1)], tol))
 
 
 def equivariant_torsion_report(
@@ -415,23 +416,12 @@ def equivariant_torsion_report(
     """Torsion from the Dolbeault route, with the residual against the
     determinant route (log tau + 2 log det, which vanishes identically in
     exact arithmetic) recorded rather than assumed."""
-    _, r1, r2 = dolbeault_zetas(spectrum, tol)
+    plus, minus, (_, r1, r2) = zeta_values(spectrum, tol)
     log_tau = r1.zeta_prime_at_0 - 2.0 * r2.zeta_prime_at_0
     err_log = r1.error_estimate + 2.0 * r2.error_estimate
-    det = equivariant_determinant_report(spectrum, tol)
-    residual = log_tau + 2.0 * math.log(det.value)
+    residual = log_tau + 2.0 * math.log(_determinant(plus, minus).value)
     value = math.exp(log_tau)
     return TorsionReport(value, value * err_log, log_tau, residual)
-
-
-def curve_determinant_report(
-    spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET
-) -> tuple[float, float]:
-    """(det*, error) of a curve component's Laplacian, exp(-zeta'(0)) of
-    its plus sector (the whole spectrum, the involution acting trivially)."""
-    res = zeta_signed(spectrum, 1, tol)
-    value = math.exp(-res.zeta_prime_at_0)
-    return value, value * res.error_estimate
 
 
 def tau_iota(
@@ -440,7 +430,9 @@ def tau_iota(
     tol: float = DEFAULT_TARGET,
 ) -> TauReport:
     """The torsion invariant: determinant^-2 times, when the involution has
-    fixed curves, the product of Vol(C_i) / det*(C_i).
+    fixed curves, the product of Vol(C_i) / det*(C_i), where det*(C_i) is
+    exp(-zeta'(0)) of the curve's plus sector (its whole spectrum, the
+    involution acting trivially).
 
     For a manifold spectrum (dim >= 1) the twisted-tail kind must match the
     call: a free tail forbids curve data, explicit twisted coefficients
@@ -458,16 +450,20 @@ def tau_iota(
                 "tail declares fixed curves (explicit twisted coefficients)"
                 " but no curve data was supplied"
             )
-    det = equivariant_determinant_report(spectrum, tol)
+    requests = [(spectrum, 1), (spectrum, -1)]
+    requests += [(comp.spectrum, 1) for comp in curves or ()]
+    plus, minus, *curve_zetas = _continue(requests, tol)
+    det = _determinant(plus, minus)
     log_tau = -2.0 * math.log(det.value)
-    err_log = 2.0 * (det.plus.error_estimate + det.minus.error_estimate)
+    err_log = 2.0 * (plus.error_estimate + minus.error_estimate)
     factors = []
     if curves is None:
         # keep tau = det^-2 an identity of floats, not just of logs
         value = det.value**-2.0
     else:
-        for comp in curves:
-            dval, derr = curve_determinant_report(comp.spectrum, tol)
+        for comp, res in zip(curves, curve_zetas):
+            dval = math.exp(-res.zeta_prime_at_0)
+            derr = dval * res.error_estimate
             factors.append(comp.volume / dval)
             log_tau += math.log(comp.volume) - math.log(dval)
             err_log += derr / dval

@@ -223,10 +223,11 @@ def test_non_integer_lattice_file_exit_code(tmp_path, capsys, gram):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("bad", ["x", None, math.nan, math.inf])
+# 1e308 at an E8 coordinate makes the pairing v @ form @ v^T overflow
+@pytest.mark.parametrize("bad", ["x", None, math.nan, math.inf, 1e308])
 def test_non_finite_frame_file_exit_code(tmp_path, capsys, bad):
     obj = jsonio.encode_frame(seed_compatible_frame())
-    obj["gammas"][0][3] = bad
+    obj["gammas"][0][8] = bad
     path = tmp_path / "frame.json"
     path.write_text(json.dumps(obj))
     code, err = exit_and_stderr(
@@ -235,6 +236,7 @@ def test_non_finite_frame_file_exit_code(tmp_path, capsys, bad):
     assert code == 2
     assert err.startswith("input error:")
     assert "Traceback" not in err
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize(
@@ -281,37 +283,97 @@ def test_out_of_range_norm_exit_code(capsys, argv):
     assert "Traceback" not in err
 
 
-def _frame_with_true_in(field):
+def _frame_with(field, value):
     obj = jsonio.encode_frame(seed_compatible_frame())
-    # an entry equal to 1, so the boolean reads as the same number
+    # an entry equal to 1, so the boolean or string reads as the same number
     row, col = (0, 1) if field == "form" else (2, 4)
     assert obj[field][row][col] == 1.0
-    obj[field][row][col] = True
+    obj[field][row][col] = value
     return ["period", "--involution", "enriques", "--frame"], obj
 
 
-def _spectrum_with_true_eigenvalue(_):
-    obj = {**_SPECTRUM, "entries": [[True, 2, 1], [2.0, 1, 0]]}
-    return ["zeta", "--spectrum"], obj
+def _spectrum_with(**change):
+    return ["zeta", "--spectrum"], {**_SPECTRUM, **change}
+
+
+def _curve_with_volume(volume):
+    spectrum = {"entries": [[1.0, 1]], "kernel": 0, "tail": {"dim": 0, "straight": [1.0]}}
+    return ["tau", "--builtin", "t2-flat", "--curves"], [
+        {"volume": volume, "spectrum": spectrum}
+    ]
+
+
+_BIG = 10**400  # a JSON integer past float range
 
 
 @pytest.mark.parametrize(
-    "make, field",
+    "make",
     [
-        (_frame_with_true_in, "form"),
-        (_frame_with_true_in, "gammas"),
-        (_spectrum_with_true_eigenvalue, None),
+        pytest.param(lambda: _frame_with("form", True), id="frame-form"),
+        pytest.param(lambda: _frame_with("gammas", True), id="frame-gammas"),
+        pytest.param(lambda: _frame_with("form", "1"), id="frame-form-string"),
+        pytest.param(
+            lambda: _spectrum_with(entries=[[True, 2, 1], [2.0, 1, 0]]),
+            id="spectrum-eigenvalue",
+        ),
+        pytest.param(
+            lambda: _spectrum_with(entries=[["0.5", 2, 1], [2.0, 1, 0]]),
+            id="spectrum-eigenvalue-string",
+        ),
+        pytest.param(
+            lambda: _spectrum_with(entries=[[1.0, 2, 1], [_BIG, 1, 0]]),
+            id="spectrum-eigenvalue-overflow",
+        ),
+        pytest.param(
+            lambda: _spectrum_with(
+                tail={"dim": 0, "straight": [5.0], "twisted": ["3"]}
+            ),
+            id="spectrum-tail-string",
+        ),
+        pytest.param(
+            lambda: _spectrum_with(
+                **{**_TRUNCATED, "tail": {**_TRUNCATED["tail"], "straight": [_BIG, 0.0, 0.0]}}
+            ),
+            id="spectrum-tail-overflow",
+        ),
+        pytest.param(
+            lambda: _spectrum_with(**{**_TRUNCATED, "cutoff": "4"}),
+            id="spectrum-cutoff-string",
+        ),
+        pytest.param(
+            lambda: _spectrum_with(**{**_TRUNCATED, "cutoff": _BIG}),
+            id="spectrum-cutoff-overflow",
+        ),
+        pytest.param(lambda: _curve_with_volume(_BIG), id="curve-volume-overflow"),
     ],
-    ids=["frame-form", "frame-gammas", "spectrum-eigenvalue"],
 )
-def test_boolean_where_a_number_is_read_exit_code(tmp_path, capsys, make, field):
-    argv, obj = make(field)
+def test_boolean_where_a_number_is_read_exit_code(tmp_path, capsys, make):
+    # booleans, numeric strings and integers past float range are all
+    # refused where a float is read
+    argv, obj = make()
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
     code, err = exit_and_stderr(capsys, argv + [str(path)])
     assert code == 2
     assert err.startswith("input error:")
     assert "Traceback" not in err
+
+
+def test_period_reads_the_lattice_of_an_involution_file_from_the_form(
+    tmp_path, capsys
+):
+    invol = tmp_path / "involution.json"
+    invol.write_text(json.dumps({"matrix": [[1, 0, 0], [0, -1, 0], [0, 0, -1]]}))
+    argv = ["period", "--involution", str(invol), "--frame"]
+    frame = tmp_path / "frame.json"
+    # the same frame pairing on an integral and on a non-integral form
+    for scale, want in ((1.0, 0), (2.0, 2)):
+        form = (2.0 / scale**2 * np.eye(3)).tolist()
+        gammas = (scale * np.eye(3)).tolist()
+        frame.write_text(json.dumps({"form": form, "gammas": gammas}))
+        code, err = exit_and_stderr(capsys, argv + [str(frame)])
+        assert code == want, err
+    assert err.startswith("input error:") and "not an integer" in err
 
 
 def test_cli_never_loads_scipy():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from k3zeta import cli, spectral
+from k3zeta import cli, jsonio, spectral
 from k3zeta.errors import AccuracyError, ConsistencyError, InputError
 from k3zeta.models import (
     flat_torus_curve,
@@ -15,7 +15,6 @@ from k3zeta.spectral import (
     EquivariantSpectrum,
     HeatTail,
     borcherds_report,
-    curve_determinant_report,
     dolbeault_zeta,
     equivariant_determinant_report,
     equivariant_torsion_report,
@@ -116,6 +115,26 @@ def test_achievable_does_not_depend_on_the_tolerance():
         assert seen.pop() > 1e-4
 
 
+def test_a_report_refuses_with_the_achievable_of_its_worst_sector(tmp_path):
+    # achievable 1.451e-4 (plus), 1.365e-4 (minus), 9.727e-4 (twisted): at
+    # 1e-8 and 1e-4 all three sectors miss, at 2e-4 the twisted one alone
+    spec = flat_torus_spectrum(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 0, 0), 80.0)
+    path = tmp_path / "spectrum.json"
+    path.write_text(jsonio.canonical_dumps(jsonio.encode_spectrum(spec)))
+    seen = set()
+    for tol in (1e-8, 1e-4, 2e-4):
+        with pytest.raises(AccuracyError) as torsion:
+            equivariant_torsion_report(spec, tol)
+        argv = ["zeta", "--spectrum", str(path), "--tol", repr(tol)]
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(AccuracyError) as zeta:
+            args.func(args)
+        seen |= {torsion.value.achievable, zeta.value.achievable}
+    assert len(seen) == 1
+    assert "achievable about 9.727e-04" in str(zeta.value)
+    assert equivariant_torsion_report(spec, 1e-3).value > 0.0
+
+
 def test_direct_zeta_matches_engine_on_complete_spectrum():
     for sign in (1, -1):
         zeta0, zeta_prime0 = direct_zeta(SYNTH, sign)
@@ -134,29 +153,6 @@ def test_scaling_law():
             assert abs(zc.zeta_at_0 - z0.zeta_at_0) < 1e-8
             want = z0.zeta_prime_at_0 - math.log(c) * z0.zeta_at_0
             assert abs(zc.zeta_prime_at_0 - want) < 1e-7
-
-
-def test_union_is_additive():
-    sphere = round_sphere_spectrum(l_max=200)
-    torus = flat_torus_spectrum(I2, character=(1, 0), cutoff=900.0)
-    both = sphere.union(torus)
-    for sign in (1, -1):
-        zs = zeta_signed(sphere, sign, TOL)
-        zt = zeta_signed(torus, sign, TOL)
-        zu = zeta_signed(both, sign, TOL)
-        assert abs(zu.zeta_at_0 - (zs.zeta_at_0 + zt.zeta_at_0)) < 1e-7
-        assert abs(
-            zu.zeta_prime_at_0 - (zs.zeta_prime_at_0 + zt.zeta_prime_at_0)
-        ) < 1e-6
-
-
-def test_union_rejects_mismatched_kinds():
-    free = round_sphere_spectrum(l_max=30)
-    pinned = flat_torus_spectrum(I2, character=(0, 0), cutoff=30.0)
-    with pytest.raises(ConsistencyError):
-        free.union(pinned)
-    with pytest.raises(ConsistencyError):
-        free.union(SYNTH)
 
 
 def test_dolbeault_identities_are_exact():
@@ -238,16 +234,16 @@ def test_neutral_curve_leaves_tau_at_inverse_square():
 
 
 def test_curve_determinant_is_the_plus_sector_determinant():
+    pinned = flat_torus_spectrum(I2, character=(0, 0), cutoff=900.0)
     for curve in (
         round_sphere_curve(radius=1.3, l_max=300),
         flat_torus_curve(((2, 1), (1, 3)), cutoff=500.0),
     ):
         spec = curve.spectrum
         plus = zeta_signed(spec, +1, TOL)
-        value = math.exp(-plus.zeta_prime_at_0)
-        assert curve_determinant_report(spec, TOL) == (
-            value,
-            value * plus.error_estimate,
+        tau = tau_iota(pinned, (curve,), TOL)
+        assert tau.curve_factors == (
+            curve.volume / math.exp(-plus.zeta_prime_at_0),
         )
         # the plus sector continues with the straight model itself
         straight = spec.tail.straight_model()
