@@ -26,6 +26,24 @@ Reductions over eigenvalue entries run in fixed-size chunks in ascending
 order and the chunk partials are combined with math.fsum, so results are
 deterministic and compensated no matter how entries are batched.
 
+All sectors of one spectrum (one weight row each) are continued in one
+call. They share E1 of the eigenvalues, the split candidates (which depend
+only on the cutoff, the bound model and the target), and every chunk's
+exp(-lambda t) block; each sector reduces a block with its own 1-d
+`w @ block` of the block's own shape, so it gets the bits it gets when
+continued alone. Each sector still picks its own split, and theta is
+evaluated once per distinct panel of the sectors' panels.
+
+Only the live prefix of a block is evaluated. exp(-x) rounds to exactly
+0.0 for every x >= 746, since e^-746 is below half the least subnormal
+2^-1074, and the eigenvalues ascend; so every row with lambda >=
+750 / min(ts) is exactly zero (750 leaves room for the rounding of that
+quotient and of the products lambda t). Those rows are left as the zeros
+of the block instead of being computed, so the block, and the reduction
+over it, are the ones a full evaluation gives. Chunks wholly past the
+prefix contribute exactly zero and are skipped, which leaves the fsum of
+the partials unchanged.
+
 E1 is computed here rather than imported: it is the only special function
 the continuation needs, and importing scipy.special would more than double
 the start-up time of every command. `exp1` follows the E1XB routine of
@@ -51,6 +69,7 @@ from .errors import AccuracyError, InputError
 
 DEFAULT_TARGET = 1e-8
 _CHUNK = 4096
+_DEAD = 750.0  # exp(-x) is exactly 0.0 for every x >= 746
 _GL32 = np.polynomial.legendre.leggauss(32)
 _GL16 = np.polynomial.legendre.leggauss(16)
 
@@ -150,15 +169,30 @@ def exp1(lams) -> np.ndarray:
 
 
 def _theta_at(lams, weights, kernel_weight, ts):
-    """theta(t) for an array of t values, chunked over entries."""
+    """theta(t) of every sector at an array of t values, shape
+    (sectors, ts): one row of `weights` and one `kernel_weight` a sector.
+
+    Each chunk's exp(-lambda t) block is computed once and reduced by every
+    sector with its own 1-d `w @ block`. Only the live prefix of the block
+    is evaluated (see the module docstring); the rest stays 0.0, so the
+    block has the shape, and the reduction the bits, of a full one.
+    """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    parts = [[] for _ in range(ts.size)]
-    for i in range(0, lams.size, _CHUNK):
-        block = np.exp(-np.outer(lams[i : i + _CHUNK], ts))
-        sums = weights[i : i + _CHUNK] @ block
-        for k in range(ts.size):
-            parts[k].append(float(sums[k]))
-    return np.array([kernel_weight + math.fsum(p) for p in parts])
+    live = int(np.searchsorted(lams, _DEAD / ts.min()))
+    partials = []
+    for i in range(0, live, _CHUNK):
+        block = np.zeros((min(_CHUNK, lams.size - i), ts.size))
+        p = min(len(block), live - i)
+        np.exp(-np.outer(lams[i : i + p], ts), out=block[:p])
+        partials.append([w[i : i + len(block)] @ block for w in weights])
+    sums = np.array(partials).reshape(-1, len(weights), ts.size)
+    kernel = np.asarray(kernel_weight, dtype=float)[:, None]
+    if len(sums) == 1:
+        # the fsum of one partial is that partial
+        return kernel + sums[0]
+    return kernel + np.array(
+        [[math.fsum(p) for p in row] for row in sums.transpose(1, 2, 0).tolist()]
+    )
 
 
 def _panel_edges(delta: float) -> list[tuple[float, float]]:
@@ -174,15 +208,22 @@ def _gauss_on(a, b, rule):
     return x, 0.5 * (b - a) * wts
 
 
-def _integrate_panels(f, panels):
+def _panel_nodes(a, b):
+    """The 32 + 16 Gauss-Legendre nodes of [a, b] and both weight sets."""
+    x32, w32 = _gauss_on(a, b, _GL32)
+    x16, w16 = _gauss_on(a, b, _GL16)
+    return np.concatenate([x32, x16]), w32, w16
+
+
+def _integrate_panels(f, panels, nodes):
     """Composite 32-node Gauss-Legendre with an embedded 16-node error
-    estimate. `f` maps an array of t to an array of integrand values."""
+    estimate. `f(panel, ts)` gives the integrand at the panel's nodes
+    `ts`; `nodes` maps each panel to its _panel_nodes."""
     total = []
     err = 0.0
-    for a, b in panels:
-        x32, w32 = _gauss_on(a, b, _GL32)
-        x16, w16 = _gauss_on(a, b, _GL16)
-        y = f(np.concatenate([x32, x16]))
+    for panel in panels:
+        ts, w32, w16 = nodes[panel]
+        y = f(panel, ts)
         i32 = float(w32 @ y[:32])
         i16 = float(w16 @ y[32:])
         total.append(i32)
@@ -193,77 +234,58 @@ def _integrate_panels(f, panels):
 def continue_trace(
     lams,
     weights,
-    kernel_weight: float,
-    model: TraceModel,
+    kernel_weights,
+    models,
     bound_model: TraceModel,
     cutoff: float,
     target: float = DEFAULT_TARGET,
-) -> ContinuationResult:
-    """Continue zeta(s) = sum w_i lambda_i^{-s} to s = 0 and differentiate.
+) -> list:
+    """Continue each sector's zeta(s) = sum w_i lambda_i^{-s} to s = 0 and
+    differentiate.
 
-    `model` declares the t -> 0 behaviour of the full trace (kernel
-    included) in the sector being continued; `bound_model` is a nonnegative
-    model dominating the absolute trace, used only for truncation bounds.
-    An infinite `cutoff` asserts the entries are the entire spectrum, in
-    which case the model must be the matching constant and no splitting is
-    needed.
+    A sector is one row of `weights` (sectors x entries) with its
+    `kernel_weights` entry and its `models` entry, which declares the t -> 0
+    behaviour of that sector's full trace (kernel included). `bound_model`
+    is a nonnegative model dominating the absolute trace of every sector,
+    used only for truncation bounds. An infinite `cutoff` asserts the
+    entries are the entire spectrum, in which case each model must be the
+    matching constant and no splitting is needed.
+
+    Returns one item per sector: its ContinuationResult, or the
+    AccuracyError it refuses with when no split point meets `target`, so
+    one sector's miss does not stop the others.
     """
     lams = np.asarray(lams, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if lams.shape != weights.shape or lams.ndim != 1:
-        raise InputError("eigenvalues and weights must be 1-d and aligned")
+    weights = np.ascontiguousarray(weights, dtype=float)
+    kernel_weights = [float(k) for k in kernel_weights]
+    models = list(models)
+    if (
+        lams.ndim != 1
+        or weights.ndim != 2
+        or weights.shape[1:] != lams.shape
+        or not len(weights) == len(kernel_weights) == len(models)
+    ):
+        raise InputError(
+            "eigenvalues must be 1-d, with one aligned weight row, kernel"
+            " weight and model per sector"
+        )
     if lams.size and (np.any(lams <= 0.0) or np.any(np.diff(lams) < 0)):
         raise InputError("eigenvalues must be positive and ascending")
 
-    zeta0 = model.coeff_at_zero() - kernel_weight
-    scale = max(
-        1.0,
-        abs(kernel_weight),
-        float(np.max(np.abs(weights))) if weights.size else 0.0,
-    )
-
-    b_term = ordered_chunk_sum(weights * exp1(lams))
-    pole = model.pole_part()
-
+    e1 = exp1(lams)
+    # per sector: (weights, kernel weight, model, zeta(0), b term, pole part)
+    sectors = [
+        (w, k, m, m.coeff_at_zero() - k, ordered_chunk_sum(w * e1), m.pole_part())
+        for w, k, m in zip(weights, kernel_weights, models)
+    ]
     if cutoff == math.inf:
-        const = model.coeff_at_zero()
-        mismatch = abs(const - (kernel_weight + ordered_chunk_sum(weights)))
-        if mismatch > 1e-9 * scale * max(1.0, lams.size):
-            raise InputError(
-                "complete spectrum disagrees with its constant heat model"
-                " (mismatch %.3e)" % mismatch
-            )
-
-        def integrand(ts):
-            out = np.zeros_like(ts)
-            for i in range(0, lams.size, _CHUNK):
-                block = np.expm1(-np.outer(lams[i : i + _CHUNK], ts))
-                out = out + weights[i : i + _CHUNK] @ block
-            return out / ts
-
-        lead = min(0.5, 4.0 / float(lams[-1])) if lams.size else 0.5
-        panels = [(0.0, lead)] + _panel_edges(lead)
-        r_term, quad_err = _integrate_panels(integrand, panels)
-        err = quad_err + mismatch + 1e-14 * (abs(zeta0) + abs(b_term) + 1.0)
-        zp = np.euler_gamma * zeta0 + pole + r_term + b_term
-        return ContinuationResult(zeta0, zp, err, 0.0)
-
+        return _continue_complete(lams, weights, sectors)
     if not cutoff > 0.0:
         raise InputError("a truncated spectrum needs a positive finite cutoff")
     abs_bound = bound_model.abs_model()
 
     def trunc_bound(t):
         return 2.0 * np.exp(-0.5 * cutoff * t) * abs_bound(t / 2.0)
-
-    def below_estimate(delta: float) -> float:
-        theta = _theta_at(lams, weights, kernel_weight, [delta, delta / 2.0])
-        dev1 = abs(float(theta[0]) - float(model(delta)))
-        dev2 = abs(float(theta[1]) - float(model(delta / 2.0)))
-        tall = float(trunc_bound(delta))
-        if math.isinf(model.next_exponent):
-            return dev1 + dev2 + tall
-        q = model.next_exponent
-        return max(dev1, dev2 * 2.0**q) / q + tall / max(q, 1.0)
 
     grid = 0.5 * 2.0 ** (-0.25 * np.arange(121))
     tvals = trunc_bound(grid)
@@ -272,42 +294,114 @@ def continue_trace(
     if len(candidates) > 24:
         idx = np.linspace(0, len(candidates) - 1, 24).astype(int)
         candidates = [candidates[i] for i in idx]
+    # each model at every split point delta and at delta / 2
+    at_grid = [(m(grid), m(grid / 2.0)) for _, _, m, _, _, _ in sectors]
 
-    def split_estimate(i: int) -> tuple[float, float]:
-        """(search estimate, below-split part) of the split at grid[i]."""
-        delta = float(grid[i])
-        below = below_estimate(delta)
-        return below + float(tvals[i]) * (math.log(1.0 / delta) + 1.0), below
+    def split_estimates(points, rows) -> dict:
+        """(search estimate, below-split part) of the split at grid[i], for
+        each i of `points` and each sector of `rows`: {(i, sector): ...}."""
+        out = {}
+        w, k = weights[rows], [kernel_weights[s] for s in rows]
+        for i in points if rows else ():
+            delta = float(grid[i])
+            theta = _theta_at(lams, w, k, [delta, delta / 2.0])
+            tall = float(tvals[i])
+            for s, (th1, th2) in zip(rows, theta.tolist()):
+                model = sectors[s][2]
+                dev1 = abs(th1 - float(at_grid[s][0][i]))
+                dev2 = abs(th2 - float(at_grid[s][1][i]))
+                if math.isinf(model.next_exponent):
+                    below = dev1 + dev2 + tall
+                else:
+                    q = model.next_exponent
+                    below = max(dev1, dev2 * 2.0**q) / q + tall / max(q, 1.0)
+                est = below + tall * (math.log(1.0 / delta) + 1.0)
+                out[i, s] = (est, below)
+        return out
 
-    estimates = {i: split_estimate(i) for i in candidates}
-    best = min(candidates, key=lambda i: estimates[i][0])
-    delta = float(grid[best])
-    est, below = estimates[best]
-    if est > target:
-        # the least estimate over the whole grid, whatever the target
-        achievable = min(
-            (estimates[i] if i in estimates else split_estimate(i))[0]
-            for i in range(grid.size)
-        )
-        raise AccuracyError(
+    every = list(range(len(sectors)))
+    estimates = split_estimates(candidates, every)
+    best = [min(candidates, key=lambda i: estimates[i, s][0]) for s in every]
+    missed = [s for s in every if estimates[best[s], s][0] > target]
+    # a missed sector refuses with its least estimate over the whole grid,
+    # whatever the target
+    rest = sorted(set(range(grid.size)) - set(candidates))
+    estimates.update(split_estimates(rest, missed))
+    results = {}
+    for s in missed:
+        achievable = min(estimates[i, s][0] for i in range(grid.size))
+        results[s] = AccuracyError(
             "requested tolerance %.3e is not reachable with cutoff %.6g"
             " (achievable about %.3e); extend the spectrum or relax --tol"
             % (target, cutoff, achievable),
             achievable=achievable,
         )
 
-    def integrand(ts):
-        return (_theta_at(lams, weights, kernel_weight, ts) - model(ts)) / ts
+    # theta once per distinct panel, for the sectors integrating over it
+    panels = {s: _panel_edges(float(grid[best[s]])) for s in every if s not in results}
+    users: dict = {}
+    for s, ps in panels.items():
+        for panel in ps:
+            users.setdefault(panel, []).append(s)
+    nodes = {panel: _panel_nodes(*panel) for panel in users}
+    theta = {}
+    for panel, rows in users.items():
+        values = _theta_at(
+            lams, weights[rows], [kernel_weights[s] for s in rows], nodes[panel][0]
+        )
+        theta.update(((panel, s), v) for s, v in zip(rows, values))
+    trunc = {panel: trunc_bound(ts) / ts for panel, (ts, _, _) in nodes.items()}
 
-    panels = _panel_edges(delta)
-    r_term, quad_err = _integrate_panels(integrand, panels)
-    trunc_r, _ = _integrate_panels(lambda ts: trunc_bound(ts) / ts, panels)
-    err = (
-        below
-        + abs(trunc_r)
-        + float(trunc_bound(1.0))
-        + quad_err
-        + 1e-14 * (abs(zeta0) + abs(pole) + abs(r_term) + abs(b_term) + 1.0)
-    )
-    zp = np.euler_gamma * zeta0 + pole + r_term + b_term
-    return ContinuationResult(zeta0, zp, err, delta)
+    for s, ps in panels.items():
+        _, _, model, zeta0, b_term, pole = sectors[s]
+        delta = float(grid[best[s]])
+        below = estimates[best[s], s][1]
+        r_term, quad_err = _integrate_panels(
+            lambda panel, ts: (theta[panel, s] - model(ts)) / ts, ps, nodes
+        )
+        trunc_r, _ = _integrate_panels(lambda panel, ts: trunc[panel], ps, nodes)
+        err = (
+            below
+            + abs(trunc_r)
+            + float(trunc_bound(1.0))
+            + quad_err
+            + 1e-14 * (abs(zeta0) + abs(pole) + abs(r_term) + abs(b_term) + 1.0)
+        )
+        zp = np.euler_gamma * zeta0 + pole + r_term + b_term
+        results[s] = ContinuationResult(zeta0, zp, err, delta)
+    return [results[s] for s in every]
+
+
+def _continue_complete(lams, weights, sectors) -> list:
+    """The sectors of a complete spectrum: no split, the whole trace minus
+    its constant integrated from 0, one expm1 block per chunk and panel."""
+    mismatches = []
+    for w, k, m, _, _, _ in sectors:
+        scale = max(1.0, abs(k), float(np.max(np.abs(w))) if w.size else 0.0)
+        mismatch = abs(m.coeff_at_zero() - (k + ordered_chunk_sum(w)))
+        if mismatch > 1e-9 * scale * max(1.0, lams.size):
+            raise InputError(
+                "complete spectrum disagrees with its constant heat model"
+                " (mismatch %.3e)" % mismatch
+            )
+        mismatches.append(mismatch)
+    lead = min(0.5, 4.0 / float(lams[-1])) if lams.size else 0.5
+    panels = [(0.0, lead)] + _panel_edges(lead)
+    nodes = {panel: _panel_nodes(*panel) for panel in panels}
+    values = {}
+    for panel, (ts, _, _) in nodes.items():
+        out = [np.zeros_like(ts) for _ in weights]
+        for i in range(0, lams.size, _CHUNK):
+            block = np.expm1(-np.outer(lams[i : i + _CHUNK], ts))
+            out = [o + w[i : i + _CHUNK] @ block for o, w in zip(out, weights)]
+        values.update(((panel, s), o / ts) for s, o in enumerate(out))
+    results = []
+    for s, (_, _, _, zeta0, b_term, pole) in enumerate(sectors):
+        r_term, quad_err = _integrate_panels(
+            lambda panel, ts: values[panel, s], panels, nodes
+        )
+        mismatch = mismatches[s]
+        err = quad_err + mismatch + 1e-14 * (abs(zeta0) + abs(b_term) + 1.0)
+        zp = np.euler_gamma * zeta0 + pole + r_term + b_term
+        results.append(ContinuationResult(zeta0, zp, err, 0.0))
+    return results

@@ -83,14 +83,12 @@ def round_sphere_spectrum(
     if l_max < 2:
         raise InputError("l_max must be at least 2")
     two_r2 = 2.0 * r * r
-    entries = []
-    for l in range(1, l_max + 1):
-        lam = l * (l + 1) / two_r2
-        mult = 2 * l + 1
-        if antipodal and l % 2 == 1:
-            entries.append((lam, 0, mult))
-        else:
-            entries.append((lam, mult, 0))
+    l = np.arange(1, l_max + 1)
+    mult = 2 * l + 1
+    minus = (l % 2 == 1) & bool(antipodal)
+    entries = np.column_stack(
+        (l * (l + 1) / two_r2, np.where(minus, 0, mult), np.where(minus, mult, 0))
+    )
     cutoff = (l_max + 1) * (l_max + 2) / two_r2
     return EquivariantSpectrum(
         entries, (1, 0), _sphere_tail(two_r2, not antipodal), cutoff
@@ -106,10 +104,10 @@ def round_sphere_curve(
     return CurveComponent(4.0 * math.pi * float(radius) ** 2, spectrum)
 
 
-def _key_counts(adj, eps, bounds, top) -> list[tuple[int, int, int]]:
-    """(key, m_plus, m_minus) in ascending key order: the points m of the
-    box |m_i| <= bounds[i] with key = m^T adj m in (0, top], counted by the
-    sign eps.m mod 2 (m_plus for even)."""
+def _key_counts(adj, eps, bounds, top):
+    """(keys, counts): the ascending distinct keys = m^T adj m in (0, top]
+    of the points m of the box |m_i| <= bounds[i], and their (m_plus,
+    m_minus) counts by the sign eps.m mod 2 (m_plus for even)."""
     n = len(adj)
     # |adj @ m| and |key| both stay within reach
     reach = n * n * max(abs(a) for row in adj for a in row) * max(bounds) ** 2
@@ -138,7 +136,7 @@ def _key_counts(adj, eps, bounds, top) -> list[tuple[int, int, int]]:
     keys, where = np.unique(np.concatenate(keys), return_inverse=True)
     mults = np.zeros((len(keys), 2), dtype=np.int64)
     np.add.at(mults, (where, np.concatenate(signs)), np.concatenate(counts))
-    return [(k, mp, mm) for k, (mp, mm) in zip(keys.tolist(), mults.tolist())]
+    return keys, mults
 
 
 def flat_torus_spectrum(
@@ -210,15 +208,18 @@ def flat_torus_spectrum(
     # key <= top exactly when lambda <= cut; key = 0 only at m = 0
     cut_frac = Fraction(cut)
     top = cut_frac.numerator * 2 * det // cut_frac.denominator
-    entries = []
-    for key, mp, mm in _key_counts(adj, eps, bounds, top):
-        # true division of Python ints rounds correctly; keys above 2^53
-        # can still round to one float, and then their counts merge
-        lam = key / (2 * det)
-        if entries and entries[-1][0] == lam:
-            entries[-1] = (lam, entries[-1][1] + mp, entries[-1][2] + mm)
-        else:
-            entries.append((lam, mp, mm))
+    keys, mults = _key_counts(adj, eps, bounds, top)
+    if 2 * det < 2**53 and (keys.size == 0 or keys[-1] < 2**53):
+        # both exact as floats, so one division rounds correctly
+        lams = keys.astype(float) / float(2 * det)
+    else:
+        # true division of Python ints rounds correctly
+        lams = np.array([k / (2 * det) for k in keys.tolist()], dtype=float)
+    # keys above 2^53 can still round to one float; their counts merge
+    first = np.flatnonzero(np.diff(lams, prepend=-1.0))
+    if keys.size:
+        mults = np.add.reduceat(mults, first)
+    entries = np.column_stack((lams[first], mults))
 
     c0 = (2.0 * math.pi) ** (n / 2.0) * root_det
     straight = (c0,) + (0.0,) * (n + 8)

@@ -13,9 +13,13 @@ A spectrum has three sectors, each continued to s = 0 by the engine in
 twisted trace, weighted by m_plus - m_minus. `_sector` holds the one table
 from a sector to its continuation arguments, and every value below is
 arithmetic on the results of one runner, `_continue`, which continues
-each requested sector once. When sectors miss the tolerance the runner
-still finishes the others and refuses with the largest achievable bound,
-so a report's `achievable` covers all of its sectors.
+each requested sector once. The sectors of one spectrum are continued
+together, in one engine call that shares the heat-trace work between
+them and gives each the bits it would get alone. When sectors miss the
+tolerance the runner still finishes the others and refuses with the
+largest achievable bound, so a report's `achievable` covers all of its
+sectors; the refusal names that sector and its source, the spectrum or
+a curve, whose own cutoff it quotes.
 
   * zeta_signed        the plus/minus zeta functions at s = 0
   * dolbeault_zetas    the (0, q) combinations for q = 0, 1, 2 from the
@@ -135,43 +139,142 @@ def _fields(x, width: int, what: str) -> tuple:
     return x
 
 
-def _check_entries(entries):
-    out = []
-    prev = 0.0
-    for e in entries:
-        lam, mp, mm = _fields(e, 3, "spectrum entries")
-        lam = _finite(lam, "eigenvalue")
-        mp = _count(mp, "multiplicity")
-        mm = _count(mm, "multiplicity")
-        if lam <= 0.0:
-            raise InputError("eigenvalues must be positive")
-        if lam <= prev:
-            raise InputError("eigenvalues must be strictly ascending")
-        if mp + mm == 0:
-            raise InputError("multiplicities must not be all zero")
-        prev = lam
-        out.append((lam, mp, mm))
-    return tuple(out)
+def _first(mask) -> int:
+    """Index of the first True of `mask`, len(mask) when none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else len(mask)
 
 
-@dataclass(frozen=True)
+def _as_floats(values):
+    """(float64 column, mask of the values _finite refuses) of an array
+    column or a sequence of plain ints and floats; None otherwise."""
+    if isinstance(values, np.ndarray) or set(map(type, values)) <= {int, float}:
+        try:
+            col = np.asarray(values, dtype=float)
+        except OverflowError:  # an int past float range
+            return None
+        return col, ~np.isfinite(col)
+    return None
+
+
+def _as_counts(values):
+    """(int64 column, mask of the values _count refuses) of an array column
+    of integral floats in [0, 2^63) or a sequence of plain ints within
+    int64; None otherwise."""
+    if isinstance(values, np.ndarray):
+        whole = (values >= 0.0) & (values < 2.0**63) & (values == np.floor(values))
+        return (values.astype(np.int64), ~whole) if whole.all() else None
+    if set(map(type, values)) <= {int}:
+        try:
+            col = np.array(values, dtype=np.int64)
+        except OverflowError:
+            return None
+        return col, col < 0
+    return None
+
+
+def _column(values, check, what, vectorized, dtype):
+    """(column, refusal): `values` read by `check`, and (index, error) of
+    the first value it refuses or None, the column then holding at least
+    the values before it. `vectorized` reads the common cases with numpy;
+    the rest are read one by one into a `dtype` column, or into Python
+    ints (dtype object) for counts past int64."""
+    decided = vectorized(values)
+    if decided is not None:
+        col, refused = decided
+        i = _first(refused)
+        if i == len(col):
+            return col, None
+        try:
+            check(values[i], what)
+        except InputError as exc:
+            return col, (i, exc)
+    out, refusal = [], None
+    for i, v in enumerate(values):
+        try:
+            out.append(check(v, what))
+        except InputError as exc:
+            refusal = (i, exc)
+            break
+    try:
+        return np.array(out, dtype=dtype), refusal
+    except OverflowError:
+        return np.array(out, dtype=object), refusal
+
+
+def _entry_columns(entries):
+    """Eigenvalue, m_plus and m_minus columns of rows (lam, m_plus,
+    m_minus), given as a sequence or as one (n, 3) float array.
+
+    The refusal is that of the first row failing a check, and of its first
+    failing check in the order fields, eigenvalue, multiplicities, sign,
+    order, nonzero: the order in which a row reads.
+    """
+    failures = []  # (row, error, rank of the check)
+    if (
+        isinstance(entries, np.ndarray)
+        and entries.dtype == float
+        and entries.ndim == 2
+        and entries.shape[1] == 3
+    ):
+        columns = tuple(entries.T)
+    else:
+        rows = []
+        for e in entries:
+            try:
+                rows.append(_fields(e, 3, "spectrum entries"))
+            except InputError as exc:
+                failures.append((len(rows), exc, 0))
+                break
+        columns = tuple(zip(*rows)) if rows else ((), (), ())
+    read = (
+        _column(columns[0], _finite, "eigenvalue", _as_floats, float),
+        _column(columns[1], _count, "multiplicity", _as_counts, np.int64),
+        _column(columns[2], _count, "multiplicity", _as_counts, np.int64),
+    )
+    failures += [(*bad, rank) for rank, (_, bad) in enumerate(read, 1) if bad]
+    # the value checks read the rows before the first refused field
+    n = min([f[0] for f in failures], default=len(read[0][0]))
+    lams, mp, mm = (col[:n] for col, _ in read)
+    for i, rank, message in (
+        (_first(lams <= 0.0), 4, "eigenvalues must be positive"),
+        (
+            _first(lams[1:] <= lams[:-1]) + 1,
+            5,
+            "eigenvalues must be strictly ascending",
+        ),
+        (_first((mp == 0) & (mm == 0)), 6, "multiplicities must not be all zero"),
+    ):
+        if i < n:
+            failures.append((i, InputError(message), rank))
+    if failures:
+        raise min(failures, key=lambda f: (f[0], f[2]))[1]
+    return tuple(np.array(c) for c in (lams, mp, mm))
+
+
+@dataclass(frozen=True, eq=False)
 class EquivariantSpectrum:
-    """Eigenvalues with signed multiplicities, kernel dims, tail, cutoff."""
+    """Eigenvalues with signed multiplicities, kernel dims, tail, cutoff.
 
-    entries: tuple[tuple[float, int, int], ...]
+    The entries are held as three read-only columns: the ascending float64
+    eigenvalues and the int64 m_plus and m_minus counts (Python ints,
+    dtype object, past int64). They are given as rows (lam, m_plus,
+    m_minus), in a sequence or, as the models build them, in one (n, 3)
+    float array, and checked with numpy either way.
+    """
+
     kernel: tuple[int, int]
     tail: HeatTail
     cutoff: float
 
     def __init__(self, entries, kernel, tail, cutoff=math.inf):
-        ent = _check_entries(entries)
+        lams, mp, mm = _entry_columns(entries)
         k = tuple(_count(n, "kernel dimension") for n in _fields(kernel, 2, "kernel"))
         if not isinstance(tail, HeatTail):
             raise InputError("tail must be a HeatTail")
+        plus, minus = sum(mp.tolist()), sum(mm.tolist())
         # a float-range total also keeps every heat-trace sum finite
-        total = _count(
-            k[0] + k[1] + sum(mp + mm for _, mp, mm in ent), "total state count"
-        )
+        total = _count(k[0] + k[1] + plus + minus, "total state count")
         if tail.dim == 0:
             cut = math.inf
             scale = _REL * max(1.0, total)
@@ -182,7 +285,7 @@ class EquivariantSpectrum:
                 )
             # a free tail declares a vanishing twisted trace
             twisted = 0.0 if tail.free else tail.twisted[0]
-            signed = k[0] - k[1] + sum(mp - mm for _, mp, mm in ent)
+            signed = k[0] - k[1] + plus - minus
             if abs(twisted - signed) > scale:
                 note = " (a free tail declares 0)" if tail.free else ""
                 raise InputError(
@@ -193,41 +296,39 @@ class EquivariantSpectrum:
             cut = _finite(cutoff, "a truncated spectrum's cutoff")
             if cut <= 0.0:
                 raise InputError("a truncated spectrum needs a positive cutoff")
-            if ent and ent[-1][0] > cut:
+            if lams.size and lams[-1] > cut:
                 raise InputError("entries extend beyond the declared cutoff")
-        object.__setattr__(self, "entries", ent)
+        for col in (lams, mp, mm):
+            col.flags.writeable = False
+        object.__setattr__(self, "_columns", (lams, mp, mm))
         object.__setattr__(self, "kernel", k)
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "cutoff", cut)
+
+    def __eq__(self, other):
+        if not isinstance(other, EquivariantSpectrum):
+            return NotImplemented
+        return (self.kernel, self.tail, self.cutoff, self.entries) == (
+            other.kernel,
+            other.tail,
+            other.cutoff,
+            other.entries,
+        )
+
+    @property
+    def entries(self) -> tuple[tuple[float, int, int], ...]:
+        """The rows (lam, m_plus, m_minus), built from the columns."""
+        return tuple(zip(*(c.tolist() for c in self._columns)))
 
     @property
     def complete(self) -> bool:
         return self.tail.dim == 0
 
     def lambdas(self) -> np.ndarray:
-        return np.array([lam for lam, _, _ in self.entries], dtype=float)
+        return self._columns[0]
 
     def mults(self, sign: int) -> np.ndarray:
-        col = 1 if sign > 0 else 2
-        return np.array([e[col] for e in self.entries], dtype=float)
-
-    def scaled(self, c: float) -> "EquivariantSpectrum":
-        """The spectrum of c * Laplacian: eigenvalues, cutoff, and tail
-        coefficients all transform (theta_c(t) = theta(c t))."""
-        c = float(c)
-        if c <= 0.0:
-            raise InputError("scale factor must be positive")
-        n = self.tail.dim
-        ent = [(lam * c, mp, mm) for lam, mp, mm in self.entries]
-        st = tuple(
-            coef * c ** ((j - n) / 2.0) for j, coef in enumerate(self.tail.straight)
-        )
-        tw = self.tail.twisted
-        if tw is not None:
-            tw = tuple(coef * c ** ((j - n) / 2.0) for j, coef in enumerate(tw))
-        return EquivariantSpectrum(
-            ent, self.kernel, HeatTail(n, st, tw), self.cutoff * c
-        )
+        return self._columns[1 if sign > 0 else 2].astype(float)
 
 
 @dataclass(frozen=True)
@@ -246,7 +347,7 @@ class CurveComponent:
             raise InputError("curve component needs an EquivariantSpectrum")
         if (
             spectrum.kernel[1]
-            or any(mm for _, _, mm in spectrum.entries)
+            or spectrum.mults(-1).any()
             or spectrum.tail.twisted != spectrum.tail.straight
         ):
             raise InputError(
@@ -293,6 +394,7 @@ class BorcherdsReport:
 
 
 _TWISTED = 0  # the sector of the twisted trace; +1 and -1 are the eigenspaces
+_SECTOR_NAMES = {1: "plus", -1: "minus", _TWISTED: "twisted"}
 
 
 def _sector(spectrum: EquivariantSpectrum, sector: int):
@@ -314,31 +416,34 @@ def _sector(spectrum: EquivariantSpectrum, sector: int):
     return spectrum.mults(sector), kernel, TraceModel.from_ladder(tail.dim, coeffs)
 
 
-def _continue(requests, tol: float) -> list[ContinuationResult]:
-    """Continue each (spectrum, sector) of `requests` once, in order.
+def _continue(requests, tol: float) -> list[list[ContinuationResult]]:
+    """Continue the sectors of each (source, spectrum, sectors) request,
+    all of one spectrum in one engine call, and return their results per
+    request.
 
     A sector that misses `tol` does not stop the rest: once all have run,
     the AccuracyError with the largest achievable bound is raised, so a
     report refuses with the figure of its worst sector, not of the first
-    one to miss.
+    one to miss. Its message names the sector and the source, the spectrum
+    or a curve, whose cutoff it quotes.
     """
     results, misses = [], []
-    for spectrum, sector in requests:
-        weights, kernel_weight, model = _sector(spectrum, sector)
-        try:
-            results.append(
-                continue_trace(
-                    spectrum.lambdas(),
-                    weights,
-                    kernel_weight,
-                    model,
-                    spectrum.tail.straight_model(),
-                    spectrum.cutoff,
-                    target=tol,
-                )
-            )
-        except AccuracyError as exc:
-            misses.append(exc)
+    for source, spectrum, sectors in requests:
+        weights, kernels, models = zip(*(_sector(spectrum, s) for s in sectors))
+        out = continue_trace(
+            spectrum.lambdas(),
+            np.array(weights),
+            kernels,
+            models,
+            spectrum.tail.straight_model(),
+            spectrum.cutoff,
+            target=tol,
+        )
+        for sector, r in zip(sectors, out):
+            if isinstance(r, AccuracyError):
+                where = "%s sector of %s" % (_SECTOR_NAMES[sector], source)
+                misses.append(AccuracyError("%s: %s" % (where, r), r.achievable))
+        results.append(out)
     if misses:
         raise max(misses, key=lambda exc: exc.achievable)
     return results
@@ -375,7 +480,7 @@ def zeta_signed(
     continued to s = 0."""
     if sign not in (1, -1):
         raise InputError("sign must be +1 or -1")
-    return _continue([(spectrum, sign)], tol)[0]
+    return _continue([("the spectrum", spectrum, (sign,))], tol)[0][0]
 
 
 def dolbeault_zetas(
@@ -383,7 +488,7 @@ def dolbeault_zetas(
 ) -> tuple[ContinuationResult, ContinuationResult, ContinuationResult]:
     """The (0, q) zeta combinations for q = 0, 1, 2, from the one
     continuation of the twisted sector."""
-    return _dolbeault(*_continue([(spectrum, _TWISTED)], tol))
+    return _dolbeault(*_continue([("the spectrum", spectrum, (_TWISTED,))], tol)[0])
 
 
 def dolbeault_zeta(
@@ -398,8 +503,8 @@ def dolbeault_zeta(
 def zeta_values(spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET):
     """(plus, minus, (q0, q1, q2)): both signed zetas and the Dolbeault
     triple, from one continuation of each of the three sectors."""
-    plus, minus, twisted = _continue(
-        [(spectrum, 1), (spectrum, -1), (spectrum, _TWISTED)], tol
+    [(plus, minus, twisted)] = _continue(
+        [("the spectrum", spectrum, (1, -1, _TWISTED))], tol
     )
     return plus, minus, _dolbeault(twisted)
 
@@ -407,7 +512,7 @@ def zeta_values(spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET):
 def equivariant_determinant_report(
     spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET
 ) -> DeterminantReport:
-    return _determinant(*_continue([(spectrum, 1), (spectrum, -1)], tol))
+    return _determinant(*_continue([("the spectrum", spectrum, (1, -1))], tol)[0])
 
 
 def equivariant_torsion_report(
@@ -450,9 +555,11 @@ def tau_iota(
                 "tail declares fixed curves (explicit twisted coefficients)"
                 " but no curve data was supplied"
             )
-    requests = [(spectrum, 1), (spectrum, -1)]
-    requests += [(comp.spectrum, 1) for comp in curves or ()]
-    plus, minus, *curve_zetas = _continue(requests, tol)
+    requests = [("the spectrum", spectrum, (1, -1))]
+    requests += [
+        ("curve %d" % k, comp.spectrum, (1,)) for k, comp in enumerate(curves or (), 1)
+    ]
+    (plus, minus), *curve_zetas = _continue(requests, tol)
     det = _determinant(plus, minus)
     log_tau = -2.0 * math.log(det.value)
     err_log = 2.0 * (plus.error_estimate + minus.error_estimate)
@@ -461,7 +568,7 @@ def tau_iota(
         # keep tau = det^-2 an identity of floats, not just of logs
         value = det.value**-2.0
     else:
-        for comp, res in zip(curves, curve_zetas):
+        for comp, (res,) in zip(curves, curve_zetas):
             dval = math.exp(-res.zeta_prime_at_0)
             derr = dval * res.error_estimate
             factors.append(comp.volume / dval)

@@ -283,6 +283,31 @@ def fd_sphere_eigenvalues(mode: int, count: int, n_grid: int = 1500):
 
 
 # ---------------------------------------------------------------------------
+# Rescaling: the spectrum of c * Laplacian, through the public constructors
+# of the spectrum's own types, for the scaling law
+# zeta_c(0) = zeta(0), zeta_c'(0) = zeta'(0) - log(c) zeta(0).
+# ---------------------------------------------------------------------------
+
+
+def scaled_spectrum(spectrum, c: float):
+    """theta_c(t) = theta(c t): eigenvalues and cutoff times c, and the tail
+    coefficient on t^((j - dim)/2) times c^((j - dim)/2)."""
+    tail = spectrum.tail
+
+    def ladder(coeffs):
+        if coeffs is None:
+            return None
+        return tuple(a * c ** ((j - tail.dim) / 2.0) for j, a in enumerate(coeffs))
+
+    return type(spectrum)(
+        [(lam * c, m_plus, m_minus) for lam, m_plus, m_minus in spectrum.entries],
+        spectrum.kernel,
+        type(tail)(tail.dim, ladder(tail.straight), ladder(tail.twisted)),
+        spectrum.cutoff * c,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Complete spectra: direct summation, the second route the Mellin engine
 # must agree with. Reads only the spectrum's entries.
 # ---------------------------------------------------------------------------

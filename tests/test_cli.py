@@ -13,7 +13,7 @@ from k3zeta.cli import main
 from k3zeta.errors import InputError
 from k3zeta.frames import HKFrame, random_compatible_frame, seed_compatible_frame
 from k3zeta.lattices import enriques_involution
-from k3zeta.models import flat_torus_spectrum
+from k3zeta.models import flat_torus_curve, flat_torus_spectrum
 from k3zeta.spectral import truncate_entries, zeta_signed
 
 I2 = ((1, 0), (0, 1))
@@ -394,3 +394,58 @@ def test_cli_never_loads_scipy():
     )
     assert done.stderr == "(0, False, False)"
     assert json.loads(done.stdout)["plus"]
+
+
+PRESETS = os.path.join(os.path.dirname(__file__), "data", "presets")
+
+
+@pytest.mark.parametrize(
+    "command, builtin",
+    [
+        ("lattice", "k3"),
+        ("involution", "enriques"),
+        ("zeta", "s2-antipodal"),
+        ("zeta", "t2-flat"),
+        ("tau", "s2-antipodal"),
+        ("tau", "t2-flat"),
+    ],
+)
+def test_preset_output_is_the_golden_bytes(capfd, command, builtin):
+    # tests/data/presets holds each preset's stdout, captured before the
+    # heat-trace and spectrum rewrite; a preset must print the same bytes
+    assert main([command, "--builtin", builtin]) == 0
+    with open(os.path.join(PRESETS, "%s-%s.out" % (command, builtin)), "rb") as fh:
+        assert capfd.readouterr().out.encode() == fh.read()
+
+
+@pytest.mark.parametrize(
+    "curve_cutoffs, message",
+    [
+        (
+            (30.0,),
+            "plus sector of curve 1: requested tolerance 1.000e-08 is not"
+            " reachable with cutoff 30 (achievable about 1.305e-01)",
+        ),
+        (
+            (300.0, 30.0),
+            "plus sector of curve 2: requested tolerance 1.000e-08 is not"
+            " reachable with cutoff 30 (achievable about 1.305e-01)",
+        ),
+        (
+            (300.0,),
+            "plus sector of the spectrum: requested tolerance 1.000e-08 is not"
+            " reachable with cutoff 40 (achievable about 2.257e-02)",
+        ),
+    ],
+)
+def test_tau_refusal_names_its_source(tmp_path, capsys, curve_cutoffs, message):
+    # the spectrum declares cutoff 40; the refusal quotes the cutoff of the
+    # input whose sector missed, and says which input that is
+    spectrum = flat_torus_spectrum(((2, 1), (1, 3)), None, 40.0)
+    curves = [flat_torus_curve(I2, cutoff) for cutoff in curve_cutoffs]
+    p, c = tmp_path / "p.json", tmp_path / "c.json"
+    p.write_text(jsonio.canonical_dumps(jsonio.encode_spectrum(spectrum)))
+    c.write_text(jsonio.canonical_dumps([jsonio.encode_curve(x) for x in curves]))
+    code, out, err = run(capsys, ["tau", "--spectrum", str(p), "--curves", str(c)])
+    assert (code, out) == (3, "")
+    assert err == "accuracy error: %s; extend the spectrum or relax --tol\n" % message

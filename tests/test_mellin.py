@@ -4,9 +4,20 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from k3zeta import mellin, spectral
 from k3zeta.errors import AccuracyError, InputError
 from k3zeta.mellin import TraceModel, continue_trace, exp1, ordered_chunk_sum
+from k3zeta.models import round_sphere_spectrum
+from k3zeta.spectral import EquivariantSpectrum, HeatTail
+
+
+def continue_one(lams, ws, kernel, model, bound, cutoff, target=1e-8):
+    """The one sector (ws, kernel, model) continued alone."""
+    [res] = continue_trace(lams, [ws], [kernel], [model], bound, cutoff, target)
+    return res
 
 
 def test_exp1_matches_scipy_bit_for_bit():
@@ -62,7 +73,7 @@ def test_complete_spectrum_is_summed_exactly():
     lams = np.array([0.5, 1.5, 4.0])
     ws = np.array([2.0, 1.0, 3.0])
     model = TraceModel.from_ladder(0, [ws.sum() + 1.0])
-    res = continue_trace(lams, ws, 1.0, model, model, math.inf)
+    res = continue_one(lams, ws, 1.0, model, model, math.inf)
     assert abs(res.zeta_at_0 - ws.sum()) < 1e-12
     direct = -float(ws @ np.log(lams))
     assert abs(res.zeta_prime_at_0 - direct) < 1e-12 * (1.0 + abs(direct))
@@ -74,13 +85,13 @@ def test_complete_spectrum_constant_mismatch_rejected():
     ws = np.array([1.0, 1.0])
     model = TraceModel.from_ladder(0, [5.0])  # should be 2 + kernel
     with pytest.raises(InputError):
-        continue_trace(lams, ws, 0.0, model, model, math.inf)
+        continue_one(lams, ws, 0.0, model, model, math.inf)
 
 
 def test_monotone_inputs_required():
     model = TraceModel.from_ladder(0, [2.0])
     with pytest.raises(InputError):
-        continue_trace(
+        continue_one(
             np.array([2.0, 1.0]),
             np.array([1.0, 1.0]),
             0.0,
@@ -95,7 +106,7 @@ def test_truncated_cutoff_must_be_positive(cutoff):
     # an infinite cutoff means a complete spectrum; any other must be > 0
     model = TraceModel.from_ladder(2, [1.0, 0.0, 0.3])
     with pytest.raises(InputError):
-        continue_trace(np.array([1.0]), np.array([1.0]), 0.0, model, model, cutoff)
+        continue_one(np.array([1.0]), np.array([1.0]), 0.0, model, model, cutoff)
 
 
 def test_unreachable_tolerance_reports_achievable():
@@ -103,10 +114,10 @@ def test_unreachable_tolerance_reports_achievable():
     lams = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     ws = np.ones(5)
     model = TraceModel.from_ladder(2, [1.0, 0.0, 0.3])
-    with pytest.raises(AccuracyError) as err:
-        continue_trace(lams, ws, 1.0, model, model, 5.0, target=1e-10)
-    assert err.value.achievable is not None
-    assert err.value.achievable > 1e-10
+    err = continue_one(lams, ws, 1.0, model, model, 5.0, target=1e-10)
+    assert isinstance(err, AccuracyError)
+    assert err.achievable is not None
+    assert err.achievable > 1e-10
 
 
 def test_truncated_continuation_value_and_determinism():
@@ -121,7 +132,7 @@ def test_truncated_continuation_value_and_determinism():
         2, [2.0, 0.0, 0.5, 0.0, 1.0 / 24.0, 0.0, 0.0, 0.0, -1.0 / 5760.0]
     )
     out = [
-        continue_trace(lams, ws, 1.0, model, model, 200.0, target=1e-6)
+        continue_one(lams, ws, 1.0, model, model, 200.0, target=1e-6)
         for _ in range(2)
     ]
     assert out[0].zeta_prime_at_0 == out[1].zeta_prime_at_0
@@ -129,3 +140,96 @@ def test_truncated_continuation_value_and_determinism():
     assert out[0].zeta_at_0 == -0.5
     exact = -0.5 * math.log(4.0 * math.pi)
     assert abs(out[0].zeta_prime_at_0 - exact) < max(out[0].error_estimate, 1e-9)
+
+
+def theta_reference(lams, w, kernel_weight, ts):
+    """theta(t) of one sector, one weight column: every chunk's full
+    exp(-lambda t) block, dead entries included."""
+    parts = [[] for _ in ts]
+    for i in range(0, lams.size, 4096):
+        sums = w[i : i + 4096] @ np.exp(-np.outer(lams[i : i + 4096], ts))
+        for k in range(len(ts)):
+            parts[k].append(float(sums[k]))
+    return np.array([kernel_weight + math.fsum(p) for p in parts])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    size=st.sampled_from([1, 4095, 4096, 4097, 8193]),
+    log_t=st.floats(-9.0, 0.0),
+    nodes=st.sampled_from([1, 2, 48]),
+    sectors=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_theta_at_is_the_full_block_bit_for_bit(size, log_t, nodes, sectors, seed):
+    rng = np.random.default_rng(seed)
+    ts = 10.0 ** rng.uniform(log_t, min(0.0, log_t + 1.0), nodes)
+    # eigenvalues on both sides of 746 / t for every t
+    edge = 746.0 / ts.min()
+    lams = np.sort(edge * 10.0 ** rng.uniform(-3.0, 1.0, size))
+    weights = rng.integers(-40, 41, (sectors, size)).astype(float)
+    weights[0] = rng.standard_normal(size)
+    kernel = rng.integers(-2, 3, sectors).astype(float)
+    got = mellin._theta_at(lams, weights, kernel, ts)
+    assert got.shape == (sectors, nodes)
+    for s in range(sectors):
+        want = theta_reference(lams, weights[s], float(kernel[s]), ts)
+        assert np.array_equal(got[s].view(np.uint64), want.view(np.uint64))
+
+
+def same(a, b) -> bool:
+    """The same continuation result, or the same refusal, bit for bit."""
+    if isinstance(a, AccuracyError):
+        return type(b) is AccuracyError and (str(a), a.achievable) == (
+            str(b),
+            b.achievable,
+        )
+    return a == b
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    radius=st.floats(0.5, 2.0, exclude_max=True),
+    l_max=st.integers(150, 2000),
+    antipodal=st.booleans(),
+    tol=st.sampled_from([1e-6, 1e-8, 1e-13, 1e-15]),
+)
+def test_sectors_continued_together_equal_each_alone(radius, l_max, antipodal, tol):
+    spectrum = round_sphere_spectrum(radius, antipodal, l_max)
+    rows = [spectral._sector(spectrum, s) for s in (1, -1, 0)]
+    lams, bound = spectrum.lambdas(), spectrum.tail.straight_model()
+    together = continue_trace(
+        lams, [w for w, _, _ in rows], [k for _, k, _ in rows],
+        [m for _, _, m in rows], bound, spectrum.cutoff, tol,
+    )
+    for (w, k, m), res in zip(rows, together):
+        assert same(res, continue_one(lams, w, k, m, bound, spectrum.cutoff, tol))
+
+
+def test_complete_sectors_continued_together_equal_each_alone():
+    spectrum = EquivariantSpectrum(
+        ((1.0, 2, 1), (2.0, 1, 0), (3.5, 4, 6)), (1, 0), HeatTail(0, (15.0,), (1.0,))
+    )
+    rows = [spectral._sector(spectrum, s) for s in (1, -1, 0)]
+    together = continue_trace(
+        spectrum.lambdas(), [w for w, _, _ in rows], [k for _, k, _ in rows],
+        [m for _, _, m in rows], rows[0][2], math.inf,
+    )
+    for (w, k, m), res in zip(rows, together):
+        assert res == continue_one(spectrum.lambdas(), w, k, m, m, math.inf)
+
+
+def test_sphere_torsion_shares_its_heat_trace_evaluations(monkeypatch):
+    calls = []
+    real = mellin._theta_at
+
+    def counting(lams, weights, kernel_weight, ts):
+        calls.append(len(weights))
+        return real(lams, weights, kernel_weight, ts)
+
+    monkeypatch.setattr(mellin, "_theta_at", counting)
+    spectrum = round_sphere_spectrum(1.0, True, 2000)
+    spectral.equivariant_torsion_report(spectrum, 1e-8)
+    # 24 shared split candidates and the union of the three sectors' panels;
+    # 87 calls, one sector each, before the sectors were continued together
+    assert len(calls) <= 35

@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 
 from k3zeta import cli, jsonio, spectral
@@ -23,7 +25,7 @@ from k3zeta.spectral import (
     zeta_signed,
 )
 
-from oracles import direct_zeta
+from oracles import direct_zeta, scaled_spectrum
 
 I2 = ((1, 0), (0, 1))
 TOL = 1e-8
@@ -146,7 +148,7 @@ def test_direct_zeta_matches_engine_on_complete_spectrum():
 def test_scaling_law():
     base = round_sphere_spectrum(l_max=200)
     for c in (2.0, 10.0):
-        scaled = base.scaled(c)
+        scaled = scaled_spectrum(base, c)
         for sign in (1, -1):
             z0 = zeta_signed(base, sign, TOL)
             zc = zeta_signed(scaled, sign, TOL)
@@ -173,24 +175,29 @@ def test_dolbeault_identities_are_exact():
 
 
 def test_each_distinct_continuation_runs_once(monkeypatch, capsys):
+    # one engine call per spectrum, with one weight row per distinct sector
     calls = []
     real = spectral.continue_trace
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(len(args[1]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "continue_trace", counting)
     spectrum = round_sphere_spectrum(l_max=300)
     equivariant_torsion_report(spectrum, TOL)
-    assert len(calls) == 3
+    assert calls == [3]
     del calls[:]
     assert cli.main(["zeta", "--builtin", "s2-antipodal"]) == 0
     assert capsys.readouterr().out
-    assert len(calls) == 3
+    assert calls == [3]
     del calls[:]
     dolbeault_zeta(spectrum, 1, TOL)
-    assert len(calls) == 1
+    assert calls == [1]
+    del calls[:]
+    pinned = flat_torus_spectrum(I2, character=(0, 0), cutoff=300.0)
+    tau_iota(pinned, (round_sphere_curve(l_max=300),), TOL)
+    assert calls == [2, 1]
 
 def test_torsion_residual_is_small():
     for spectrum in (
@@ -247,11 +254,11 @@ def test_curve_determinant_is_the_plus_sector_determinant():
         )
         # the plus sector continues with the straight model itself
         straight = spec.tail.straight_model()
-        res = spectral.continue_trace(
+        [res] = spectral.continue_trace(
             spec.lambdas(),
-            spec.mults(1),
-            float(spec.kernel[0]),
-            straight,
+            [spec.mults(1)],
+            [float(spec.kernel[0])],
+            [straight],
             straight,
             spec.cutoff,
             target=TOL,
@@ -321,3 +328,95 @@ def test_truncate_entries():
         truncate_entries(spectrum, 0)
     with pytest.raises(InputError):
         truncate_entries(SYNTH, 1)
+
+
+_BIG = 10**400  # past float range
+_NAN, _INF = math.nan, math.inf
+_EIGENVALUE = "eigenvalue must be a finite number, not "
+_MULTIPLICITY = "multiplicity must be a nonnegative integer in float range, not "
+_POSITIVE = "eigenvalues must be positive"
+_ASCENDING = "eigenvalues must be strictly ascending"
+_NONZERO = "multiplicities must not be all zero"
+_FIELDS = "spectrum entries must have 3 fields"
+
+# entries, and the refusal the entry-by-entry check gave before the
+# entries were held as numpy columns: the first row failing a check, and
+# its first failing check in the order fields, eigenvalue, multiplicities,
+# sign, order, nonzero
+REFUSALS = {
+    "eigenvalue-bool": ([[True, 1, 0]], _EIGENVALUE + "True"),
+    "multiplicity-bool": ([[1.0, True, 0]], _MULTIPLICITY + "True"),
+    "eigenvalue-string": ([["0.5", 1, 0]], _EIGENVALUE + "'0.5'"),
+    "multiplicity-string": ([[1.0, 1, "3"]], _MULTIPLICITY + "'3'"),
+    "eigenvalue-nan": ([[1.0, 1, 0], [_NAN, 1, 0]], _EIGENVALUE + "nan"),
+    "eigenvalue-inf": ([[_INF, 1, 0]], _EIGENVALUE + "inf"),
+    "eigenvalue-minus-inf": ([[-_INF, 1, 0]], _EIGENVALUE + "-inf"),
+    "eigenvalue-overflow": ([[_BIG, 1, 0]], _EIGENVALUE + str(_BIG)),
+    "multiplicity-overflow": ([[1.0, _BIG, 0]], _MULTIPLICITY + str(_BIG)),
+    "multiplicity-nan": ([[1.0, _NAN, 0]], _MULTIPLICITY + "nan"),
+    "multiplicity-inf": ([[1.0, 1, _INF]], _MULTIPLICITY + "inf"),
+    "eigenvalue-zero": ([[0.0, 1, 0]], _POSITIVE),
+    "eigenvalue-negative": ([[1.0, 1, 0], [-1.0, 1, 0]], _POSITIVE),
+    "not-ascending": ([[2.0, 1, 0], [1.0, 1, 0]], _ASCENDING),
+    "repeated": ([[1.0, 1, 0], [1.0, 2, 0]], _ASCENDING),
+    "multiplicity-fraction": ([[1.0, 1.5, 0]], _MULTIPLICITY + "1.5"),
+    "multiplicity-negative": ([[1.0, 2, -1]], _MULTIPLICITY + "-1"),
+    "multiplicities-zero": ([[1.0, 1, 0], [2.0, 0, 0]], _NONZERO),
+    "two-fields": ([[1.0, 1]], _FIELDS),
+    "four-fields": ([[1.0, 1, 0, 0]], _FIELDS),
+    "ragged": ([[1.0, 1, 0], [2.0, 1]], _FIELDS),
+    "not-a-row": ([[1.0, 1, 0], 2.0], _FIELDS),
+    "order-before-later-row": ([[2.0, 1, 0], [1.0, 1, 0], [3.0, 1.5, 0]], _ASCENDING),
+    "order-before-later-fields": ([[1.0, 1, 0], [0.5, 1, 0], [3.0]], _ASCENDING),
+    "eigenvalue-before-count": ([[1.0, 1, 0], [_NAN, -1, 0]], _EIGENVALUE + "nan"),
+    "multiplicity-before-order": ([[2.0, 1, 0], [1.0, 1.5, 0]], _MULTIPLICITY + "1.5"),
+    "eigenvalue-before-fields": ([[_NAN, 1, 0], [1.0]], _EIGENVALUE + "nan"),
+}
+_TRUNCATED_TAIL = {"dim": 2, "straight": [2.0, 0.0, 0.5], "twisted": "free"}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_spectrum_refusals_keep_their_messages(tmp_path, capsys, name):
+    entries, message = REFUSALS[name]
+    with pytest.raises(InputError) as exc:
+        EquivariantSpectrum(entries, (1, 0), HeatTail(2, (2.0, 0.0, 0.5)), 10.0)
+    assert str(exc.value) == message
+    path = tmp_path / "spectrum.json"
+    spectrum = {"entries": entries, "kernel": [1, 0], "tail": _TRUNCATED_TAIL}
+    # json writes NaN and Infinity, which it also reads
+    path.write_text(json.dumps({**spectrum, "cutoff": 10.0}))
+    assert cli.main(["zeta", "--spectrum", str(path)]) == 2
+    assert capsys.readouterr().err == "input error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[1.0, 1, 0], [_NAN, 1, 0]], _EIGENVALUE + "np.float64(nan)"),
+        ([[1.0, 1.5, 0]], _MULTIPLICITY + "np.float64(1.5)"),
+        ([[1.0, 1, 0], [2.0, -1, 0]], _MULTIPLICITY + "np.float64(-1.0)"),
+        ([[1.0, _INF, 0]], _MULTIPLICITY + "np.float64(inf)"),
+        ([[1.0, 0, 0]], _NONZERO),
+        ([[2.0, 1, 0], [1.0, 1, 0]], _ASCENDING),
+    ],
+)
+def test_entries_array_refusals_read_as_its_rows(entries, message):
+    # an (n, 3) float array is checked as its rows would be, one by one
+    tail = HeatTail(2, (2.0, 0.0, 0.5))
+    with pytest.raises(InputError) as exc:
+        EquivariantSpectrum(np.array(entries), (1, 0), tail, 10.0)
+    assert str(exc.value) == message
+
+
+def test_entries_are_held_as_columns():
+    rows = ((0.5, 2, 1), (1.5, 0, 3), (4.0, 2**70, 0))
+    spectrum = EquivariantSpectrum(rows, (1, 0), HeatTail(2, (2.0, 0.0, 0.5)), 10.0)
+    assert spectrum.entries == rows
+    assert spectrum.lambdas().tolist() == [0.5, 1.5, 4.0]
+    assert not spectrum.lambdas().flags.writeable
+    # counts past int64 stay exact
+    assert spectrum.mults(1).tolist() == [2.0, 0.0, float(2**70)]
+    assert spectrum == EquivariantSpectrum(list(rows), [1, 0], spectrum.tail, 10.0)
+    array = EquivariantSpectrum(np.array(rows[:2]), (1, 0), spectrum.tail, 10.0)
+    assert array.entries == rows[:2]
+    assert all(type(m) is int for _, mp, mm in array.entries for m in (mp, mm))
