@@ -139,117 +139,56 @@ def _fields(x, width: int, what: str) -> tuple:
     return x
 
 
-def _first(mask) -> int:
-    """Index of the first True of `mask`, len(mask) when none."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else len(mask)
-
-
-def _as_floats(values):
-    """(float64 column, mask of the values _finite refuses) of an array
-    column or a sequence of plain ints and floats; None otherwise."""
-    if isinstance(values, np.ndarray) or set(map(type, values)) <= {int, float}:
-        try:
-            col = np.asarray(values, dtype=float)
-        except OverflowError:  # an int past float range
-            return None
-        return col, ~np.isfinite(col)
-    return None
-
-
-def _as_counts(values):
-    """(int64 column, mask of the values _count refuses) of an array column
-    of integral floats in [0, 2^63) or a sequence of plain ints within
-    int64; None otherwise."""
-    if isinstance(values, np.ndarray):
-        whole = (values >= 0.0) & (values < 2.0**63) & (values == np.floor(values))
-        return (values.astype(np.int64), ~whole) if whole.all() else None
-    if set(map(type, values)) <= {int}:
-        try:
-            col = np.array(values, dtype=np.int64)
-        except OverflowError:
-            return None
-        return col, col < 0
-    return None
-
-
-def _column(values, check, what, vectorized, dtype):
-    """(column, refusal): `values` read by `check`, and (index, error) of
-    the first value it refuses or None, the column then holding at least
-    the values before it. `vectorized` reads the common cases with numpy;
-    the rest are read one by one into a `dtype` column, or into Python
-    ints (dtype object) for counts past int64."""
-    decided = vectorized(values)
-    if decided is not None:
-        col, refused = decided
-        i = _first(refused)
-        if i == len(col):
-            return col, None
-        try:
-            check(values[i], what)
-        except InputError as exc:
-            return col, (i, exc)
-    out, refusal = [], None
-    for i, v in enumerate(values):
-        try:
-            out.append(check(v, what))
-        except InputError as exc:
-            refusal = (i, exc)
-            break
-    try:
-        return np.array(out, dtype=dtype), refusal
-    except OverflowError:
-        return np.array(out, dtype=object), refusal
-
-
-def _entry_columns(entries):
+def _check_entries(entries):
     """Eigenvalue, m_plus and m_minus columns of rows (lam, m_plus,
     m_minus), given as a sequence or as one (n, 3) float array.
 
-    The refusal is that of the first row failing a check, and of its first
-    failing check in the order fields, eigenvalue, multiplicities, sign,
-    order, nonzero: the order in which a row reads.
+    An array is checked in one numpy pass; one that fails it (a row to
+    refuse, or a count past int64) is read row by row like a sequence, so
+    every refusal is that of the first row failing a check.
     """
-    failures = []  # (row, error, rank of the check)
     if (
         isinstance(entries, np.ndarray)
         and entries.dtype == float
         and entries.ndim == 2
         and entries.shape[1] == 3
     ):
-        columns = tuple(entries.T)
-    else:
-        rows = []
-        for e in entries:
-            try:
-                rows.append(_fields(e, 3, "spectrum entries"))
-            except InputError as exc:
-                failures.append((len(rows), exc, 0))
-                break
-        columns = tuple(zip(*rows)) if rows else ((), (), ())
-    read = (
-        _column(columns[0], _finite, "eigenvalue", _as_floats, float),
-        _column(columns[1], _count, "multiplicity", _as_counts, np.int64),
-        _column(columns[2], _count, "multiplicity", _as_counts, np.int64),
-    )
-    failures += [(*bad, rank) for rank, (_, bad) in enumerate(read, 1) if bad]
-    # the value checks read the rows before the first refused field
-    n = min([f[0] for f in failures], default=len(read[0][0]))
-    lams, mp, mm = (col[:n] for col, _ in read)
-    for i, rank, message in (
-        (_first(lams <= 0.0), 4, "eigenvalues must be positive"),
-        (
-            _first(lams[1:] <= lams[:-1]) + 1,
-            5,
-            "eigenvalues must be strictly ascending",
-        ),
-        (_first((mp == 0) & (mm == 0)), 6, "multiplicities must not be all zero"),
-    ):
-        if i < n:
-            failures.append((i, InputError(message), rank))
-    if failures:
-        raise min(failures, key=lambda f: (f[0], f[2]))[1]
-    return tuple(np.array(c) for c in (lams, mp, mm))
+        lams, counts = entries[:, 0], entries[:, 1:]
+        whole = (counts >= 0.0) & (counts < 2.0**63) & (counts == np.floor(counts))
+        if (
+            np.isfinite(lams).all()
+            and (lams > 0.0).all()
+            and (lams[1:] > lams[:-1]).all()
+            and whole.all()
+            and counts.any(axis=1).all()
+        ):
+            mp, mm = counts.T.astype(np.int64)
+            return np.array(lams), mp, mm
+    rows = []
+    prev = 0.0
+    for e in entries:
+        lam, mp, mm = _fields(e, 3, "spectrum entries")
+        lam = _finite(lam, "eigenvalue")
+        mp = _count(mp, "multiplicity")
+        mm = _count(mm, "multiplicity")
+        if lam <= 0.0:
+            raise InputError("eigenvalues must be positive")
+        if lam <= prev:
+            raise InputError("eigenvalues must be strictly ascending")
+        if mp + mm == 0:
+            raise InputError("multiplicities must not be all zero")
+        prev = lam
+        rows.append((lam, mp, mm))
+    lams = np.array([lam for lam, _, _ in rows], dtype=float)
+    return (lams, *(_counts([row[j] for row in rows]) for j in (1, 2)))
+
+
+def _counts(values: list[int]) -> np.ndarray:
+    """An int64 column, or Python ints (dtype object) past int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +199,7 @@ class EquivariantSpectrum:
     eigenvalues and the int64 m_plus and m_minus counts (Python ints,
     dtype object, past int64). They are given as rows (lam, m_plus,
     m_minus), in a sequence or, as the models build them, in one (n, 3)
-    float array, and checked with numpy either way.
+    float array.
     """
 
     kernel: tuple[int, int]
@@ -268,7 +207,7 @@ class EquivariantSpectrum:
     cutoff: float
 
     def __init__(self, entries, kernel, tail, cutoff=math.inf):
-        lams, mp, mm = _entry_columns(entries)
+        lams, mp, mm = _check_entries(entries)
         k = tuple(_count(n, "kernel dimension") for n in _fields(kernel, 2, "kernel"))
         if not isinstance(tail, HeatTail):
             raise InputError("tail must be a HeatTail")
@@ -308,11 +247,22 @@ class EquivariantSpectrum:
     def __eq__(self, other):
         if not isinstance(other, EquivariantSpectrum):
             return NotImplemented
-        return (self.kernel, self.tail, self.cutoff, self.entries) == (
+        return (self.kernel, self.tail, self.cutoff) == (
             other.kernel,
             other.tail,
             other.cutoff,
-            other.entries,
+        ) and all(map(np.array_equal, self._columns, other._columns))
+
+    def __hash__(self):
+        # equal spectra have equal eigenvalue columns, bit for bit (all > 0)
+        return hash((self.kernel, self.tail, self.cutoff, self.lambdas().tobytes()))
+
+    def __repr__(self):
+        return "EquivariantSpectrum(entries=%r, kernel=%r, tail=%r, cutoff=%r)" % (
+            self.entries,
+            self.kernel,
+            self.tail,
+            self.cutoff,
         )
 
     @property
@@ -622,8 +572,11 @@ def truncate_entries(
         raise InputError("max terms must be at least 1")
     if spectrum.complete:
         raise InputError("a complete spectrum cannot be truncated")
-    if n >= len(spectrum.entries):
+    if n >= spectrum.lambdas().size:
         return spectrum
-    ent = spectrum.entries[:n]
-    return EquivariantSpectrum(ent, spectrum.kernel, spectrum.tail, ent[-1][0])
+    lams, mp, mm = (col[:n] for col in spectrum._columns)
+    rows = np.column_stack((lams, mp, mm))
+    if rows.dtype == float and not (rows[:, 1:] < 2.0**53).all():
+        rows = spectrum.entries[:n]  # counts a float cannot hold exactly
+    return EquivariantSpectrum(rows, spectrum.kernel, spectrum.tail, lams[-1])
 

@@ -392,10 +392,10 @@ def test_spectrum_refusals_keep_their_messages(tmp_path, capsys, name):
 @pytest.mark.parametrize(
     "entries, message",
     [
-        ([[1.0, 1, 0], [_NAN, 1, 0]], _EIGENVALUE + "np.float64(nan)"),
-        ([[1.0, 1.5, 0]], _MULTIPLICITY + "np.float64(1.5)"),
-        ([[1.0, 1, 0], [2.0, -1, 0]], _MULTIPLICITY + "np.float64(-1.0)"),
-        ([[1.0, _INF, 0]], _MULTIPLICITY + "np.float64(inf)"),
+        ([[1.0, 1, 0], [_NAN, 1, 0]], _EIGENVALUE + repr(np.float64(_NAN))),
+        ([[1.0, 1.5, 0]], _MULTIPLICITY + repr(np.float64(1.5))),
+        ([[1.0, 1, 0], [2.0, -1, 0]], _MULTIPLICITY + repr(np.float64(-1.0))),
+        ([[1.0, _INF, 0]], _MULTIPLICITY + repr(np.float64(_INF))),
         ([[1.0, 0, 0]], _NONZERO),
         ([[2.0, 1, 0], [1.0, 1, 0]], _ASCENDING),
     ],
@@ -420,3 +420,25 @@ def test_entries_are_held_as_columns():
     array = EquivariantSpectrum(np.array(rows[:2]), (1, 0), spectrum.tail, 10.0)
     assert array.entries == rows[:2]
     assert all(type(m) is int for _, mp, mm in array.entries for m in (mp, mm))
+
+
+def test_spectra_hash_as_they_compare():
+    rows = ((0.5, 2, 1), (1.5, 0, 3))
+    tail = HeatTail(2, (2.0, 0.0, 0.5))
+    a = EquivariantSpectrum(rows, (1, 0), tail, 10.0)
+    b = EquivariantSpectrum(np.array(rows, dtype=float), [1, 0], tail, 10.0)
+    assert a == b and hash(a) == hash(b)
+    assert a != EquivariantSpectrum(((0.5, 2, 1), (1.5, 1, 3)), (1, 0), tail, 10.0)
+    curve = HeatTail(2, (2.0, 0.0, 0.5), (2.0, 0.0, 0.5))
+    c = CurveComponent(1.0, EquivariantSpectrum(((1.0, 2, 0),), (1, 0), curve, 5.0))
+    assert len({a, b, c, CurveComponent(1.0, c.spectrum)}) == 2
+    assert repr(a).startswith("EquivariantSpectrum(entries=((0.5, 2, 1), (1.5, 0, 3)),")
+
+
+def test_truncation_keeps_counts_exact():
+    tail = HeatTail(2, (2.0, 0.0, 0.5))
+    # an int64 count a float would round, and a count past int64
+    for big in ((2**60 + 1, 0), (1, 2**70)):
+        rows = ((0.5, 2, 1), (1.5, *big), (2.5, 1, 0))
+        short = truncate_entries(EquivariantSpectrum(rows, (1, 0), tail, 10.0), 2)
+        assert short.entries == rows[:2] and short.cutoff == 1.5
