@@ -1,14 +1,19 @@
-"""Exact integer and rational linear algebra on plain Python ints.
+"""Exact integer linear algebra on small matrices.
 
 Everything in here is deliberately float-free: lattice invariants (signature,
 determinant, Smith divisors, kernels) must be exact, and the matrices involved
 are small (rank <= 22), so simple cubic algorithms on list-of-list matrices
-are both fast enough and easy to audit.
+of Python ints are both fast enough and easy to audit.
+
+Products are one numpy product: in int64 when every entry is an integer and
+inner * max|a| * max|b| < 2**63, a bound on every partial sum, so the int64
+product cannot wrap; on object arrays of the entries otherwise, which stays
+exact for big ints and Fractions.
 
 One integer elimination loop, `_clear_row`, serves the Hermite form, integer
 kernels, ranks (the length of a Hermite form) and Smith divisors (Hermite
 forms of a matrix and of its transpose, in turn). Determinants use Bareiss
-elimination and signatures a rational congruence diagonalization.
+elimination and signatures a fraction-free symmetric elimination.
 
 Matrices are lists of rows of ints unless a function says otherwise.
 """
@@ -16,7 +21,9 @@ Matrices are lists of rows of ints unless a function says otherwise.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import operator
+
+import numpy as np
 
 from .errors import DegenerateLatticeError, InputError
 
@@ -56,16 +63,33 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
+def _product(a, b) -> np.ndarray:
+    """a @ b, exact, as an int64 or an object array.
+
+    numpy reads the entries as integers only when every one is an integer;
+    then, if inner * max|a| * max|b| < 2**63 (in Python ints), no partial
+    sum of the int64 product can wrap. Anything else is multiplied as
+    object arrays: Python ints for integer input, the entries themselves
+    (Fractions, say) for the rest.
+    """
+    xs = [np.asarray(a), np.asarray(b)]
+    if all(x.dtype.kind in "biu" for x in xs):
+        top = [max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in xs]
+        if xs[0].shape[-1] * top[0] * top[1] < 2**63:
+            return xs[0].astype(np.int64) @ xs[1].astype(np.int64)
+        return xs[0].astype(object) @ xs[1].astype(object)
+    return np.array(a, dtype=object) @ np.array(b, dtype=object)
+
+
 def matmul(a, b):
     """Exact product of two int (or Fraction) matrices."""
-    if not a or not b:
+    if len(a) == 0 or len(b) == 0:
         return []
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return _product(a, b).tolist()
 
 
 def matvec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return _product(a, v).tolist() if len(a) else []
 
 
 def is_symmetric(a) -> bool:
@@ -103,48 +127,55 @@ def det_bareiss(a) -> int:
 def rational_inertia(gram) -> tuple[int, int]:
     """Signature (n_plus, n_minus) of a symmetric matrix, exactly.
 
-    Symmetric congruence diagonalization over Fraction. Even lattices have
-    zero diagonals, so when no nonzero diagonal pivot is available we first
-    add row/column j into row/column i (a congruence), which makes the new
-    diagonal entry 2*a_ij != 0. Raises DegenerateLatticeError if the form is
-    singular.
+    Symmetric elimination in integers. Even lattices have zero diagonals,
+    so when no nonzero diagonal pivot is available we first add row/column
+    j into row/column i (a congruence), which makes the new diagonal entry
+    2*a_ij != 0. After a pivot d the remaining block becomes
+    d*m_jk - m_jp*m_pk, which is d times the Schur complement, divided by
+    its content; the block is then a nonzero multiple c of the rational
+    Schur complement, and the sign of c (the product of the signs of the
+    earlier pivots) says how each later pivot's sign reads. Raises
+    DegenerateLatticeError if the form is singular.
     """
     n = len(gram)
-    m = [[Fraction(x) for x in row] for row in gram]
-    active = list(range(n))
+    m = [list(map(operator.index, row)) for row in gram]
     pos = neg = 0
-    while active:
-        piv = next((i for i in active if m[i][i] != 0), None)
+    scale = 1  # sign of c
+    while m:
+        size = len(m)
+        piv = next((i for i in range(size) if m[i][i] != 0), None)
         if piv is None:
             pair = next(
-                ((i, j) for i in active for j in active if i != j and m[i][j] != 0),
+                ((i, j) for i in range(size) for j in range(size) if i != j and m[i][j] != 0),
                 None,
             )
             if pair is None:
                 raise DegenerateLatticeError(
-                    "gram matrix is singular (rank %d of %d)" % (n - len(active), n)
+                    "gram matrix is singular (rank %d of %d)" % (n - size, n)
                 )
             i, j = pair
             # v_i += v_j: new a_ii = a_ii + 2 a_ij + a_jj = 2 a_ij here
-            for k in range(n):
-                m[i][k] += m[j][k]
-            for k in range(n):
-                m[k][i] += m[k][j]
+            m[i] = [x + y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] += row[j]
             piv = i
         d = m[piv][piv]
-        if d > 0:
+        if (d > 0) == (scale > 0):
             pos += 1
         else:
             neg += 1
-        active.remove(piv)
-        for j in active:
-            f = m[piv][j] / d
-            if f == 0:
-                continue
-            for k in range(n):
-                m[j][k] -= f * m[piv][k]
-            for k in range(n):
-                m[k][j] -= f * m[k][piv]
+        if d < 0:
+            scale = -scale
+        prow = m.pop(piv)
+        del prow[piv]
+        for row in m:
+            f = row.pop(piv)
+            row[:] = [d * x - f * y for x, y in zip(row, prow)]
+        g = 0
+        for row in m:
+            g = math.gcd(g, *row)
+        if g > 1:
+            m = [[x // g for x in row] for row in m]
     return pos, neg
 
 
@@ -215,7 +246,8 @@ def integer_kernel(a) -> list[list[int]]:
             if lead == n:
                 break
     kernel = [col[m:] for col in cols[lead:]]
-    assert all(all(x == 0 for x in matvec(a, k)) for k in kernel)
+    if kernel and _product(a, transpose(kernel)).any():
+        raise ArithmeticError("integer kernel basis is not annihilated by the matrix")
     return column_hnf(kernel) if kernel else []
 
 

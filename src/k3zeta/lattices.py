@@ -1,7 +1,7 @@
 """Even lattices, isometries, and primitive sublattices, all exact.
 
 The ambient objects here are integer Gram matrices. Signatures come from
-exact congruence diagonalization, determinants from fraction-free
+exact symmetric elimination in integers, determinants from fraction-free
 elimination, and discriminant groups from Smith divisors, so every invariant
 this module reports is exact, never floating point.
 
@@ -20,8 +20,9 @@ from . import intlinalg
 from .errors import DegenerateLatticeError, InputError
 
 
-def _freeze(m) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in m)
+def _freeze(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Rows of Python ints (as `to_int_matrix` returns them) as tuples."""
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)

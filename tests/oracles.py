@@ -6,7 +6,9 @@ Selberg style) representation of Epstein zeta functions for flat tori, a
 finite-difference discretization of the sphere Laplacian, and the sphere
 trace's exact Laurent coefficients from Bernoulli numbers, which the
 package keeps as a table. Values are mpmath at 50 digits; the callers
-freeze what they need.
+freeze what they need. For the exact lattice algebra: matrix products as
+plain nested sums, and signatures by congruence diagonalization in
+Fractions.
 
 Conventions match the package: half-Laplacian eigenvalues, so the sphere
 has lambda_l = l(l+1)/(2 r^2) and the torus lambda_m = m^T Q^{-1} m / 2.
@@ -321,3 +323,68 @@ def direct_zeta(spectrum, sign: int):
     zeta0 = math.fsum(e[col] for e in entries)
     zeta_prime0 = -math.fsum(e[col] * math.log(e[0]) for e in entries)
     return zeta0, zeta_prime0
+
+
+# ---------------------------------------------------------------------------
+# Exact lattice algebra: products and signatures by the textbook routes.
+# ---------------------------------------------------------------------------
+
+
+def _python_number(x):
+    return int(x) if isinstance(x, np.integer) else x
+
+
+def nested_sum_product(a, b):
+    """Rows of sum_k a_ik b_kj for a nonempty b, each a sum from 0 over
+    Python numbers (numpy integers become ints, so nothing wraps)."""
+    a = [[_python_number(x) for x in row] for row in a]
+    b = [[_python_number(x) for x in row] for row in b]
+    return [
+        [sum(row[k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+def fraction_inertia(gram) -> tuple[int, int]:
+    """Signature of a symmetric integer matrix by congruence
+    diagonalization over Fraction: a nonzero diagonal pivot when there is
+    one, else v_i += v_j for the first nonzero a_ij (new a_ii = 2 a_ij).
+    Raises ValueError with the rank, in the package's words for a
+    DegenerateLatticeError, when the form is singular (the benchmark's
+    parent process imports this module, and never imports k3zeta)."""
+    n = len(gram)
+    m = [[Fraction(x) for x in row] for row in gram]
+    active = list(range(n))
+    pos = neg = 0
+    while active:
+        piv = next((i for i in active if m[i][i] != 0), None)
+        if piv is None:
+            pair = next(
+                ((i, j) for i in active for j in active if i != j and m[i][j] != 0),
+                None,
+            )
+            if pair is None:
+                raise ValueError(
+                    "gram matrix is singular (rank %d of %d)" % (n - len(active), n)
+                )
+            i, j = pair
+            for k in range(n):
+                m[i][k] += m[j][k]
+            for k in range(n):
+                m[k][i] += m[k][j]
+            piv = i
+        d = m[piv][piv]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(piv)
+        for j in active:
+            f = m[piv][j] / d
+            if f == 0:
+                continue
+            for k in range(n):
+                m[j][k] -= f * m[piv][k]
+            for k in range(n):
+                m[k][j] -= f * m[k][piv]
+    return pos, neg

@@ -1,12 +1,17 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import fraction_inertia, nested_sum_product
 
+import k3zeta
 from k3zeta.errors import DegenerateLatticeError, InputError
 from k3zeta.intlinalg import (
     column_hnf,
@@ -14,6 +19,7 @@ from k3zeta.intlinalg import (
     identity,
     integer_kernel,
     matmul,
+    matvec,
     rational_inertia,
     smith_divisors,
     to_int_matrix,
@@ -55,12 +61,174 @@ def test_det_bareiss_matches_float_det(rows):
     assert abs(exact - approx) < 1e-6 * max(1.0, abs(approx))
 
 
+@st.composite
+def product_at_the_int64_bound(draw):
+    """(a, b) with inner dimension k in 1..22 and k * max|a| * max|b| just
+    below or just above 2**63; row 0 of a and column 0 of b sit at the
+    maxima, so the first entry of a @ b is that bound itself."""
+    k = draw(st.integers(1, 22))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    top_a = draw(st.integers(1, 2**40))
+    top_b = (2**63 - 1) // (k * top_a) + draw(st.sampled_from([0, 1]))
+    a = [[top_a] * k] + [
+        draw(st.lists(st.integers(-top_a, top_a), min_size=k, max_size=k)) for _ in range(n - 1)
+    ]
+    first = draw(st.sampled_from([-top_b, top_b]))
+    rest = st.lists(st.integers(-top_b, top_b), min_size=m - 1, max_size=m - 1)
+    return a, [[first] + draw(rest) for _ in range(k)]
+
+
+def _assert_exact_ints(product, a, b):
+    assert product == nested_sum_product(a, b)
+    assert all(type(x) is int for row in product for x in row)
+
+
+@given(product_at_the_int64_bound())
+@settings(max_examples=150, deadline=None)
+def test_matmul_matches_nested_sums_at_the_int64_bound(ab):
+    a, b = ab
+    _assert_exact_ints(matmul(a, b), a, b)
+    _assert_exact_ints([[x] for x in matvec(a, [row[0] for row in b])], a, [row[:1] for row in b])
+
+
+@given(product_at_the_int64_bound())
+@settings(max_examples=60, deadline=None)
+def test_matmul_bound_does_not_wrap_on_numpy_int64_entries(ab):
+    # every entry fits int64, but k * max|a| * max|b| does not always, and
+    # numpy scalar arithmetic would wrap it
+    a, b = ab
+    assume(all(abs(x) < 2**63 for row in b for x in row))
+    scalars = [[np.int64(x) for x in row] for row in a]
+    _assert_exact_ints(matmul(scalars, b), a, b)
+    _assert_exact_ints(matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)), a, b)
+    low = [[np.int64(-(2**63))]]
+    _assert_exact_ints(matmul(low, [[np.int64(-1)]]), [[-(2**63)]], [[-1]])
+
+
+@given(
+    st.integers(1, 22).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.lists(st.integers(-(2**70), 2**70), min_size=k, max_size=k), min_size=1, max_size=3),
+            st.lists(st.lists(st.integers(-(2**70), 2**70), min_size=2, max_size=2), min_size=k, max_size=k),
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_matmul_matches_nested_sums_on_big_ints(ab):
+    a, b = ab
+    _assert_exact_ints(matmul(a, b), a, b)
+
+
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.lists(fractions, min_size=k, max_size=k), min_size=1, max_size=3),
+            st.lists(st.lists(st.one_of(fractions, st.integers(-9, 9)), min_size=2, max_size=2), min_size=k, max_size=k),
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_matmul_keeps_fractions_exact(ab):
+    # never cast to int64, which would truncate
+    a, b = ab
+    assert repr(matmul(a, b)) == repr(nested_sum_product(a, b))
+
+
+def test_matmul_and_matvec_on_empty_shapes():
+    assert matmul([], [[1]]) == []
+    assert matmul([[1, 2]], []) == []
+    assert matmul([[], []], []) == []  # inner dimension 0
+    assert matmul([[1, 2], [3, 4], [5, 6]], [[], []]) == [[], [], []]
+    assert matvec([], [1]) == []
+    assert matvec([[], []], []) == [0, 0]
+
+
+def _inertia_or_message(inertia, gram):
+    try:
+        return inertia(gram)
+    except (DegenerateLatticeError, ValueError) as exc:
+        return str(exc)
+
+
+@st.composite
+def congruent_diagonal_forms(draw):
+    """X^T D X, n in 1..12: D diagonal with entries in -4..4 (a zero makes
+    the form singular), X an integer matrix (singular now and then)."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    x = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n))
+    dx = [[d[i] * v for v in x[i]] for i in range(n)]
+    return d, x, matmul(transpose(x), dx)
+
+
+@given(congruent_diagonal_forms())
+@settings(max_examples=150, deadline=None)
+def test_inertia_of_congruent_diagonal_forms_matches_fractions(dxg):
+    d, x, gram = dxg
+    got = _inertia_or_message(rational_inertia, gram)
+    assert got == _inertia_or_message(fraction_inertia, gram)
+    if det_bareiss(x) != 0 and 0 not in d:
+        assert got == (sum(v > 0 for v in d), sum(v < 0 for v in d))
+
+
+@st.composite
+def zero_diagonal_forms(draw):
+    """Even forms with a zero diagonal: hyperbolic planes U, summed and
+    permuted, or any symmetric matrix with even entries off it."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 6))
+        n = 2 * k
+        gram = [[int(i // 2 == j // 2 and i != j) for j in range(n)] for i in range(n)]
+        perm = draw(st.permutations(range(n)))
+        return [[gram[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    n = draw(st.integers(1, 12))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            gram[i][j] = gram[j][i] = 2 * draw(st.integers(-3, 3))
+    return gram
+
+
+@given(zero_diagonal_forms())
+@settings(max_examples=150, deadline=None)
+def test_inertia_of_zero_diagonal_forms_matches_fractions(gram):
+    got = _inertia_or_message(rational_inertia, gram)
+    assert got == _inertia_or_message(fraction_inertia, gram)
+    if all(sum(row) == 1 for row in gram) and all(sum(map(abs, row)) == 1 for row in gram):
+        assert got == (len(gram) // 2, len(gram) // 2)  # a sum of hyperbolic planes
+
+
+def test_integer_kernel_check_survives_optimized_mode():
+    # the self-check is a raise, not an assert, so python -O keeps it
+    code = (
+        "import numpy\n"
+        "from k3zeta import intlinalg\n"
+        "intlinalg._product = lambda a, b: numpy.ones((1, 1))\n"
+        "try:\n    intlinalg.integer_kernel([[1, 2, 3]])\n"
+        "except ArithmeticError:\n    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k3zeta.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout == "raised\n", done.stderr
+
+
 def test_inertia_handles_zero_diagonal():
     assert rational_inertia(U) == (1, 1)
     assert rational_inertia([[2, 0], [0, -2]]) == (1, 1)
     assert rational_inertia([[2, 1], [1, 2]]) == (2, 0)
-    with pytest.raises(DegenerateLatticeError):
+    with pytest.raises(DegenerateLatticeError, match=r"^gram matrix is singular \(rank 1 of 2\)$"):
         rational_inertia([[1, 1], [1, 1]])
+    with pytest.raises(DegenerateLatticeError, match=r"\(rank 2 of 3\)$"):
+        rational_inertia([[0, 1, 1], [1, 0, 1], [1, 1, 2]])
 
 
 @given(small_int_matrix(3), small_int_matrix(3, -2, 2))
@@ -94,8 +262,6 @@ def test_column_hnf_is_span_canonical():
 
 
 def test_integer_kernel_annihilates_and_saturates():
-    from k3zeta.intlinalg import matvec
-
     a = [[1, 2, 3], [2, 4, 6]]
     k = integer_kernel(a)
     assert len(k) == 2
@@ -107,8 +273,6 @@ def test_integer_kernel_annihilates_and_saturates():
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4), min_size=2, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_integer_kernel_property(rows):
-    from k3zeta.intlinalg import matvec
-
     k = integer_kernel(rows)
     assert all(all(x == 0 for x in matvec(rows, v)) for v in k)
     rank = len(smith_divisors(rows)) if any(any(r) for r in rows) else 0
