@@ -246,9 +246,11 @@ def integer_kernel(a) -> list[list[int]]:
             if lead == n:
                 break
     kernel = [col[m:] for col in cols[lead:]]
-    if kernel and _product(a, transpose(kernel)).any():
+    if not kernel:
+        return []
+    if _product(a, transpose(kernel)).any():
         raise ArithmeticError("integer kernel basis is not annihilated by the matrix")
-    return column_hnf(kernel) if kernel else []
+    return column_hnf(kernel)
 
 
 def smith_divisors(a) -> list[int]:
