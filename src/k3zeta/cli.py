@@ -60,8 +60,11 @@ def _zeta_dict(r: ContinuationResult) -> dict:
 def _emit(args, obj) -> None:
     text = jsonio.canonical_dumps(obj)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError("cannot write %s: %s" % (args.out, exc)) from None
     else:
         sys.stdout.write(text + "\n")
 

@@ -70,6 +70,7 @@ from .errors import AccuracyError, InputError
 DEFAULT_TARGET = 1e-8
 _CHUNK = 4096
 _DEAD = 750.0  # exp(-x) is exactly 0.0 for every x >= 746
+_FEW_LIVE = 32  # below this many live entries a numpy step costs more than a loop
 _GL32 = np.polynomial.legendre.leggauss(32)
 _GL16 = np.polynomial.legendre.leggauss(16)
 
@@ -140,9 +141,11 @@ def exp1(lams) -> np.ndarray:
     """E1(x) for positive, ascending x, by E1XB: a power series for x <= 1
     and a backward continued fraction of depth 20 + int(80/x) above 1.
 
-    Ascending order makes the entries still live at depth k a prefix, so
-    the continued fraction runs over prefix slices; exp(-x) underflows to 0
-    for every x >= 746.
+    Ascending order makes the entries still live at depth k a prefix. The
+    deep steps, where fewer than _FEW_LIVE entries are live, run entry by
+    entry on Python floats; the steps below run over numpy prefix slices.
+    Both do the same IEEE operations in the same order. exp(-x) underflows
+    to 0 for every x >= 746.
     """
     x = np.asarray(lams, dtype=float)
     out = np.zeros_like(x)
@@ -160,11 +163,19 @@ def exp1(lams) -> np.ndarray:
     t0 = np.zeros_like(xs)
     if xs.size:
         depth = 20 + (80.0 / xs).astype(int)
-        top = int(depth[0])
-        live = np.searchsorted(-depth, -np.arange(top, 0, -1), side="right")
-        for k, p in zip(range(top, 0, -1), live.tolist()):
+        # fewer than _FEW_LIVE entries are live at every step deeper than k0
+        k0 = int(depth[_FEW_LIVE - 1]) if xs.size >= _FEW_LIVE else 0
+        deep = int(np.searchsorted(-depth, -k0))
+        for i, (v, d) in enumerate(zip(xs[:deep].tolist(), depth[:deep].tolist())):
+            t = 0.0
+            for k in range(d, k0, -1):
+                t = k / (1.0 + k / (v + t))
+            t0[i] = t
+        live = np.searchsorted(-depth, -np.arange(k0, 0, -1), side="right")
+        for k, p in zip(range(k0, 0, -1), live.tolist()):
             t0[:p] = k / (1.0 + k / (xs[:p] + t0[:p]))
-    out[lo:hi] = np.array([math.exp(-v) for v in xs.tolist()]) * (1.0 / (xs + t0))
+    exps = np.fromiter(map(math.exp, (-xs).tolist()), dtype=float, count=xs.size)
+    out[lo:hi] = exps * (1.0 / (xs + t0))
     return out
 
 

@@ -11,12 +11,16 @@ heat coefficient is Vol / (2 pi)^(n/2)):
     key m^T adj(Q) m = 2 det(Q) lambda, optionally twisted by a
     half-period translation character in {0,1}^n.
 
-The torus box is walked with numpy in fixed blocks of _BLOCK points; each
-block's keys are counted per character sign with np.unique, and the
-counts merge once at the end. The keys are exact integers: int64 when
-n^2 max|adj(Q)| max|m|^2 bounds them below 2^63, Python ints in an object
-array otherwise, through the same statements. Each eigenvalue is the
-Python-int quotient key / (2 det Q), so it is correctly rounded.
+The torus box is symmetric under m -> -m, which keeps key and character
+sign, so only its half after the origin is walked, with numpy in blocks
+of whole rows of about _BLOCK points, and every count is doubled. Each
+(key, sign) is coded as the integer 2 key + sign, and the codes of the
+whole walk are counted in one pass: np.bincount when the table is within
+a small multiple of the points walked, np.unique otherwise. The keys are
+exact integers: int64 when twice n^2 max|adj(Q)| max|m|^2, plus one,
+stays below 2^63, Python ints in an object array otherwise, through the
+same statements. Each eigenvalue is the Python-int quotient
+key / (2 det Q), so it is correctly rounded.
 
 Sphere tails come from a constant table of the nine exact Laurent
 coefficients of the trace; torus tails are the single Weyl term, the
@@ -107,36 +111,59 @@ def round_sphere_curve(
 def _key_counts(adj, eps, bounds, top):
     """(keys, counts): the ascending distinct keys = m^T adj m in (0, top]
     of the points m of the box |m_i| <= bounds[i], and their (m_plus,
-    m_minus) counts by the sign eps.m mod 2 (m_plus for even)."""
+    m_minus) counts by the sign eps.m mod 2 (m_plus for even).
+
+    m and -m share key and sign, so only one of each pair is walked and
+    every count is doubled: the points with m_0 > 0, and those with m_0 = 0
+    whose rest r = (m_1, ...) comes after the origin of the rest's box in
+    C order. The coordinate of largest extent leads, which keeps the rest's
+    box small. As key = a m_0^2 + 2 m_0 (l . r) + r^T A r, the rest's terms
+    are computed once and each block of rows m_0 is a broadcast. Each
+    (key, sign) is coded as 2 key + sign and the codes are counted in one
+    pass.
+    """
     n = len(adj)
-    # |adj @ m| and |key| both stay within reach
+    # |key| and every partial sum of it stay within reach
     reach = n * n * max(abs(a) for row in adj for a in row) * max(bounds) ** 2
-    dtype = np.int64 if reach < 2**63 else object
-    # no key passes reach; the clamp keeps top inside the int64 range
+    dtype = np.int64 if 2 * reach + 1 < 2**63 else object
+    # no key passes reach; the clamp keeps the codes inside the int64 range
     top = min(top, reach)
-    adj_a = np.array(adj, dtype=dtype)
-    eps_a = np.array(eps, dtype=dtype)
-    low = np.array(bounds, dtype=dtype).reshape(n, 1)
-    shape = tuple(2 * b + 1 for b in bounds)
-    box = math.prod(shape)
-    # distinct keys of each block and sign, their counts, and that sign
-    keys, counts, signs = [], [], []
-    for start in range(0, box, _BLOCK):
-        index = np.unravel_index(np.arange(start, min(start + _BLOCK, box)), shape)
-        m = np.array(index, dtype=dtype) - low
-        key = (m * (adj_a @ m)).sum(axis=0)
-        inside = (key > 0) & (key <= top)
-        m, key = m[:, inside], key[inside]
-        sign = (eps_a @ (m % 2)) % 2
-        for s in (0, 1):
-            k, c = np.unique(key[sign == s], return_counts=True)
-            keys.append(k)
-            counts.append(c)
-            signs.append(np.full(len(k), s))
-    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
-    mults = np.zeros((len(keys), 2), dtype=np.int64)
-    np.add.at(mults, (where, np.concatenate(signs)), np.concatenate(counts))
-    return keys, mults
+    order = sorted(range(n), key=lambda i: -bounds[i])
+    adj_a = np.array([[adj[i][j] for j in order] for i in order], dtype=dtype)
+    eps_a = np.array([eps[i] for i in order], dtype=dtype)
+    b = [bounds[i] for i in order]
+    shape = tuple(2 * x + 1 for x in b[1:])
+    width = math.prod(shape)
+    low = np.array(b[1:], dtype=dtype).reshape(n - 1, 1)
+    rest = np.indices(shape).reshape(n - 1, width).astype(dtype) - low
+    quad = (rest * (adj_a[1:, 1:] @ rest)).sum(axis=0)
+    lin = 2 * (adj_a[0, 1:] @ rest)
+    parity = eps_a[1:] @ rest
+    # m_0 = 0 with the rest after its origin, then blocks of rows m_0 > 0
+    rows = max(1, _BLOCK // width)
+    blocks = [(np.zeros((1, 1), dtype=dtype), slice(width // 2 + 1, None))]
+    for first in range(1, b[0] + 1, rows):
+        m0 = np.arange(first, min(first + rows, b[0] + 1)).astype(dtype)
+        blocks.append((m0.reshape(-1, 1), slice(None)))
+    codes = []
+    for m0, part in blocks:
+        key = adj_a[0, 0] * m0 * m0 + m0 * lin[part] + quad[part]
+        code = 2 * key + ((eps_a[0] * m0 + parity[part]) & 1)
+        codes.append(code[key <= top])
+    codes = np.concatenate(codes)
+    walked = b[0] * width + width // 2
+    if dtype is np.int64 and 2 * top + 2 <= 4 * walked:
+        # a count table within a small multiple of the points walked
+        table = np.bincount(codes, minlength=2 * top + 2).reshape(-1, 2)
+        keys = np.flatnonzero(table[:, 0] + table[:, 1])
+        return keys, 2 * table.take(keys, axis=0)
+    codes, counts = np.unique(codes, return_counts=True)
+    keys = codes >> 1
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    mults = np.zeros((np.count_nonzero(new), 2), dtype=np.int64)
+    mults[np.cumsum(new) - 1, (codes & 1).astype(np.intp)] = 2 * counts
+    return keys[new], mults
 
 
 def flat_torus_spectrum(
@@ -148,9 +175,9 @@ def flat_torus_spectrum(
     (1/2) m^T Q^{-1} m is keyed by the integer m^T adj(Q) m = 2 det(Q) lambda,
     so equal ones never split.
 
-    The box |m_i| <= sqrt(2 cutoff Q_ii) + 1 is enumerated with numpy in
-    blocks of _BLOCK points, in int64 when n^2 max|adj(Q)| max|m_i|^2 is
-    below 2^63 and on Python ints (dtype object) otherwise. Eigenvalues are
+    The box |m_i| <= sqrt(2 cutoff Q_ii) + 1 is enumerated by _key_counts,
+    one point of each pair +-m, in int64 when 2 n^2 max|adj(Q)| max|m_i|^2
+    + 1 is below 2^63 and on Python ints (dtype object) otherwise. Eigenvalues are
     divided as Python ints, key / (2 det Q), because a float division of a
     key past 2^53 would round twice; distinct keys whose quotients round to
     the same float share one entry.

@@ -555,9 +555,15 @@ def borcherds_report(
     with_constant = None
     if constant is not None:
         c = float(constant)
-        if c <= 0.0:
-            raise InputError("normalizing constant must be positive")
+        if not 0.0 < c < math.inf:
+            raise InputError(
+                "normalizing constant must be positive and finite, got %r" % c
+            )
         with_constant = c * norm**0.25
+        if with_constant == math.inf:
+            raise InputError(
+                "normalizing constant %r times norm**0.25 passes float range" % c
+            )
     return BorcherdsReport(tau, nu, norm, round_trip, factor, with_constant)
 
 

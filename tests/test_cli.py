@@ -14,7 +14,7 @@ from k3zeta.errors import InputError
 from k3zeta.frames import HKFrame, random_compatible_frame, seed_compatible_frame
 from k3zeta.lattices import enriques_involution
 from k3zeta.models import flat_torus_curve, flat_torus_spectrum
-from k3zeta.spectral import truncate_entries, zeta_signed
+from k3zeta.spectral import borcherds_report, truncate_entries, zeta_signed
 
 I2 = ((1, 0), (0, 1))
 
@@ -91,6 +91,32 @@ def test_zeta_builtin_and_out_file(tmp_path, capsys):
     )
     assert code2 == 0
     assert target.read_text() == out
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exit_code(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    code, out, err = run(capsys, ["lattice", "--builtin", "k3", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: cannot write")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "tau, constant",
+    [(0.5, "nan"), (0.5, "inf"), (0.5, "-inf"), (0.5, "-1"), (0.5, "0"), (0.01, "1e308")],
+)
+def test_constant_must_be_positive_and_finite(capsys, tau, constant):
+    with pytest.raises(InputError, match="constant"):
+        borcherds_report(tau, 1, float(constant))
+    argv = ["report", "--tau", str(tau), "--constant=" + constant]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    # refused as a bad constant, not later as an unserializable report
+    assert err.startswith("input error: normalizing constant")
+    assert "Traceback" not in err
 
 
 def test_zeta_max_terms_matches_truncation(capsys):

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3zeta import mellin, spectral
@@ -36,6 +36,33 @@ def test_exp1_matches_scipy_bit_for_bit():
     want = scipy.special.exp1(x)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert exp1(np.zeros(0)).shape == (0,)
+
+
+_EXP1_EDGES = (1.0, math.nextafter(1.0, 2.0), 80.0, math.nextafter(80.0, 100.0), 746.0)
+
+
+@st.composite
+def exp1_inputs(draw):
+    """An ascending array of 1 to 5000 entries, most of them in (1, 80],
+    where the continued fraction is deepest, with some of the edges of its
+    branches (the series below 1, depth 20 past 80, exp underflow at 746)."""
+    edges = draw(st.lists(st.sampled_from(_EXP1_EDGES), max_size=len(_EXP1_EDGES)))
+    size = draw(st.integers(max(1, len(edges)), 5000)) - len(edges)
+    share = draw(st.floats(0.6, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inner = 80.0 - rng.uniform(0.0, 79.0, size)
+    outer = 10.0 ** rng.uniform(-3.0, 3.0, size)
+    x = np.where(rng.uniform(size=size) < share, inner, outer)
+    return np.sort(np.concatenate([x, edges]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exp1_inputs())
+@example(np.array(_EXP1_EDGES))
+def test_exp1_matches_scipy_bit_for_bit_on_random_arrays(x):
+    got = exp1(x)
+    want = scipy.special.exp1(x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_exp1_against_mpmath():

@@ -199,11 +199,56 @@ def test_torus_entries_match_exact_enumeration(case):
     assert list(spec.entries) == exact_torus_entries(gram, character, cutoff)
 
 
-def test_torus_entries_match_exact_enumeration_over_blocks():
-    # 259^2 = 67,081 box points: more than one block
-    assert models._BLOCK < 259**2
+@pytest.mark.parametrize("block", [100, 16 * 259])
+def test_torus_entries_match_exact_enumeration_over_blocks(monkeypatch, block):
+    # the box is 259 x 259, and its 129 rows m_0 > 0 go in blocks of
+    # max(1, block // 259) rows: at 100 each row, longer than a block, is a
+    # block of its own; at 16 * 259 the rows take 9 blocks
+    monkeypatch.setattr(models, "_BLOCK", block)
     spec = flat_torus_spectrum(I2, (1, 0), 8300.0)
     assert list(spec.entries) == exact_torus_entries(I2, (1, 0), 8300.0)
+
+
+@pytest.mark.parametrize(
+    "gram, character, cutoff, counter, dtype",
+    [
+        (I2, (1, 0), 60.0, "bincount", np.int64),
+        ([[3, 1], [1, 3]], (0, 1), 40.0, "bincount", np.int64),
+        ([[2, 1, 0], [1, 2, 1], [0, 1, 3]], (1, 1, 0), 9.0, "bincount", np.int64),
+        # det x cutoff large against the points walked
+        ([[7]], (1,), 30.0, "unique", np.int64),
+        ([[100, 0], [0, 100]], (1, 0), 0.5, "unique", np.int64),
+        # keys past 2^53 in int64, and past 2^63 on Python ints
+        ([[10**15 + 2, 3], [3, 10**15 + 7]], (1, 0), 3e-14, "unique", np.int64),
+        ([[10**19 + 3, 5], [5, 3 * 10**19]], (1, 1), 4e-19, "unique", object),
+    ],
+)
+def test_key_counts_branches_match_exact_enumeration(
+    monkeypatch, gram, character, cutoff, counter, dtype
+):
+    calls, dtypes = [], []
+    for name in ("bincount", "unique"):
+
+        def spy(*args, _real=getattr(np, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    real_counts = models._key_counts
+
+    def key_counts(*args):
+        keys, mults = real_counts(*args)
+        dtypes.append(keys.dtype)
+        # distinct and ascending, each with a nonzero count
+        assert all(keys[1:] > keys[:-1]) and mults.sum(axis=1).all()
+        return keys, mults
+
+    monkeypatch.setattr(models, "_key_counts", key_counts)
+    spec = flat_torus_spectrum(gram, character, cutoff)
+    assert calls == [counter]
+    assert dtypes == [np.dtype(dtype)]
+    assert len(spec.entries) > 1
+    assert list(spec.entries) == exact_torus_entries(gram, character, cutoff)
 
 
 def test_torus_float_equal_eigenvalues_share_an_entry():
