@@ -199,14 +199,16 @@ def test_torus_entries_match_exact_enumeration(case):
     assert list(spec.entries) == exact_torus_entries(gram, character, cutoff)
 
 
-@pytest.mark.parametrize("block", [100, 16 * 259])
-def test_torus_entries_match_exact_enumeration_over_blocks(monkeypatch, block):
+def test_torus_entries_match_exact_enumeration_over_blocks(monkeypatch):
     # the box is 259 x 259, and its 129 rows m_0 > 0 go in blocks of
     # max(1, block // 259) rows: at 100 each row, longer than a block, is a
-    # block of its own; at 16 * 259 the rows take 9 blocks
-    monkeypatch.setattr(models, "_BLOCK", block)
-    spec = flat_torus_spectrum(I2, (1, 0), 8300.0)
-    assert list(spec.entries) == exact_torus_entries(I2, (1, 0), 8300.0)
+    # block of its own; at 16 * 259 the rows take 9 blocks; at the default
+    # they fit in one
+    want = exact_torus_entries(I2, (1, 0), 8300.0)
+    for block in [100, 16 * 259, models._BLOCK]:
+        monkeypatch.setattr(models, "_BLOCK", block)
+        spec = flat_torus_spectrum(I2, (1, 0), 8300.0)
+        assert list(spec.entries) == want, block
 
 
 @pytest.mark.parametrize(
