@@ -14,6 +14,7 @@ and involution_eigenframe checks its eigenvector rotation at 1e-8.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +25,9 @@ DEFAULT_TOL = 1e-10
 
 
 def _as_matrix(obj) -> np.ndarray:
-    if hasattr(obj, "matrix"):
-        obj = obj.matrix
-    m = np.asarray(obj, dtype=float)
+    if hasattr(obj, "float_matrix"):  # an exact isometry keeps its float view
+        return obj.float_matrix
+    m = np.asarray(getattr(obj, "matrix", obj), dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("expected a square matrix, got shape %s" % (m.shape,))
     return m
@@ -71,7 +72,7 @@ class HKFrame:
             raise InputError("frame entries must be finite")
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise InputError("ambient form must be square")
-        if not np.allclose(g, g.T, atol=DEFAULT_TOL, rtol=0.0):
+        if not np.all(np.abs(g - g.T) <= DEFAULT_TOL):
             raise InputError("ambient form must be symmetric")
         if v.shape != (3, g.shape[0]):
             raise InputError(
@@ -324,7 +325,7 @@ def seed_compatible_frame() -> HKFrame:
     anti-invariant partner, gamma_K a positive vector of the negated plane."""
     from . import lattices
 
-    g = np.asarray(lattices.build_standard_lattice("K3").gram, dtype=float)
+    g = lattices.build_standard_lattice("K3").float_gram
     n = g.shape[0]
     gi = np.zeros(n)
     gi[[0, 1, 2, 3]] = 1.0
@@ -336,11 +337,13 @@ def seed_compatible_frame() -> HKFrame:
     return HKFrame(g, np.vstack([gi / np.sqrt(2.0), gj / np.sqrt(2.0), gk]))
 
 
+@functools.lru_cache(maxsize=128)
 def _split_directions(sub, want_pos: int):
     """Form-orthonormal positive and negative directions of the sublattice's
-    exact induced form; raises GeometryError if the positive count is wrong."""
-    basis = np.asarray(sub.basis_matrix(), dtype=float)
-    w, v = np.linalg.eigh(np.asarray(sub.induced_lattice().gram, dtype=float))
+    exact induced form, as read-only arrays, computed once per sublattice;
+    raises GeometryError if the positive count is wrong."""
+    basis = sub.float_basis
+    w, v = np.linalg.eigh(sub.induced_lattice().float_gram)
     if int(np.sum(w > 0)) != want_pos:
         raise GeometryError(
             "eigenspace has %d positive directions, expected %d"
@@ -349,6 +352,8 @@ def _split_directions(sub, want_pos: int):
     pos = basis @ (v[:, -want_pos:] / np.sqrt(w[-want_pos:]))
     nneg = len(w) - want_pos
     neg = basis @ (v[:, :nneg] / np.sqrt(-w[:nneg]))
+    pos.setflags(write=False)
+    neg.setflags(write=False)
     return pos, neg
 
 
@@ -366,7 +371,7 @@ def random_compatible_frame(invol, rng) -> HKFrame:
 
     if not isinstance(invol, lattices.LatticeIsometry):
         raise InputError("random_compatible_frame needs an exact lattice isometry")
-    g = np.asarray(invol.lattice.gram, dtype=float)
+    g = invol.lattice.float_gram
     plus = lattices.eigenlattice(invol, +1)
     minus = lattices.eigenlattice(invol, -1)
     if plus.rank == 0 or minus.rank == 0:

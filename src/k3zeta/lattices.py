@@ -9,12 +9,19 @@ A sublattice computes its induced lattice B^T G B, a lattice its
 signature, and an isometry its involution check and its two eigenlattices,
 once, on first use, and keeps them on the object; every reader goes through
 those values.
+
+The float code of frames and periods reads each object's data through a
+read-only float64 view (`Lattice.float_gram`, `LatticeIsometry.float_matrix`,
+`SublatticeBasis.float_basis`), likewise derived once per object. The views
+only feed that float code: every invariant reported here stays exact.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import intlinalg
 from .errors import DegenerateLatticeError, InputError
@@ -23,6 +30,13 @@ from .errors import DegenerateLatticeError, InputError
 def _freeze(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """Rows of Python ints (as `to_int_matrix` returns them) as tuples."""
     return tuple(map(tuple, rows))
+
+
+def _float_view(rows) -> np.ndarray:
+    """Exact rows as a read-only, C-ordered float64 array."""
+    a = np.array(rows, dtype=float, order="C")
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -40,6 +54,11 @@ class Lattice:
     @property
     def rank(self) -> int:
         return len(self.gram)
+
+    @functools.cached_property
+    def float_gram(self) -> np.ndarray:
+        """The Gram matrix as a read-only float64 array."""
+        return _float_view(self.gram)
 
     @functools.cached_property
     def _inertia(self) -> tuple[int, int]:
@@ -76,6 +95,11 @@ class LatticeIsometry:
             raise InputError("matrix does not preserve the bilinear form")
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "matrix", _freeze(m))
+
+    @functools.cached_property
+    def float_matrix(self) -> np.ndarray:
+        """The matrix as a read-only float64 array."""
+        return _float_view(self.matrix)
 
     @functools.cached_property
     def is_involution(self) -> bool:
@@ -118,7 +142,7 @@ class SublatticeBasis:
     vectors: tuple[tuple[int, ...], ...]
 
     def __init__(self, ambient: Lattice, vectors):
-        vs = intlinalg.to_int_matrix(vectors) if len(list(vectors)) else []
+        vs = intlinalg.to_int_matrix(vectors)
         n = ambient.rank
         if any(len(v) != n for v in vs):
             raise InputError("basis vectors must have ambient rank %d" % n)
@@ -134,6 +158,12 @@ class SublatticeBasis:
     def basis_matrix(self) -> list[list[int]]:
         """Ambient-rank x sublattice-rank matrix whose columns are the basis."""
         return intlinalg.transpose([list(v) for v in self.vectors])
+
+    @functools.cached_property
+    def float_basis(self) -> np.ndarray:
+        """The basis matrix (ambient rank x rank) as a read-only float64
+        array."""
+        return _float_view(np.array(self.vectors, dtype=float).T)
 
     @functools.cached_property
     def _induced(self) -> Lattice:

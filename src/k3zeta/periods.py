@@ -58,7 +58,7 @@ class PeriodPoint:
             raise InputError(
                 "period coordinates must have length %d" % sublattice.rank
             )
-        g = np.asarray(sublattice.induced_lattice().gram, dtype=float)
+        g = sublattice.induced_lattice().float_gram
         norm2 = float(np.real(eta @ g @ np.conj(eta)))
         if norm2 <= 0.0:
             raise GeometryError("period vector has <eta, eta-bar> <= 0")
@@ -74,7 +74,8 @@ class PeriodPoint:
         object.__setattr__(self, "coords", arr)
 
     def induced_gram(self) -> np.ndarray:
-        return np.asarray(self.sublattice.induced_lattice().gram, dtype=float)
+        """The induced Gram matrix, read-only."""
+        return self.sublattice.induced_lattice().float_gram
 
 
 def omega_contains(sub: lattices.SublatticeBasis, eta) -> bool:
@@ -117,8 +118,7 @@ def _reference_positive_frame(sub: lattices.SublatticeBasis) -> np.ndarray:
     """A fixed positive 2-frame of the lattice (columns, lattice coords),
     from the two positive eigen-directions of the induced Gram matrix; signs
     are pinned so the frame is deterministic."""
-    g = np.asarray(sub.induced_lattice().gram, dtype=float)
-    w, v = np.linalg.eigh(g)
+    w, v = np.linalg.eigh(sub.induced_lattice().float_gram)
     ref = v[:, -2:]
     for k in range(2):
         col = ref[:, k]
@@ -198,12 +198,10 @@ def _marking_context(
         image = [intlinalg.matvec(mm, list(v)) for v in domain.vectors]
         domain = lattices.SublatticeBasis(invol.lattice, intlinalg.column_hnf(image))
     _check_domain_lattice(domain)
-    b = np.asarray(domain.basis_matrix(), dtype=float)
-    g = np.asarray(invol.lattice.gram, dtype=float)
-    induced = np.asarray(domain.induced_lattice().gram, dtype=float)
-    coords_of = np.linalg.solve(induced, b.T @ g)
+    b = domain.float_basis
+    induced = domain.induced_lattice().float_gram
+    coords_of = np.linalg.solve(induced, b.T @ invol.lattice.float_gram)
     coords_of.setflags(write=False)
-    b.setflags(write=False)
     return _MarkingContext(domain, b, coords_of)
 
 
@@ -221,8 +219,8 @@ def period_of(
     not move the anti-invariant directions into that lattice is a marking
     error.
     """
-    if frame.form.shape[0] != invol.lattice.rank or not np.allclose(
-        frame.form, np.asarray(invol.lattice.gram, dtype=float), atol=tol, rtol=0.0
+    if frame.form.shape[0] != invol.lattice.rank or not np.all(
+        np.abs(frame.form - invol.lattice.float_gram) <= tol
     ):
         raise InputError("frame ambient form does not match the lattice")
     if not frames_mod.is_compatible(frame, invol, tol=tol):
@@ -231,11 +229,7 @@ def period_of(
             " (+1, -1, -1) fails)"
         )
     ctx = _marking_context(invol, marking)
-    alpha = (
-        np.asarray(marking.matrix, dtype=float)
-        if marking is not None
-        else np.eye(invol.lattice.rank)
-    )
+    alpha = marking.float_matrix if marking is not None else np.eye(invol.lattice.rank)
     gj = alpha @ frame.gammas[1]
     gk = alpha @ frame.gammas[2]
     xj = ctx.coords_of @ gj

@@ -444,6 +444,37 @@ def test_preset_output_is_the_golden_bytes(capfd, command, builtin):
         assert capfd.readouterr().out.encode() == fh.read()
 
 
+def test_period_preset_is_the_golden_bytes(capfd):
+    # frame-rng5.json is the canonical JSON of the frame drawn below, and
+    # period-enriques.out the period command's stdout on it, both captured
+    # before the float views of the exact lattice objects
+    frame = random_compatible_frame(enriques_involution(), np.random.default_rng(5))
+    path = os.path.join(PRESETS, "frame-rng5.json")
+    with open(path, "rb") as fh:
+        text = jsonio.canonical_dumps(jsonio.encode_frame(frame)) + "\n"
+        assert text.encode() == fh.read()
+    argv = ["period", "--frame", path, "--involution", "enriques"]
+    assert main(argv) == 0
+    with open(os.path.join(PRESETS, "period-enriques.out"), "rb") as fh:
+        assert capfd.readouterr().out.encode() == fh.read()
+
+
+@pytest.mark.parametrize(
+    "form, gammas",
+    [([], [[], [], []]), ([[]], [[], [], []]), ([[2.0, 0.0]], [[1.0, 0.0]] * 3)],
+    ids=["empty", "one-by-zero", "one-by-two"],
+)
+def test_empty_or_non_square_form_exit_code(tmp_path, capsys, form, gammas):
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps({"form": form, "gammas": gammas}))
+    code, err = exit_and_stderr(
+        capsys, ["period", "--frame", str(path), "--involution", "enriques"]
+    )
+    assert code == 2
+    assert err.startswith("input error:") and "must be square" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "curve_cutoffs, message",
     [

@@ -3,8 +3,10 @@ import pytest
 
 from k3zeta.errors import GeometryError, InputError
 from k3zeta.frames import (
+    DEFAULT_TOL,
     HKFrame,
     RotationSO3,
+    _split_directions,
     check_antiholomorphic_sign,
     compatible_frames,
     involution_eigenframe,
@@ -20,7 +22,7 @@ from k3zeta.frames import (
     two_form_of,
     unit_sphere_structure,
 )
-from k3zeta.lattices import enriques_involution
+from k3zeta.lattices import eigenlattice, enriques_involution
 
 TOL = 1e-10
 
@@ -175,3 +177,38 @@ def test_random_compatible_frames_are_compatible():
     for _ in range(20):
         fr = random_compatible_frame(iso, rng)
         assert is_compatible(fr, iso)
+
+
+def test_symmetry_check_at_its_tolerance():
+    gammas = np.eye(3, 4)
+    for asym, ok in ((DEFAULT_TOL / 2, True), (2 * DEFAULT_TOL, False)):
+        form = np.diag([2.0, 2.0, 2.0, -2.0])
+        form[0, 3] = asym  # the frame pairing does not see this entry
+        if ok:
+            HKFrame(form, gammas)
+        else:
+            with pytest.raises(InputError, match="must be symmetric"):
+                HKFrame(form, gammas)
+    # an empty form passes the symmetry check and fails the pairing
+    with pytest.raises(GeometryError, match="not 2\\*identity"):
+        HKFrame(np.zeros((0, 0)), np.zeros((3, 0)))
+
+
+def test_split_directions_is_cached_read_only_and_moves_no_frame():
+    iso = enriques_involution()
+    _split_directions.cache_clear()
+    random_compatible_frame(iso, np.random.default_rng(0))
+    rng = np.random.default_rng(5)
+    warm = [random_compatible_frame(iso, rng) for _ in range(4)]
+    info = _split_directions.cache_info()
+    assert (info.misses, info.hits) == (2, 8)
+    for sub, want_pos in ((eigenlattice(iso, 1), 1), (eigenlattice(iso, -1), 2)):
+        for directions in _split_directions(sub, want_pos=want_pos):
+            with pytest.raises(ValueError):
+                directions[0, 0] = 0.0
+    rng = np.random.default_rng(5)
+    for frame in warm:
+        _split_directions.cache_clear()
+        cold = random_compatible_frame(enriques_involution(), rng)
+        assert cold.gammas.tobytes() == frame.gammas.tobytes()
+        assert cold.form.tobytes() == frame.form.tobytes()

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from k3zeta import intlinalg
@@ -165,3 +166,31 @@ def test_gram_must_be_symmetric_and_integral():
         Lattice([[0, 1], [2, 0]])
     with pytest.raises(InputError):
         Lattice([[0.5]])
+
+
+def test_basis_vectors_may_come_from_a_generator():
+    u = build_standard_lattice("u")
+    assert SublatticeBasis(u, (v for v in [(1, 0)])).rank == 1
+    assert SublatticeBasis(u, []).rank == 0
+    with pytest.raises(InputError):
+        SublatticeBasis(u, [()])
+
+
+def test_float_views_are_the_exact_data_read_only():
+    iso = enriques_involution()
+    sub = eigenlattice(iso, -1)
+    induced = sub.induced_lattice()
+    for view, exact in (
+        (iso.lattice.float_gram, np.array(iso.lattice.gram, dtype=float)),
+        (iso.float_matrix, np.array(iso.matrix, dtype=float)),
+        (sub.float_basis, np.array(sub.vectors, dtype=float).T),
+        (sub.float_basis, np.array(sub.basis_matrix(), dtype=float)),
+        (induced.float_gram, np.array(induced.gram, dtype=float)),
+    ):
+        assert view.dtype == np.float64 and view.flags.c_contiguous
+        assert np.array_equal(view, exact)
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+    # derived once per object
+    assert iso.float_matrix is iso.float_matrix
+    assert sub.float_basis is sub.float_basis

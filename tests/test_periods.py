@@ -229,3 +229,20 @@ def test_induced_lattice_and_signature_are_computed_once(monkeypatch, capsys):
     capsys.readouterr()
     # one signature per eigenlattice, shared by its report and is_hyperbolic_type
     assert calls["rational_inertia"] == 2
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+def test_form_check_at_its_tolerance(tol):
+    iso = enriques_involution()
+    base = seed_compatible_frame()
+    for delta, ok in ((tol / 2, True), (2 * tol, False)):
+        form = np.array(base.form)
+        # an E8 entry, where every frame vector vanishes
+        form[20, 21] += delta
+        form[21, 20] += delta
+        frame = HKFrame(form, base.gammas)
+        if ok:
+            assert set(period_of(frame, iso, tol=tol).labels()) == {1, -1}
+        else:
+            with pytest.raises(InputError, match="does not match the lattice"):
+                period_of(frame, iso, tol=tol)
