@@ -19,15 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lattices
 from .errors import GeometryError, InputError
 
 DEFAULT_TOL = 1e-10
 
 
 def _as_matrix(obj) -> np.ndarray:
-    if hasattr(obj, "float_matrix"):  # an exact isometry keeps its float view
+    if isinstance(obj, lattices.LatticeIsometry):
         return obj.float_matrix
-    m = np.asarray(getattr(obj, "matrix", obj), dtype=float)
+    m = np.asarray(obj, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("expected a square matrix, got shape %s" % (m.shape,))
     return m
@@ -323,8 +324,6 @@ def seed_compatible_frame() -> HKFrame:
     involution from lattices.enriques_involution: gamma_I spans a positive
     invariant direction in the first two hyperbolic planes, gamma_J its
     anti-invariant partner, gamma_K a positive vector of the negated plane."""
-    from . import lattices
-
     g = lattices.build_standard_lattice("K3").float_gram
     n = g.shape[0]
     gi = np.zeros(n)
@@ -342,7 +341,7 @@ def _split_directions(sub, want_pos: int):
     """Form-orthonormal positive and negative directions of the sublattice's
     exact induced form, as read-only arrays, computed once per sublattice;
     raises GeometryError if the positive count is wrong."""
-    basis = sub.float_basis
+    basis = np.asarray(sub.basis_matrix(), dtype=float)
     w, v = np.linalg.eigh(sub.induced_lattice().float_gram)
     if int(np.sum(w > 0)) != want_pos:
         raise GeometryError(
@@ -367,8 +366,6 @@ def random_compatible_frame(invol, rng) -> HKFrame:
     bounded negative admixture, so no rejection loop is needed even though
     the positive cone is thin in these signatures.
     """
-    from . import lattices
-
     if not isinstance(invol, lattices.LatticeIsometry):
         raise InputError("random_compatible_frame needs an exact lattice isometry")
     g = invol.lattice.float_gram

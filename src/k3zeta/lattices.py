@@ -11,9 +11,9 @@ once, on first use, and keeps them on the object; every reader goes through
 those values.
 
 The float code of frames and periods reads each object's data through a
-read-only float64 view (`Lattice.float_gram`, `LatticeIsometry.float_matrix`,
-`SublatticeBasis.float_basis`), likewise derived once per object. The views
-only feed that float code: every invariant reported here stays exact.
+read-only float64 view (`Lattice.float_gram`, `LatticeIsometry.float_matrix`),
+likewise derived once per object. The views only feed that float code:
+every invariant reported here stays exact.
 """
 
 from __future__ import annotations
@@ -158,12 +158,6 @@ class SublatticeBasis:
     def basis_matrix(self) -> list[list[int]]:
         """Ambient-rank x sublattice-rank matrix whose columns are the basis."""
         return intlinalg.transpose([list(v) for v in self.vectors])
-
-    @functools.cached_property
-    def float_basis(self) -> np.ndarray:
-        """The basis matrix (ambient rank x rank) as a read-only float64
-        array."""
-        return _float_view(np.array(self.vectors, dtype=float).T)
 
     @functools.cached_property
     def _induced(self) -> Lattice:

@@ -74,7 +74,8 @@ class PeriodPoint:
         object.__setattr__(self, "coords", arr)
 
     def induced_gram(self) -> np.ndarray:
-        """The induced Gram matrix, read-only."""
+        """The induced Gram matrix: the induced lattice's float view, shared
+        and read-only."""
         return self.sublattice.induced_lattice().float_gram
 
 
@@ -198,10 +199,11 @@ def _marking_context(
         image = [intlinalg.matvec(mm, list(v)) for v in domain.vectors]
         domain = lattices.SublatticeBasis(invol.lattice, intlinalg.column_hnf(image))
     _check_domain_lattice(domain)
-    b = domain.float_basis
+    b = np.asarray(domain.basis_matrix(), dtype=float)
     induced = domain.induced_lattice().float_gram
     coords_of = np.linalg.solve(induced, b.T @ invol.lattice.float_gram)
     coords_of.setflags(write=False)
+    b.setflags(write=False)
     return _MarkingContext(domain, b, coords_of)
 
 

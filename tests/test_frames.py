@@ -111,6 +111,19 @@ def test_restricted_action_and_eigenframe():
     assert is_compatible(aligned, iso)
 
 
+def test_involution_may_be_a_plain_square_array():
+    iso = enriques_involution()
+    rot = random_rotation(np.random.default_rng(5))
+    moved = rotate_frame(seed_compatible_frame(), rot)
+    plain = np.array(iso.matrix, dtype=float)
+    assert np.array_equal(
+        restricted_action(moved, plain), restricted_action(moved, iso)
+    )
+    assert is_compatible(seed_compatible_frame(), plain.tolist())
+    with pytest.raises(InputError, match="expected a square matrix"):
+        is_compatible(moved, plain[:, :21])
+
+
 def test_eigenframe_rejects_unpreserved_span():
     iso = enriques_involution()
     base = seed_compatible_frame()

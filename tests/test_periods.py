@@ -46,6 +46,15 @@ def test_seed_period_is_in_the_domain():
     assert omega_contains(pair.plus.sublattice, eta)
 
 
+def test_induced_gram_is_the_shared_read_only_view():
+    pair = period_of(seed_compatible_frame(), enriques_involution())
+    g = pair.plus.induced_gram()
+    assert g is pair.plus.sublattice.induced_lattice().float_gram
+    assert np.array_equal(g, np.array(pair.plus.sublattice.induced_lattice().gram))
+    with pytest.raises(ValueError):
+        g[0, 0] = 0.0
+
+
 def test_family_gives_one_period_pair():
     iso = enriques_involution()
     rng = np.random.default_rng(41)
