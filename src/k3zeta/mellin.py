@@ -34,15 +34,28 @@ exp(-lambda t) block; each sector reduces a block with its own 1-d
 continued alone. Each sector still picks its own split, and theta is
 evaluated once per distinct panel of the sectors' panels.
 
+All split candidates are evaluated in one stacked pass: each chunk holds
+one (chunk, 2) block per candidate, for delta and delta / 2, in one
+(candidates, chunk, 2) stack, and each sector reduces the whole stack with
+one `w @ stack`. numpy's matmul runs on each contiguous block of the stack
+the gemv a lone block gets, so every candidate keeps its bits. Merging the
+candidates into one wide block, or reducing strided column views, would
+not: how a gemv kernel accumulates a column depends on the width and the
+layout of its block. The models and the truncation bound are elementwise,
+so they are evaluated once on the nodes of all panels together. The panels
+keep one call each: a stack of them would zero and reduce every block over
+the whole chunk, even where its own live prefix is short.
+
 Only the live prefix of a block is evaluated. exp(-x) rounds to exactly
 0.0 for every x >= 746, since e^-746 is below half the least subnormal
 2^-1074, and the eigenvalues ascend; so every row with lambda >=
 750 / min(ts) is exactly zero (750 leaves room for the rounding of that
 quotient and of the products lambda t). Those rows are left as the zeros
 of the block instead of being computed, so the block, and the reduction
-over it, are the ones a full evaluation gives. Chunks wholly past the
-prefix contribute exactly zero and are skipped, which leaves the fsum of
-the partials unchanged.
+over it, are the ones a full evaluation gives. In a stack each block has
+its own prefix, from the least t of its own group. Chunks wholly past a
+block's prefix contribute exactly zero and give it no partial, which
+leaves the fsum of its partials unchanged.
 
 E1 is computed here rather than imported: it is the only special function
 the continuation needs, and importing scipy.special would more than double
@@ -180,30 +193,50 @@ def exp1(lams) -> np.ndarray:
 
 
 def _theta_at(lams, weights, kernel_weight, ts):
-    """theta(t) of every sector at an array of t values, shape
-    (sectors, ts): one row of `weights` and one `kernel_weight` a sector.
+    """theta(t) of every sector at the t values `ts`: one row of `weights`
+    and one `kernel_weight` a sector. A 1-d `ts` gives shape (sectors, ts);
+    a 2-d `ts` is a stack of groups of t values and gives (sectors, groups,
+    ts), each group the values it gets alone.
 
-    Each chunk's exp(-lambda t) block is computed once and reduced by every
-    sector with its own 1-d `w @ block`. Only the live prefix of the block
-    is evaluated (see the module docstring); the rest stays 0.0, so the
-    block has the shape, and the reduction the bits, of a full one.
+    Each chunk's exp(-lambda t) blocks are computed once, one block for
+    each group still live in the chunk, in one zeroed stack, and each
+    sector reduces the stack with one `w @ stack`: one gemv on each block,
+    the same one a lone block gets, which is why a group's bits do not
+    depend on the others. Only a group's live prefix is evaluated (see the
+    module docstring); the rest stays 0.0, so each block has the shape,
+    and its reduction the bits, of a full one. A chunk past a group's
+    live prefix gives it no partial.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    live = int(np.searchsorted(lams, _DEAD / ts.min()))
-    partials = []
-    for i in range(0, live, _CHUNK):
-        block = np.zeros((min(_CHUNK, lams.size - i), ts.size))
-        p = min(len(block), live - i)
-        np.exp(-np.outer(lams[i : i + p], ts), out=block[:p])
-        partials.append([w[i : i + len(block)] @ block for w in weights])
-    sums = np.array(partials).reshape(-1, len(weights), ts.size)
+    ts = np.asarray(ts, dtype=float)
+    groups = np.atleast_2d(ts)
+    lives = np.searchsorted(lams, _DEAD / groups.min(axis=1)).tolist()
+    chunks = []  # (groups live in the chunk, sectors x those groups x ts)
+    for i in range(0, max(lives), _CHUNK):
+        size = min(_CHUNK, lams.size - i)
+        alive = [g for g, live in enumerate(lives) if live > i]
+        stack = np.zeros((len(alive), size, groups.shape[1]))
+        for block, g in zip(stack, alive):
+            head = block[: lives[g] - i]
+            np.multiply.outer(lams[i : i + len(head)], -groups[g], out=head)
+            np.exp(head, out=head)
+        chunks.append((alive, np.array([w[i : i + size] @ stack for w in weights])))
     kernel = np.asarray(kernel_weight, dtype=float)[:, None]
-    if len(sums) == 1:
-        # the fsum of one partial is that partial
-        return kernel + sums[0]
-    return kernel + np.array(
-        [[math.fsum(p) for p in row] for row in sums.transpose(1, 2, 0).tolist()]
-    )
+    if len(chunks) == 1 and len(chunks[0][0]) == len(groups):
+        # every group has one partial, and the fsum of one partial is that partial
+        out = kernel[:, None] + chunks[0][1]
+    else:
+        partials = [[] for _ in groups]
+        for alive, sums in chunks:
+            for j, g in enumerate(alive):
+                partials[g].append(sums[:, j])
+        out = np.empty((len(weights),) + groups.shape)
+        for g, parts in enumerate(partials):
+            if len(parts) == 1:
+                out[:, g] = kernel + parts[0]
+            else:
+                sums = np.reshape(parts, (-1,) + out[:, g].shape).transpose(1, 2, 0)
+                out[:, g] = kernel + [[math.fsum(p) for p in r] for r in sums.tolist()]
+    return out if ts.ndim == 2 else out[:, 0]
 
 
 def _panel_edges(delta: float) -> list[tuple[float, float]]:
@@ -280,6 +313,12 @@ def continue_trace(
             "eigenvalues must be 1-d, with one aligned weight row, kernel"
             " weight and model per sector"
         )
+    if not (
+        np.isfinite(lams).all()
+        and np.isfinite(weights).all()
+        and all(map(math.isfinite, kernel_weights))
+    ):
+        raise InputError("eigenvalues and weights must be finite")
     if lams.size and (np.any(lams <= 0.0) or np.any(np.diff(lams) < 0)):
         raise InputError("eigenvalues must be positive and ascending")
 
@@ -310,15 +349,18 @@ def continue_trace(
 
     def split_estimates(points, rows) -> dict:
         """(search estimate, below-split part) of the split at grid[i], for
-        each i of `points` and each sector of `rows`: {(i, sector): ...}."""
+        each i of `points` and each sector of `rows`: {(i, sector): ...}.
+        theta at every delta and delta / 2 comes from one stacked pass; a
+        non-finite estimate counts as infinite, so it is a miss."""
+        if not (points and rows):
+            return {}
         out = {}
-        w, k = weights[rows], [kernel_weights[s] for s in rows]
-        for i in points if rows else ():
-            delta = float(grid[i])
-            theta = _theta_at(lams, w, k, [delta, delta / 2.0])
-            tall = float(tvals[i])
-            for s, (th1, th2) in zip(rows, theta.tolist()):
-                model = sectors[s][2]
+        ts = np.stack([grid[points], grid[points] / 2.0], axis=1)
+        theta = _theta_at(lams, weights[rows], [kernel_weights[s] for s in rows], ts)
+        for s, pairs in zip(rows, theta.tolist()):
+            model = sectors[s][2]
+            for i, (th1, th2) in zip(points, pairs):
+                delta, tall = float(grid[i]), float(tvals[i])
                 dev1 = abs(th1 - float(at_grid[s][0][i]))
                 dev2 = abs(th2 - float(at_grid[s][1][i]))
                 if math.isinf(model.next_exponent):
@@ -327,13 +369,14 @@ def continue_trace(
                     q = model.next_exponent
                     below = max(dev1, dev2 * 2.0**q) / q + tall / max(q, 1.0)
                 est = below + tall * (math.log(1.0 / delta) + 1.0)
-                out[i, s] = (est, below)
+                out[i, s] = (est if math.isfinite(est) else math.inf, below)
         return out
 
     every = list(range(len(sectors)))
     estimates = split_estimates(candidates, every)
     best = [min(candidates, key=lambda i: estimates[i, s][0]) for s in every]
-    missed = [s for s in every if estimates[best[s], s][0] > target]
+    least = [estimates[best[s], s][0] for s in every]
+    missed = [s for s in every if least[s] > target or least[s] == math.inf]
     # a missed sector refuses with its least estimate over the whole grid,
     # whatever the target
     rest = sorted(set(range(grid.size)) - set(candidates))
@@ -361,16 +404,21 @@ def continue_trace(
             lams, weights[rows], [kernel_weights[s] for s in rows], nodes[panel][0]
         )
         theta.update(((panel, s), v) for s, v in zip(rows, values))
-    trunc = {panel: trunc_bound(ts) / ts for panel, (ts, _, _) in nodes.items()}
+    # the models and the truncation bound are elementwise, so one evaluation
+    # on all panels' nodes gives each panel's slice the bits of its own
+    every_node = np.concatenate([np.empty(0), *(ts for ts, _, _ in nodes.values())])
+    at = {panel: slice(48 * j, 48 * j + 48) for j, panel in enumerate(nodes)}
+    trunc = trunc_bound(every_node) / every_node
 
     for s, ps in panels.items():
         _, _, model, zeta0, b_term, pole = sectors[s]
         delta = float(grid[best[s]])
         below = estimates[best[s], s][1]
+        modelled = model(every_node)
         r_term, quad_err = _integrate_panels(
-            lambda panel, ts: (theta[panel, s] - model(ts)) / ts, ps, nodes
+            lambda panel, ts: (theta[panel, s] - modelled[at[panel]]) / ts, ps, nodes
         )
-        trunc_r, _ = _integrate_panels(lambda panel, ts: trunc[panel], ps, nodes)
+        trunc_r, _ = _integrate_panels(lambda panel, ts: trunc[at[panel]], ps, nodes)
         err = (
             below
             + abs(trunc_r)

@@ -459,6 +459,16 @@ def test_period_preset_is_the_golden_bytes(capfd):
         assert capfd.readouterr().out.encode() == fh.read()
 
 
+def test_refusal_is_the_golden_bytes(capfd):
+    # zeta-t2-flat-refusal.err is the stderr of this refusal, captured before
+    # the split candidates were evaluated in one stacked pass
+    assert main(["zeta", "--builtin", "t2-flat", "--tol", "1e-300"]) == 3
+    out = capfd.readouterr()
+    assert out.out == ""
+    with open(os.path.join(PRESETS, "zeta-t2-flat-refusal.err"), "rb") as fh:
+        assert out.err.encode() == fh.read()
+
+
 @pytest.mark.parametrize(
     "form, gammas",
     [([], [[], [], []]), ([[]], [[], [], []]), ([[2.0, 0.0]], [[1.0, 0.0]] * 3)],

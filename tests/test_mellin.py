@@ -128,6 +128,38 @@ def test_monotone_inputs_required():
         )
 
 
+@pytest.mark.parametrize("where", ["eigenvalue", "weight", "kernel weight"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("cutoff", [200.0, math.inf])
+def test_non_finite_inputs_refused(where, value, cutoff):
+    # a NaN eigenvalue passes the positive and ascending checks, and a NaN
+    # weight gave NaN values and a NaN error estimate
+    lams, ws, kernel = np.array([0.5, 1.0, 1.5]), np.ones(3), 1.0
+    if where == "eigenvalue":
+        # both pass the positive and ascending checks there
+        lams[1 if math.isnan(value) else 2] = value
+    elif where == "weight":
+        ws[1] = value
+    else:
+        kernel = value
+    model = TraceModel.from_ladder(2, [2.0, 0.0, 0.5])
+    with pytest.raises(InputError, match="must be finite"):
+        continue_one(lams, ws, kernel, model, model, cutoff)
+
+
+def test_non_finite_split_estimate_is_a_miss():
+    # a NaN model coefficient makes every split estimate NaN, which is never
+    # > target: it used to pick a split and return NaN values
+    lams, ws = np.arange(1, 400, dtype=float) * 0.5, np.ones(399)
+    ladder = [2.0, 0.0, 0.5, 0.0, 1.0 / 24.0, 0.0, 0.0, 0.0, -1.0 / 5760.0]
+    model = TraceModel.from_ladder(2, ladder)
+    broken = TraceModel.from_ladder(2, [2.0, math.nan] + ladder[2:])
+    assert continue_one(lams, ws, 1.0, model, model, 200.0, 1e-6).error_estimate < 1e-6
+    res = continue_one(lams, ws, 1.0, broken, model, 200.0, 1e-6)
+    assert isinstance(res, AccuracyError)
+    assert res.achievable == math.inf
+
+
 @pytest.mark.parametrize("cutoff", [0.0, -1.0, -math.inf, math.nan])
 def test_truncated_cutoff_must_be_positive(cutoff):
     # an infinite cutoff means a complete spectrum; any other must be > 0
@@ -180,28 +212,48 @@ def theta_reference(lams, w, kernel_weight, ts):
     return np.array([kernel_weight + math.fsum(p) for p in parts])
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     size=st.sampled_from([1, 4095, 4096, 4097, 8193]),
     log_t=st.floats(-9.0, 0.0),
     nodes=st.sampled_from([1, 2, 48]),
+    groups=st.one_of(st.none(), st.integers(1, 24)),
+    dead=st.booleans(),
     sectors=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_theta_at_is_the_full_block_bit_for_bit(size, log_t, nodes, sectors, seed):
+@example(size=8193, log_t=-4.0, nodes=2, groups=24, dead=True, sectors=3, seed=1)
+@example(size=4097, log_t=-2.0, nodes=48, groups=24, dead=False, sectors=2, seed=2)
+@example(size=4097, log_t=-3.0, nodes=2, groups=1, dead=True, sectors=1, seed=3)
+def test_theta_at_is_the_full_block_bit_for_bit(
+    size, log_t, nodes, groups, dead, sectors, seed
+):
+    """A 1-d ts (groups None), or a stack of groups each equal to the group
+    evaluated alone. Groups start up to three decades apart, so on more
+    than one chunk some are dead in the later chunks; a dead group's t
+    values kill every entry, and it gets its kernel weight."""
     rng = np.random.default_rng(seed)
-    ts = 10.0 ** rng.uniform(log_t, min(0.0, log_t + 1.0), nodes)
+    lows = log_t + rng.uniform(0.0, 3.0, groups or 1)
+    lows[0] = log_t
+    spread = rng.uniform(0.0, 1.0, (len(lows), nodes))
+    ts = 10.0 ** np.minimum(0.0, lows[:, None] + spread)
     # eigenvalues on both sides of 746 / t for every t
     edge = 746.0 / ts.min()
     lams = np.sort(edge * 10.0 ** rng.uniform(-3.0, 1.0, size))
+    if dead:
+        ts[-1] = 10.0 ** rng.uniform(4.0, 5.0, nodes)
     weights = rng.integers(-40, 41, (sectors, size)).astype(float)
     weights[0] = rng.standard_normal(size)
     kernel = rng.integers(-2, 3, sectors).astype(float)
-    got = mellin._theta_at(lams, weights, kernel, ts)
-    assert got.shape == (sectors, nodes)
+    got = mellin._theta_at(lams, weights, kernel, ts if groups else ts[0])
+    assert got.shape == ((sectors, groups, nodes) if groups else (sectors, nodes))
+    got = got.reshape(sectors, -1, nodes)
     for s in range(sectors):
-        want = theta_reference(lams, weights[s], float(kernel[s]), ts)
-        assert np.array_equal(got[s].view(np.uint64), want.view(np.uint64))
+        for g, group in enumerate(ts[: len(got[s])]):
+            want = theta_reference(lams, weights[s], float(kernel[s]), group)
+            assert np.array_equal(got[s, g].view(np.uint64), want.view(np.uint64))
+        if dead:
+            assert np.all(got[s, -1] == kernel[s])
 
 
 def same(a, b) -> bool:
@@ -251,12 +303,15 @@ def test_sphere_torsion_shares_its_heat_trace_evaluations(monkeypatch):
     real = mellin._theta_at
 
     def counting(lams, weights, kernel_weight, ts):
-        calls.append(len(weights))
+        calls.append((len(weights), np.shape(ts)))
         return real(lams, weights, kernel_weight, ts)
 
     monkeypatch.setattr(mellin, "_theta_at", counting)
     spectrum = round_sphere_spectrum(1.0, True, 2000)
     spectral.equivariant_torsion_report(spectrum, 1e-8)
-    # 24 shared split candidates and the union of the three sectors' panels;
-    # 87 calls, one sector each, before the sectors were continued together
-    assert len(calls) <= 35
+    # one stacked pass over the 24 split candidates (delta and delta / 2) of
+    # the three sectors, then one call for each of the 11 distinct panels of
+    # their panels
+    assert calls[0] == (3, (24, 2))
+    assert len(calls) == 12
+    assert all(shape == (48,) for _, shape in calls[1:])

@@ -442,3 +442,19 @@ def test_truncation_keeps_counts_exact():
         rows = ((0.5, 2, 1), (1.5, *big), (2.5, 1, 0))
         short = truncate_entries(EquivariantSpectrum(rows, (1, 0), tail, 10.0), 2)
         assert short.entries == rows[:2] and short.cutoff == 1.5
+
+
+@pytest.mark.parametrize(
+    "radius, l_max, tol, achievable",
+    [
+        (1.0, 150, 1e-15, "1.8947806286936005e-15"),
+        (1.0, 20, 1e-10, "2.3208008332417883e-08"),
+        (1.7, 30, 1e-13, "5.816135585320112e-13"),
+    ],
+)
+def test_sphere_torsion_refusal_is_the_golden_bound(radius, l_max, tol, achievable):
+    # the achievable bounds, captured before the split candidates were
+    # evaluated in one stacked pass, to the bit
+    with pytest.raises(AccuracyError) as refusal:
+        equivariant_torsion_report(round_sphere_spectrum(radius, True, l_max), tol)
+    assert repr(refusal.value.achievable) == achievable
