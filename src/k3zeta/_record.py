@@ -1,0 +1,86 @@
+"""Immutable records: the one base of the package's value classes.
+
+A subclass declares its fields as class annotations, in order. `Record`
+gives it:
+
+- no assignment or deletion of attributes (AttributeError); a class that
+  validates in its own `__init__` stores its fields with
+  `object.__setattr__`;
+- field-wise `__eq__` (records of the same class only) and `__hash__`, or,
+  for a class declared with `eq=False`, identity equality (unless the class
+  defines its own);
+- the repr `Name(field=value, ...)`;
+- construction by position or keyword, for a class with no `__init__` of
+  its own.
+
+The field names are read once, when the class is made, and the methods are
+shared: no code is generated per class, so a record costs about what a
+plain class costs at import.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+_store = object.__setattr__
+
+
+class Record:
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        # the field values, as a tuple past one field; a plain callable
+        # attribute, so it is called as self._values(self)
+        cls._values = attrgetter(*cls._fields)
+        if not eq:
+            for name in ("__eq__", "__hash__"):
+                if name not in cls.__dict__:
+                    setattr(cls, name, getattr(object, name))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._positional(args, kwargs)
+        # one store per field: reading self.__dict__ here would give every
+        # record a materialized dict, whose attribute loads are slower
+        for name, value in zip(fields, args):
+            _store(self, name, value)
+
+    @classmethod
+    def _positional(cls, args: tuple, kwargs: dict) -> tuple:
+        """All field values in field order, from leading positions and
+        keywords for the rest of the fields."""
+        rest = cls._fields[len(args) :]
+        if len(args) > len(cls._fields) or kwargs.keys() != set(rest):
+            raise TypeError(
+                "%s takes the fields %s, by position or keyword; got %d"
+                " positions and the keywords %s"
+                % (cls.__name__, cls._fields, len(args), sorted(kwargs))
+            )
+        return args + tuple(kwargs[f] for f in rest)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            "cannot assign to %r of an immutable %s" % (name, type(self).__name__)
+        )
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            "cannot delete %r of an immutable %s" % (name, type(self).__name__)
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields),
+        )

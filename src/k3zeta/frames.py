@@ -15,11 +15,11 @@ and involution_eigenframe checks its eigenvector rotation at 1e-8.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import lattices
+from ._record import Record
 from .errors import GeometryError, InputError
 
 DEFAULT_TOL = 1e-10
@@ -49,8 +49,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class HKFrame:
+class HKFrame(Record, eq=False):
     """An orthogonal triple of ambient vectors with self-pairing 2.
 
     `form` is the ambient Gram matrix, `gammas` the 3 x n array whose rows
@@ -92,8 +91,7 @@ class HKFrame:
         object.__setattr__(self, "gammas", _readonly(v))
 
 
-@dataclass(frozen=True, eq=False)
-class RotationSO3:
+class RotationSO3(Record, eq=False):
     """A 3x3 special orthogonal matrix acting on frames from the left."""
 
     matrix: np.ndarray
@@ -112,8 +110,7 @@ class RotationSO3:
         return RotationSO3(self.matrix @ other.matrix)
 
 
-@dataclass(frozen=True, eq=False)
-class FlatModel:
+class FlatModel(Record, eq=False):
     """The flat quaternion model on R^4 (basis 1, i, j, k): integer complex
     structures I, J, K with IJ = -JI = K, and the Euclidean metric."""
 
@@ -356,6 +353,19 @@ def _split_directions(sub, want_pos: int):
     return pos, neg
 
 
+def _norm(v, g, sign: int, what: str) -> float:
+    """The norm v^T g v, which must have the given sign: it is the
+    radicand of a square root below, and the float split of an involution
+    with huge entries can flip it."""
+    q = float(v @ g @ v)
+    if not sign * q > 0.0:
+        raise GeometryError(
+            "frame sampling: %s has norm %.3e, expected %s"
+            % (what, q, "positive" if sign > 0 else "negative")
+        )
+    return q
+
+
 def random_compatible_frame(invol, rng) -> HKFrame:
     """Sample a frame compatible with an integer involution: a positive
     invariant vector for gamma_I and an oriented positive 2-plane in the
@@ -376,13 +386,12 @@ def random_compatible_frame(invol, rng) -> HKFrame:
 
     def _unit_neg(neg):
         u = neg @ rng.standard_normal(neg.shape[1])
-        q = float(u @ g @ u)
-        return u / np.sqrt(-q)
+        return u / np.sqrt(-_norm(u, g, -1, "negative admixture"))
 
     pos_p, neg_p = _split_directions(plus, want_pos=1)
     alpha = rng.uniform(0.0, 0.8)
     x = float(rng.choice([-1.0, 1.0])) * pos_p[:, 0] + alpha * _unit_neg(neg_p)
-    gi = x * np.sqrt(2.0 / float(x @ g @ x))
+    gi = x * np.sqrt(2.0 / _norm(x, g, 1, "invariant direction"))
 
     pos_m, neg_m = _split_directions(minus, want_pos=2)
     phi = rng.uniform(0.0, 2.0 * np.pi)
@@ -391,12 +400,12 @@ def random_compatible_frame(invol, rng) -> HKFrame:
     a, b = rng.uniform(0.0, 0.6, size=2)
     y1 = p1 + a * _unit_neg(neg_m)
     y2 = p2 + b * _unit_neg(neg_m)
-    gj = y1 * np.sqrt(2.0 / float(y1 @ g @ y1))
+    gj = y1 * np.sqrt(2.0 / _norm(y1, g, 1, "anti-invariant direction"))
     y2p = y2 - (float(y2 @ g @ gj) / 2.0) * gj
     q = float(y2p @ g @ y2p)
     if q <= 0.0:
         # the two negative admixtures can conspire; fall back to the pure plane
         y2p = p2
-        q = float(y2p @ g @ y2p)
+        q = _norm(p2, g, 1, "anti-invariant plane")
     gk = y2p * np.sqrt(2.0 / q)
     return HKFrame(g, np.vstack([gi, gj, gk]))

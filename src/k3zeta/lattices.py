@@ -19,11 +19,11 @@ every invariant reported here stays exact.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import intlinalg
+from ._record import Record
 from .errors import DegenerateLatticeError, InputError
 
 
@@ -39,8 +39,7 @@ def _float_view(rows) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """A free Z-module with an integer symmetric bilinear form."""
 
     gram: tuple[tuple[int, ...], ...]
@@ -77,8 +76,7 @@ class Lattice:
         return abs(self.det()) == 1
 
 
-@dataclass(frozen=True)
-class LatticeIsometry:
+class LatticeIsometry(Record):
     """An integer matrix preserving a lattice's form, acting on columns."""
 
     lattice: Lattice
@@ -128,8 +126,7 @@ class LatticeIsometry:
         return sum(self.matrix[i][i] for i in range(self.lattice.rank))
 
 
-@dataclass(frozen=True)
-class SublatticeBasis:
+class SublatticeBasis(Record):
     """A sublattice given by an explicit basis (tuple of vectors).
 
     Vectors are ambient coordinates; they are required to be linearly
@@ -170,8 +167,7 @@ class SublatticeBasis:
         return self._induced
 
 
-@dataclass(frozen=True)
-class DiscriminantInfo:
+class DiscriminantInfo(Record):
     """Invariant factors (> 1) of the discriminant group of a sublattice."""
 
     divisors: tuple[int, ...]

@@ -22,6 +22,12 @@ estimate; if no split point meets the requested tolerance the evaluation
 refuses with the achievable bound instead of returning a silently bad
 number.
 
+The panels use a 32-node rule with an embedded 16-node rule for the error
+estimate. Both are literal tables of the values that
+numpy.polynomial.legendre.leggauss(32) and (16) return, stored as their
+negative halves and mirrored (leggauss's rules are exactly symmetric), so
+numpy.polynomial is not imported; a test checks the tables bit for bit.
+
 Reductions over eigenvalue entries run in fixed-size chunks in ascending
 order and the chunk partials are combined with math.fsum, so results are
 deterministic and compensated no matter how entries are batched.
@@ -74,22 +80,59 @@ exp need not round the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import AccuracyError, InputError
 
 DEFAULT_TARGET = 1e-8
 _CHUNK = 4096
 _DEAD = 750.0  # exp(-x) is exactly 0.0 for every x >= 746
 _FEW_LIVE = 32  # below this many live entries a numpy step costs more than a loop
-_GL32 = np.polynomial.legendre.leggauss(32)
-_GL16 = np.polynomial.legendre.leggauss(16)
 
 
-@dataclass(frozen=True)
-class TraceModel:
+def _mirrored(nodes, weights):
+    """A symmetric rule on [-1, 1] from its negative nodes, ascending, and
+    their weights."""
+    x = np.array(nodes + [-v for v in reversed(nodes)])
+    return x, np.array(weights + weights[::-1])
+
+
+# leggauss(32) and leggauss(16) from their negative halves
+_GL32 = _mirrored(
+    [
+        -0.9972638618494816, -0.9856115115452684, -0.9647622555875064,
+        -0.9349060759377397, -0.8963211557660521, -0.84936761373257,
+        -0.7944837959679424, -0.7321821187402897, -0.6630442669302152,
+        -0.5877157572407623, -0.5068999089322294, -0.42135127613063533,
+        -0.33186860228212767, -0.23928736225213706, -0.1444719615827965,
+        -0.048307665687738324,
+    ],
+    [
+        0.007018610009470506, 0.016274394730905743, 0.025392065309262024,
+        0.034273862913021765, 0.042835898022226836, 0.05099805926237609,
+        0.058684093478535565, 0.06582222277636168, 0.07234579410884834,
+        0.07819389578707023, 0.08331192422694671, 0.08765209300440378,
+        0.09117387869576378, 0.09384439908080451, 0.09563872007927471,
+        0.09654008851472766,
+    ],
+)
+_GL16 = _mirrored(
+    [
+        -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+        -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+        -0.2816035507792589, -0.09501250983763744,
+    ],
+    [
+        0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+        0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+        0.18260341504492364, 0.18945061045506864,
+    ],
+)
+
+
+class TraceModel(Record):
     """Small-t power model sum_j coeffs[e_j] * t^{e_j} of a heat trace,
     kernel included. `next_exponent` is the first ladder power *not*
     declared (math.inf when the remainder is exponentially small)."""
@@ -130,8 +173,7 @@ class TraceModel:
         return math.fsum(c / e for e, c in terms)
 
 
-@dataclass(frozen=True)
-class ContinuationResult:
+class ContinuationResult(Record):
     zeta_at_0: float
     zeta_prime_at_0: float
     error_estimate: float

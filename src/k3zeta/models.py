@@ -30,7 +30,6 @@ remainder being exponentially small.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -44,27 +43,29 @@ _MAX_LATTICE_BOX = 2_000_000
 _BLOCK = 1 << 16  # box points per numpy block of the torus enumeration
 
 # Laurent coefficients (a_{-1}, a_0, ..., a_7) of the unit-sphere trace
-# sum_l (2l+1) exp(-l(l+1) u) = sum_j a_j u^j as u -> 0; tests/oracles.py
-# derives them from Bernoulli numbers.
+# sum_l (2l+1) exp(-l(l+1) u) = sum_j a_j u^j as u -> 0, each as an exact
+# (numerator, denominator) pair in lowest terms; tests/oracles.py derives
+# them from Bernoulli numbers. n / d of two ints is the correctly rounded
+# float of the fraction.
 SPHERE_HEAT_COEFFICIENTS = (
-    Fraction(1),
-    Fraction(1, 3),
-    Fraction(1, 15),
-    Fraction(4, 315),
-    Fraction(1, 315),
-    Fraction(4, 3465),
-    Fraction(382, 675675),
-    Fraction(232, 675675),
-    Fraction(2833, 11486475),
+    (1, 1),
+    (1, 3),
+    (1, 15),
+    (4, 315),
+    (1, 315),
+    (4, 3465),
+    (382, 675675),
+    (232, 675675),
+    (2833, 11486475),
 )
 
 
 def _sphere_tail(two_r2: float, with_twisted: bool) -> HeatTail:
-    a = SPHERE_HEAT_COEFFICIENTS
+    a = [n / d for n, d in SPHERE_HEAT_COEFFICIENTS]
     straight = [0.0] * (2 * len(a) - 1)
-    straight[0] = float(a[0]) * two_r2
+    straight[0] = a[0] * two_r2
     for j, a_j in enumerate(a[1:]):
-        straight[2 * j + 2] = float(a_j) / two_r2**j
+        straight[2 * j + 2] = a_j / two_r2**j
     twisted = tuple(straight) if with_twisted else None
     return HeatTail(2, tuple(straight), twisted)
 
@@ -233,8 +234,8 @@ def flat_torus_spectrum(
         for i in range(n)
     ]
     # key <= top exactly when lambda <= cut; key = 0 only at m = 0
-    cut_frac = Fraction(cut)
-    top = cut_frac.numerator * 2 * det // cut_frac.denominator
+    cut_num, cut_den = cut.as_integer_ratio()
+    top = cut_num * 2 * det // cut_den
     keys, mults = _key_counts(adj, eps, bounds, top)
     if 2 * det < 2**53 and (keys.size == 0 or keys[-1] < 2**53):
         # both exact as floats, so one division rounds correctly

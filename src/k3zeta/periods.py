@@ -21,12 +21,12 @@ complement is computed.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import frames as frames_mod
 from . import intlinalg, lattices
+from ._record import Record
 from .errors import GeometryError, InputError, MarkingError
 
 ISOTROPY_RTOL = 1e-9
@@ -43,8 +43,7 @@ def _check_domain_lattice(sub: lattices.SublatticeBasis) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class PeriodPoint:
+class PeriodPoint(Record, eq=False):
     """Projective class [eta] with <eta, eta> = 0 and <eta, eta-bar> > 0,
     in the integer coordinates of a signature-(2, k) sublattice."""
 
@@ -150,8 +149,7 @@ def component_label(p: PeriodPoint) -> int:
     return 1 if d > 0 else -1
 
 
-@dataclass(frozen=True, eq=False)
-class PeriodPair:
+class PeriodPair(Record, eq=False):
     """The unordered conjugate pair of period points attached to a frame.
 
     `plus` is the class of x_J + i x_K, `minus` its conjugate; construction
@@ -180,8 +178,7 @@ def same_period_pair(a: PeriodPair, b: PeriodPair) -> bool:
     return straight or crossed
 
 
-@dataclass(frozen=True, eq=False)
-class _MarkingContext:
+class _MarkingContext(Record, eq=False):
     domain: lattices.SublatticeBasis
     basis: np.ndarray
     coords_of: np.ndarray

@@ -38,10 +38,10 @@ a curve, whose own cutoff it quotes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import AccuracyError, ConsistencyError, InputError
 from .mellin import (
     DEFAULT_TARGET,
@@ -53,8 +53,7 @@ from .mellin import (
 _REL = 1e-9
 
 
-@dataclass(frozen=True)
-class HeatTail:
+class HeatTail(Record):
     """Small-t model of the straight and twisted heat traces.
 
     `straight` are the coefficients c_j on t^((j - dim)/2) of the full
@@ -191,8 +190,7 @@ def _counts(values: list[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-@dataclass(frozen=True, eq=False)
-class EquivariantSpectrum:
+class EquivariantSpectrum(Record, eq=False):
     """Eigenvalues with signed multiplicities, kernel dims, tail, cutoff.
 
     The entries are held as three read-only columns: the ascending float64
@@ -281,8 +279,7 @@ class EquivariantSpectrum:
         return self._columns[1 if sign > 0 else 2].astype(float)
 
 
-@dataclass(frozen=True)
-class CurveComponent:
+class CurveComponent(Record):
     """One fixed-curve component: its volume and its Laplacian, a spectrum
     on which the involution acts trivially."""
 
@@ -308,24 +305,21 @@ class CurveComponent:
         object.__setattr__(self, "spectrum", spectrum)
 
 
-@dataclass(frozen=True)
-class DeterminantReport:
+class DeterminantReport(Record):
     value: float
     error_estimate: float
     plus: ContinuationResult
     minus: ContinuationResult
 
 
-@dataclass(frozen=True)
-class TorsionReport:
+class TorsionReport(Record):
     value: float
     error_estimate: float
     log_value: float
     determinant_residual: float
 
 
-@dataclass(frozen=True)
-class TauReport:
+class TauReport(Record):
     value: float
     error_estimate: float
     log_value: float
@@ -333,8 +327,7 @@ class TauReport:
     curve_factors: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class BorcherdsReport:
+class BorcherdsReport(Record):
     tau: float
     nu: int
     implied_norm: float

@@ -422,6 +422,26 @@ def test_cli_never_loads_scipy():
     assert json.loads(done.stdout)["plus"]
 
 
+def test_cli_import_loads_no_optional_module():
+    # the records, the quadrature tables and the sphere coefficients need
+    # none of these at start-up, where each costs import time
+    script = (
+        "import sys\n"
+        "import k3zeta.cli\n"
+        "names = ('dataclasses', 'fractions', 'decimal', 'numpy.polynomial')\n"
+        "sys.stdout.write(repr([n for n in names if n in sys.modules]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k3zeta.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (done.returncode, done.stdout) == (0, "[]")
+
+
 PRESETS = os.path.join(os.path.dirname(__file__), "data", "presets")
 
 
@@ -456,6 +476,26 @@ def test_period_preset_is_the_golden_bytes(capfd):
     argv = ["period", "--frame", path, "--involution", "enriques"]
     assert main(argv) == 0
     with open(os.path.join(PRESETS, "period-enriques.out"), "rb") as fh:
+        assert capfd.readouterr().out.encode() == fh.read()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["report", "--tau", "0.5", "--nu", "2"], "report-tau0.5-nu2.out"),
+        (
+            ["zeta", "--spectrum", os.path.join(PRESETS, "spectrum-torus.json")],
+            "zeta-spectrum-torus.out",
+        ),
+    ],
+    ids=["report", "zeta-spectrum"],
+)
+def test_command_output_is_the_golden_bytes(capfd, argv, golden):
+    # captured before the records lost their dataclass base; the spectrum
+    # file is a flat torus (gram [[2, 1], [1, 3]], character (1, 0), cutoff
+    # 200) in the wire format, so zeta decodes its tail and spectrum
+    assert main(argv) == 0
+    with open(os.path.join(PRESETS, golden), "rb") as fh:
         assert capfd.readouterr().out.encode() == fh.read()
 
 

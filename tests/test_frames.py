@@ -225,3 +225,28 @@ def test_split_directions_is_cached_read_only_and_moves_no_frame():
         cold = random_compatible_frame(enriques_involution(), rng)
         assert cold.gammas.tobytes() == frame.gammas.tobytes()
         assert cold.form.tobytes() == frame.form.tobytes()
+
+
+@pytest.mark.parametrize(
+    "sign, swap, what",
+    [
+        (1, "pos", "invariant direction"),
+        (-1, "pos", "anti-invariant direction"),
+        (1, "neg", "negative admixture"),
+    ],
+)
+def test_degenerate_split_is_a_geometry_error(monkeypatch, sign, swap, what):
+    # a split whose "positive" directions have negative norm (or whose
+    # "negative" ones positive norm) would put a float sqrt of a negative
+    # radicand, a NaN, into the frame; it is refused as geometry instead
+    iso = enriques_involution()
+
+    def degenerate(sub, want_pos):
+        pos, neg = _split_directions(sub, want_pos)
+        if (want_pos == 1) != (sign == 1):
+            return pos, neg
+        return (neg[:, :want_pos], neg) if swap == "pos" else (pos, pos)
+
+    monkeypatch.setattr("k3zeta.frames._split_directions", degenerate)
+    with pytest.raises(GeometryError, match="frame sampling: %s has norm" % what):
+        random_compatible_frame(iso, np.random.default_rng(3))

@@ -6,6 +6,7 @@ import pytest
 import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from k3zeta import mellin, spectral
 from k3zeta.errors import AccuracyError, InputError
@@ -315,3 +316,13 @@ def test_sphere_torsion_shares_its_heat_trace_evaluations(monkeypatch):
     assert calls[0] == (3, (24, 2))
     assert len(calls) == 12
     assert all(shape == (48,) for _, shape in calls[1:])
+
+
+@pytest.mark.parametrize("rule, n", [(mellin._GL32, 32), (mellin._GL16, 16)])
+def test_gauss_legendre_tables_are_leggauss(rule, n):
+    # the literal tables are numpy's own rule, bit for bit
+    nodes, weights = rule
+    ref_nodes, ref_weights = leggauss(n)
+    assert nodes.dtype == weights.dtype == np.float64
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -31,7 +32,10 @@ I2 = ((1, 0), (0, 1))
 
 def test_sphere_heat_coefficients_exact():
     assert len(SPHERE_HEAT_COEFFICIENTS) == 9
-    assert SPHERE_HEAT_COEFFICIENTS == sphere_heat_coefficients(8)
+    exact = tuple(Fraction(n, d) for n, d in SPHERE_HEAT_COEFFICIENTS)
+    assert exact == sphere_heat_coefficients(8)
+    # each pair is in lowest terms, as the oracle's fractions are
+    assert [(a.numerator, a.denominator) for a in exact] == list(SPHERE_HEAT_COEFFICIENTS)
     # the truncated series against the trace itself at u = 1/50, where the
     # first omitted term a_8 u^8 is about 2e-4 u^8
     u = mpmath.mpf(1) / 50
@@ -39,10 +43,23 @@ def test_sphere_heat_coefficients_exact():
         lambda l: (2 * l + 1) * mpmath.exp(-l * (l + 1) * u), [0, mpmath.inf]
     )
     series = sum(
-        mpmath.mpf(a.numerator) / a.denominator * u ** (j - 1)
-        for j, a in enumerate(SPHERE_HEAT_COEFFICIENTS)
+        mpmath.mpf(n) / d * u ** (j - 1)
+        for j, (n, d) in enumerate(SPHERE_HEAT_COEFFICIENTS)
     )
     assert abs(trace - series) < 1e-3 * u**8
+
+
+@pytest.mark.parametrize("two_r2", [2.0, 0.5, 2.0 * 0.85037**2, 7.3])
+def test_sphere_tail_is_the_correctly_rounded_coefficients(two_r2):
+    # n / d of two ints is the float that float(Fraction(n, d)) gives
+    a = [float(Fraction(n, d)) for n, d in SPHERE_HEAT_COEFFICIENTS]
+    straight = [a[0] * two_r2] + [0.0] * 16
+    for j, a_j in enumerate(a[1:]):
+        straight[2 * j + 2] = a_j / two_r2**j
+    for twisted in (False, True):
+        tail = models._sphere_tail(two_r2, twisted)
+        assert [x.hex() for x in tail.straight] == [x.hex() for x in straight]
+        assert tail.twisted == (tuple(straight) if twisted else None)
 
 
 def test_sphere_spectrum_structure():
