@@ -1,15 +1,13 @@
 """Hyper-Kahler frames: orthogonal triples with pairing 2 in an indefinite
-ambient, the SO(3) torsor acting on them, and involution compatibility.
+ambient, and their compatibility with an involution.
 
 A frame is a triple (gamma_I, gamma_J, gamma_K) of ambient vectors with
-<gamma_a, gamma_b> = 2 delta_ab; the span is then a positive 3-space. SO(3)
-rotates frames simply transitively over a fixed 3-space, and an ambient
-involution restricts to a symmetric orthogonal 3x3 matrix on the span whose
-admissible eigenvalue pattern is (+1, -1, -1).
+<gamma_a, gamma_b> = 2 delta_ab; the span is then a positive 3-space. It is
+compatible with an involution that fixes gamma_I and negates gamma_J and
+gamma_K, and such frames come in a one-parameter family per branch.
 
-All checks use one absolute tolerance, DEFAULT_TOL, with two exceptions:
-is_compatible takes the tolerance of the period computation that calls it,
-and involution_eigenframe checks its eigenvector rotation at 1e-8.
+All checks use one absolute tolerance, DEFAULT_TOL, except is_compatible,
+which takes the tolerance of the period computation that calls it.
 """
 
 from __future__ import annotations
@@ -91,25 +89,6 @@ class HKFrame(Record, eq=False):
         object.__setattr__(self, "gammas", _readonly(v))
 
 
-class RotationSO3(Record, eq=False):
-    """A 3x3 special orthogonal matrix acting on frames from the left."""
-
-    matrix: np.ndarray
-
-    def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        a = np.asarray(matrix, dtype=float)
-        if a.shape != (3, 3):
-            raise InputError("rotation must be 3x3")
-        if float(np.max(np.abs(a.T @ a - np.eye(3)))) > tol:
-            raise InputError("rotation is not orthogonal")
-        if abs(float(np.linalg.det(a)) - 1.0) > tol:
-            raise InputError("rotation has determinant != +1")
-        object.__setattr__(self, "matrix", _readonly(a))
-
-    def compose(self, other: "RotationSO3") -> "RotationSO3":
-        return RotationSO3(self.matrix @ other.matrix)
-
-
 class FlatModel(Record, eq=False):
     """The flat quaternion model on R^4 (basis 1, i, j, k): integer complex
     structures I, J, K with IJ = -JI = K, and the Euclidean metric."""
@@ -146,107 +125,6 @@ def two_form_of(metric, structure) -> np.ndarray:
     return m @ s
 
 
-def check_antiholomorphic_sign(metric, s) -> dict:
-    """Check that pulling back the flat model's J-form by the involution s
-    flips its sign, entrywise.
-
-    s must be an involutive isometry of `metric` that anticommutes with the
-    flat J; the identity map, for instance, is rejected. Returns a report
-    with the entrywise deviation of s^T (m J) s + (s^T m s) J.
-    """
-    m = np.asarray(metric, dtype=float)
-    sm = np.asarray(s, dtype=float)
-    if m.shape != (4, 4) or sm.shape != (4, 4):
-        raise InputError("the flat model check lives on R^4")
-    if float(np.max(np.abs(sm.T @ m @ sm - m))) > DEFAULT_TOL:
-        raise InputError("s is not an isometry of the metric")
-    if float(np.max(np.abs(sm @ sm - np.eye(4)))) > DEFAULT_TOL:
-        raise InputError("s is not an involution")
-    j = standard_flat_model().J.astype(float)
-    if float(np.max(np.abs(sm @ j + j @ sm))) > DEFAULT_TOL:
-        raise InputError("s does not anticommute with the complex structure")
-    pullback = sm.T @ two_form_of(m, j) @ sm
-    target = -two_form_of(sm.T @ m @ sm, j)
-    dev = float(np.max(np.abs(pullback - target)))
-    return {"max_deviation": dev, "sign_flipped": dev <= DEFAULT_TOL}
-
-
-def rotate_frame(frame: HKFrame, rot: RotationSO3) -> HKFrame:
-    """Left action: gamma'_a = sum_b A_ab gamma_b."""
-    return HKFrame(frame.form, rot.matrix @ frame.gammas)
-
-
-def recover_rotation(a: HKFrame, b: HKFrame) -> RotationSO3:
-    """The unique rotation with rotate_frame(a, A) = b, if the frames span
-    the same 3-space; A_ab = <gamma'_a, gamma_b> / 2."""
-    mat = (b.gammas @ a.form @ a.gammas.T) / 2.0
-    try:
-        rot = RotationSO3(mat)
-    except InputError as exc:
-        raise GeometryError("frames do not span the same 3-space (%s)" % exc) from exc
-    residual = float(np.max(np.abs(rot.matrix @ a.gammas - b.gammas)))
-    if residual > max(DEFAULT_TOL, 1e-9 * float(np.max(np.abs(b.gammas)))):
-        raise GeometryError(
-            "frames are not related by a rotation (residual %.3e)" % residual
-        )
-    return rot
-
-
-def unit_sphere_structure(frame: HKFrame, coeffs) -> np.ndarray:
-    """Two-form class of the complex structure a I + b J + c K, requiring
-    a^2 + b^2 + c^2 = 1."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (3,):
-        raise InputError("need exactly three sphere coefficients")
-    if abs(float(c @ c) - 1.0) > DEFAULT_TOL:
-        raise InputError("coefficients are off the unit sphere")
-    return c @ frame.gammas
-
-
-def restricted_action(frame: HKFrame, invol) -> np.ndarray:
-    """The symmetric 3x3 matrix of the involution on the frame's 3-space,
-    R_ab with T gamma_a = sum_b R_ab gamma_b. Raises GeometryError when the
-    involution does not preserve the span."""
-    t = _as_matrix(invol)
-    moved = frame.gammas @ t.T
-    r = (moved @ frame.form @ frame.gammas.T) / 2.0
-    residual = float(np.max(np.abs(r @ frame.gammas - moved)))
-    if residual > max(DEFAULT_TOL, 1e-9 * float(np.max(np.abs(moved)))):
-        raise GeometryError(
-            "involution does not preserve the frame 3-space (residual %.3e)"
-            % residual
-        )
-    if float(np.max(np.abs(r - r.T))) > DEFAULT_TOL:
-        raise GeometryError("restricted action is not symmetric")
-    return r
-
-
-def involution_eigenframe(
-    frame: HKFrame, invol
-) -> tuple[HKFrame, tuple[int, int, int]]:
-    """Rotate the frame so the involution acts diagonally with signs
-    (+1, -1, -1); any other eigenvalue pattern is a geometry error."""
-    r = restricted_action(frame, invol)
-    if float(np.max(np.abs(r @ r - np.eye(3)))) > 1e2 * DEFAULT_TOL:
-        raise GeometryError("restricted action is not an involution")
-    if abs(float(np.trace(r)) + 1.0) > 1e2 * DEFAULT_TOL:
-        raise GeometryError(
-            "involution eigenvalues on the frame 3-space are not (+1, -1, -1)"
-            " (trace %.6f)" % float(np.trace(r))
-        )
-    w, v = np.linalg.eigh(r)
-    # ascending eigenvalues, so columns are (-1, -1, +1)-eigenvectors
-    plus = v[:, 2]
-    if plus[np.argmax(np.abs(plus))] < 0:
-        plus = -plus
-    m1, m2 = v[:, 0], v[:, 1]
-    b = np.vstack([plus, m1, m2])
-    if float(np.linalg.det(b)) < 0:
-        b[2] = -b[2]
-    rot = RotationSO3(b, tol=1e-8)
-    return rotate_frame(frame, rot), (1, -1, -1)
-
-
 def is_compatible(frame: HKFrame, invol, tol: float = DEFAULT_TOL) -> bool:
     """True iff the involution fixes gamma_I and negates gamma_J, gamma_K."""
     t = _as_matrix(invol)
@@ -271,32 +149,6 @@ def compatible_frames(frame: HKFrame, invol, branch: int, psi: float) -> HKFrame
             "frame is not compatible with the involution (sign pattern"
             " (+1, -1, -1) fails)"
         )
-    return compatible_frames_unchecked(frame, branch, psi)
-
-
-def recover_compatible_parameters(
-    base: HKFrame, other: HKFrame
-) -> tuple[int, float, float]:
-    """Invert compatible_frames: find (branch, psi) taking `base` to
-    `other`, returning the reconstruction residual as well."""
-    c = (other.gammas @ base.form @ base.gammas.T) / 2.0
-    branch = 1 if c[0, 0] > 0 else -1
-    if branch == 1:
-        psi = float(np.arctan2(-c[1, 2], c[1, 1]))
-    else:
-        psi = float(np.arctan2(c[1, 2], c[1, 1]))
-    rebuilt = compatible_frames_unchecked(base, branch, psi)
-    residual = float(np.max(np.abs(rebuilt.gammas - other.gammas)))
-    if residual > 1e-6:
-        raise GeometryError(
-            "frame is not in the compatible family (residual %.3e)" % residual
-        )
-    return branch, psi, residual
-
-
-def compatible_frames_unchecked(frame: HKFrame, branch: int, psi: float) -> HKFrame:
-    """compatible_frames without the involution compatibility precondition;
-    used when the caller already knows the base frame is compatible."""
     c, s = np.cos(psi), np.sin(psi)
     gi, gj, gk = frame.gammas
     if branch == 1:
@@ -304,33 +156,6 @@ def compatible_frames_unchecked(frame: HKFrame, branch: int, psi: float) -> HKFr
     else:
         new = np.vstack([-gi, c * gj + s * gk, s * gj - c * gk])
     return HKFrame(frame.form, new)
-
-
-def random_rotation(rng) -> RotationSO3:
-    """Haar-ish random rotation from a QR decomposition."""
-    m = rng.standard_normal((3, 3))
-    q, r = np.linalg.qr(m)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, [0, 1]] = q[:, [1, 0]]
-    return RotationSO3(q)
-
-
-def seed_compatible_frame() -> HKFrame:
-    """A fixed frame on the standard K3 ambient compatible with the block
-    involution from lattices.enriques_involution: gamma_I spans a positive
-    invariant direction in the first two hyperbolic planes, gamma_J its
-    anti-invariant partner, gamma_K a positive vector of the negated plane."""
-    g = lattices.build_standard_lattice("K3").float_gram
-    n = g.shape[0]
-    gi = np.zeros(n)
-    gi[[0, 1, 2, 3]] = 1.0
-    gj = np.zeros(n)
-    gj[[0, 1]] = 1.0
-    gj[[2, 3]] = -1.0
-    gk = np.zeros(n)
-    gk[[4, 5]] = 1.0
-    return HKFrame(g, np.vstack([gi / np.sqrt(2.0), gj / np.sqrt(2.0), gk]))
 
 
 @functools.lru_cache(maxsize=128)

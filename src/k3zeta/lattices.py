@@ -130,9 +130,8 @@ class SublatticeBasis(Record):
     """A sublattice given by an explicit basis (tuple of vectors).
 
     Vectors are ambient coordinates; they are required to be linearly
-    independent. Saturation (primitivity) is *not* required here, it is a
-    separate check, but every basis produced by this module's kernel
-    constructions is saturated automatically.
+    independent. Saturation (primitivity) is *not* required here, but every
+    basis produced by this module's kernel constructions is saturated.
     """
 
     ambient: Lattice
@@ -257,17 +256,6 @@ def eigenlattice(f: LatticeIsometry, sign: int) -> SublatticeBasis:
     return f._plus if sign == 1 else f._minus
 
 
-def orthogonal_complement(sub: SublatticeBasis) -> SublatticeBasis:
-    """Saturated basis of everything form-orthogonal to the sublattice."""
-    g = [list(r) for r in sub.ambient.gram]
-    if sub.rank == 0:
-        eye = intlinalg.identity(sub.ambient.rank)
-        return SublatticeBasis(sub.ambient, [tuple(r) for r in eye])
-    pairings = intlinalg.matmul([list(v) for v in sub.vectors], g)
-    kernel = intlinalg.integer_kernel(pairings)
-    return SublatticeBasis(sub.ambient, [tuple(v) for v in kernel])
-
-
 def discriminant_info(sub: SublatticeBasis) -> DiscriminantInfo:
     """Smith invariants of the induced Gram matrix.
 
@@ -296,20 +284,3 @@ def is_hyperbolic_type(sub: SublatticeBasis) -> bool:
     if sub.rank == 0:
         return False
     return sub.induced_lattice().signature() == (1, sub.rank - 1)
-
-
-def is_saturated(sub: SublatticeBasis) -> bool:
-    """True iff the basis spans a primitive sublattice (all Smith divisors
-    of the basis matrix are 1)."""
-    if sub.rank == 0:
-        return True
-    return all(d == 1 for d in intlinalg.smith_divisors(sub.basis_matrix()))
-
-
-def same_sublattice(a: SublatticeBasis, b: SublatticeBasis) -> bool:
-    """Equality of the spanned sublattices (not of the chosen bases)."""
-    if a.ambient != b.ambient:
-        return False
-    ca = intlinalg.column_hnf([list(v) for v in a.vectors])
-    cb = intlinalg.column_hnf([list(v) for v in b.vectors])
-    return ca == cb

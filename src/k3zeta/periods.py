@@ -78,23 +78,6 @@ class PeriodPoint(Record, eq=False):
         return self.sublattice.induced_lattice().float_gram
 
 
-def omega_contains(sub: lattices.SublatticeBasis, eta) -> bool:
-    """Membership test for the period domain of `sub` (must have signature
-    (2, rank-2); that precondition failing is a geometry error, a vector
-    merely failing isotropy or positivity just returns False)."""
-    _check_domain_lattice(sub)
-    arr = np.asarray(eta, dtype=complex)
-    if arr.shape != (sub.rank,):
-        raise InputError("eta must have length %d" % sub.rank)
-    if not np.any(arr):
-        raise InputError("eta must be nonzero")
-    try:
-        PeriodPoint(sub, arr)
-    except GeometryError:
-        return False
-    return True
-
-
 def conjugate_period(p: PeriodPoint) -> PeriodPoint:
     return PeriodPoint(p.sublattice, np.conj(p.coords))
 
@@ -169,13 +152,6 @@ class PeriodPair(Record, eq=False):
 
     def labels(self) -> tuple[int, int]:
         return component_label(self.plus), component_label(self.minus)
-
-
-def same_period_pair(a: PeriodPair, b: PeriodPair) -> bool:
-    """Equality of unordered pairs of projective classes."""
-    straight = projectively_equal(a.plus, b.plus) and projectively_equal(a.minus, b.minus)
-    crossed = projectively_equal(a.plus, b.minus) and projectively_equal(a.minus, b.plus)
-    return straight or crossed
 
 
 class _MarkingContext(Record, eq=False):

@@ -22,7 +22,7 @@ sectors; the refusal names that sector and its source, the spectrum or
 a curve, whose own cutoff it quotes.
 
   * zeta_signed        the plus/minus zeta functions at s = 0
-  * dolbeault_zetas    the (0, q) combinations for q = 0, 1, 2 from the
+  * dolbeault_zeta     the (0, q) combination for q = 0, 1 or 2 from the
                        twisted sector; q = 0 is continued directly from the
                        twisted trace, so comparing it with the signed
                        difference is a genuine two-route check
@@ -426,21 +426,15 @@ def zeta_signed(
     return _continue([("the spectrum", spectrum, (sign,))], tol)[0][0]
 
 
-def dolbeault_zetas(
-    spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET
-) -> tuple[ContinuationResult, ContinuationResult, ContinuationResult]:
-    """The (0, q) zeta combinations for q = 0, 1, 2, from the one
-    continuation of the twisted sector."""
-    return _dolbeault(*_continue([("the spectrum", spectrum, (_TWISTED,))], tol)[0])
-
-
 def dolbeault_zeta(
     spectrum: EquivariantSpectrum, q: int, tol: float = DEFAULT_TARGET
 ) -> ContinuationResult:
-    """The (0, q) zeta combination; see dolbeault_zetas."""
+    """The (0, q) zeta combination, from the one continuation of the
+    twisted sector."""
     if q not in (0, 1, 2):
         raise InputError("q must be 0, 1, or 2")
-    return dolbeault_zetas(spectrum, tol)[int(q)]
+    [(twisted,)] = _continue([("the spectrum", spectrum, (_TWISTED,))], tol)
+    return _dolbeault(twisted)[int(q)]
 
 
 def zeta_values(spectrum: EquivariantSpectrum, tol: float = DEFAULT_TARGET):
@@ -534,9 +528,9 @@ def borcherds_report(
     tau = float(tau)
     if not 0.0 < tau < math.inf:
         raise InputError("tau must be positive and finite")
-    nu = int(nu)
-    if nu < 1:
+    if _finite(nu, "nu") < 1:
         raise InputError("nu must be a positive integer")
+    nu = _count(nu, "nu")
     try:
         norm = tau ** (-2 * nu)
     except OverflowError:
@@ -547,10 +541,13 @@ def borcherds_report(
     factor = norm**0.25 if nu == 1 else None
     with_constant = None
     if constant is not None:
-        c = float(constant)
+        try:
+            c = _finite(constant, "normalizing constant")
+        except InputError:  # refused below, in the words non-finite values get
+            c = math.nan
         if not 0.0 < c < math.inf:
             raise InputError(
-                "normalizing constant must be positive and finite, got %r" % c
+                "normalizing constant must be positive and finite, got %r" % (constant,)
             )
         with_constant = c * norm**0.25
         if with_constant == math.inf:
@@ -566,9 +563,9 @@ def truncate_entries(
     """Keep only the first `max_terms` entries, tightening the completeness
     claim to the last kept eigenvalue. Complete spectra cannot lose entries
     without lying, so they are refused."""
-    n = int(max_terms)
-    if n < 1:
+    if _finite(max_terms, "max terms") < 1:
         raise InputError("max terms must be at least 1")
+    n = _count(max_terms, "max terms")
     if spectrum.complete:
         raise InputError("a complete spectrum cannot be truncated")
     if n >= spectrum.lambdas().size:

@@ -10,15 +10,7 @@ import time
 import numpy as np
 
 import k3zeta
-from k3zeta.frames import (
-    compatible_frames,
-    random_compatible_frame,
-    random_rotation,
-    recover_compatible_parameters,
-    recover_rotation,
-    rotate_frame,
-    seed_compatible_frame,
-)
+from k3zeta.frames import compatible_frames, random_compatible_frame
 from k3zeta.lattices import (
     build_standard_lattice,
     discriminant_info,
@@ -27,12 +19,7 @@ from k3zeta.lattices import (
     is_hyperbolic_type,
 )
 from k3zeta.models import flat_torus_spectrum, round_sphere_spectrum
-from k3zeta.periods import (
-    component_label,
-    conjugate_period,
-    period_of,
-    same_period_pair,
-)
+from k3zeta.periods import component_label, conjugate_period, period_of
 from k3zeta.spectral import (
     EquivariantSpectrum,
     HeatTail,
@@ -44,6 +31,14 @@ from k3zeta.spectral import (
     zeta_signed,
 )
 
+from fixtures import (
+    family_parameters,
+    random_rotation,
+    recover_rotation,
+    rotate,
+    same_pair,
+    seed_frame,
+)
 from oracles import (
     direct_zeta,
     scaled_spectrum,
@@ -105,24 +100,24 @@ def test_rotation_torsor_and_family_parameters():
     t0 = time.monotonic()
     rng = np.random.default_rng(101)
     invol = enriques_involution()
-    base = seed_compatible_frame()
+    base = seed_frame()
     worst = 0.0
     for _ in range(100):
         a, b = random_rotation(rng), random_rotation(rng)
-        left = rotate_frame(base, a.compose(b))
-        right = rotate_frame(rotate_frame(base, b), a)
+        left = rotate(base, a @ b)
+        right = rotate(rotate(base, b), a)
         worst = max(worst, float(np.max(np.abs(left.gammas - right.gammas))))
-        moved = rotate_frame(base, a)
-        back = recover_rotation(base, moved)
-        worst = max(worst, float(np.max(np.abs(back.matrix - a.matrix))))
+        back = recover_rotation(base, rotate(base, a))
+        worst = max(worst, float(np.max(np.abs(back - a))))
     anchor = random_compatible_frame(invol, rng)
     for branch in (1, -1):
         for psi in np.linspace(-3.0, 3.0, 5):
             fr = compatible_frames(anchor, invol, branch, float(psi))
-            b2, p2, res = recover_compatible_parameters(anchor, fr)
+            b2, p2 = family_parameters(anchor, fr)
             assert b2 == branch
             assert abs((p2 - psi + np.pi) % (2 * np.pi) - np.pi) < 1e-10
-            worst = max(worst, float(res))
+            rebuilt = compatible_frames(anchor, invol, b2, p2)
+            worst = max(worst, float(np.max(np.abs(rebuilt.gammas - fr.gammas))))
     assert worst < 1e-10
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
@@ -153,7 +148,7 @@ def test_period_pair_is_frame_independent():
         for branch in (1, -1):
             for psi in (-2.4, -0.9, 1.1, 2.8):
                 fr = compatible_frames(frame, invol, branch, psi)
-                assert same_period_pair(period_of(fr, invol), ref)
+                assert same_pair(period_of(fr, invol), ref)
     assert worst_iso < 1e-9
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0

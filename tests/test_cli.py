@@ -11,10 +11,12 @@ import k3zeta
 from k3zeta import jsonio
 from k3zeta.cli import main
 from k3zeta.errors import InputError
-from k3zeta.frames import HKFrame, random_compatible_frame, seed_compatible_frame
+from k3zeta.frames import HKFrame, random_compatible_frame
 from k3zeta.lattices import enriques_involution
 from k3zeta.models import flat_torus_curve, flat_torus_spectrum
 from k3zeta.spectral import borcherds_report, truncate_entries, zeta_signed
+
+from fixtures import seed_frame
 
 I2 = ((1, 0), (0, 1))
 
@@ -63,7 +65,7 @@ def test_period_command(tmp_path, capsys):
 
 
 def test_period_rejects_incompatible_frame(tmp_path, capsys):
-    base = seed_compatible_frame()
+    base = seed_frame()
     v = np.zeros(22)
     v[6] = v[14] = 1.0
     tilted = np.vstack(
@@ -252,7 +254,7 @@ def test_non_integer_lattice_file_exit_code(tmp_path, capsys, gram):
 # 1e308 at an E8 coordinate makes the pairing v @ form @ v^T overflow
 @pytest.mark.parametrize("bad", ["x", None, math.nan, math.inf, 1e308])
 def test_non_finite_frame_file_exit_code(tmp_path, capsys, bad):
-    obj = jsonio.encode_frame(seed_compatible_frame())
+    obj = jsonio.encode_frame(seed_frame())
     obj["gammas"][0][8] = bad
     path = tmp_path / "frame.json"
     path.write_text(json.dumps(obj))
@@ -279,7 +281,7 @@ def test_non_finite_frame_file_exit_code(tmp_path, capsys, bad):
 def test_tol_must_be_positive_and_finite(tmp_path, capsys, command, tol):
     if command == "period":
         path = tmp_path / "frame.json"
-        frame = jsonio.encode_frame(seed_compatible_frame())
+        frame = jsonio.encode_frame(seed_frame())
         path.write_text(jsonio.canonical_dumps(frame))
         argv = ["period", "--frame", str(path), "--involution", "enriques"]
     else:
@@ -310,7 +312,7 @@ def test_out_of_range_norm_exit_code(capsys, argv):
 
 
 def _frame_with(field, value):
-    obj = jsonio.encode_frame(seed_compatible_frame())
+    obj = jsonio.encode_frame(seed_frame())
     # an entry equal to 1, so the boolean or string reads as the same number
     row, col = (0, 1) if field == "form" else (2, 4)
     assert obj[field][row][col] == 1.0

@@ -5,24 +5,22 @@ from k3zeta.errors import GeometryError, InputError
 from k3zeta.frames import (
     DEFAULT_TOL,
     HKFrame,
-    RotationSO3,
     _split_directions,
-    check_antiholomorphic_sign,
     compatible_frames,
-    involution_eigenframe,
     is_compatible,
     random_compatible_frame,
-    random_rotation,
-    recover_compatible_parameters,
-    recover_rotation,
-    restricted_action,
-    rotate_frame,
-    seed_compatible_frame,
     standard_flat_model,
     two_form_of,
-    unit_sphere_structure,
 )
 from k3zeta.lattices import eigenlattice, enriques_involution
+
+from fixtures import (
+    family_parameters,
+    random_rotation,
+    recover_rotation,
+    rotate,
+    seed_frame,
+)
 
 TOL = 1e-10
 
@@ -48,13 +46,14 @@ def test_two_forms_are_antisymmetric():
 
 
 def test_antiholomorphic_sign_check():
+    # an isometric involution that anticommutes with J flips the sign of
+    # the J-form under pullback, exactly
     m = standard_flat_model()
-    s = np.diag([1.0, 1.0, -1.0, -1.0])  # anticommutes with J
-    out = check_antiholomorphic_sign(m.metric, s)
-    assert out["sign_flipped"]
-    assert out["max_deviation"] <= TOL
-    with pytest.raises(InputError):
-        check_antiholomorphic_sign(m.metric, np.eye(4))  # commutes with J
+    s = np.diag([1, 1, -1, -1])
+    assert np.array_equal(s.T @ m.metric @ s, m.metric)
+    assert np.array_equal(s @ m.J, -m.J @ s)
+    pullback = s.T @ two_form_of(m.metric, m.J) @ s
+    assert np.array_equal(pullback, -two_form_of(m.metric, m.J))
 
 
 def test_frame_pairing_validation():
@@ -66,97 +65,39 @@ def test_frame_pairing_validation():
 
 
 def test_rotation_group_structure():
-    with pytest.raises(InputError):
-        RotationSO3(np.diag([1.0, 1.0, -1.0]))  # det -1
     rng = np.random.default_rng(11)
     a, b = random_rotation(rng), random_rotation(rng)
-    frame = seed_compatible_frame()
-    left = rotate_frame(frame, a.compose(b))
-    right = rotate_frame(rotate_frame(frame, b), a)
+    for rot in (a, b):
+        assert np.max(np.abs(rot.T @ rot - np.eye(3))) < TOL
+        assert abs(np.linalg.det(rot) - 1.0) < TOL
+    frame = seed_frame()
+    left = rotate(frame, a @ b)
+    right = rotate(rotate(frame, b), a)
     assert np.max(np.abs(left.gammas - right.gammas)) < TOL
 
 
 def test_rotation_recovery():
     rng = np.random.default_rng(3)
-    frame = seed_compatible_frame()
+    frame = seed_frame()
     for _ in range(10):
         rot = random_rotation(rng)
-        moved = rotate_frame(frame, rot)
-        back = recover_rotation(frame, moved)
-        assert np.max(np.abs(back.matrix - rot.matrix)) < TOL
-    with pytest.raises(GeometryError):
-        # a frame in a different 3-space is not a rotation of the seed
-        other = random_compatible_frame(enriques_involution(), rng)
-        recover_rotation(frame, other)
-
-
-def test_unit_sphere_structure_domain():
-    frame = seed_compatible_frame()
-    v = unit_sphere_structure(frame, [0.0, 0.6, 0.8])
-    assert v.shape == (frame.form.shape[0],)
-    with pytest.raises(InputError):
-        unit_sphere_structure(frame, [1.0, 1.0, 0.0])
-
-
-def test_restricted_action_and_eigenframe():
-    iso = enriques_involution()
-    rng = np.random.default_rng(5)
-    base = seed_compatible_frame()
-    moved = rotate_frame(base, random_rotation(rng))
-    r = restricted_action(moved, iso)
-    assert np.max(np.abs(r - r.T)) < TOL
-    assert abs(np.trace(r) + 1.0) < 1e-8
-    aligned, signs = involution_eigenframe(moved, iso)
-    assert signs == (1, -1, -1)
-    assert is_compatible(aligned, iso)
+        back = recover_rotation(frame, rotate(frame, rot))
+        assert np.max(np.abs(back - rot)) < TOL
+    # a frame in a different 3-space is not a rotation of the seed
+    other = random_compatible_frame(enriques_involution(), rng)
+    back = recover_rotation(frame, other)
+    assert np.max(np.abs(back @ frame.gammas - other.gammas)) > 0.1
 
 
 def test_involution_may_be_a_plain_square_array():
     iso = enriques_involution()
     rot = random_rotation(np.random.default_rng(5))
-    moved = rotate_frame(seed_compatible_frame(), rot)
+    moved = rotate(seed_frame(), rot)
     plain = np.array(iso.matrix, dtype=float)
-    assert np.array_equal(
-        restricted_action(moved, plain), restricted_action(moved, iso)
-    )
-    assert is_compatible(seed_compatible_frame(), plain.tolist())
+    assert not is_compatible(moved, plain) and not is_compatible(moved, iso)
+    assert is_compatible(seed_frame(), plain.tolist())
     with pytest.raises(InputError, match="expected a square matrix"):
         is_compatible(moved, plain[:, :21])
-
-
-def test_eigenframe_rejects_unpreserved_span():
-    iso = enriques_involution()
-    base = seed_compatible_frame()
-    # tilt gamma_K out of the involution-adapted 3-space: v = e_6 + e_14 is
-    # an invariant E8-pair vector of self-pairing -4, so sqrt(3) gamma_K + v
-    # has self-pairing 2 but its line is not sent into the span
-    v = np.zeros(22)
-    v[6] = v[14] = 1.0
-    tilted = np.vstack(
-        [base.gammas[0], base.gammas[1], np.sqrt(3.0) * base.gammas[2] + v]
-    )
-    bad = HKFrame(base.form, tilted)
-    with pytest.raises(GeometryError):
-        restricted_action(bad, iso)
-
-
-def test_eigenframe_rejects_wrong_trace():
-    from k3zeta.lattices import LatticeIsometry, build_standard_lattice, direct_sum
-
-    u = build_standard_lattice("u")
-    amb = direct_sum(u, u, u)
-    t = [[0] * 6 for _ in range(6)]
-    for i in range(4):
-        t[i][i] = 1
-    t[4][4] = t[5][5] = -1  # invariant on two planes: restricted trace +1
-    iso = LatticeIsometry(amb, t)
-    gammas = np.zeros((3, 6))
-    gammas[0, 0] = gammas[0, 1] = 1.0
-    gammas[1, 2] = gammas[1, 3] = 1.0
-    gammas[2, 4] = gammas[2, 5] = 1.0
-    frame = HKFrame(np.asarray(amb.gram, dtype=float), gammas)
-    with pytest.raises(GeometryError):
-        involution_eigenframe(frame, iso)
 
 
 def test_compatible_family_and_parameter_recovery():
@@ -168,20 +109,21 @@ def test_compatible_family_and_parameter_recovery():
         for psi in psis:
             fr = compatible_frames(base, iso, branch, float(psi))
             assert is_compatible(fr, iso)
-            b, p, res = recover_compatible_parameters(base, fr)
+            b, p = family_parameters(base, fr)
             assert b == branch
-            assert res < TOL
+            rebuilt = compatible_frames(base, iso, b, p)
+            assert np.max(np.abs(rebuilt.gammas - fr.gammas)) < TOL
             assert abs((p - psi + np.pi) % (2 * np.pi) - np.pi) < 1e-9
 
 
 def test_compatible_frames_requires_compatibility():
     iso = enriques_involution()
     rng = np.random.default_rng(29)
-    base = rotate_frame(seed_compatible_frame(), random_rotation(rng))
+    base = rotate(seed_frame(), random_rotation(rng))
     with pytest.raises(GeometryError):
         compatible_frames(base, iso, 1, 0.3)
     with pytest.raises(InputError):
-        compatible_frames(seed_compatible_frame(), iso, 2, 0.3)
+        compatible_frames(seed_frame(), iso, 2, 0.3)
 
 
 def test_random_compatible_frames_are_compatible():

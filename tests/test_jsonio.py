@@ -1,11 +1,14 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3zeta import jsonio
-from k3zeta.errors import InputError
+from k3zeta.errors import InputError, K3ZetaError
 from k3zeta.frames import random_compatible_frame
 from k3zeta.lattices import (
     build_standard_lattice,
@@ -18,7 +21,7 @@ from k3zeta.models import (
     round_sphere_spectrum,
 )
 from k3zeta.periods import period_of
-from k3zeta.spectral import EquivariantSpectrum, HeatTail
+from k3zeta.spectral import EquivariantSpectrum, HeatTail, zeta_values
 
 I2 = ((1, 0), (0, 1))
 
@@ -144,3 +147,70 @@ def test_decode_spectrum_validates():
         jsonio.decode_spectrum(broken)
     with pytest.raises(InputError):
         jsonio.decode_spectrum({"entries": "nope", "kernel": [1, 0], "tail": enc["tail"]})
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["free", "1", ""]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=24,
+)
+# valid encodings of each wire shape: the complete synthetic spectrum has
+# 1 + 0 + 5 + 3 = 9 states and a signed count of 1 - 0 + 5 - 3 = 3
+_VALID = [
+    jsonio.encode_spectrum(round_sphere_spectrum(l_max=30)),
+    jsonio.encode_spectrum(flat_torus_spectrum(I2, (1, 0), 20.0)),
+    jsonio.encode_spectrum(
+        EquivariantSpectrum(
+            ((0.5, 3, 1), (2.0, 2, 2)), (1, 0), HeatTail(0, (9.0,), (3.0,))
+        )
+    ),
+    jsonio.encode_curve(flat_torus_curve(I2, 20.0)),
+    {
+        "form": [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, -2]],
+        "gammas": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+    },
+    {"gram": [[0, 1], [1, 0]], "matrix": [[0, 1], [1, 0]]},
+]
+
+
+@st.composite
+def _mutated(draw):
+    """A valid encoding with up to two values replaced by a small number or
+    an arbitrary JSON value, mostly at the leaves."""
+    obj = copy.deepcopy(draw(st.sampled_from(_VALID)))
+    for _ in range(draw(st.integers(0, 2))):
+        parent, key, node = None, None, obj
+        while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, draw(st.sampled_from(keys))
+            node = parent[key]
+        if parent is not None:
+            parent[key] = draw(st.integers(-1, 5) | st.floats(-1.0, 100.0) | _JSON)
+    return obj
+
+
+def _decoded(decode, obj):
+    try:
+        return decode(obj)
+    except K3ZetaError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_JSON | _mutated())
+def test_decoders_refuse_any_json_value_with_a_typed_error(obj):
+    # any JSON value either decodes or is refused with the package's own
+    # error, and a decoded spectrum either continues or is refused likewise
+    lattice = _decoded(jsonio.decode_lattice, obj) or build_standard_lattice("u")
+    _decoded(jsonio.decode_frame, obj)
+    _decoded(lambda o: jsonio.decode_isometry(o, lattice), obj)
+    spectra = [_decoded(jsonio.decode_spectrum, obj)]
+    curve = _decoded(jsonio.decode_curve, obj)
+    spectra.append(curve and curve.spectrum)
+    for spectrum in filter(None, spectra):
+        _decoded(lambda s: zeta_values(s, 1e-8), spectrum)

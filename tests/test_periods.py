@@ -6,48 +6,39 @@ import pytest
 from k3zeta import intlinalg, periods
 from k3zeta.cli import main
 from k3zeta.errors import GeometryError, InputError, MarkingError
-from k3zeta.frames import (
-    HKFrame,
-    compatible_frames,
-    random_compatible_frame,
-    random_rotation,
-    rotate_frame,
-    seed_compatible_frame,
-)
+from k3zeta.frames import HKFrame, compatible_frames, random_compatible_frame
 from k3zeta.lattices import (
     Lattice,
     LatticeIsometry,
-    SublatticeBasis,
     build_standard_lattice,
     eigenlattice,
     enriques_involution,
-    orthogonal_complement,
 )
 from k3zeta.periods import (
     PeriodPoint,
     component_label,
     conjugate_period,
-    omega_contains,
     period_of,
     projectively_equal,
-    same_period_pair,
 )
+
+from fixtures import complement, random_rotation, rotate, same_pair, seed_frame
 
 
 def test_seed_period_is_in_the_domain():
     iso = enriques_involution()
-    pair = period_of(seed_compatible_frame(), iso)
+    pair = period_of(seed_frame(), iso)
     g = pair.plus.induced_gram()
     eta = pair.plus.coords
     self_pairing = complex(eta @ g @ eta)
     positivity = float(np.real(eta @ g @ eta.conjugate()))
     assert abs(self_pairing) < 1e-9 * positivity
     assert positivity > 0.0
-    assert omega_contains(pair.plus.sublattice, eta)
+    PeriodPoint(pair.plus.sublattice, eta)
 
 
 def test_induced_gram_is_the_shared_read_only_view():
-    pair = period_of(seed_compatible_frame(), enriques_involution())
+    pair = period_of(seed_frame(), enriques_involution())
     g = pair.plus.induced_gram()
     assert g is pair.plus.sublattice.induced_lattice().float_gram
     assert np.array_equal(g, np.array(pair.plus.sublattice.induced_lattice().gram))
@@ -63,7 +54,7 @@ def test_family_gives_one_period_pair():
     for branch in (1, -1):
         for psi in (-2.2, 0.0, 0.7, 3.0):
             fr = compatible_frames(base, iso, branch, psi)
-            assert same_period_pair(period_of(fr, iso), ref)
+            assert same_pair(period_of(fr, iso), ref)
 
 
 def test_labels_flip_under_conjugation():
@@ -90,28 +81,31 @@ def test_label_is_constant_along_the_family():
 
 def test_projective_equality_is_scale_invariant():
     iso = enriques_involution()
-    pair = period_of(seed_compatible_frame(), iso)
+    pair = period_of(seed_frame(), iso)
     p = pair.plus
     q = PeriodPoint(p.sublattice, (0.3 - 1.7j) * p.coords)
     assert projectively_equal(p, q)
     assert not projectively_equal(p, conjugate_period(p))
 
 
-def test_omega_contains_rejects_off_domain_vectors():
+def test_period_point_refuses_off_domain_vectors():
     iso = enriques_involution()
-    pair = period_of(seed_compatible_frame(), iso)
+    pair = period_of(seed_frame(), iso)
     sub = pair.plus.sublattice
-    real = np.ones(sub.rank, dtype=complex)
-    assert not omega_contains(sub, real)
-    with pytest.raises(InputError):
-        omega_contains(sub, np.zeros(sub.rank, dtype=complex))
+    eta = pair.plus.coords
+    with pytest.raises(GeometryError, match="not isotropic"):
+        PeriodPoint(sub, np.real(eta))  # real: <eta, eta> = <eta, eta-bar> > 0
+    with pytest.raises(GeometryError, match="not isotropic"):
+        PeriodPoint(sub, np.real(eta) + 2j * np.imag(eta))
+    with pytest.raises(GeometryError, match="<= 0"):
+        PeriodPoint(sub, np.zeros(sub.rank, dtype=complex))
 
 
 def test_period_of_input_checks():
     iso = enriques_involution()
-    base = seed_compatible_frame()
+    base = seed_frame()
     rng = np.random.default_rng(53)
-    incompatible = rotate_frame(base, random_rotation(rng))
+    incompatible = rotate(base, random_rotation(rng))
     with pytest.raises(GeometryError):
         period_of(incompatible, iso)
 
@@ -123,7 +117,7 @@ def test_period_of_input_checks():
 
 def test_marking_must_act_on_the_same_lattice():
     iso = enriques_involution()
-    base = seed_compatible_frame()
+    base = seed_frame()
     u = build_standard_lattice("u")
     alien = LatticeIsometry(u, [[0, 1], [1, 0]])
     with pytest.raises(MarkingError):
@@ -134,10 +128,10 @@ def test_marking_by_the_involution_itself():
     # T preserves its own eigenlattices and acts as -1 on the anti-invariant
     # part, so marking by T negates eta: the same projective pair and labels.
     iso = enriques_involution()
-    base = seed_compatible_frame()
+    base = seed_frame()
     plain = period_of(base, iso)
     marked = period_of(base, iso, marking=iso)
-    assert same_period_pair(plain, marked)
+    assert same_pair(plain, marked)
     assert marked.labels() == plain.labels()
     assert np.max(np.abs(marked.plus.coords + plain.plus.coords)) < 1e-12
 
@@ -179,20 +173,17 @@ def test_domain_is_the_complement_of_the_marked_invariant_lattice():
     # (L+)^perp = L- for an involution of a nondegenerate lattice, and
     # m((L+)^perp) = (m L+)^perp; both bases are Hermite forms, so equal
     iso = enriques_involution()
-    frame = seed_compatible_frame()
+    frame = seed_frame()
     plus = eigenlattice(iso, +1)
-    assert (
-        period_of(frame, iso).plus.sublattice.vectors
-        == orthogonal_complement(plus).vectors
-    )
+    gram = iso.lattice.gram
+    assert period_of(frame, iso).plus.sublattice.vectors == complement(gram, plus.vectors)
     rng = np.random.default_rng(59)
     for length in range(3, 9):
         marking = _reflection_word(iso.lattice, rng, length)
         mm = [list(row) for row in marking.matrix]
         image = [intlinalg.matvec(mm, list(v)) for v in plus.vectors]
-        complement = orthogonal_complement(SublatticeBasis(iso.lattice, image))
         pair = period_of(frame, iso, marking)
-        assert pair.plus.sublattice.vectors == complement.vectors
+        assert pair.plus.sublattice.vectors == complement(gram, image)
         assert set(pair.labels()) == {1, -1}
 
 
@@ -211,7 +202,7 @@ def test_domain_on_a_degenerate_ambient_is_the_anti_invariant_lattice():
 
 def test_induced_lattice_and_signature_are_computed_once(monkeypatch, capsys):
     iso = enriques_involution()
-    frame = seed_compatible_frame()
+    frame = seed_frame()
     calls = collections.Counter()
     for name in ("matmul", "integer_kernel", "rational_inertia"):
 
@@ -243,7 +234,7 @@ def test_induced_lattice_and_signature_are_computed_once(monkeypatch, capsys):
 @pytest.mark.parametrize("tol", [1e-10, 1e-6])
 def test_form_check_at_its_tolerance(tol):
     iso = enriques_involution()
-    base = seed_compatible_frame()
+    base = seed_frame()
     for delta, ok in ((tol / 2, True), (2 * tol, False)):
         form = np.array(base.form)
         # an E8 entry, where every frame vector vanishes

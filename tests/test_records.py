@@ -2,11 +2,12 @@
 assignment or deletion, field-wise equality and hashing where records are
 values, identity where they are not, and a `Name(field=value, ...)` repr."""
 
-import numpy as np
 import pytest
 
 from k3zeta import frames, lattices, mellin, periods, spectral
 from k3zeta.models import flat_torus_curve, flat_torus_spectrum
+
+from fixtures import seed_frame
 
 U = ((0, 1), (1, 0))
 I2 = ((1, 0), (0, 1))
@@ -25,8 +26,7 @@ def _determinant():
 
 
 def _pair():
-    frame = frames.seed_compatible_frame()
-    return periods.period_of(frame, lattices.enriques_involution())
+    return periods.period_of(seed_frame(), lattices.enriques_involution())
 
 
 def _point():
@@ -80,8 +80,7 @@ VALUE_RECORDS = [
 ]
 
 IDENTITY_RECORDS = [
-    (frames.HKFrame, "form", frames.seed_compatible_frame),
-    (frames.RotationSO3, "matrix", lambda: frames.RotationSO3(np.eye(3))),
+    (frames.HKFrame, "form", seed_frame),
     (frames.FlatModel, "metric", frames.standard_flat_model),
     (periods.PeriodPoint, "sublattice", _point),
     (periods.PeriodPair, "plus", lambda: periods.PeriodPair(_pair().plus, _pair().minus)),

@@ -311,6 +311,7 @@ def test_borcherds_round_trip_and_constant():
     assert math.isclose(scaled.determinant_with_constant, 2.0 * math.pi, rel_tol=1e-14)
     deep = borcherds_report(tau, 3)
     assert math.isclose(deep.implied_norm, tau**-6.0, rel_tol=1e-14)
+    assert borcherds_report(tau, 3.0) == deep  # an integral float is a count
     assert deep.implied_determinant_factor is None
     with pytest.raises(InputError):
         borcherds_report(-1.0, 1)
@@ -324,10 +325,55 @@ def test_truncate_entries():
     assert len(short.entries) == 4
     assert short.cutoff == short.entries[-1][0] == 4 * 5 / 2.0
     assert truncate_entries(spectrum, 99) is spectrum
+    assert truncate_entries(spectrum, 4.0) == short
     with pytest.raises(InputError):
         truncate_entries(spectrum, 0)
     with pytest.raises(InputError):
         truncate_entries(SYNTH, 1)
+
+
+_SPHERE = round_sphere_spectrum(l_max=10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: borcherds_report(0.5, 2.5), id="nu-fraction"),
+        pytest.param(lambda: borcherds_report(0.5, True), id="nu-boolean"),
+        pytest.param(lambda: borcherds_report(0.5, "2"), id="nu-string"),
+        pytest.param(lambda: borcherds_report(0.5, math.inf), id="nu-infinite"),
+        pytest.param(lambda: borcherds_report(0.5, 1, True), id="constant-boolean"),
+        pytest.param(lambda: borcherds_report(0.5, 1, "2"), id="constant-string"),
+        pytest.param(lambda: truncate_entries(_SPHERE, 2.9), id="max-terms-fraction"),
+        pytest.param(lambda: truncate_entries(_SPHERE, True), id="max-terms-boolean"),
+    ],
+)
+def test_library_arguments_are_refused_not_truncated(call):
+    with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: borcherds_report(0.5, 0), "nu must be a positive integer"),
+        (lambda: borcherds_report(0.5, -1), "nu must be a positive integer"),
+        (lambda: borcherds_report(0.5, 0.5), "nu must be a positive integer"),
+        (lambda: truncate_entries(_SPHERE, -3), "max terms must be at least 1"),
+        (
+            lambda: borcherds_report(0.5, 1, math.inf),
+            "normalizing constant must be positive and finite, got inf",
+        ),
+        (
+            lambda: borcherds_report(0.5, 1, -1.0),
+            "normalizing constant must be positive and finite, got -1.0",
+        ),
+    ],
+)
+def test_argument_refusals_keep_their_messages(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
 
 
 _BIG = 10**400  # past float range

@@ -1,0 +1,85 @@
+"""Every public top-level function and class of the package is reached from
+the package's own code, its command line or the benchmark scripts; a name
+that only tests reach is surface to delete, not to keep.
+
+References are read from the source with `ast`: the identifiers (names,
+attributes and imported names) in module-level code outside definitions and
+in `perfbench/*.py` are reached, and so is every identifier in the body of a
+reached definition. Identifiers are matched by name alone, so a name that a
+reached definition mentions for another object counts as reached too.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "k3zeta").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+
+_FLAT = "the three Kahler forms of a flat metric, kept for the flat 4-torus model"
+
+# public names kept without a caller, each with its reason
+ALLOWED = {
+    "jsonio.encode_lattice": "writes the lattice file format that decode_lattice reads",
+    "jsonio.encode_frame": "writes the frame file format that `period --frame` reads",
+    "jsonio.encode_spectrum": "writes the spectrum file format that `--spectrum` reads",
+    "jsonio.encode_curve": "writes the curve file format that `tau --curves` reads",
+    "frames.FlatModel": _FLAT,
+    "frames.standard_flat_model": _FLAT,
+    "frames.two_form_of": _FLAT,
+}
+
+
+def _identifiers(node) -> set[str]:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rpartition(".")[2])
+    return out
+
+
+def _definitions():
+    """(module, top-level definition node) for every package module, and
+    the identifiers of the package's module-level code outside them."""
+    defs, roots = [], set()
+    for path in PACKAGE:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((path.stem, stmt))
+            else:
+                roots |= _identifiers(stmt)
+    return defs, roots
+
+
+def _unreached(extra_roots=()) -> list[str]:
+    defs, roots = _definitions()
+    for path in BENCHMARK:
+        roots |= _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+    bodies = {}
+    for _, node in defs:
+        bodies.setdefault(node.name, set()).update(_identifiers(node))
+    reached, todo = set(), list(roots | set(extra_roots))
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(bodies.get(name, ()))
+    return sorted(
+        "%s.%s" % (module, node.name)
+        for module, node in defs
+        if not node.name.startswith("_") and node.name not in reached
+    )
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    allowed = [name.rpartition(".")[2] for name in ALLOWED]
+    assert _unreached(allowed) == []
+
+
+def test_every_allowance_is_still_needed():
+    assert sorted(ALLOWED) == [n for n in _unreached() if n in ALLOWED]
+    assert all(reason.strip() for reason in ALLOWED.values())
