@@ -72,14 +72,15 @@ def _emit(args, obj) -> None:
 def cmd_lattice(args) -> None:
     lat = _load_lattice(args)
     pos, neg = lat.signature()
+    det = lat.det()
     _emit(
         args,
         {
             "rank": lat.rank,
             "signature": [pos, neg],
-            "determinant": lat.det(),
+            "determinant": det,
             "even": lat.is_even(),
-            "unimodular": lat.is_unimodular(),
+            "unimodular": abs(det) == 1,
             "gram": [list(r) for r in lat.gram],
         },
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import lattices
 from ._record import Record
-from .errors import GeometryError, InputError
+from .errors import GeometryError, InputError, _finite
 
 DEFAULT_TOL = 1e-10
 
@@ -142,8 +142,9 @@ def compatible_frames(frame: HKFrame, invol, branch: int, psi: float) -> HKFrame
     branch +1: ( gamma_I, cos psi J - sin psi K, sin psi J + cos psi K)
     branch -1: (-gamma_I, cos psi J + sin psi K, sin psi J - cos psi K)
     """
-    if branch not in (1, -1):
+    if _finite(branch, "branch") not in (1, -1):
         raise InputError("branch must be +1 or -1")
+    psi = _finite(psi, "psi")
     if not is_compatible(frame, invol):
         raise GeometryError(
             "frame is not compatible with the involution (sign pattern"
@@ -226,11 +227,8 @@ def random_compatible_frame(invol, rng) -> HKFrame:
     y1 = p1 + a * _unit_neg(neg_m)
     y2 = p2 + b * _unit_neg(neg_m)
     gj = y1 * np.sqrt(2.0 / _norm(y1, g, 1, "anti-invariant direction"))
+    # its norm is 1 - b^2 - (a b <u1, u2>)^2 / (1 - a^2) >= 1 - b^2 / (1 - a^2)
+    # > 0.43 for unit negative admixtures u1, u2 and a, b < 0.6
     y2p = y2 - (float(y2 @ g @ gj) / 2.0) * gj
-    q = float(y2p @ g @ y2p)
-    if q <= 0.0:
-        # the two negative admixtures can conspire; fall back to the pure plane
-        y2p = p2
-        q = _norm(p2, g, 1, "anti-invariant plane")
-    gk = y2p * np.sqrt(2.0 / q)
+    gk = y2p * np.sqrt(2.0 / _norm(y2p, g, 1, "anti-invariant plane"))
     return HKFrame(g, np.vstack([gi, gj, gk]))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import intlinalg
 from ._record import Record
-from .errors import DegenerateLatticeError, InputError
+from .errors import DegenerateLatticeError, InputError, _finite
 
 
 def _freeze(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -71,9 +71,6 @@ class Lattice(Record):
 
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
-
-    def is_unimodular(self) -> bool:
-        return abs(self.det()) == 1
 
 
 class LatticeIsometry(Record):
@@ -249,7 +246,7 @@ def enriques_involution() -> LatticeIsometry:
 def eigenlattice(f: LatticeIsometry, sign: int) -> SublatticeBasis:
     """Saturated basis of the (+1 or -1) eigenlattice of an involution,
     computed once per isometry object."""
-    if sign not in (1, -1):
+    if _finite(sign, "eigenvalue sign") not in (1, -1):
         raise InputError("eigenvalue sign must be +1 or -1")
     if not f.is_involution:
         raise InputError("eigenlattice needs an involution (f squared != id)")

@@ -29,8 +29,10 @@ negative halves and mirrored (leggauss's rules are exactly symmetric), so
 numpy.polynomial is not imported; a test checks the tables bit for bit.
 
 Reductions over eigenvalue entries run in fixed-size chunks in ascending
-order and the chunk partials are combined with math.fsum, so results are
-deterministic and compensated no matter how entries are batched.
+order and the chunk partials are combined with math.fsum, node by node
+where a chunk gives one partial per node (theta, and the expm1 blocks of a
+complete spectrum), so results are deterministic and compensated no matter
+how entries are batched.
 
 All sectors of one spectrum (one weight row each) are continued in one
 call. They share E1 of the eigenvalues, the split candidates (which depend
@@ -47,8 +49,10 @@ one `w @ stack`. numpy's matmul runs on each contiguous block of the stack
 the gemv a lone block gets, so every candidate keeps its bits. Merging the
 candidates into one wide block, or reducing strided column views, would
 not: how a gemv kernel accumulates a column depends on the width and the
-layout of its block. The models and the truncation bound are elementwise,
-so they are evaluated once on the nodes of all panels together. The panels
+layout of its block. Each sector's model is evaluated once on the same
+(candidates, 2) array of split points, the only model values the search
+reads. The models and the truncation bound are elementwise, so they are
+evaluated once on the nodes of all panels together. The panels
 keep one call each: a stack of them would zero and reduce every block over
 the whole chunk, even where its own live prefix is short.
 
@@ -386,14 +390,14 @@ def continue_trace(
     if len(candidates) > 24:
         idx = np.linspace(0, len(candidates) - 1, 24).astype(int)
         candidates = [candidates[i] for i in idx]
-    # each model at every split point delta and at delta / 2
-    at_grid = [(m(grid), m(grid / 2.0)) for _, _, m, _, _, _ in sectors]
+    deltas, talls = grid.tolist(), tvals.tolist()
 
     def split_estimates(points, rows) -> dict:
         """(search estimate, below-split part) of the split at grid[i], for
         each i of `points` and each sector of `rows`: {(i, sector): ...}.
-        theta at every delta and delta / 2 comes from one stacked pass; a
-        non-finite estimate counts as infinite, so it is a miss."""
+        theta and each sector's model at every delta and delta / 2 come from
+        one stacked pass; a non-finite estimate counts as infinite, so it is
+        a miss."""
         if not (points and rows):
             return {}
         out = {}
@@ -401,10 +405,10 @@ def continue_trace(
         theta = _theta_at(lams, weights[rows], [kernel_weights[s] for s in rows], ts)
         for s, pairs in zip(rows, theta.tolist()):
             model = sectors[s][2]
-            for i, (th1, th2) in zip(points, pairs):
-                delta, tall = float(grid[i]), float(tvals[i])
-                dev1 = abs(th1 - float(at_grid[s][0][i]))
-                dev2 = abs(th2 - float(at_grid[s][1][i]))
+            for i, (th1, th2), (m1, m2) in zip(points, pairs, model(ts).tolist()):
+                delta, tall = deltas[i], talls[i]
+                dev1 = abs(th1 - m1)
+                dev2 = abs(th2 - m2)
                 if math.isinf(model.next_exponent):
                     below = dev1 + dev2 + tall
                 else:
@@ -434,7 +438,7 @@ def continue_trace(
         )
 
     # theta once per distinct panel, for the sectors integrating over it
-    panels = {s: _panel_edges(float(grid[best[s]])) for s in every if s not in results}
+    panels = {s: _panel_edges(deltas[best[s]]) for s in every if s not in results}
     users: dict = {}
     for s, ps in panels.items():
         for panel in ps:
@@ -454,7 +458,7 @@ def continue_trace(
 
     for s, ps in panels.items():
         _, _, model, zeta0, b_term, pole = sectors[s]
-        delta = float(grid[best[s]])
+        delta = deltas[best[s]]
         below = estimates[best[s], s][1]
         modelled = model(every_node)
         r_term, quad_err = _integrate_panels(
@@ -491,11 +495,14 @@ def _continue_complete(lams, weights, sectors) -> list:
     nodes = {panel: _panel_nodes(*panel) for panel in panels}
     values = {}
     for panel, (ts, _, _) in nodes.items():
-        out = [np.zeros_like(ts) for _ in weights]
+        partials = [[] for _ in weights]
         for i in range(0, lams.size, _CHUNK):
             block = np.expm1(-np.outer(lams[i : i + _CHUNK], ts))
-            out = [o + w[i : i + _CHUNK] @ block for o, w in zip(out, weights)]
-        values.update(((panel, s), o / ts) for s, o in enumerate(out))
+            for parts, w in zip(partials, weights):
+                parts.append(w[i : i + _CHUNK] @ block)
+        for s, parts in enumerate(partials):
+            by_node = np.reshape(parts, (-1, ts.size)).T.tolist()
+            values[panel, s] = np.array([math.fsum(p) for p in by_node]) / ts
     results = []
     for s, (_, _, _, zeta0, b_term, pole) in enumerate(sectors):
         r_term, quad_err = _integrate_panels(

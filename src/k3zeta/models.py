@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, InputError
+from .errors import AccuracyError, InputError, _count, _finite, _positive
 from .intlinalg import det_bareiss, is_symmetric, rational_inertia, to_int_matrix
 from .spectral import CurveComponent, EquivariantSpectrum, HeatTail
 
@@ -81,13 +81,19 @@ def round_sphere_spectrum(
     (-1)^l eigenspace; without it everything is invariant and the twisted
     trace equals the straight one.
     """
-    r = float(radius)
-    if r <= 0.0:
-        raise InputError("radius must be positive")
-    l_max = int(l_max)
-    if l_max < 2:
+    r = _positive(radius, "radius")
+    if _finite(l_max, "l_max") < 2:
         raise InputError("l_max must be at least 2")
+    l_max = _count(l_max, "l_max")
+    if l_max > _MAX_LATTICE_BOX:
+        raise AccuracyError(
+            "sphere spectrum needs %d entries; lower l_max" % l_max, achievable=None
+        )
     two_r2 = 2.0 * r * r
+    try:
+        tail = _sphere_tail(two_r2, not antipodal)
+    except (ZeroDivisionError, OverflowError, InputError):
+        raise InputError("radius %r puts (2 r^2)^-j past float range" % r) from None
     l = np.arange(1, l_max + 1)
     mult = 2 * l + 1
     minus = (l % 2 == 1) & bool(antipodal)
@@ -95,9 +101,7 @@ def round_sphere_spectrum(
         (l * (l + 1) / two_r2, np.where(minus, 0, mult), np.where(minus, mult, 0))
     )
     cutoff = (l_max + 1) * (l_max + 2) / two_r2
-    return EquivariantSpectrum(
-        entries, (1, 0), _sphere_tail(two_r2, not antipodal), cutoff
-    )
+    return EquivariantSpectrum(entries, (1, 0), tail, cutoff)
 
 
 def round_sphere_curve(
@@ -198,12 +202,13 @@ def flat_torus_spectrum(
     if character is None:
         eps = (0,) * n
     else:
-        eps = tuple(int(e) for e in character)
-        if len(eps) != n or any(e not in (0, 1) for e in eps):
+        try:
+            eps = tuple(_count(e, "character entry") for e in character)
+        except TypeError:
+            eps = ()
+        if len(eps) != n or max(eps) > 1:
             raise InputError("character must be a 0/1 vector of length n")
-    cut = float(cutoff)
-    if not math.isfinite(cut) or cut <= 0.0:
-        raise InputError("cutoff must be positive and finite")
+    cut = _positive(cutoff, "cutoff")
 
     # |m_i| <= sqrt(2 cutoff Q_ii) on the ellipsoid; pad one to be safe
     try:

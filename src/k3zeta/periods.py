@@ -7,7 +7,8 @@ component label is computed as an orientation sign against a fixed reference
 positive 2-frame of the lattice.
 
 Coordinates are always taken in the exact integer basis of the lattice, so
-projective comparisons and labels are basis-independent by construction.
+labels are basis-independent by construction. A pair is built from its plus
+point; its minus point is the conjugate of those coordinates.
 Every check and label reads the sublattice's induced lattice, which the
 sublattice computes once, on first use, as does that lattice its signature.
 
@@ -27,10 +28,9 @@ import numpy as np
 from . import frames as frames_mod
 from . import intlinalg, lattices
 from ._record import Record
-from .errors import GeometryError, InputError, MarkingError
+from .errors import GeometryError, InputError, MarkingError, _positive
 
 ISOTROPY_RTOL = 1e-9
-PROJECTIVE_TOL = 1e-9
 
 
 def _check_domain_lattice(sub: lattices.SublatticeBasis) -> None:
@@ -72,29 +72,6 @@ class PeriodPoint(Record, eq=False):
         object.__setattr__(self, "sublattice", sublattice)
         object.__setattr__(self, "coords", arr)
 
-    def induced_gram(self) -> np.ndarray:
-        """The induced Gram matrix: the induced lattice's float view, shared
-        and read-only."""
-        return self.sublattice.induced_lattice().float_gram
-
-
-def conjugate_period(p: PeriodPoint) -> PeriodPoint:
-    return PeriodPoint(p.sublattice, np.conj(p.coords))
-
-
-def projectively_equal(p, q) -> bool:
-    """[p] == [q] via vanishing of all 2x2 minors, scale-invariantly."""
-    a = p.coords if isinstance(p, PeriodPoint) else np.asarray(p, dtype=complex)
-    b = q.coords if isinstance(q, PeriodPoint) else np.asarray(q, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    ab = np.outer(a, b)
-    minors = np.abs(ab - ab.T)
-    scale = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if scale == 0.0:
-        raise InputError("projective comparison needs nonzero vectors")
-    return float(np.max(minors)) <= PROJECTIVE_TOL * scale
-
 
 @functools.lru_cache(maxsize=128)
 def _reference_positive_frame(sub: lattices.SublatticeBasis) -> np.ndarray:
@@ -120,7 +97,7 @@ def component_label(p: PeriodPoint) -> int:
     signature (2, k) never vanishes.
     """
     ref = _reference_positive_frame(p.sublattice)
-    g = p.induced_gram()
+    g = p.sublattice.induced_lattice().float_gram
     re, im = np.real(p.coords), np.imag(p.coords)
     m = np.vstack([re, im]) @ g @ ref
     d = float(np.linalg.det(m))
@@ -135,18 +112,15 @@ def component_label(p: PeriodPoint) -> int:
 class PeriodPair(Record, eq=False):
     """The unordered conjugate pair of period points attached to a frame.
 
-    `plus` is the class of x_J + i x_K, `minus` its conjugate; construction
-    checks that the two members really are conjugate classes.
+    `plus` is the class of x_J + i x_K; `minus`, its conjugate, is built
+    from it.
     """
 
     plus: PeriodPoint
     minus: PeriodPoint
 
-    def __init__(self, plus: PeriodPoint, minus: PeriodPoint):
-        if plus.sublattice is not minus.sublattice and plus.sublattice != minus.sublattice:
-            raise InputError("pair members live in different lattices")
-        if not projectively_equal(minus, conjugate_period(plus)):
-            raise GeometryError("pair members are not conjugate classes")
+    def __init__(self, plus: PeriodPoint):
+        minus = PeriodPoint(plus.sublattice, np.conj(plus.coords))
         object.__setattr__(self, "plus", plus)
         object.__setattr__(self, "minus", minus)
 
@@ -194,6 +168,7 @@ def period_of(
     not move the anti-invariant directions into that lattice is a marking
     error.
     """
+    tol = _positive(tol, "tol")
     if frame.form.shape[0] != invol.lattice.rank or not np.all(
         np.abs(frame.form - invol.lattice.float_gram) <= tol
     ):
@@ -204,9 +179,9 @@ def period_of(
             " (+1, -1, -1) fails)"
         )
     ctx = _marking_context(invol, marking)
-    alpha = marking.float_matrix if marking is not None else np.eye(invol.lattice.rank)
-    gj = alpha @ frame.gammas[1]
-    gk = alpha @ frame.gammas[2]
+    gj, gk = frame.gammas[1], frame.gammas[2]
+    if marking is not None:
+        gj, gk = marking.float_matrix @ gj, marking.float_matrix @ gk
     xj = ctx.coords_of @ gj
     xk = ctx.coords_of @ gk
     scale = max(float(np.max(np.abs(gj))), float(np.max(np.abs(gk))), 1.0)
@@ -219,6 +194,4 @@ def period_of(
             "anti-invariant frame vectors do not land in the marked"
             " complement (residual %.3e)" % residual
         )
-    plus = PeriodPoint(ctx.domain, xj + 1j * xk)
-    minus = PeriodPoint(ctx.domain, xj - 1j * xk)
-    return PeriodPair(plus, minus)
+    return PeriodPair(PeriodPoint(ctx.domain, xj + 1j * xk))

@@ -42,7 +42,8 @@ import math
 import numpy as np
 
 from ._record import Record
-from .errors import AccuracyError, ConsistencyError, InputError
+from .errors import AccuracyError, ConsistencyError, InputError, _count, _finite
+from .errors import _positive
 from .mellin import (
     DEFAULT_TARGET,
     ContinuationResult,
@@ -99,33 +100,6 @@ class HeatTail(Record):
 
     def straight_model(self) -> TraceModel:
         return TraceModel.from_ladder(self.dim, self.straight)
-
-
-def _finite(x, what: str) -> float:
-    """A finite float from a number: booleans, strings and values past
-    float range are refused."""
-    try:
-        v = math.nan if isinstance(x, (bool, str)) else float(x)
-    except (TypeError, ValueError, OverflowError):
-        v = math.nan
-    if not math.isfinite(v):
-        raise InputError("%s must be a finite number, not %r" % (what, x))
-    return v
-
-
-def _count(x, what: str) -> int:
-    """A nonnegative integer that float() can hold, from an int or an
-    integral float."""
-    try:
-        n = int(x)
-        float(n)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != x or n < 0 or isinstance(x, bool):
-        raise InputError(
-            "%s must be a nonnegative integer in float range, not %r" % (what, x)
-        )
-    return n
 
 
 def _fields(x, width: int, what: str) -> tuple:
@@ -370,6 +344,7 @@ def _continue(requests, tol: float) -> list[list[ContinuationResult]]:
     one to miss. Its message names the sector and the source, the spectrum
     or a curve, whose cutoff it quotes.
     """
+    tol = _positive(tol, "tol")
     results, misses = [], []
     for source, spectrum, sectors in requests:
         weights, kernels, models = zip(*(_sector(spectrum, s) for s in sectors))
@@ -421,7 +396,7 @@ def zeta_signed(
 ) -> ContinuationResult:
     """zeta_{+/-}(s) = sum over the (1 +/- involution)/2 eigenspace,
     continued to s = 0."""
-    if sign not in (1, -1):
+    if _finite(sign, "sign") not in (1, -1):
         raise InputError("sign must be +1 or -1")
     return _continue([("the spectrum", spectrum, (sign,))], tol)[0][0]
 
@@ -431,7 +406,7 @@ def dolbeault_zeta(
 ) -> ContinuationResult:
     """The (0, q) zeta combination, from the one continuation of the
     twisted sector."""
-    if q not in (0, 1, 2):
+    if _finite(q, "q") not in (0, 1, 2):
         raise InputError("q must be 0, 1, or 2")
     [(twisted,)] = _continue([("the spectrum", spectrum, (_TWISTED,))], tol)
     return _dolbeault(twisted)[int(q)]
@@ -525,9 +500,7 @@ def borcherds_report(
     reported; the identification with an actual determinant is only exact
     up to a normalizing constant, applied when `constant` is given.
     """
-    tau = float(tau)
-    if not 0.0 < tau < math.inf:
-        raise InputError("tau must be positive and finite")
+    tau = _positive(tau, "tau")
     if _finite(nu, "nu") < 1:
         raise InputError("nu must be a positive integer")
     nu = _count(nu, "nu")
@@ -541,14 +514,7 @@ def borcherds_report(
     factor = norm**0.25 if nu == 1 else None
     with_constant = None
     if constant is not None:
-        try:
-            c = _finite(constant, "normalizing constant")
-        except InputError:  # refused below, in the words non-finite values get
-            c = math.nan
-        if not 0.0 < c < math.inf:
-            raise InputError(
-                "normalizing constant must be positive and finite, got %r" % (constant,)
-            )
+        c = _positive(constant, "normalizing constant")
         with_constant = c * norm**0.25
         if with_constant == math.inf:
             raise InputError(

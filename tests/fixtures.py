@@ -3,8 +3,9 @@
 Each is written from the definitions, on the package's public objects and
 its exact integer routines, so a test can check the package against them:
 the fixed seed frame, SO(3) rotations of a frame and their recovery, the
-inverse of the compatible family, unordered period-pair equality, and the
-orthogonal complement and saturation of a sublattice.
+inverse of the compatible family, projective equality of period points and
+unordered period-pair equality, and the orthogonal complement and
+saturation of a sublattice.
 """
 
 import numpy as np
@@ -12,7 +13,9 @@ import numpy as np
 from k3zeta import intlinalg
 from k3zeta.frames import HKFrame
 from k3zeta.lattices import build_standard_lattice
-from k3zeta.periods import projectively_equal
+from k3zeta.periods import PeriodPoint
+
+PROJECTIVE_TOL = 1e-9
 
 
 def seed_frame() -> HKFrame:
@@ -58,6 +61,19 @@ def family_parameters(base: HKFrame, other: HKFrame) -> tuple[int, float]:
     c = recover_rotation(base, other)
     branch = 1 if c[0, 0] > 0 else -1
     return branch, float(np.arctan2(-branch * c[1, 2], c[1, 1]))
+
+
+def projectively_equal(p, q) -> bool:
+    """[p] == [q] for period points or coordinate vectors: every 2x2 minor
+    of the two vectors vanishes, relative to the product of their norms."""
+    a = p.coords if isinstance(p, PeriodPoint) else np.asarray(p, dtype=complex)
+    b = q.coords if isinstance(q, PeriodPoint) else np.asarray(q, dtype=complex)
+    if a.shape != b.shape:
+        return False
+    ab = np.outer(a, b)
+    scale = float(np.linalg.norm(a) * np.linalg.norm(b))
+    assert scale > 0.0, "projective comparison needs nonzero vectors"
+    return float(np.max(np.abs(ab - ab.T))) <= PROJECTIVE_TOL * scale
 
 
 def same_pair(a, b) -> bool:

@@ -489,16 +489,78 @@ def test_period_preset_is_the_golden_bytes(capfd):
             ["zeta", "--spectrum", os.path.join(PRESETS, "spectrum-torus.json")],
             "zeta-spectrum-torus.out",
         ),
+        (
+            [
+                "involution",
+                "--lattice",
+                os.path.join(PRESETS, "lattice-k3.json"),
+                "--matrix",
+                os.path.join(PRESETS, "matrix-enriques.json"),
+            ],
+            "involution-enriques.out",
+        ),
+        (
+            [
+                "period",
+                "--frame",
+                os.path.join(PRESETS, "frame-rng5.json"),
+                "--involution",
+                "enriques",
+                "--marking",
+                os.path.join(PRESETS, "marking-word.json"),
+            ],
+            "period-enriques-marked.out",
+        ),
     ],
-    ids=["report", "zeta-spectrum"],
+    ids=["report", "zeta-spectrum", "involution-files", "period-marked"],
 )
 def test_command_output_is_the_golden_bytes(capfd, argv, golden):
-    # captured before the records lost their dataclass base; the spectrum
-    # file is a flat torus (gram [[2, 1], [1, 3]], character (1, 0), cutoff
-    # 200) in the wire format, so zeta decodes its tail and spectrum
+    # report and zeta-spectrum were captured before the records lost their
+    # dataclass base; the spectrum file is a flat torus (gram [[2, 1],
+    # [1, 3]], character (1, 0), cutoff 200) in the wire format, so zeta
+    # decodes its tail and spectrum. The K3 lattice and Enriques matrix
+    # files give the builtin involution's bytes. marking-word.json is the
+    # product s_a s_b s_c of the reflections in the roots a = e1 - f1 and
+    # b = the first root of the second E8(-1), and c = e1 + e2 - f2, with
+    # <a, c> = -1, so it is not an involution; period-enriques-marked.out
+    # was captured before a period pair was built from its plus point.
     assert main(argv) == 0
     with open(os.path.join(PRESETS, golden), "rb") as fh:
         assert capfd.readouterr().out.encode() == fh.read()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            [
+                "involution",
+                "--lattice",
+                os.path.join(PRESETS, "lattice-k3.json"),
+                "--matrix",
+                os.path.join(PRESETS, "marking-word.json"),
+            ],
+            "input error: matrix squared is not the identity",
+        ),
+        (
+            [
+                "period",
+                "--frame",
+                os.path.join(PRESETS, "frame-rng5.json"),
+                "--involution",
+                "enriques",
+                "--tol",
+                "abc",
+            ],
+            "argument --tol: expected a positive finite number, got 'abc'",
+        ),
+    ],
+    ids=["non-involutive-matrix", "tol-not-a-number"],
+)
+def test_file_and_flag_refusals_exit_2(capsys, argv, message):
+    code, err = exit_and_stderr(capsys, argv)
+    assert code == 2
+    assert message in err
 
 
 def test_refusal_is_the_golden_bytes(capfd):

@@ -108,6 +108,35 @@ def test_complete_spectrum_is_summed_exactly():
     assert res.error_estimate < 1e-10
 
 
+def test_complete_spectrum_fsums_its_chunk_partials():
+    # four chunks of eigenvalues within 1.3e-5 of 1 with weights 2^40, small
+    # ones, -2^40 and 1: the first and third chunk's partials nearly cancel,
+    # so adding the small second one to the first in turn would lose its
+    # low bits; each node's partials are fsummed
+    c = mellin._CHUNK
+    n = 3 * c + 5
+    lams = 1.0 + 1e-9 * np.arange(n)
+    big = np.full(c, 2.0**40)
+    ws = np.concatenate([big, np.linspace(0.1, 1.0, c), -big, np.ones(5)])
+    kernel = 3.0
+    model = TraceModel.from_ladder(0, [kernel + ordered_chunk_sum(ws)])
+    res = continue_one(lams, ws, kernel, model, model, math.inf)
+
+    lead = min(0.5, 4.0 / float(lams[-1]))
+    total = []
+    for a, b in [(0.0, lead)] + mellin._panel_edges(lead):
+        ts, w32, _ = mellin._panel_nodes(a, b)
+        partials = [
+            ws[i : i + c] @ np.expm1(-np.outer(lams[i : i + c], ts))
+            for i in range(0, n, c)
+        ]
+        y = np.array([math.fsum(p) for p in zip(*partials)]) / ts
+        total.append(float(w32 @ y[:32]))
+    b_term = ordered_chunk_sum(ws * exp1(lams))
+    zeta0 = model.coeff_at_zero() - kernel
+    assert res.zeta_prime_at_0 == np.euler_gamma * zeta0 + math.fsum(total) + b_term
+
+
 def test_complete_spectrum_constant_mismatch_rejected():
     lams = np.array([1.0, 2.0])
     ws = np.array([1.0, 1.0])
@@ -308,6 +337,14 @@ def test_sphere_torsion_shares_its_heat_trace_evaluations(monkeypatch):
         return real(lams, weights, kernel_weight, ts)
 
     monkeypatch.setattr(mellin, "_theta_at", counting)
+    shapes = []
+    model_call = TraceModel.__call__
+
+    def recording(self, t):
+        shapes.append(np.shape(t))
+        return model_call(self, t)
+
+    monkeypatch.setattr(TraceModel, "__call__", recording)
     spectrum = round_sphere_spectrum(1.0, True, 2000)
     spectral.equivariant_torsion_report(spectrum, 1e-8)
     # one stacked pass over the 24 split candidates (delta and delta / 2) of
@@ -316,6 +353,11 @@ def test_sphere_torsion_shares_its_heat_trace_evaluations(monkeypatch):
     assert calls[0] == (3, (24, 2))
     assert len(calls) == 12
     assert all(shape == (48,) for _, shape in calls[1:])
+    # the search evaluates each sector's model once, on that stacked array;
+    # the one grid-wide evaluation is the truncation bound's, which decides
+    # the feasible candidates
+    assert shapes.count((24, 2)) == 3
+    assert shapes.count((121,)) == 1
 
 
 @pytest.mark.parametrize("rule, n", [(mellin._GL32, 32), (mellin._GL16, 16)])

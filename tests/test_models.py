@@ -320,6 +320,26 @@ def test_torus_rejects_gram_past_float_range(gram, cutoff):
             flat_torus_curve(gram, cutoff)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "build, kwargs",
+    [(flat_torus_spectrum, {"character": c}) for c in ([1.5, 0], [0.5, 0], "10", 5)]
+    + [(flat_torus_spectrum, {"cutoff": True})]
+    + [(round_sphere_spectrum, {"l_max": v}) for v in (2.7, "30", math.nan)]
+    # 1e-200: 2 r^2 underflows to 0; 1e40: (2 r^2)^8 of the tail passes float range
+    + [(round_sphere_spectrum, {"radius": v}) for v in ("2", True, 1e-200, 1e40)],
+)
+def test_model_arguments_are_refused_not_truncated(build, kwargs):
+    with pytest.raises(InputError):
+        build(I2, **kwargs) if build is flat_torus_spectrum else build(**kwargs)
+
+
+def test_sphere_l_max_is_bounded_like_the_torus_box():
+    # no l_max asks for unbounded memory
+    with pytest.raises(AccuracyError, match="lower l_max"):
+        round_sphere_spectrum(l_max=10**30)
+
+
 def test_curve_volumes():
     sphere = round_sphere_curve(radius=2.0, l_max=5)
     assert math.isclose(sphere.volume, 16.0 * math.pi, rel_tol=1e-15)

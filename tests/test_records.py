@@ -83,7 +83,7 @@ IDENTITY_RECORDS = [
     (frames.HKFrame, "form", seed_frame),
     (frames.FlatModel, "metric", frames.standard_flat_model),
     (periods.PeriodPoint, "sublattice", _point),
-    (periods.PeriodPair, "plus", lambda: periods.PeriodPair(_pair().plus, _pair().minus)),
+    (periods.PeriodPair, "plus", lambda: periods.PeriodPair(_pair().plus)),
     (periods._MarkingContext, "domain", _context),
 ]
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from k3zeta import cli, jsonio, spectral
+from k3zeta import cli, frames, jsonio, lattices, periods, spectral
 from k3zeta.errors import AccuracyError, ConsistencyError, InputError
 from k3zeta.models import (
     flat_torus_curve,
@@ -25,6 +25,7 @@ from k3zeta.spectral import (
     zeta_signed,
 )
 
+from fixtures import seed_frame
 from oracles import direct_zeta, scaled_spectrum
 
 I2 = ((1, 0), (0, 1))
@@ -333,6 +334,7 @@ def test_truncate_entries():
 
 
 _SPHERE = round_sphere_spectrum(l_max=10)
+_ENRIQUES = lattices.enriques_involution()
 
 
 @pytest.mark.parametrize(
@@ -368,12 +370,79 @@ def test_library_arguments_are_refused_not_truncated(call):
             lambda: borcherds_report(0.5, 1, -1.0),
             "normalizing constant must be positive and finite, got -1.0",
         ),
+        (lambda: dolbeault_zeta(_SPHERE, 3), "q must be 0, 1, or 2"),
+        (lambda: zeta_signed(_SPHERE, 0), "sign must be +1 or -1"),
+        (
+            lambda: lattices.eigenlattice(_ENRIQUES, 2),
+            "eigenvalue sign must be +1 or -1",
+        ),
+        (
+            lambda: frames.compatible_frames(seed_frame(), _ENRIQUES, 0, 0.3),
+            "branch must be +1 or -1",
+        ),
+    ]
+    + [
+        (
+            lambda tau=tau: borcherds_report(tau),
+            "tau must be positive and finite, got %r" % tau,
+        )
+        for tau in (0, -1, math.inf, math.nan)
     ],
 )
 def test_argument_refusals_keep_their_messages(call, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: borcherds_report(True), "tau", id="tau-boolean"),
+        pytest.param(lambda: borcherds_report("0.5"), "tau", id="tau-string"),
+        pytest.param(lambda: dolbeault_zeta(_SPHERE, True), "q", id="q-boolean"),
+        pytest.param(lambda: zeta_signed(_SPHERE, True), "sign", id="sign-boolean"),
+        pytest.param(
+            lambda: lattices.eigenlattice(_ENRIQUES, True), "sign", id="eigen-boolean"
+        ),
+        pytest.param(
+            lambda: frames.compatible_frames(seed_frame(), _ENRIQUES, True, 0.3),
+            "branch",
+            id="branch-boolean",
+        ),
+        pytest.param(
+            lambda: frames.compatible_frames(seed_frame(), _ENRIQUES, 1, "a"),
+            "psi",
+            id="psi-string",
+        ),
+    ]
+    + [
+        pytest.param(lambda tol=tol: zeta_signed(_SPHERE, 1, tol=tol), "tol", id=name)
+        for tol, name in (
+            (math.nan, "tol-nan"),
+            (-1, "tol-negative"),
+            (0, "tol-zero"),
+            ("1e-8", "tol-string"),
+        )
+    ]
+    + [
+        pytest.param(
+            lambda: periods.period_of(seed_frame(), _ENRIQUES, tol=math.nan),
+            "tol",
+            id="period-tol-nan",
+        ),
+        pytest.param(
+            lambda: periods.period_of(seed_frame(), _ENRIQUES, tol="1"),
+            "tol",
+            id="period-tol-string",
+        ),
+    ],
+)
+def test_engine_and_period_arguments_are_refused(call, name):
+    # booleans and strings are not numbers, and a tolerance must be positive
+    # and finite; the refusal names the argument
+    with pytest.raises(InputError, match=r"\b%s\b" % name):
+        call()
 
 
 _BIG = 10**400  # past float range
