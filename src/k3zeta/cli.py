@@ -23,7 +23,7 @@ import sys
 from . import jsonio, lattices, models, spectral
 from .errors import AccuracyError, GeometryError, InputError
 from .frames import DEFAULT_TOL
-from .mellin import ContinuationResult
+from .mellin import DEFAULT_TARGET, ContinuationResult
 from .periods import period_of
 
 _LATTICE_BUILTINS = ("u", "e8(-1)", "k3")
@@ -81,7 +81,7 @@ def cmd_lattice(args) -> None:
             "determinant": det,
             "even": lat.is_even(),
             "unimodular": abs(det) == 1,
-            "gram": [list(r) for r in lat.gram],
+            "gram": lat.gram,
         },
     )
 
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="use at most this many spectrum entries",
         )
-        _add_tol(p, 1e-8)
+        _add_tol(p, DEFAULT_TARGET)
         if name == "tau":
             p.add_argument("--curves", help="fixed-curve JSON file (a list)")
             p.add_argument("--nu", type=int, default=1)

@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: InputError -> 2, AccuracyError -> 3,
 GeometryError -> 4. Messages name the violated check so failures are
 actionable from scripts. The readers at the end refuse with an InputError
-the arguments float() and int() would coerce or truncate.
+the arguments float() and int() would coerce or truncate, and counts a
+float64 would round.
 """
 
 import math
@@ -59,16 +60,15 @@ def _finite(x, what: str) -> float:
 
 
 def _count(x, what: str) -> int:
-    """A nonnegative integer that float() can hold, from an int or an
-    integral float."""
+    """A nonnegative integer of at most 2**53 (2**53 + 1 is the first that
+    float64 rounds), from an int or an integral float."""
     try:
         n = int(x)
-        float(n)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or n != x or n < 0 or isinstance(x, bool):
+    if n is None or n != x or not 0 <= n <= 2**53 or isinstance(x, bool):
         raise InputError(
-            "%s must be a nonnegative integer in float range, not %r" % (what, x)
+            "%s must be a nonnegative integer of at most 2**53, not %r" % (what, x)
         )
     return n
 

@@ -7,7 +7,9 @@ compatible with an involution that fixes gamma_I and negates gamma_J and
 gamma_K, and such frames come in a one-parameter family per branch.
 
 All checks use one absolute tolerance, DEFAULT_TOL, except is_compatible,
-which takes the tolerance of the period computation that calls it.
+which takes the tolerance of the period computation that calls it. The
+compatibility checks take the involution as an exact LatticeIsometry of
+the frame's dimension, as the sampler does, and read its float view.
 """
 
 from __future__ import annotations
@@ -21,15 +23,6 @@ from ._record import Record
 from .errors import GeometryError, InputError, _finite
 
 DEFAULT_TOL = 1e-10
-
-
-def _as_matrix(obj) -> np.ndarray:
-    if isinstance(obj, lattices.LatticeIsometry):
-        return obj.float_matrix
-    m = np.asarray(obj, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError("expected a square matrix, got shape %s" % (m.shape,))
-    return m
 
 
 def _holds(x, kind) -> bool:
@@ -126,9 +119,16 @@ def two_form_of(metric, structure) -> np.ndarray:
 
 
 def is_compatible(frame: HKFrame, invol, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the involution fixes gamma_I and negates gamma_J, gamma_K."""
-    t = _as_matrix(invol)
-    moved = frame.gammas @ t.T
+    """True iff the involution, a LatticeIsometry of the frame's dimension,
+    fixes gamma_I and negates gamma_J, gamma_K."""
+    if not isinstance(invol, lattices.LatticeIsometry):
+        raise InputError("a frame check needs an exact lattice isometry")
+    if invol.lattice.rank != frame.form.shape[0]:
+        raise InputError(
+            "isometry of rank %d on a frame of dimension %d"
+            % (invol.lattice.rank, frame.form.shape[0])
+        )
+    moved = frame.gammas @ invol.float_matrix.T
     target = np.vstack([frame.gammas[0], -frame.gammas[1], -frame.gammas[2]])
     return float(np.max(np.abs(moved - target))) <= max(
         tol, 1e-9 * float(np.max(np.abs(target)))

@@ -15,7 +15,8 @@ kernels, ranks (the length of a Hermite form) and Smith divisors (Hermite
 forms of a matrix and of its transpose, in turn). Determinants use Bareiss
 elimination and signatures a fraction-free symmetric elimination.
 
-Matrices are lists of rows of ints unless a function says otherwise.
+Matrices are read as sequences of rows of ints, lists or tuples, and
+returned as lists of rows unless a function says otherwise.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def det_bareiss(a) -> int:
     n = len(a)
     if n == 0:
         return 1
-    m = [row[:] for row in a]
+    m = [list(row) for row in a]
     sign = 1
     prev = 1
     for k in range(n - 1):

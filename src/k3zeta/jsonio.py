@@ -131,12 +131,7 @@ def decode_frame(obj) -> frames_mod.HKFrame:
 
 
 def encode_period_point(p) -> dict:
-    import numpy as np
-
-    return {
-        "re": [float(x) for x in np.real(p.coords)],
-        "im": [float(x) for x in np.imag(p.coords)],
-    }
+    return {"re": p.coords.real.tolist(), "im": p.coords.imag.tolist()}
 
 
 def encode_period_pair(pair) -> dict:

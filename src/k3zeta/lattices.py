@@ -61,13 +61,13 @@ class Lattice(Record):
 
     @functools.cached_property
     def _inertia(self) -> tuple[int, int]:
-        return intlinalg.rational_inertia([list(r) for r in self.gram])
+        return intlinalg.rational_inertia(self.gram)
 
     def signature(self) -> tuple[int, int]:
         return self._inertia
 
     def det(self) -> int:
-        return intlinalg.det_bareiss([list(r) for r in self.gram])
+        return intlinalg.det_bareiss(self.gram)
 
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -84,9 +84,8 @@ class LatticeIsometry(Record):
         n = lattice.rank
         if len(m) != n or any(len(r) != n for r in m):
             raise InputError("isometry matrix must be %d x %d" % (n, n))
-        g = [list(r) for r in lattice.gram]
-        mt = intlinalg.transpose(m)
-        if intlinalg.matmul(mt, intlinalg.matmul(g, m)) != g:
+        mt_g = intlinalg.matmul(intlinalg.transpose(m), lattice.gram)
+        if _freeze(intlinalg.matmul(mt_g, m)) != lattice.gram:
             raise InputError("matrix does not preserve the bilinear form")
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "matrix", _freeze(m))
@@ -98,8 +97,8 @@ class LatticeIsometry(Record):
 
     @functools.cached_property
     def is_involution(self) -> bool:
-        m = [list(r) for r in self.matrix]
-        return intlinalg.matmul(m, m) == intlinalg.identity(self.lattice.rank)
+        square = intlinalg.matmul(self.matrix, self.matrix)
+        return square == intlinalg.identity(self.lattice.rank)
 
     def _kernel_of(self, sign: int) -> "SublatticeBasis":
         """Saturated basis of the kernel of f - sign * id."""
@@ -150,13 +149,13 @@ class SublatticeBasis(Record):
 
     def basis_matrix(self) -> list[list[int]]:
         """Ambient-rank x sublattice-rank matrix whose columns are the basis."""
-        return intlinalg.transpose([list(v) for v in self.vectors])
+        return intlinalg.transpose(self.vectors)
 
     @functools.cached_property
     def _induced(self) -> Lattice:
-        b = self.basis_matrix()
-        g = [list(r) for r in self.ambient.gram]
-        return Lattice(intlinalg.matmul(intlinalg.matmul(intlinalg.transpose(b), g), b))
+        # the stored vectors are the rows of B^T
+        bt_g = intlinalg.matmul(self.vectors, self.ambient.gram)
+        return Lattice(intlinalg.matmul(bt_g, self.basis_matrix()))
 
     def induced_lattice(self) -> Lattice:
         """The lattice with Gram matrix B^T G B, computed once per object."""
@@ -261,7 +260,7 @@ def discriminant_info(sub: SublatticeBasis) -> DiscriminantInfo:
     """
     if sub.rank == 0:
         return DiscriminantInfo((), 0, True, 1)
-    smith = intlinalg.smith_divisors([list(r) for r in sub.induced_lattice().gram])
+    smith = intlinalg.smith_divisors(sub.induced_lattice().gram)
     if len(smith) < sub.rank:
         raise DegenerateLatticeError("induced gram matrix is singular")
     divisors = tuple(d for d in smith if d > 1)

@@ -142,8 +142,7 @@ def _marking_context(
     if marking is not None:
         if marking.lattice != invol.lattice:
             raise MarkingError("marking acts on a different lattice")
-        mm = [list(r) for r in marking.matrix]
-        image = [intlinalg.matvec(mm, list(v)) for v in domain.vectors]
+        image = [intlinalg.matvec(marking.matrix, v) for v in domain.vectors]
         domain = lattices.SublatticeBasis(invol.lattice, intlinalg.column_hnf(image))
     _check_domain_lattice(domain)
     b = np.asarray(domain.basis_matrix(), dtype=float)

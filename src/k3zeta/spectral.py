@@ -1,12 +1,13 @@
 """Equivariant spectra and the regularized quantities built from them.
 
 An equivariant spectrum stores positive eigenvalues with signed
-multiplicities (m_plus, m_minus) for the two involution eigenspaces, the
-kernel dimensions, and a heat-tail declaration describing the t -> 0 trace
-on the ladder t^((j - dim)/2). dim = 0 means the entries are the complete
-spectrum of a finite model and the tail is the exact constant. A fixed
-curve's Laplacian is the same type with the trivial involution: no minus
-states and a twisted tail equal to the straight one.
+multiplicities (m_plus, m_minus) for the two involution eigenspaces,
+integers of at most 2**53 so that the engine's float64 weights are exact,
+the kernel dimensions, and a heat-tail declaration describing the t -> 0
+trace on the ladder t^((j - dim)/2). dim = 0 means the entries are the
+complete spectrum of a finite model and the tail is the exact constant. A
+fixed curve's Laplacian is the same type with the trivial involution: no
+minus states and a twisted tail equal to the straight one.
 
 A spectrum has three sectors, each continued to s = 0 by the engine in
 `mellin`: plus and minus, the (1 +/- involution)/2 eigenspaces, and the
@@ -69,11 +70,15 @@ class HeatTail(Record):
 
     def __init__(self, dim, straight, twisted=None):
         dim = _count(dim, "tail dimension")
-        s = tuple(_finite(c, "tail coefficient") for c in straight)
+        s = tuple(
+            _finite(c, "tail coefficient") for c in _sequence(straight, "straight")
+        )
         t = (
             None
             if twisted is None
-            else tuple(_finite(c, "tail coefficient") for c in twisted)
+            else tuple(
+                _finite(c, "tail coefficient") for c in _sequence(twisted, "twisted")
+            )
         )
         if dim == 0:
             if len(s) != 1:
@@ -102,6 +107,14 @@ class HeatTail(Record):
         return TraceModel.from_ladder(self.dim, self.straight)
 
 
+def _sequence(x, what: str) -> tuple:
+    """x as a tuple; an x that cannot be iterated is refused by name."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise InputError("%s must be a sequence, not %r" % (what, x)) from None
+
+
 def _fields(x, width: int, what: str) -> tuple:
     try:
         x = tuple(x)
@@ -116,9 +129,10 @@ def _check_entries(entries):
     """Eigenvalue, m_plus and m_minus columns of rows (lam, m_plus,
     m_minus), given as a sequence or as one (n, 3) float array.
 
-    An array is checked in one numpy pass; one that fails it (a row to
-    refuse, or a count past int64) is read row by row like a sequence, so
-    every refusal is that of the first row failing a check.
+    An array is checked in one numpy pass; one that fails it is read row
+    by row like a sequence, so every refusal is that of the first row
+    failing a check. The counts are int64 columns, each at most 2**53, so
+    that the float64 weights the engine reads are exact.
     """
     if (
         isinstance(entries, np.ndarray)
@@ -127,7 +141,7 @@ def _check_entries(entries):
         and entries.shape[1] == 3
     ):
         lams, counts = entries[:, 0], entries[:, 1:]
-        whole = (counts >= 0.0) & (counts < 2.0**63) & (counts == np.floor(counts))
+        whole = (counts >= 0.0) & (counts <= 2.0**53) & (counts == np.floor(counts))
         if (
             np.isfinite(lams).all()
             and (lams > 0.0).all()
@@ -139,7 +153,7 @@ def _check_entries(entries):
             return np.array(lams), mp, mm
     rows = []
     prev = 0.0
-    for e in entries:
+    for e in _sequence(entries, "spectrum entries"):
         lam, mp, mm = _fields(e, 3, "spectrum entries")
         lam = _finite(lam, "eigenvalue")
         mp = _count(mp, "multiplicity")
@@ -153,25 +167,17 @@ def _check_entries(entries):
         prev = lam
         rows.append((lam, mp, mm))
     lams = np.array([lam for lam, _, _ in rows], dtype=float)
-    return (lams, *(_counts([row[j] for row in rows]) for j in (1, 2)))
-
-
-def _counts(values: list[int]) -> np.ndarray:
-    """An int64 column, or Python ints (dtype object) past int64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
+    return (lams, *(np.array([r[j] for r in rows], dtype=np.int64) for j in (1, 2)))
 
 
 class EquivariantSpectrum(Record, eq=False):
     """Eigenvalues with signed multiplicities, kernel dims, tail, cutoff.
 
     The entries are held as three read-only columns: the ascending float64
-    eigenvalues and the int64 m_plus and m_minus counts (Python ints,
-    dtype object, past int64). They are given as rows (lam, m_plus,
-    m_minus), in a sequence or, as the models build them, in one (n, 3)
-    float array.
+    eigenvalues and the int64 m_plus and m_minus counts, each at most
+    2**53 and so exact as the float64 weights of `mults`. They are given
+    as rows (lam, m_plus, m_minus), in a sequence or, as the models build
+    them, in one (n, 3) float array.
     """
 
     kernel: tuple[int, int]
@@ -184,7 +190,7 @@ class EquivariantSpectrum(Record, eq=False):
         if not isinstance(tail, HeatTail):
             raise InputError("tail must be a HeatTail")
         plus, minus = sum(mp.tolist()), sum(mm.tolist())
-        # a float-range total also keeps every heat-trace sum finite
+        # a total of at most 2**53 also keeps every heat-trace sum finite
         total = _count(k[0] + k[1] + plus + minus, "total state count")
         if tail.dim == 0:
             cut = math.inf
@@ -538,7 +544,5 @@ def truncate_entries(
         return spectrum
     lams, mp, mm = (col[:n] for col in spectrum._columns)
     rows = np.column_stack((lams, mp, mm))
-    if rows.dtype == float and not (rows[:, 1:] < 2.0**53).all():
-        rows = spectrum.entries[:n]  # counts a float cannot hold exactly
     return EquivariantSpectrum(rows, spectrum.kernel, spectrum.tail, lams[-1])
 

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
@@ -6,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import k3zeta
 from k3zeta import jsonio
@@ -573,6 +578,17 @@ def test_refusal_is_the_golden_bytes(capfd):
         assert out.err.encode() == fh.read()
 
 
+def test_count_refusal_is_the_golden_bytes(capfd):
+    # spectrum-huge-count.json is spectrum-torus.json with its first m_plus
+    # set to 2**53 + 1, the first count a float64 weight would round
+    path = os.path.join(PRESETS, "spectrum-huge-count.json")
+    assert main(["zeta", "--spectrum", path]) == 2
+    out = capfd.readouterr()
+    assert out.out == ""
+    with open(os.path.join(PRESETS, "zeta-huge-count-refusal.err"), "rb") as fh:
+        assert out.err.encode() == fh.read()
+
+
 @pytest.mark.parametrize(
     "form, gammas",
     [([], [[], [], []]), ([[]], [[], [], []]), ([[2.0, 0.0]], [[1.0, 0.0]] * 3)],
@@ -620,3 +636,116 @@ def test_tau_refusal_names_its_source(tmp_path, capsys, curve_cutoffs, message):
     code, out, err = run(capsys, ["tau", "--spectrum", str(p), "--curves", str(c)])
     assert (code, out) == (3, "")
     assert err == "accuracy error: %s; extend the spectrum or relax --tol\n" % message
+
+
+def _preset(name):
+    with open(os.path.join(PRESETS, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+_TORUS = _preset("spectrum-torus.json")
+_TORUS_CUT = {**_TORUS, "entries": _TORUS["entries"][:40]}
+_TORUS_CUT["cutoff"] = _TORUS_CUT["entries"][-1][0]
+_STRAIGHT = _TORUS_CUT["tail"]["straight"]
+# the cut spectrum with a fixed-curve tail, which tau pairs with the curve
+_TORUS_FIXED = {**_TORUS_CUT, "tail": {**_TORUS_CUT["tail"], "twisted": _STRAIGHT}}
+_CURVES = [
+    {
+        "volume": 4.0,
+        "spectrum": {
+            "entries": [[lam, mp + mm] for lam, mp, mm in _TORUS_CUT["entries"]],
+            "kernel": 1,
+            "tail": {"dim": 2, "straight": _STRAIGHT},
+            "cutoff": _TORUS_CUT["cutoff"],
+        },
+    }
+]
+_FRAME = os.path.join(PRESETS, "frame-rng5.json")
+_LATTICE = os.path.join(PRESETS, "lattice-k3.json")
+_MATRIX = os.path.join(PRESETS, "matrix-enriques.json")
+_K3, _ENRIQUES = _preset("lattice-k3.json"), _preset("matrix-enriques.json")
+# (the input to mutate, the command line that reads it as "{}", its flags);
+# "fixed" is _TORUS_FIXED
+_FUZZ = [
+    (_TORUS_CUT, ["zeta", "--spectrum", "{}"], ("--tol", "--max-terms")),
+    (_TORUS_CUT, ["tau", "--spectrum", "{}"], ("--tol", "--max-terms", "--nu")),
+    (_CURVES, ["tau", "--spectrum", "fixed", "--curves", "{}"], ("--tol", "--nu")),
+    (
+        _preset("frame-rng5.json"),
+        ["period", "--frame", "{}", "--involution", "enriques"],
+        ("--tol",),
+    ),
+    (_K3, ["lattice", "--in", "{}"], ()),
+    (_K3, ["involution", "--lattice", "{}", "--matrix", _MATRIX], ()),
+    (_ENRIQUES, ["involution", "--lattice", _LATTICE, "--matrix", "{}"], ()),
+    (_ENRIQUES, ["period", "--frame", _FRAME, "--involution", "{}"], ("--tol",)),
+    (
+        _preset("marking-word.json"),
+        ["period", "--frame", _FRAME, "--involution", "enriques", "--marking", "{}"],
+        ("--tol",),
+    ),
+]
+_VALUES = (
+    st.integers(-3, 5)
+    | st.sampled_from([2**53, 2**53 + 1, 10**400])
+    | st.floats()
+    | st.none()
+    | st.booleans()
+    | st.sampled_from(["free", "1", ""])
+    | st.lists(st.integers(-2, 2), max_size=3)
+)
+# a cut spectrum reaches no tolerance below about 14 (155 with the curve),
+# so some are above
+_FLAGS = {
+    "--tol": st.sampled_from(["1e-8", "1e-3", "50", "1e300", "0", "x"])
+    | st.floats(1e-300, 100.0).map(repr),
+    "--max-terms": st.sampled_from(["1", "20", "-1", str(2**53 + 1), "x"])
+    | st.integers(0, 50).map(str),
+    "--nu": st.sampled_from(["1", "2", "0", str(2**53 + 1), "x"])
+    | st.integers(1, 4).map(str),
+}
+
+
+@st.composite
+def _mutated(draw, obj):
+    """The input with the value at one random path replaced."""
+    obj = copy.deepcopy(obj)
+    parent, key, node = None, None, obj
+    while isinstance(node, (dict, list)) and node and draw(st.integers(0, 4)):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = parent[key]
+    if parent is None:
+        return draw(_VALUES)
+    parent[key] = draw(_VALUES)
+    return obj
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_cli_ends_in_a_report_or_a_typed_exit(tmp_path, data):
+    # any mutation of the repo's own input files, under any flags, ends in
+    # exit 0 with JSON on stdout or in a typed refusal, never a traceback
+    obj, argv, flags = data.draw(st.sampled_from(_FUZZ))
+    path, fixed = tmp_path / "input.json", tmp_path / "fixed.json"
+    path.write_text(json.dumps(data.draw(_mutated(obj))))
+    fixed.write_text(json.dumps(_TORUS_FIXED))
+    argv = [{"{}": str(path), "fixed": str(fixed)}.get(a, a) for a in argv]
+    for flag in flags:
+        value = data.draw(st.none() | _FLAGS[flag])
+        if value is not None:
+            argv += [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag
+        assert exc.code == 2, err.getvalue()
+        return
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())

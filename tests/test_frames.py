@@ -12,7 +12,12 @@ from k3zeta.frames import (
     standard_flat_model,
     two_form_of,
 )
-from k3zeta.lattices import eigenlattice, enriques_involution
+from k3zeta.lattices import (
+    LatticeIsometry,
+    build_standard_lattice,
+    eigenlattice,
+    enriques_involution,
+)
 
 from fixtures import (
     family_parameters,
@@ -89,15 +94,25 @@ def test_rotation_recovery():
     assert np.max(np.abs(back @ frame.gammas - other.gammas)) > 0.1
 
 
-def test_involution_may_be_a_plain_square_array():
+def test_involution_must_be_a_lattice_isometry():
     iso = enriques_involution()
-    rot = random_rotation(np.random.default_rng(5))
-    moved = rotate(seed_frame(), rot)
+    moved = rotate(seed_frame(), random_rotation(np.random.default_rng(5)))
+    assert is_compatible(seed_frame(), iso) and not is_compatible(moved, iso)
     plain = np.array(iso.matrix, dtype=float)
-    assert not is_compatible(moved, plain) and not is_compatible(moved, iso)
-    assert is_compatible(seed_frame(), plain.tolist())
-    with pytest.raises(InputError, match="expected a square matrix"):
-        is_compatible(moved, plain[:, :21])
+    for invol in (plain, plain.tolist(), iso.matrix):
+        with pytest.raises(InputError, match="exact lattice isometry"):
+            is_compatible(seed_frame(), invol)
+        with pytest.raises(InputError, match="exact lattice isometry"):
+            compatible_frames(seed_frame(), invol, 1, 0.3)
+
+
+def test_frame_checks_refuse_an_isometry_of_another_rank():
+    identity_on_u = LatticeIsometry(build_standard_lattice("U"), [[1, 0], [0, 1]])
+    message = "isometry of rank 2 on a frame of dimension 22"
+    with pytest.raises(InputError, match=message):
+        is_compatible(seed_frame(), identity_on_u)
+    with pytest.raises(InputError, match=message):
+        compatible_frames(seed_frame(), identity_on_u, 1, 0.3)
 
 
 def test_compatible_family_and_parameter_recovery():

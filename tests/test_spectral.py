@@ -335,6 +335,27 @@ def test_truncate_entries():
 
 _SPHERE = round_sphere_spectrum(l_max=10)
 _ENRIQUES = lattices.enriques_involution()
+_TAIL = HeatTail(2, (2.0, 0.0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        pytest.param(lambda: HeatTail(2, 5), "straight", id="straight"),
+        pytest.param(lambda: HeatTail(2, (1.0, 0.0, 0.0), 5), "twisted", id="twisted"),
+        pytest.param(
+            lambda: EquivariantSpectrum(5, (1, 0), _TAIL, 10.0), "entries", id="entries"
+        ),
+        pytest.param(
+            lambda: EquivariantSpectrum(None, (1, 0), _TAIL, 10.0),
+            "entries",
+            id="entries-none",
+        ),
+    ],
+)
+def test_non_sequences_are_refused_by_name(make, name):
+    with pytest.raises(InputError, match=r"\b%s\b.* must be a sequence" % name):
+        make()
 
 
 @pytest.mark.parametrize(
@@ -348,6 +369,19 @@ _ENRIQUES = lattices.enriques_involution()
         pytest.param(lambda: borcherds_report(0.5, 1, "2"), id="constant-string"),
         pytest.param(lambda: truncate_entries(_SPHERE, 2.9), id="max-terms-fraction"),
         pytest.param(lambda: truncate_entries(_SPHERE, True), id="max-terms-boolean"),
+        # counts above 2**53, which a float64 would round
+        pytest.param(lambda: borcherds_report(1.0, 2**53 + 1), id="nu-past-2**53"),
+        pytest.param(
+            lambda: truncate_entries(_SPHERE, 2**53 + 1), id="max-terms-past-2**53"
+        ),
+        pytest.param(
+            lambda: EquivariantSpectrum(((1.0, 1, 0),), (2**53 + 1, 0), _TAIL, 10.0),
+            id="kernel-past-2**53",
+        ),
+        pytest.param(
+            lambda: EquivariantSpectrum(((1.0, 2**53, 0),), (1, 0), _TAIL, 10.0),
+            id="total-past-2**53",
+        ),
     ],
 )
 def test_library_arguments_are_refused_not_truncated(call):
@@ -448,7 +482,7 @@ def test_engine_and_period_arguments_are_refused(call, name):
 _BIG = 10**400  # past float range
 _NAN, _INF = math.nan, math.inf
 _EIGENVALUE = "eigenvalue must be a finite number, not "
-_MULTIPLICITY = "multiplicity must be a nonnegative integer in float range, not "
+_MULTIPLICITY = "multiplicity must be a nonnegative integer of at most 2**53, not "
 _POSITIVE = "eigenvalues must be positive"
 _ASCENDING = "eigenvalues must be strictly ascending"
 _NONZERO = "multiplicities must not be all zero"
@@ -468,6 +502,8 @@ REFUSALS = {
     "eigenvalue-minus-inf": ([[-_INF, 1, 0]], _EIGENVALUE + "-inf"),
     "eigenvalue-overflow": ([[_BIG, 1, 0]], _EIGENVALUE + str(_BIG)),
     "multiplicity-overflow": ([[1.0, _BIG, 0]], _MULTIPLICITY + str(_BIG)),
+    # the first count a float64 weight would round
+    "multiplicity-past-2**53": ([[1.0, 2**53 + 1, 0]], _MULTIPLICITY + str(2**53 + 1)),
     "multiplicity-nan": ([[1.0, _NAN, 0]], _MULTIPLICITY + "nan"),
     "multiplicity-inf": ([[1.0, 1, _INF]], _MULTIPLICITY + "inf"),
     "eigenvalue-zero": ([[0.0, 1, 0]], _POSITIVE),
@@ -513,6 +549,7 @@ def test_spectrum_refusals_keep_their_messages(tmp_path, capsys, name):
         ([[1.0, _INF, 0]], _MULTIPLICITY + repr(np.float64(_INF))),
         ([[1.0, 0, 0]], _NONZERO),
         ([[2.0, 1, 0], [1.0, 1, 0]], _ASCENDING),
+        ([[1.0, 2.0**53 + 2, 0]], _MULTIPLICITY + repr(np.float64(2.0**53 + 2))),
     ],
 )
 def test_entries_array_refusals_read_as_its_rows(entries, message):
@@ -524,14 +561,22 @@ def test_entries_array_refusals_read_as_its_rows(entries, message):
 
 
 def test_entries_are_held_as_columns():
-    rows = ((0.5, 2, 1), (1.5, 0, 3), (4.0, 2**70, 0))
+    # 1 + 3 + 3 + 2**53 - 7 = 2**53 states in all
+    rows = ((0.5, 2, 1), (1.5, 0, 3), (4.0, 2**53 - 7, 0))
     spectrum = EquivariantSpectrum(rows, (1, 0), HeatTail(2, (2.0, 0.0, 0.5)), 10.0)
     assert spectrum.entries == rows
     assert spectrum.lambdas().tolist() == [0.5, 1.5, 4.0]
     assert not spectrum.lambdas().flags.writeable
-    # counts past int64 stay exact
-    assert spectrum.mults(1).tolist() == [2.0, 0.0, float(2**70)]
+    # every count up to 2**53 is exact as a float64 weight
+    assert spectrum.mults(1).tolist() == [2.0, 0.0, float(2**53 - 7)]
     assert spectrum == EquivariantSpectrum(list(rows), [1, 0], spectrum.tail, 10.0)
+    top = EquivariantSpectrum(((4.0, 0, 2**53),), (0, 0), spectrum.tail, 10.0)
+    assert top.mults(-1).tolist() == [2.0**53]
+    # 2**53 + 1 is the first count a float64 rounds
+    for big in (2**53 + 1, 2**70):
+        with pytest.raises(InputError) as exc:
+            EquivariantSpectrum(((4.0, 0, big),), (0, 0), spectrum.tail, 10.0)
+        assert str(exc.value) == _MULTIPLICITY + str(big)
     array = EquivariantSpectrum(np.array(rows[:2]), (1, 0), spectrum.tail, 10.0)
     assert array.entries == rows[:2]
     assert all(type(m) is int for _, mp, mm in array.entries for m in (mp, mm))
@@ -552,10 +597,11 @@ def test_spectra_hash_as_they_compare():
 
 def test_truncation_keeps_counts_exact():
     tail = HeatTail(2, (2.0, 0.0, 0.5))
-    # an int64 count a float would round, and a count past int64
-    for big in ((2**60 + 1, 0), (1, 2**70)):
-        rows = ((0.5, 2, 1), (1.5, *big), (2.5, 1, 0))
-        short = truncate_entries(EquivariantSpectrum(rows, (1, 0), tail, 10.0), 2)
+    # the truncated columns pass through a float array: counts of up to
+    # 2**53 (here 2**53 states in all) stay exact there
+    for big in ((2**53 - 3, 0), (0, 2**53 - 3), (2**53 - 4, 1)):
+        rows = ((0.5, 1, 1), (1.5, *big), (2.5, 1, 0))
+        short = truncate_entries(EquivariantSpectrum(rows, (0, 0), tail, 10.0), 2)
         assert short.entries == rows[:2] and short.cutoff == 1.5
 
 
