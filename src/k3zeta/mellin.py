@@ -51,10 +51,16 @@ candidates into one wide block, or reducing strided column views, would
 not: how a gemv kernel accumulates a column depends on the width and the
 layout of its block. Each sector's model is evaluated once on the same
 (candidates, 2) array of split points, the only model values the search
-reads. The models and the truncation bound are elementwise, so they are
-evaluated once on the nodes of all panels together. The panels
-keep one call each: a stack of them would zero and reduce every block over
-the whole chunk, even where its own live prefix is short.
+reads.
+
+The panels of a continuation are one table: (panels, 48) nodes, 32 and
+then 16 a panel, and (panels, 32) and (panels, 16) weights. The models and
+the truncation bound are elementwise, so they are evaluated once on the
+whole table, and each sector integrates its own rows, in ascending order.
+theta keeps one call per panel, for the sectors that use it: one call for
+all panels would hold a whole-chunk block for each at once (eleven times
+the memory of one call for a sphere of l_max 2000), and every sector would
+reduce the blocks of panels it does not use.
 
 Only the live prefix of a block is evaluated. exp(-x) rounds to exactly
 0.0 for every x >= 746, since e^-746 is below half the least subnormal
@@ -239,10 +245,10 @@ def exp1(lams) -> np.ndarray:
 
 
 def _theta_at(lams, weights, kernel_weight, ts):
-    """theta(t) of every sector at the t values `ts`: one row of `weights`
-    and one `kernel_weight` a sector. A 1-d `ts` gives shape (sectors, ts);
-    a 2-d `ts` is a stack of groups of t values and gives (sectors, groups,
-    ts), each group the values it gets alone.
+    """theta(t) of every sector at a stack `ts` of groups of t values, of
+    shape (groups, t values): one row of `weights` and one `kernel_weight`
+    a sector. Gives (sectors, groups, t values), each group the values it
+    gets alone.
 
     Each chunk's exp(-lambda t) blocks are computed once, one block for
     each group still live in the chunk, in one zeroed stack, and each
@@ -253,36 +259,33 @@ def _theta_at(lams, weights, kernel_weight, ts):
     and its reduction the bits, of a full one. A chunk past a group's
     live prefix gives it no partial.
     """
-    ts = np.asarray(ts, dtype=float)
-    groups = np.atleast_2d(ts)
-    lives = np.searchsorted(lams, _DEAD / groups.min(axis=1)).tolist()
+    lives = np.searchsorted(lams, _DEAD / ts.min(axis=1)).tolist()
     chunks = []  # (groups live in the chunk, sectors x those groups x ts)
     for i in range(0, max(lives), _CHUNK):
         size = min(_CHUNK, lams.size - i)
         alive = [g for g, live in enumerate(lives) if live > i]
-        stack = np.zeros((len(alive), size, groups.shape[1]))
+        stack = np.zeros((len(alive), size, ts.shape[1]))
         for block, g in zip(stack, alive):
             head = block[: lives[g] - i]
-            np.multiply.outer(lams[i : i + len(head)], -groups[g], out=head)
+            np.multiply.outer(lams[i : i + len(head)], -ts[g], out=head)
             np.exp(head, out=head)
         chunks.append((alive, np.array([w[i : i + size] @ stack for w in weights])))
     kernel = np.asarray(kernel_weight, dtype=float)[:, None]
-    if len(chunks) == 1 and len(chunks[0][0]) == len(groups):
+    if len(chunks) == 1 and len(chunks[0][0]) == len(ts):
         # every group has one partial, and the fsum of one partial is that partial
-        out = kernel[:, None] + chunks[0][1]
-    else:
-        partials = [[] for _ in groups]
-        for alive, sums in chunks:
-            for j, g in enumerate(alive):
-                partials[g].append(sums[:, j])
-        out = np.empty((len(weights),) + groups.shape)
-        for g, parts in enumerate(partials):
-            if len(parts) == 1:
-                out[:, g] = kernel + parts[0]
-            else:
-                sums = np.reshape(parts, (-1,) + out[:, g].shape).transpose(1, 2, 0)
-                out[:, g] = kernel + [[math.fsum(p) for p in r] for r in sums.tolist()]
-    return out if ts.ndim == 2 else out[:, 0]
+        return kernel[:, None] + chunks[0][1]
+    partials = [[] for _ in ts]
+    for alive, sums in chunks:
+        for j, g in enumerate(alive):
+            partials[g].append(sums[:, j])
+    out = np.empty((len(weights),) + ts.shape)
+    for g, parts in enumerate(partials):
+        if len(parts) == 1:
+            out[:, g] = kernel + parts[0]
+        else:
+            sums = np.reshape(parts, (-1,) + out[:, g].shape).transpose(1, 2, 0)
+            out[:, g] = kernel + [[math.fsum(p) for p in r] for r in sums.tolist()]
+    return out
 
 
 def _panel_edges(delta: float) -> list[tuple[float, float]]:
@@ -292,30 +295,26 @@ def _panel_edges(delta: float) -> list[tuple[float, float]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _gauss_on(a, b, rule):
-    nodes, wts = rule
-    x = 0.5 * (b - a) * nodes + 0.5 * (b + a)
-    return x, 0.5 * (b - a) * wts
+def _panel_nodes(panels):
+    """The panel table of a list of panels (a, b): one row a panel, its 32
+    and then 16 Gauss-Legendre nodes (panels, 48), and the two weight sets
+    (panels, 32) and (panels, 16). A row holds the bits of its panel mapped
+    alone: half * x + mid and half * w are elementwise."""
+    a, b = np.reshape(panels, (-1, 2)).T
+    half, mid = (0.5 * (b - a))[:, None], (0.5 * (b + a))[:, None]
+    nodes = np.concatenate([half * _GL32[0] + mid, half * _GL16[0] + mid], axis=1)
+    return nodes, half * _GL32[1], half * _GL16[1]
 
 
-def _panel_nodes(a, b):
-    """The 32 + 16 Gauss-Legendre nodes of [a, b] and both weight sets."""
-    x32, w32 = _gauss_on(a, b, _GL32)
-    x16, w16 = _gauss_on(a, b, _GL16)
-    return np.concatenate([x32, x16]), w32, w16
-
-
-def _integrate_panels(f, panels, nodes):
+def _integrate(y, w32, w16, rows):
     """Composite 32-node Gauss-Legendre with an embedded 16-node error
-    estimate. `f(panel, ts)` gives the integrand at the panel's nodes
-    `ts`; `nodes` maps each panel to its _panel_nodes."""
+    estimate over the panels `rows` of a panel table, from its weights and
+    the integrand `y` at its nodes."""
     total = []
     err = 0.0
-    for panel in panels:
-        ts, w32, w16 = nodes[panel]
-        y = f(panel, ts)
-        i32 = float(w32 @ y[:32])
-        i16 = float(w16 @ y[32:])
+    for p in rows:
+        i32 = float(w32[p] @ y[p, :32])
+        i16 = float(w16[p] @ y[p, 32:])
         total.append(i32)
         err += abs(i32 - i16)
     return math.fsum(total), err
@@ -437,34 +436,31 @@ def continue_trace(
             achievable=achievable,
         )
 
-    # theta once per distinct panel, for the sectors integrating over it
-    panels = {s: _panel_edges(deltas[best[s]]) for s in every if s not in results}
-    users: dict = {}
-    for s, ps in panels.items():
-        for panel in ps:
-            users.setdefault(panel, []).append(s)
-    nodes = {panel: _panel_nodes(*panel) for panel in users}
-    theta = {}
-    for panel, rows in users.items():
+    # one table of the distinct panels of the live sectors, and theta once
+    # per panel, for the sectors integrating over it
+    edges = {s: _panel_edges(deltas[best[s]]) for s in every if s not in results}
+    panels = sorted(set().union(*edges.values()))
+    row = {panel: p for p, panel in enumerate(panels)}
+    nodes, w32, w16 = _panel_nodes(panels)
+    theta = np.zeros((len(sectors), len(panels), 48))
+    for p, panel in enumerate(panels):
+        rows = [s for s, ps in edges.items() if panel in ps]
         values = _theta_at(
-            lams, weights[rows], [kernel_weights[s] for s in rows], nodes[panel][0]
+            lams, weights[rows], [kernel_weights[s] for s in rows], nodes[p : p + 1]
         )
-        theta.update(((panel, s), v) for s, v in zip(rows, values))
+        theta[rows, p] = values[:, 0]
     # the models and the truncation bound are elementwise, so one evaluation
-    # on all panels' nodes gives each panel's slice the bits of its own
-    every_node = np.concatenate([np.empty(0), *(ts for ts, _, _ in nodes.values())])
-    at = {panel: slice(48 * j, 48 * j + 48) for j, panel in enumerate(nodes)}
-    trunc = trunc_bound(every_node) / every_node
+    # on the whole table gives each row the bits of its own
+    trunc = trunc_bound(nodes) / nodes
 
-    for s, ps in panels.items():
+    for s, ps in edges.items():
         _, _, model, zeta0, b_term, pole = sectors[s]
         delta = deltas[best[s]]
         below = estimates[best[s], s][1]
-        modelled = model(every_node)
-        r_term, quad_err = _integrate_panels(
-            lambda panel, ts: (theta[panel, s] - modelled[at[panel]]) / ts, ps, nodes
-        )
-        trunc_r, _ = _integrate_panels(lambda panel, ts: trunc[at[panel]], ps, nodes)
+        at = [row[panel] for panel in ps]  # ascending: the error sum keeps its order
+        y = (theta[s] - model(nodes)) / nodes
+        r_term, quad_err = _integrate(y, w32, w16, at)
+        trunc_r, _ = _integrate(trunc, w32, w16, at)
         err = (
             below
             + abs(trunc_r)
@@ -491,10 +487,9 @@ def _continue_complete(lams, weights, sectors) -> list:
             )
         mismatches.append(mismatch)
     lead = min(0.5, 4.0 / float(lams[-1])) if lams.size else 0.5
-    panels = [(0.0, lead)] + _panel_edges(lead)
-    nodes = {panel: _panel_nodes(*panel) for panel in panels}
-    values = {}
-    for panel, (ts, _, _) in nodes.items():
+    nodes, w32, w16 = _panel_nodes([(0.0, lead)] + _panel_edges(lead))
+    values = np.empty((len(weights),) + nodes.shape)
+    for p, ts in enumerate(nodes):
         partials = [[] for _ in weights]
         for i in range(0, lams.size, _CHUNK):
             block = np.expm1(-np.outer(lams[i : i + _CHUNK], ts))
@@ -502,13 +497,11 @@ def _continue_complete(lams, weights, sectors) -> list:
                 parts.append(w[i : i + _CHUNK] @ block)
         for s, parts in enumerate(partials):
             by_node = np.reshape(parts, (-1, ts.size)).T.tolist()
-            values[panel, s] = np.array([math.fsum(p) for p in by_node]) / ts
+            values[s, p] = [math.fsum(n) for n in by_node]
+    values /= nodes
     results = []
-    for s, (_, _, _, zeta0, b_term, pole) in enumerate(sectors):
-        r_term, quad_err = _integrate_panels(
-            lambda panel, ts: values[panel, s], panels, nodes
-        )
-        mismatch = mismatches[s]
+    for y, (_, _, _, zeta0, b_term, pole), mismatch in zip(values, sectors, mismatches):
+        r_term, quad_err = _integrate(y, w32, w16, range(len(nodes)))
         err = quad_err + mismatch + 1e-14 * (abs(zeta0) + abs(b_term) + 1.0)
         zp = np.euler_gamma * zeta0 + pole + r_term + b_term
         results.append(ContinuationResult(zeta0, zp, err, 0.0))

@@ -516,8 +516,18 @@ def test_period_preset_is_the_golden_bytes(capfd):
             ],
             "period-enriques-marked.out",
         ),
+        (
+            [
+                "tau",
+                "--spectrum",
+                os.path.join(PRESETS, "spectrum-torus-fixed.json"),
+                "--curves",
+                os.path.join(PRESETS, "curves-torus-sphere.json"),
+            ],
+            "tau-spectrum-curves.out",
+        ),
     ],
-    ids=["report", "zeta-spectrum", "involution-files", "period-marked"],
+    ids=["report", "zeta-spectrum", "involution-files", "period-marked", "tau-curves"],
 )
 def test_command_output_is_the_golden_bytes(capfd, argv, golden):
     # report and zeta-spectrum were captured before the records lost their
@@ -529,6 +539,10 @@ def test_command_output_is_the_golden_bytes(capfd, argv, golden):
     # b = the first root of the second E8(-1), and c = e1 + e2 - f2, with
     # <a, c> = -1, so it is not an involution; period-enriques-marked.out
     # was captured before a period pair was built from its plus point.
+    # spectrum-torus-fixed.json is that torus under the trivial character
+    # and curves-torus-sphere.json the same torus and the unit sphere
+    # (l_max 150) as fixed curves; tau-spectrum-curves.out, which continues
+    # the three spectra, was captured before the panel table.
     assert main(argv) == 0
     with open(os.path.join(PRESETS, golden), "rb") as fh:
         assert capfd.readouterr().out.encode() == fh.read()

@@ -123,9 +123,9 @@ def test_complete_spectrum_fsums_its_chunk_partials():
     res = continue_one(lams, ws, kernel, model, model, math.inf)
 
     lead = min(0.5, 4.0 / float(lams[-1]))
+    nodes, w32s, _ = mellin._panel_nodes([(0.0, lead)] + mellin._panel_edges(lead))
     total = []
-    for a, b in [(0.0, lead)] + mellin._panel_edges(lead):
-        ts, w32, _ = mellin._panel_nodes(a, b)
+    for ts, w32 in zip(nodes, w32s):
         partials = [
             ws[i : i + c] @ np.expm1(-np.outer(lams[i : i + c], ts))
             for i in range(0, n, c)
@@ -247,7 +247,7 @@ def theta_reference(lams, w, kernel_weight, ts):
     size=st.sampled_from([1, 4095, 4096, 4097, 8193]),
     log_t=st.floats(-9.0, 0.0),
     nodes=st.sampled_from([1, 2, 48]),
-    groups=st.one_of(st.none(), st.integers(1, 24)),
+    groups=st.integers(1, 24),
     dead=st.booleans(),
     sectors=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
@@ -258,12 +258,12 @@ def theta_reference(lams, w, kernel_weight, ts):
 def test_theta_at_is_the_full_block_bit_for_bit(
     size, log_t, nodes, groups, dead, sectors, seed
 ):
-    """A 1-d ts (groups None), or a stack of groups each equal to the group
-    evaluated alone. Groups start up to three decades apart, so on more
-    than one chunk some are dead in the later chunks; a dead group's t
-    values kill every entry, and it gets its kernel weight."""
+    """A stack of groups, each equal to the group evaluated alone. Groups
+    start up to three decades apart, so on more than one chunk some are
+    dead in the later chunks; a dead group's t values kill every entry,
+    and it gets its kernel weight."""
     rng = np.random.default_rng(seed)
-    lows = log_t + rng.uniform(0.0, 3.0, groups or 1)
+    lows = log_t + rng.uniform(0.0, 3.0, groups)
     lows[0] = log_t
     spread = rng.uniform(0.0, 1.0, (len(lows), nodes))
     ts = 10.0 ** np.minimum(0.0, lows[:, None] + spread)
@@ -275,11 +275,10 @@ def test_theta_at_is_the_full_block_bit_for_bit(
     weights = rng.integers(-40, 41, (sectors, size)).astype(float)
     weights[0] = rng.standard_normal(size)
     kernel = rng.integers(-2, 3, sectors).astype(float)
-    got = mellin._theta_at(lams, weights, kernel, ts if groups else ts[0])
-    assert got.shape == ((sectors, groups, nodes) if groups else (sectors, nodes))
-    got = got.reshape(sectors, -1, nodes)
+    got = mellin._theta_at(lams, weights, kernel, ts)
+    assert got.shape == (sectors, groups, nodes)
     for s in range(sectors):
-        for g, group in enumerate(ts[: len(got[s])]):
+        for g, group in enumerate(ts):
             want = theta_reference(lams, weights[s], float(kernel[s]), group)
             assert np.array_equal(got[s, g].view(np.uint64), want.view(np.uint64))
         if dead:
@@ -303,6 +302,9 @@ def same(a, b) -> bool:
     antipodal=st.booleans(),
     tol=st.sampled_from([1e-6, 1e-8, 1e-13, 1e-15]),
 )
+# plus and twisted return results while minus refuses: a missed sector gets
+# no panels while the others still integrate
+@example(radius=1.0, l_max=150, antipodal=True, tol=1e-15)
 def test_sectors_continued_together_equal_each_alone(radius, l_max, antipodal, tol):
     spectrum = round_sphere_spectrum(radius, antipodal, l_max)
     rows = [spectral._sector(spectrum, s) for s in (1, -1, 0)]
@@ -352,7 +354,7 @@ def test_sphere_torsion_shares_its_heat_trace_evaluations(monkeypatch):
     # their panels
     assert calls[0] == (3, (24, 2))
     assert len(calls) == 12
-    assert all(shape == (48,) for _, shape in calls[1:])
+    assert all(shape == (1, 48) for _, shape in calls[1:])
     # the search evaluates each sector's model once, on that stacked array;
     # the one grid-wide evaluation is the truncation bound's, which decides
     # the feasible candidates
@@ -368,3 +370,33 @@ def test_gauss_legendre_tables_are_leggauss(rule, n):
     assert nodes.dtype == weights.dtype == np.float64
     assert nodes.tobytes() == ref_nodes.tobytes()
     assert weights.tobytes() == ref_weights.tobytes()
+
+
+def panel_alone(a, b):
+    """One panel [a, b] mapped on its own: its 32 + 16 nodes and both
+    weight sets."""
+    (x32, w32), (x16, w16) = mellin._GL32, mellin._GL16
+    half, mid = 0.5 * (b - a), 0.5 * (b + a)
+    return np.concatenate([half * x32 + mid, half * x16 + mid]), half * w32, half * w16
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    log_delta=st.floats(-12.0, -0.3),
+    lead=st.floats(1e-6, 0.5),
+    extra=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_panel_table_rows_are_each_panel_mapped_alone(log_delta, lead, extra, seed):
+    # the complete path's (0, lead), some of the doubling panels of a small
+    # split in any order, and arbitrary panels
+    edges = mellin._panel_edges(10.0**log_delta)
+    rng = np.random.default_rng(seed)
+    picks = rng.permutation(len(edges))[: rng.integers(1, len(edges) + 1)]
+    panels = [(0.0, lead)] + [edges[i] for i in picks]
+    panels += [tuple(sorted(p)) for p in extra]
+    table = mellin._panel_nodes(panels)
+    assert [t.shape for t in table] == [(len(panels), n) for n in (48, 32, 16)]
+    for (a, b), *rows in zip(panels, *table):
+        for got, want in zip(rows, panel_alone(a, b)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
