@@ -10,7 +10,10 @@ continuation of zeta(s) = sum_i w_i lambda_i^{-s} to s = 0 is
                + sum_i w_i E1(lambda_i)
 
 which follows from splitting int_0^inf t^{s-1} at t = 1 and expanding
-1 / Gamma(s) = s + euler_gamma * s^2 + O(s^3).
+1 / Gamma(s) = s + euler_gamma * s^2 + O(s^3). A complete spectrum (an
+infinite cutoff) takes the closed form instead: its zeta(s) is a finite
+sum, entire, so zeta(0) = sum w_i and zeta'(0) = -sum w_i log lambda_i,
+with no E1, no model integral and no panels.
 
 The subtlety is that theta is only known from entries up to a cutoff. Below
 a deterministically chosen split point delta the integrand is replaced by
@@ -30,9 +33,8 @@ numpy.polynomial is not imported; a test checks the tables bit for bit.
 
 Reductions over eigenvalue entries run in fixed-size chunks in ascending
 order and the chunk partials are combined with math.fsum, node by node
-where a chunk gives one partial per node (theta, and the expm1 blocks of a
-complete spectrum), so results are deterministic and compensated no matter
-how entries are batched.
+where a chunk gives one partial per node (theta), so results are
+deterministic and compensated no matter how entries are batched.
 
 All sectors of one spectrum (one weight row each) are continued in one
 call. They share E1 of the eigenvalues, the split candidates (which depend
@@ -194,8 +196,6 @@ def ordered_chunk_sum(values: np.ndarray) -> float:
     """Deterministic compensated reduction: fixed-size chunks in the given
     order, exact fsum of the chunk partials."""
     v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        return 0.0
     partials = [
         math.fsum(v[i : i + _CHUNK].tolist()) for i in range(0, v.size, _CHUNK)
     ]
@@ -338,7 +338,8 @@ def continue_trace(
     is a nonnegative model dominating the absolute trace of every sector,
     used only for truncation bounds. An infinite `cutoff` asserts the
     entries are the entire spectrum, in which case each model must be the
-    matching constant and no splitting is needed.
+    matching constant, and each sector takes the closed form
+    zeta'(0) = -sum w log lambda (see _continue_complete).
 
     Returns one item per sector: its ContinuationResult, or the
     AccuracyError it refuses with when no split point meets `target`, so
@@ -367,16 +368,17 @@ def continue_trace(
     if lams.size and (np.any(lams <= 0.0) or np.any(np.diff(lams) < 0)):
         raise InputError("eigenvalues must be positive and ascending")
 
+    if cutoff == math.inf:
+        return _continue_complete(lams, weights, kernel_weights, models)
+    if not cutoff > 0.0:
+        raise InputError("a truncated spectrum needs a positive finite cutoff")
+
     e1 = exp1(lams)
     # per sector: (weights, kernel weight, model, zeta(0), b term, pole part)
     sectors = [
         (w, k, m, m.coeff_at_zero() - k, ordered_chunk_sum(w * e1), m.pole_part())
         for w, k, m in zip(weights, kernel_weights, models)
     ]
-    if cutoff == math.inf:
-        return _continue_complete(lams, weights, sectors)
-    if not cutoff > 0.0:
-        raise InputError("a truncated spectrum needs a positive finite cutoff")
     abs_bound = bound_model.abs_model()
 
     def trunc_bound(t):
@@ -473,36 +475,33 @@ def continue_trace(
     return [results[s] for s in every]
 
 
-def _continue_complete(lams, weights, sectors) -> list:
-    """The sectors of a complete spectrum: no split, the whole trace minus
-    its constant integrated from 0, one expm1 block per chunk and panel."""
-    mismatches = []
-    for w, k, m, _, _, _ in sectors:
+def _continue_complete(lams, weights, kernel_weights, models) -> list:
+    """The sectors of a complete spectrum, in closed form: zeta(s) =
+    sum w lambda^{-s} is entire, so zeta(0) = sum w, read from the model
+    as p_0 - w0, and zeta'(0) = -sum w log lambda.
+
+    The error is u (8 S + 4), u = 2^-53 and S = sum |w log lambda|, plus
+    the mismatch between the model's constant and w0 + sum w. zeta'(0)
+    alone needs 5u S: each term is rounded in its log (within one ulp,
+    2u) and its product (u), and the sum in its chunk partial and in the
+    result (u of S each). The rest covers the rounding of the reports
+    built on two sectors, which add no bar of their own: the sum
+    -zeta_+'(0) + zeta_-'(0) (u S), an exp and a power (one ulp each),
+    and second-order terms.
+    """
+    logs = np.log(lams)
+    results = []
+    for w, k, m in zip(weights, kernel_weights, models):
+        p0 = m.coeff_at_zero()
         scale = max(1.0, abs(k), float(np.max(np.abs(w))) if w.size else 0.0)
-        mismatch = abs(m.coeff_at_zero() - (k + ordered_chunk_sum(w)))
+        mismatch = abs(p0 - (k + ordered_chunk_sum(w)))
         if mismatch > 1e-9 * scale * max(1.0, lams.size):
             raise InputError(
                 "complete spectrum disagrees with its constant heat model"
                 " (mismatch %.3e)" % mismatch
             )
-        mismatches.append(mismatch)
-    lead = min(0.5, 4.0 / float(lams[-1])) if lams.size else 0.5
-    nodes, w32, w16 = _panel_nodes([(0.0, lead)] + _panel_edges(lead))
-    values = np.empty((len(weights),) + nodes.shape)
-    for p, ts in enumerate(nodes):
-        partials = [[] for _ in weights]
-        for i in range(0, lams.size, _CHUNK):
-            block = np.expm1(-np.outer(lams[i : i + _CHUNK], ts))
-            for parts, w in zip(partials, weights):
-                parts.append(w[i : i + _CHUNK] @ block)
-        for s, parts in enumerate(partials):
-            by_node = np.reshape(parts, (-1, ts.size)).T.tolist()
-            values[s, p] = [math.fsum(n) for n in by_node]
-    values /= nodes
-    results = []
-    for y, (_, _, _, zeta0, b_term, pole), mismatch in zip(values, sectors, mismatches):
-        r_term, quad_err = _integrate(y, w32, w16, range(len(nodes)))
-        err = quad_err + mismatch + 1e-14 * (abs(zeta0) + abs(b_term) + 1.0)
-        zp = np.euler_gamma * zeta0 + pole + r_term + b_term
-        results.append(ContinuationResult(zeta0, zp, err, 0.0))
+        terms = w * logs
+        err = 2.0**-53 * (8.0 * ordered_chunk_sum(np.abs(terms)) + 4.0) + mismatch
+        zp = 0.0 - ordered_chunk_sum(terms)  # a zero sum gives 0.0, not -0.0
+        results.append(ContinuationResult(p0 - k, zp, err, 0.0))
     return results

@@ -526,8 +526,19 @@ def test_period_preset_is_the_golden_bytes(capfd):
             ],
             "tau-spectrum-curves.out",
         ),
+        (
+            ["zeta", "--spectrum", os.path.join(PRESETS, "spectrum-complete.json")],
+            "zeta-spectrum-complete.out",
+        ),
     ],
-    ids=["report", "zeta-spectrum", "involution-files", "period-marked", "tau-curves"],
+    ids=[
+        "report",
+        "zeta-spectrum",
+        "involution-files",
+        "period-marked",
+        "tau-curves",
+        "zeta-complete",
+    ],
 )
 def test_command_output_is_the_golden_bytes(capfd, argv, golden):
     # report and zeta-spectrum were captured before the records lost their
@@ -543,6 +554,8 @@ def test_command_output_is_the_golden_bytes(capfd, argv, golden):
     # and curves-torus-sphere.json the same torus and the unit sphere
     # (l_max 150) as fixed curves; tau-spectrum-curves.out, which continues
     # the three spectra, was captured before the panel table.
+    # spectrum-complete.json is _SPECTRUM, a complete spectrum, whose zeta
+    # values are the closed form -sum m log lambda.
     assert main(argv) == 0
     with open(os.path.join(PRESETS, golden), "rb") as fh:
         assert capfd.readouterr().out.encode() == fh.read()

@@ -95,6 +95,7 @@ def test_ordered_chunk_sum_matches_fsum():
     v = rng.standard_normal(10001)
     assert ordered_chunk_sum(v) == ordered_chunk_sum(v.copy())
     assert abs(ordered_chunk_sum(v) - math.fsum(v.tolist())) < 1e-12
+    assert ordered_chunk_sum(np.zeros(0)) == 0.0
 
 
 def test_complete_spectrum_is_summed_exactly():
@@ -108,11 +109,15 @@ def test_complete_spectrum_is_summed_exactly():
     assert res.error_estimate < 1e-10
 
 
-def test_complete_spectrum_fsums_its_chunk_partials():
+def test_complete_spectrum_fsums_its_chunk_partials(monkeypatch):
     # four chunks of eigenvalues within 1.3e-5 of 1 with weights 2^40, small
-    # ones, -2^40 and 1: the first and third chunk's partials nearly cancel,
-    # so adding the small second one to the first in turn would lose its
-    # low bits; each node's partials are fsummed
+    # ones, -2^40 and 1: large chunk partials of both signs beside small
+    # ones, fsummed in order, and neither E1 nor a panel is reached
+    def unreached(*args):
+        raise AssertionError("a complete spectrum needs no E1 and no panels")
+
+    monkeypatch.setattr(mellin, "exp1", unreached)
+    monkeypatch.setattr(mellin, "_panel_nodes", unreached)
     c = mellin._CHUNK
     n = 3 * c + 5
     lams = 1.0 + 1e-9 * np.arange(n)
@@ -122,19 +127,13 @@ def test_complete_spectrum_fsums_its_chunk_partials():
     model = TraceModel.from_ladder(0, [kernel + ordered_chunk_sum(ws)])
     res = continue_one(lams, ws, kernel, model, model, math.inf)
 
-    lead = min(0.5, 4.0 / float(lams[-1]))
-    nodes, w32s, _ = mellin._panel_nodes([(0.0, lead)] + mellin._panel_edges(lead))
-    total = []
-    for ts, w32 in zip(nodes, w32s):
-        partials = [
-            ws[i : i + c] @ np.expm1(-np.outer(lams[i : i + c], ts))
-            for i in range(0, n, c)
-        ]
-        y = np.array([math.fsum(p) for p in zip(*partials)]) / ts
-        total.append(float(w32 @ y[:32]))
-    b_term = ordered_chunk_sum(ws * exp1(lams))
-    zeta0 = model.coeff_at_zero() - kernel
-    assert res.zeta_prime_at_0 == np.euler_gamma * zeta0 + math.fsum(total) + b_term
+    assert res.zeta_prime_at_0 == -ordered_chunk_sum(ws * np.log(lams))
+    assert type(res.zeta_prime_at_0) is type(res.error_estimate) is float
+    with mpmath.workdps(40):
+        exact = -mpmath.fsum(
+            mpmath.mpf(w) * mpmath.log(lam) for w, lam in zip(ws.tolist(), lams.tolist())
+        )
+        assert abs(res.zeta_prime_at_0 - exact) <= res.error_estimate
 
 
 def test_complete_spectrum_constant_mismatch_rejected():
@@ -388,8 +387,8 @@ def panel_alone(a, b):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_panel_table_rows_are_each_panel_mapped_alone(log_delta, lead, extra, seed):
-    # the complete path's (0, lead), some of the doubling panels of a small
-    # split in any order, and arbitrary panels
+    # a panel from 0, some of the doubling panels of a small split in any
+    # order, and arbitrary panels
     edges = mellin._panel_edges(10.0**log_delta)
     rng = np.random.default_rng(seed)
     picks = rng.permutation(len(edges))[: rng.integers(1, len(edges) + 1)]

@@ -1,8 +1,11 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from k3zeta import cli, frames, jsonio, lattices, periods, spectral
 from k3zeta.errors import AccuracyError, ConsistencyError, InputError
@@ -144,6 +147,106 @@ def test_direct_zeta_matches_engine_on_complete_spectrum():
         engine = zeta_signed(SYNTH, sign, TOL)
         assert abs(zeta0 - engine.zeta_at_0) < 1e-12
         assert abs(zeta_prime0 - engine.zeta_prime_at_0) < 1e-12
+
+
+def _complete(lams, counts, kernel):
+    """The complete spectrum of these entries, its tail constants their
+    totals."""
+    plus, minus = counts.sum(axis=0).tolist()
+    tail = HeatTail(
+        0,
+        (float(kernel[0] + kernel[1] + plus + minus),),
+        (float(kernel[0] - kernel[1] + plus - minus),),
+    )
+    return EquivariantSpectrum(np.column_stack([lams, counts]), kernel, tail)
+
+
+def _complete_lambdas(draw, rng):
+    """1 to 3000 eigenvalues over 12 decades, or packed within 1e-5 of 1,
+    where the logs are small and the twisted weights m_plus - m_minus
+    cancel."""
+    n = draw(st.integers(1, 3000))
+    if draw(st.booleans()):
+        return np.unique(10.0 ** rng.uniform(-6.0, 6.0, n))
+    return np.unique(1.0 + rng.uniform(-1e-5, 1e-5, n))
+
+
+@st.composite
+def complete_spectra(draw):
+    """A complete spectrum: counts up to 5e7, kernel dimensions 0 to 2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lams = _complete_lambdas(draw, rng)
+    top = draw(st.sampled_from([1, 1000, 5 * 10**7]))
+    counts = rng.integers(0, top, (lams.size, 2), endpoint=True)
+    counts[counts.sum(axis=1) == 0, 0] = 1
+    kernel = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    return _complete(lams, counts, kernel)
+
+
+@st.composite
+def complete_spectra_in_range(draw):
+    """A complete spectrum whose determinant, torsion and tau are floats:
+    the minus counts equal the plus counts, up to 5e7, but for one more
+    state of either sign on at most 10 entries, so sum (m_plus - m_minus)
+    log lambda is at most 10 log 1e6 in size while each sector's sum may
+    be large."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lams = _complete_lambdas(draw, rng)
+    top = draw(st.sampled_from([1, 1000, 5 * 10**7]))
+    same = rng.integers(0, top, lams.size, endpoint=True)
+    same[same == 0] = 1
+    counts = np.column_stack([same, same])
+    odd = rng.permutation(lams.size)[: draw(st.integers(0, 10))]
+    counts[odd, rng.integers(0, 2, odd.size)] += 1
+    kernel = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    return _complete(lams, counts, kernel)
+
+
+def _exact_zeta_primes(spectrum):
+    """-sum w log lambda of the plus, minus and twisted sectors, in 40
+    digits (the caller holds the precision)."""
+    logs = [mpmath.log(lam) for lam in spectrum.lambdas().tolist()]
+    plus, minus = spectrum.mults(1), spectrum.mults(-1)
+    return [
+        -mpmath.fsum(c * x for c, x in zip(w.tolist(), logs))
+        for w in (plus, minus, plus - minus)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(complete_spectra())
+def test_complete_zeta_values_lie_within_their_bars(spectrum):
+    plus, minus, (twisted, _, _) = spectral.zeta_values(spectrum)
+    weights = (
+        spectrum.mults(1),
+        spectrum.mults(-1),
+        spectrum.mults(1) - spectrum.mults(-1),
+    )
+    with mpmath.workdps(40):
+        exact = _exact_zeta_primes(spectrum)
+        for res, w, zp in zip((plus, minus, twisted), weights, exact):
+            assert abs(res.zeta_prime_at_0 - zp) <= res.error_estimate
+            assert abs(res.zeta_at_0 - math.fsum(w.tolist())) <= res.error_estimate
+
+
+@settings(max_examples=100, deadline=None)
+@given(complete_spectra_in_range())
+@example(_complete(np.array([1.01, 1.02]), np.array([[1, 0], [1, 0]]), (0, 0)))
+def test_complete_reports_lie_within_their_bars(spectrum):
+    # the reports round an exp, a log or a power of their own, beyond the
+    # sectors' values, and their bars must cover that too
+    det = spectral.equivariant_determinant_report(spectrum)
+    torsion = spectral.equivariant_torsion_report(spectrum)
+    tau = spectral.tau_iota(spectrum)
+    with mpmath.workdps(40):
+        plus, minus, twisted = _exact_zeta_primes(spectrum)
+        exact_det = mpmath.exp(-plus + minus)
+        for report, exact in (
+            (det, exact_det),
+            (torsion, mpmath.exp(2 * twisted)),
+            (tau, exact_det**-2),
+        ):
+            assert abs(report.value - exact) <= report.error_estimate
 
 
 def test_scaling_law():
