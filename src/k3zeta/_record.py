@@ -11,7 +11,15 @@ gives it:
   defines its own);
 - the repr `Name(field=value, ...)`;
 - construction by position or keyword, for a class with no `__init__` of
-  its own.
+  its own;
+- `_of(*values)`, a record of field values in field order, stored without
+  running the class's `__init__`.
+
+Outside input is checked once: a class's constructor, and the decoders
+that call it, check what arrives from a caller or a file. What the package
+derives from data it has already checked (a Hermite kernel basis, an exact
+product B^T G B, the conjugate of a checked period point, the columns of a
+model spectrum) is stored through `_of`, so it is not checked again.
 
 The field names are read once, when the class is made, and the methods are
 shared: no code is generated per class, so a record costs about what a
@@ -47,6 +55,16 @@ class Record:
         # record a materialized dict, whose attribute loads are slower
         for name, value in zip(fields, args):
             _store(self, name, value)
+
+    @classmethod
+    def _of(cls, *values):
+        """The record of these field values, in field order, built without
+        the class's `__init__`: only for data the package derived from data
+        it has already checked."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values, strict=True):
+            _store(self, name, value)
+        return self
 
     @classmethod
     def _positional(cls, args: tuple, kwargs: dict) -> tuple:

@@ -107,8 +107,9 @@ class LatticeIsometry(Record):
             [self.matrix[i][j] - (sign if i == j else 0) for j in range(n)]
             for i in range(n)
         ]
+        # a Hermite basis of a kernel: independent rows of Python ints
         kernel = intlinalg.integer_kernel(m)
-        return SublatticeBasis(self.lattice, [tuple(v) for v in kernel])
+        return SublatticeBasis._of(self.lattice, _freeze(kernel))
 
     @functools.cached_property
     def _plus(self) -> "SublatticeBasis":
@@ -153,9 +154,9 @@ class SublatticeBasis(Record):
 
     @functools.cached_property
     def _induced(self) -> Lattice:
-        # the stored vectors are the rows of B^T
+        # the stored vectors are the rows of B^T; B^T G B is symmetric
         bt_g = intlinalg.matmul(self.vectors, self.ambient.gram)
-        return Lattice(intlinalg.matmul(bt_g, self.basis_matrix()))
+        return Lattice._of(_freeze(intlinalg.matmul(bt_g, self.basis_matrix())))
 
     def induced_lattice(self) -> Lattice:
         """The lattice with Gram matrix B^T G B, computed once per object."""

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import AccuracyError, InputError, _count, _finite, _positive
 from .intlinalg import det_bareiss, is_symmetric, rational_inertia, to_int_matrix
-from .spectral import CurveComponent, EquivariantSpectrum, HeatTail
+from .spectral import CurveComponent, EquivariantSpectrum, HeatTail, _frozen_columns
 
 DEFAULT_SPHERE_LMAX = 250
 DEFAULT_TORUS_CUTOFF = 1000.0
@@ -97,11 +97,11 @@ def round_sphere_spectrum(
     l = np.arange(1, l_max + 1)
     mult = 2 * l + 1
     minus = (l % 2 == 1) & bool(antipodal)
-    entries = np.column_stack(
-        (l * (l + 1) / two_r2, np.where(minus, 0, mult), np.where(minus, mult, 0))
+    columns = _frozen_columns(
+        l * (l + 1) / two_r2, np.where(minus, 0, mult), np.where(minus, mult, 0)
     )
     cutoff = (l_max + 1) * (l_max + 2) / two_r2
-    return EquivariantSpectrum(entries, (1, 0), tail, cutoff)
+    return EquivariantSpectrum._of(columns, (1, 0), tail, cutoff)
 
 
 def round_sphere_curve(
@@ -252,14 +252,13 @@ def flat_torus_spectrum(
     first = np.flatnonzero(np.diff(lams, prepend=-1.0))
     if keys.size:
         mults = np.add.reduceat(mults, first)
-    entries = np.column_stack((lams[first], mults))
+    columns = _frozen_columns(lams[first], *mults.T)
 
     c0 = (2.0 * math.pi) ** (n / 2.0) * root_det
     straight = (c0,) + (0.0,) * (n + 8)
     twisted = straight if not any(eps) else None
-    return EquivariantSpectrum(
-        entries, (1, 0), HeatTail(n, straight, twisted), cut
-    )
+    tail = HeatTail(n, straight, twisted)
+    return EquivariantSpectrum._of(columns, (1, 0), tail, cut)
 
 
 def flat_torus_curve(gram, cutoff: float = DEFAULT_TORUS_CUTOFF) -> CurveComponent:

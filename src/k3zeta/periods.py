@@ -120,7 +120,10 @@ class PeriodPair(Record, eq=False):
     minus: PeriodPoint
 
     def __init__(self, plus: PeriodPoint):
-        minus = PeriodPoint(plus.sublattice, np.conj(plus.coords))
+        # the conjugate of a checked point passes every check it passed
+        conj = np.conj(plus.coords)
+        conj.setflags(write=False)
+        minus = PeriodPoint._of(plus.sublattice, conj)
         object.__setattr__(self, "plus", plus)
         object.__setattr__(self, "minus", minus)
 
@@ -143,7 +146,9 @@ def _marking_context(
         if marking.lattice != invol.lattice:
             raise MarkingError("marking acts on a different lattice")
         image = [intlinalg.matvec(marking.matrix, v) for v in domain.vectors]
-        domain = lattices.SublatticeBasis(invol.lattice, intlinalg.column_hnf(image))
+        # a Hermite basis, independent by construction
+        hnf = lattices._freeze(intlinalg.column_hnf(image))
+        domain = lattices.SublatticeBasis._of(invol.lattice, hnf)
     _check_domain_lattice(domain)
     b = np.asarray(domain.basis_matrix(), dtype=float)
     induced = domain.induced_lattice().float_gram

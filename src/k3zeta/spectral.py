@@ -39,6 +39,7 @@ a curve, whose own cutoff it quotes.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -127,30 +128,11 @@ def _fields(x, width: int, what: str) -> tuple:
 
 def _check_entries(entries):
     """Eigenvalue, m_plus and m_minus columns of rows (lam, m_plus,
-    m_minus), given as a sequence or as one (n, 3) float array.
-
-    An array is checked in one numpy pass; one that fails it is read row
-    by row like a sequence, so every refusal is that of the first row
-    failing a check. The counts are int64 columns, each at most 2**53, so
-    that the float64 weights the engine reads are exact.
+    m_minus), read one row at a time from any sequence of rows, an array
+    included, so every refusal is that of the first row failing a check.
+    The counts are int64 columns, each at most 2**53, so that the float64
+    weights the engine reads are exact.
     """
-    if (
-        isinstance(entries, np.ndarray)
-        and entries.dtype == float
-        and entries.ndim == 2
-        and entries.shape[1] == 3
-    ):
-        lams, counts = entries[:, 0], entries[:, 1:]
-        whole = (counts >= 0.0) & (counts <= 2.0**53) & (counts == np.floor(counts))
-        if (
-            np.isfinite(lams).all()
-            and (lams > 0.0).all()
-            and (lams[1:] > lams[:-1]).all()
-            and whole.all()
-            and counts.any(axis=1).all()
-        ):
-            mp, mm = counts.T.astype(np.int64)
-            return np.array(lams), mp, mm
     rows = []
     prev = 0.0
     for e in _sequence(entries, "spectrum entries"):
@@ -166,26 +148,35 @@ def _check_entries(entries):
             raise InputError("multiplicities must not be all zero")
         prev = lam
         rows.append((lam, mp, mm))
-    lams = np.array([lam for lam, _, _ in rows], dtype=float)
-    return (lams, *(np.array([r[j] for r in rows], dtype=np.int64) for j in (1, 2)))
+    return _frozen_columns(*([r[j] for r in rows] for j in range(3)))
+
+
+def _frozen_columns(lams, mp, mm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The form a spectrum holds its entries in: read-only float64
+    eigenvalues and int64 m_plus and m_minus columns."""
+    cols = tuple(map(np.asarray, (lams, mp, mm), (float, np.int64, np.int64)))
+    for col in cols:
+        col.flags.writeable = False
+    return cols
 
 
 class EquivariantSpectrum(Record, eq=False):
     """Eigenvalues with signed multiplicities, kernel dims, tail, cutoff.
 
-    The entries are held as three read-only columns: the ascending float64
-    eigenvalues and the int64 m_plus and m_minus counts, each at most
-    2**53 and so exact as the float64 weights of `mults`. They are given
-    as rows (lam, m_plus, m_minus), in a sequence or, as the models build
-    them, in one (n, 3) float array.
+    The entries are given as rows (lam, m_plus, m_minus) and held as three
+    read-only columns (`_columns`): the ascending float64 eigenvalues and
+    the int64 m_plus and m_minus counts, each at most 2**53 and so exact as
+    the float64 weights of `mults`. The models and `truncate_entries`
+    build the columns themselves and store them with `Record._of`.
     """
 
+    _columns: tuple[np.ndarray, np.ndarray, np.ndarray]
     kernel: tuple[int, int]
     tail: HeatTail
     cutoff: float
 
     def __init__(self, entries, kernel, tail, cutoff=math.inf):
-        lams, mp, mm = _check_entries(entries)
+        lams, mp, mm = columns = _check_entries(entries)
         k = tuple(_count(n, "kernel dimension") for n in _fields(kernel, 2, "kernel"))
         if not isinstance(tail, HeatTail):
             raise InputError("tail must be a HeatTail")
@@ -215,9 +206,7 @@ class EquivariantSpectrum(Record, eq=False):
                 raise InputError("a truncated spectrum needs a positive cutoff")
             if lams.size and lams[-1] > cut:
                 raise InputError("entries extend beyond the declared cutoff")
-        for col in (lams, mp, mm):
-            col.flags.writeable = False
-        object.__setattr__(self, "_columns", (lams, mp, mm))
+        object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "kernel", k)
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "cutoff", cut)
@@ -389,10 +378,27 @@ def _dolbeault(r0: ContinuationResult):
     return r0, r1, r2
 
 
+def _in_range(what: str, log_value: float, compute) -> float:
+    """compute(), the value whose log is log_value, when it is a positive
+    normal float, bit for bit; a value that leaves float range either way
+    (inf, an OverflowError, 0 or a subnormal) is refused with an InputError
+    naming `what` and its log."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise InputError(
+            "%s leaves floating-point range: its log is %r" % (what, log_value)
+        )
+    return value
+
+
 def _determinant(
     plus: ContinuationResult, minus: ContinuationResult
 ) -> DeterminantReport:
-    value = math.exp(-plus.zeta_prime_at_0 + minus.zeta_prime_at_0)
+    log_det = -plus.zeta_prime_at_0 + minus.zeta_prime_at_0
+    value = _in_range("the determinant", log_det, lambda: math.exp(log_det))
     err = value * (plus.error_estimate + minus.error_estimate)
     return DeterminantReport(value, err, plus, minus)
 
@@ -442,8 +448,8 @@ def equivariant_torsion_report(
     plus, minus, (_, r1, r2) = zeta_values(spectrum, tol)
     log_tau = r1.zeta_prime_at_0 - 2.0 * r2.zeta_prime_at_0
     err_log = r1.error_estimate + 2.0 * r2.error_estimate
+    value = _in_range("the torsion", log_tau, lambda: math.exp(log_tau))
     residual = log_tau + 2.0 * math.log(_determinant(plus, minus).value)
-    value = math.exp(log_tau)
     return TorsionReport(value, value * err_log, log_tau, residual)
 
 
@@ -484,15 +490,18 @@ def tau_iota(
     factors = []
     if curves is None:
         # keep tau = det^-2 an identity of floats, not just of logs
-        value = det.value**-2.0
+        value = _in_range("tau", log_tau, lambda: det.value**-2.0)
     else:
-        for comp, (res,) in zip(curves, curve_zetas):
-            dval = math.exp(-res.zeta_prime_at_0)
+        for k, (comp, (res,)) in enumerate(zip(curves, curve_zetas), 1):
+            log_d = -res.zeta_prime_at_0
+            dval = _in_range("det* of curve %d" % k, log_d, lambda: math.exp(log_d))
             derr = dval * res.error_estimate
-            factors.append(comp.volume / dval)
-            log_tau += math.log(comp.volume) - math.log(dval)
+            log_v = math.log(comp.volume)
+            what = "the factor of curve %d" % k
+            factors.append(_in_range(what, log_v - log_d, lambda: comp.volume / dval))
+            log_tau += log_v - math.log(dval)
             err_log += derr / dval
-        value = math.exp(log_tau)
+        value = _in_range("tau", log_tau, lambda: math.exp(log_tau))
     return TauReport(value, value * err_log, log_tau, det, tuple(factors))
 
 
@@ -542,7 +551,7 @@ def truncate_entries(
         raise InputError("a complete spectrum cannot be truncated")
     if n >= spectrum.lambdas().size:
         return spectrum
-    lams, mp, mm = (col[:n] for col in spectrum._columns)
-    rows = np.column_stack((lams, mp, mm))
-    return EquivariantSpectrum(rows, spectrum.kernel, spectrum.tail, lams[-1])
+    columns = _frozen_columns(*(col[:n] for col in spectrum._columns))
+    cutoff = float(columns[0][-1])
+    return EquivariantSpectrum._of(columns, spectrum.kernel, spectrum.tail, cutoff)
 

@@ -19,7 +19,13 @@ from k3zeta.errors import InputError
 from k3zeta.frames import HKFrame, random_compatible_frame
 from k3zeta.lattices import enriques_involution
 from k3zeta.models import flat_torus_curve, flat_torus_spectrum
-from k3zeta.spectral import borcherds_report, truncate_entries, zeta_signed
+from k3zeta.spectral import (
+    EquivariantSpectrum,
+    HeatTail,
+    borcherds_report,
+    truncate_entries,
+    zeta_signed,
+)
 
 from fixtures import seed_frame
 
@@ -613,6 +619,22 @@ def test_count_refusal_is_the_golden_bytes(capfd):
     out = capfd.readouterr()
     assert out.out == ""
     with open(os.path.join(PRESETS, "zeta-huge-count-refusal.err"), "rb") as fh:
+        assert out.err.encode() == fh.read()
+
+
+def test_float_range_refusal_is_the_golden_bytes(capfd):
+    # spectrum-det-overflow.json is the complete spectrum of 600 minus
+    # states at 1e-6, whose determinant exp(600 log 1e6) passes float range
+    path = os.path.join(PRESETS, "spectrum-det-overflow.json")
+    tail = HeatTail(0, (601.0,), (-599.0,))
+    spectrum = EquivariantSpectrum(((1e-6, 0, 600),), (1, 0), tail)
+    with open(path, "rb") as fh:
+        text = jsonio.canonical_dumps(jsonio.encode_spectrum(spectrum)) + "\n"
+        assert text.encode() == fh.read()
+    assert main(["tau", "--spectrum", path]) == 2
+    out = capfd.readouterr()
+    assert out.out == ""
+    with open(os.path.join(PRESETS, "tau-det-overflow-refusal.err"), "rb") as fh:
         assert out.err.encode() == fh.read()
 
 

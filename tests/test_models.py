@@ -19,6 +19,7 @@ from k3zeta.models import (
     round_sphere_curve,
     round_sphere_spectrum,
 )
+from k3zeta.spectral import EquivariantSpectrum, truncate_entries
 
 from oracles import (
     exact_torus_eigenvalues,
@@ -191,6 +192,37 @@ def test_torus_matches_float_enumeration(case):
     for (lam, mp, mm), (ref, rp, rm) in zip(got, want):
         assert math.isclose(lam, ref, rel_tol=1e-12)
         assert (mp, mm) == (rp, rm)
+
+
+def _stored_as_checked(spec):
+    """The columns a model stored without the constructor's checks pass
+    them: the spectrum rebuilt from its rows is equal, and the columns are
+    read-only float64, int64 and int64."""
+    rebuilt = EquivariantSpectrum(spec.entries, spec.kernel, spec.tail, spec.cutoff)
+    assert rebuilt == spec
+    assert [c.dtype for c in spec._columns] == [np.float64, np.int64, np.int64]
+    assert not any(c.flags.writeable for c in spec._columns)
+
+
+@st.composite
+def model_spectra(draw):
+    """A sphere (radius in [0.3, 3], l_max 2 to 2000, either involution) or
+    a torus of torus_cases."""
+    if draw(st.booleans()):
+        radius, antipodal = draw(st.floats(0.3, 3.0)), draw(st.booleans())
+        return round_sphere_spectrum(radius, antipodal, draw(st.integers(2, 2000)))
+    return flat_torus_spectrum(*draw(torus_cases()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_spectra(), st.data())
+def test_model_spectra_pass_the_checks_they_skip(spec, data):
+    _stored_as_checked(spec)
+    size = len(spec.entries)
+    if size:
+        short = truncate_entries(spec, data.draw(st.integers(1, size)))
+        _stored_as_checked(short)
+        assert short.entries == spec.entries[: len(short.entries)]
 
 
 @st.composite

@@ -2,6 +2,8 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3zeta import intlinalg, periods
 from k3zeta.cli import main
@@ -10,6 +12,7 @@ from k3zeta.frames import HKFrame, compatible_frames, random_compatible_frame
 from k3zeta.lattices import (
     Lattice,
     LatticeIsometry,
+    SublatticeBasis,
     build_standard_lattice,
     eigenlattice,
     enriques_involution,
@@ -159,19 +162,72 @@ def _random_root(rng) -> list[int]:
     return r
 
 
+def _reflection(lattice, r) -> list[list[int]]:
+    """The reflection x -> x - 2 (x.r) / (r.r) r in a root r."""
+    gr = intlinalg.matvec([list(row) for row in lattice.gram], r)
+    c = 2 // sum(x * y for x, y in zip(r, gr))
+    return [[(i == j) - c * r[i] * gr[j] for j in range(22)] for i in range(22)]
+
+
 def _reflection_word(lattice, rng, length: int) -> LatticeIsometry:
-    """A product of `length` root reflections x -> x - 2 (x.r) / (r.r) r."""
-    g = [list(row) for row in lattice.gram]
+    """A product of `length` root reflections."""
     word = intlinalg.identity(22)
     for _ in range(length):
-        r = _random_root(rng)
-        gr = intlinalg.matvec(g, r)
-        c = 2 // sum(x * y for x, y in zip(r, gr))
-        step = [
-            [(i == j) - c * r[i] * gr[j] for j in range(22)] for i in range(22)
-        ]
-        word = intlinalg.matmul(word, step)
+        word = intlinalg.matmul(word, _reflection(lattice, _random_root(rng)))
     return LatticeIsometry(lattice, word)
+
+
+def _conjugated_enriques(rng, length: int) -> LatticeIsometry:
+    """s_k ... s_1 i s_1 ... s_k for the Enriques involution i and `length`
+    root reflections s_j, each its own inverse."""
+    iso = enriques_involution()
+    m = iso.matrix
+    for _ in range(length):
+        s = _reflection(iso.lattice, _random_root(rng))
+        m = intlinalg.matmul(intlinalg.matmul(s, m), s)
+    return LatticeIsometry(iso.lattice, m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.integers(0, 6))
+def test_derived_lattices_pass_the_checks_they_skip(seed, length, marking_length):
+    # eigenlattices, induced lattices, marked domains and minus points are
+    # stored without their constructors' checks; each passes them
+    rng = np.random.default_rng(seed)
+    iso = _conjugated_enriques(rng, length)
+    lat = iso.lattice
+    for sign in (1, -1):
+        sub = eigenlattice(iso, sign)
+        assert SublatticeBasis(lat, sub.vectors) == sub
+        assert Lattice(sub.induced_lattice().gram) == sub.induced_lattice()
+    marking = _reflection_word(lat, rng, marking_length)
+    pair = period_of(random_compatible_frame(iso, rng), iso, marking)
+    domain = pair.plus.sublattice
+    assert SublatticeBasis(lat, domain.vectors) == domain
+    assert Lattice(domain.induced_lattice().gram) == domain.induced_lattice()
+    minus = PeriodPoint(pair.minus.sublattice, pair.minus.coords)
+    assert np.array_equal(minus.coords, pair.minus.coords)
+    assert not pair.minus.coords.flags.writeable
+
+
+def test_derived_lattices_read_no_outside_matrix(monkeypatch):
+    # only the isometry's own matrix is outside input: its eigenlattices,
+    # their induced lattices and a period pair convert no matrix again
+    frame = random_compatible_frame(enriques_involution(), np.random.default_rng(3))
+    iso = enriques_involution()
+    periods._marking_context.cache_clear()
+    periods._reference_positive_frame.cache_clear()
+    calls = []
+
+    def counted(obj, _fn=intlinalg.to_int_matrix):
+        calls.append(1)
+        return _fn(obj)
+
+    monkeypatch.setattr(intlinalg, "to_int_matrix", counted)
+    for sign in (1, -1):
+        eigenlattice(iso, sign).induced_lattice()
+    period_of(frame, iso).labels()
+    assert len(calls) == 0
 
 
 def test_domain_is_the_complement_of_the_marked_invariant_lattice():

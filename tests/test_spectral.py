@@ -249,6 +249,79 @@ def test_complete_reports_lie_within_their_bars(spectrum):
             assert abs(report.value - exact) <= report.error_estimate
 
 
+def _curve(lam, count, volume=1.0):
+    """A fixed curve whose complete spectrum is `count` states at lam."""
+    tail = HeatTail(0, (float(count),), (float(count),))
+    spectrum = EquivariantSpectrum(((lam, count, 0),), (0, 0), tail)
+    return CurveComponent(volume, spectrum)
+
+
+def _finite_or_refused(call):
+    """The report of call(), with a positive normal value and a finite bar,
+    or None when it is refused for leaving float range."""
+    try:
+        report = call()
+    except InputError as exc:
+        assert "leaves floating-point range: its log is " in str(exc)
+        return None
+    assert 2.0**-1022 <= report.value < math.inf
+    assert math.isfinite(report.error_estimate)
+    return report
+
+
+# a spectrum, its curves, and whether its determinant, torsion and tau are
+# refused; before their refusal these ended in an OverflowError, a
+# ValueError or a report of 0.0
+FLOAT_RANGE = {
+    "minus-1e-6-x600": (((1e-6, 0, 600),), None, (True, True, True)),
+    "both-1e-6": (((1e-6, 1200, 600),), None, (True, True, True)),
+    "plus-0.01-x87": (((0.01, 87, 0),), None, (False, True, True)),
+    "curve-det-underflow": (SYNTH.entries, (_curve(1e-6, 600),), (False, False, True)),
+    "curve-det-overflow": (SYNTH.entries, (_curve(1e6, 600),), (False, False, True)),
+    "curve-factor-overflow": (
+        SYNTH.entries,
+        (_curve(2.0, 3), _curve(0.01, 30, 1e300)),
+        (False, False, True),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_RANGE))
+def test_reports_past_float_range_are_refused(tmp_path, capsys, name):
+    entries, curves, refused = FLOAT_RANGE[name]
+    lams, counts = np.array([e[0] for e in entries]), np.array([e[1:] for e in entries])
+    spectrum = _complete(lams, counts, (1, 0))
+    calls = (
+        lambda: equivariant_determinant_report(spectrum),
+        lambda: equivariant_torsion_report(spectrum),
+        lambda: tau_iota(spectrum, curves),
+    )
+    assert tuple(_finite_or_refused(call) is None for call in calls) == refused
+    # the command line exits 2, with the refusal and no traceback
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps(jsonio.encode_spectrum(spectrum)))
+    argv = ["tau", "--spectrum", str(path)]
+    if curves:
+        argv += ["--curves", str(tmp_path / "curves.json")]
+        (tmp_path / "curves.json").write_text(
+            json.dumps([jsonio.encode_curve(c) for c in curves])
+        )
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(complete_spectra(), st.floats(-6.0, 6.0), st.sampled_from([1, 1000, 5 * 10**7]))
+def test_reports_are_finite_or_refused(spectrum, log_lam, count):
+    # never another exception, and never a value of 0 or a subnormal
+    curves = (_curve(10.0**log_lam, count),)
+    _finite_or_refused(lambda: equivariant_determinant_report(spectrum))
+    _finite_or_refused(lambda: equivariant_torsion_report(spectrum))
+    _finite_or_refused(lambda: tau_iota(spectrum))
+    _finite_or_refused(lambda: tau_iota(spectrum, curves))
+
+
 def test_scaling_law():
     base = round_sphere_spectrum(l_max=200)
     for c in (2.0, 10.0):
@@ -700,8 +773,8 @@ def test_spectra_hash_as_they_compare():
 
 def test_truncation_keeps_counts_exact():
     tail = HeatTail(2, (2.0, 0.0, 0.5))
-    # the truncated columns pass through a float array: counts of up to
-    # 2**53 (here 2**53 states in all) stay exact there
+    # the truncated columns are slices of the int64 columns: counts of up
+    # to 2**53 (here 2**53 states in all) stay exact
     for big in ((2**53 - 3, 0), (0, 2**53 - 3), (2**53 - 4, 1)):
         rows = ((0.5, 1, 1), (1.5, *big), (2.5, 1, 0))
         short = truncate_entries(EquivariantSpectrum(rows, (0, 0), tail, 10.0), 2)
