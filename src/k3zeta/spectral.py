@@ -16,11 +16,17 @@ from a sector to its continuation arguments, and every value below is
 arithmetic on the results of one runner, `_continue`, which continues
 each requested sector once. The sectors of one spectrum are continued
 together, in one engine call that shares the heat-trace work between
-them and gives each the bits it would get alone. When sectors miss the
+them and gives each the bits it would get alone. Equal spectra among one
+report's requests (a fixed curve whose spectrum is the manifold's, say)
+share that call: each distinct sector is continued once and every
+request for it reads the one result, which is the result it would get
+alone. When sectors miss the
 tolerance the runner still finishes the others and refuses with the
 largest achievable bound, so a report's `achievable` covers all of its
 sectors; the refusal names that sector and its source, the spectrum or
-a curve, whose own cutoff it quotes.
+a curve, whose own cutoff it quotes. A sector shared between requests is
+named by the first request that asked for it, as when each request ran
+its own call.
 
   * zeta_signed        the plus/minus zeta functions at s = 0
   * dolbeault_zeta     the (0, q) combination for q = 0, 1 or 2 from the
@@ -329,19 +335,26 @@ def _sector(spectrum: EquivariantSpectrum, sector: int):
 
 
 def _continue(requests, tol: float) -> list[list[ContinuationResult]]:
-    """Continue the sectors of each (source, spectrum, sectors) request,
-    all of one spectrum in one engine call, and return their results per
-    request.
+    """Continue the sectors of each (source, spectrum, sectors) request
+    and return their results per request. Equal spectra (a curve equal to
+    the manifold, say) are one spectrum here: each distinct spectrum takes
+    one engine call, for each of its distinct sectors once, and every
+    request asking for a sector gets that one result.
 
     A sector that misses `tol` does not stop the rest: once all have run,
     the AccuracyError with the largest achievable bound is raised, so a
     report refuses with the figure of its worst sector, not of the first
     one to miss. Its message names the sector and the source, the spectrum
-    or a curve, whose cutoff it quotes.
+    or a curve, whose cutoff it quotes; of requests sharing the worst
+    sector, it names the first.
     """
     tol = _positive(tol, "tol")
-    results, misses = [], []
-    for source, spectrum, sectors in requests:
+    wanted = {}  # each distinct spectrum's sectors, in the order first asked
+    for _, spectrum, sectors in requests:
+        have = wanted.setdefault(spectrum, [])
+        have += [s for s in sectors if s not in have]
+    done = {}
+    for spectrum, sectors in wanted.items():
         weights, kernels, models = zip(*(_sector(spectrum, s) for s in sectors))
         out = continue_trace(
             spectrum.lambdas(),
@@ -352,6 +365,10 @@ def _continue(requests, tol: float) -> list[list[ContinuationResult]]:
             spectrum.cutoff,
             target=tol,
         )
+        done[spectrum] = dict(zip(sectors, out))
+    results, misses = [], []
+    for source, spectrum, sectors in requests:
+        out = [done[spectrum][s] for s in sectors]
         for sector, r in zip(sectors, out):
             if isinstance(r, AccuracyError):
                 where = "%s sector of %s" % (_SECTOR_NAMES[sector], source)

@@ -245,7 +245,7 @@ def theta_reference(lams, w, kernel_weight, ts):
 @given(
     size=st.sampled_from([1, 4095, 4096, 4097, 8193]),
     log_t=st.floats(-9.0, 0.0),
-    nodes=st.sampled_from([1, 2, 48]),
+    nodes=st.sampled_from([1, 2, 3, 4, 5, 48]),
     groups=st.integers(1, 24),
     dead=st.booleans(),
     sectors=st.integers(1, 3),
@@ -254,13 +254,17 @@ def theta_reference(lams, w, kernel_weight, ts):
 @example(size=8193, log_t=-4.0, nodes=2, groups=24, dead=True, sectors=3, seed=1)
 @example(size=4097, log_t=-2.0, nodes=48, groups=24, dead=False, sectors=2, seed=2)
 @example(size=4097, log_t=-3.0, nodes=2, groups=1, dead=True, sectors=1, seed=3)
+@example(size=8193, log_t=-4.0, nodes=3, groups=5, dead=False, sectors=2, seed=4)
+@example(size=4097, log_t=-3.0, nodes=5, groups=3, dead=True, sectors=3, seed=5)
 def test_theta_at_is_the_full_block_bit_for_bit(
     size, log_t, nodes, groups, dead, sectors, seed
 ):
     """A stack of groups, each equal to the group evaluated alone. Groups
     start up to three decades apart, so on more than one chunk some are
     dead in the later chunks; a dead group's t values kill every entry,
-    and it gets its kernel weight."""
+    and it gets its kernel weight. The widths lie on both sides of
+    _NARROW, so blocks built column by column and by the outer product
+    both meet the reference."""
     rng = np.random.default_rng(seed)
     lows = log_t + rng.uniform(0.0, 3.0, groups)
     lows[0] = log_t

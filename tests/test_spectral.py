@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -33,6 +34,7 @@ from oracles import direct_zeta, scaled_spectrum
 
 I2 = ((1, 0), (0, 1))
 TOL = 1e-8
+PRESETS = os.path.join(os.path.dirname(__file__), "data", "presets")
 
 # complete synthetic spectrum: one positive state in the kernel,
 # eigenvalue 1 with signs (2, 1), eigenvalue 2 with signs (1, 0)
@@ -375,6 +377,46 @@ def test_each_distinct_continuation_runs_once(monkeypatch, capsys):
     pinned = flat_torus_spectrum(I2, character=(0, 0), cutoff=300.0)
     tau_iota(pinned, (round_sphere_curve(l_max=300),), TOL)
     assert calls == [2, 1]
+    # a curve equal to the spectrum shares its plus sector
+    for spectrum, curve in (
+        (flat_torus_spectrum(I2, None, 300.0), flat_torus_curve(I2, 300.0)),
+        (round_sphere_spectrum(1.0, False, 300), round_sphere_curve(1.0, 300)),
+    ):
+        del calls[:]
+        tau_iota(spectrum, (curve,), TOL)
+        assert calls == [2]
+    # curve 1 of the file is the spectrum, curve 2 the unit sphere
+    del calls[:]
+    argv = ["tau", "--spectrum", os.path.join(PRESETS, "spectrum-torus-fixed.json")]
+    argv += ["--curves", os.path.join(PRESETS, "curves-torus-sphere.json")]
+    assert cli.main(argv) == 0
+    assert calls == [2, 1]
+    with open(os.path.join(PRESETS, "tau-spectrum-curves.out"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+
+
+def test_a_shared_sector_keeps_its_value_and_its_refusal():
+    spectrum, curve = flat_torus_spectrum(I2, None, 300.0), flat_torus_curve(I2, 300.0)
+    assert curve.spectrum == spectrum and curve.spectrum is not spectrum
+    plus = zeta_signed(curve.spectrum, 1, TOL)
+    tau = tau_iota(spectrum, (curve,), TOL)
+    assert tau.curve_factors[0] == curve.volume / math.exp(-plus.zeta_prime_at_0)
+    # at 1e-14 the plus sector misses and the minus sector, all zero, does
+    # not; the refusal names the first request of the plus sector, with the
+    # figure and the words of continuing each request apart
+    tol = 1e-14
+    with pytest.raises(AccuracyError) as alone:
+        zeta_signed(spectrum, 1, tol)
+    assert zeta_signed(spectrum, -1, tol).zeta_prime_at_0 == 0.0
+    with pytest.raises(AccuracyError) as shared:
+        tau_iota(spectrum, (curve,), tol)
+    assert shared.value.achievable == alone.value.achievable == 1.786416308546873e-14
+    assert str(shared.value) == str(alone.value) == (
+        "plus sector of the spectrum: requested tolerance 1.000e-14 is not"
+        " reachable with cutoff 300 (achievable about 1.786e-14); extend the"
+        " spectrum or relax --tol"
+    )
+
 
 def test_torsion_residual_is_small():
     for spectrum in (
