@@ -4,8 +4,8 @@ A subclass declares its fields as class annotations, in order. `Record`
 gives it:
 
 - no assignment or deletion of attributes (AttributeError); a class that
-  validates in its own `__init__` stores its fields with
-  `object.__setattr__`;
+  validates in its own `__init__` ends it with `super().__init__` of the
+  checked field values;
 - field-wise `__eq__` (records of the same class only) and `__hash__`, or,
   for a class declared with `eq=False`, identity equality (unless the class
   defines its own);

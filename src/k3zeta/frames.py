@@ -78,8 +78,7 @@ class HKFrame(Record, eq=False):
             raise GeometryError(
                 "frame pairing is not 2*identity (max deviation %.3e)" % dev
             )
-        object.__setattr__(self, "form", _readonly(g))
-        object.__setattr__(self, "gammas", _readonly(v))
+        super().__init__(_readonly(g), _readonly(v))
 
 
 class FlatModel(Record, eq=False):

@@ -48,7 +48,7 @@ class Lattice(Record):
         g = intlinalg.to_int_matrix(gram)
         if not intlinalg.is_symmetric(g):
             raise InputError("gram matrix must be symmetric")
-        object.__setattr__(self, "gram", _freeze(g))
+        super().__init__(_freeze(g))
 
     @property
     def rank(self) -> int:
@@ -87,8 +87,7 @@ class LatticeIsometry(Record):
         mt_g = intlinalg.matmul(intlinalg.transpose(m), lattice.gram)
         if _freeze(intlinalg.matmul(mt_g, m)) != lattice.gram:
             raise InputError("matrix does not preserve the bilinear form")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "matrix", _freeze(m))
+        super().__init__(lattice, _freeze(m))
 
     @functools.cached_property
     def float_matrix(self) -> np.ndarray:
@@ -141,8 +140,7 @@ class SublatticeBasis(Record):
             raise InputError("basis vectors must have ambient rank %d" % n)
         if len(intlinalg.column_hnf(vs)) != len(vs):
             raise InputError("basis vectors are linearly dependent")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "vectors", _freeze(vs))
+        super().__init__(ambient, _freeze(vs))
 
     @property
     def rank(self) -> int:
@@ -259,8 +257,6 @@ def discriminant_info(sub: SublatticeBasis) -> DiscriminantInfo:
     The sublattice must be nondegenerate. `a_invariant` counts the divisors
     equal to 2; `two_elementary` says the discriminant group is (Z/2)^a.
     """
-    if sub.rank == 0:
-        return DiscriminantInfo((), 0, True, 1)
     smith = intlinalg.smith_divisors(sub.induced_lattice().gram)
     if len(smith) < sub.rank:
         raise DegenerateLatticeError("induced gram matrix is singular")
@@ -278,6 +274,4 @@ def discriminant_info(sub: SublatticeBasis) -> DiscriminantInfo:
 
 def is_hyperbolic_type(sub: SublatticeBasis) -> bool:
     """True iff the induced form has signature (1, rank-1)."""
-    if sub.rank == 0:
-        return False
     return sub.induced_lattice().signature() == (1, sub.rank - 1)

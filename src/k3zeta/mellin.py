@@ -82,8 +82,8 @@ quotient and of the products lambda t). Those rows are left as the zeros
 of the block instead of being computed, so the block, and the reduction
 over it, are the ones a full evaluation gives. In a stack each block has
 its own prefix, from the least t of its own group. Chunks wholly past a
-block's prefix contribute exactly zero and give it no partial, which
-leaves the fsum of its partials unchanged.
+block's prefix contribute exactly zero and give it 0.0, which leaves the
+fsum of its partials unchanged.
 
 E1 is computed here rather than imported: it is the only special function
 the continuation needs, and importing scipy.special would more than double
@@ -268,10 +268,11 @@ def _theta_at(lams, weights, kernel_weight, ts):
     depend on the others. Only a group's live prefix is evaluated (see the
     module docstring); the rest stays 0.0, so each block has the shape,
     and its reduction the bits, of a full one. A chunk past a group's
-    live prefix gives it no partial.
+    live prefix gives it 0.0.
     """
     lives = np.searchsorted(lams, _DEAD / ts.min(axis=1)).tolist()
-    chunks = []  # (groups live in the chunk, sectors x those groups x ts)
+    shape = (len(weights),) + ts.shape
+    partials = []  # one (sectors, groups, t values) array a chunk
     for i in range(0, max(lives), _CHUNK):
         size = min(_CHUNK, lams.size - i)
         alive = [g for g, live in enumerate(lives) if live > i]
@@ -285,23 +286,17 @@ def _theta_at(lams, weights, kernel_weight, ts):
             else:
                 np.multiply.outer(live, -ts[g], out=head)
             np.exp(head, out=head)
-        chunks.append((alive, np.array([w[i : i + size] @ stack for w in weights])))
-    kernel = np.asarray(kernel_weight, dtype=float)[:, None]
-    if len(chunks) == 1 and len(chunks[0][0]) == len(ts):
-        # every group has one partial, and the fsum of one partial is that partial
-        return kernel[:, None] + chunks[0][1]
-    partials = [[] for _ in ts]
-    for alive, sums in chunks:
-        for j, g in enumerate(alive):
-            partials[g].append(sums[:, j])
-    out = np.empty((len(weights),) + ts.shape)
-    for g, parts in enumerate(partials):
-        if len(parts) == 1:
-            out[:, g] = kernel + parts[0]
-        else:
-            sums = np.reshape(parts, (-1,) + out[:, g].shape).transpose(1, 2, 0)
-            out[:, g] = kernel + [[math.fsum(p) for p in r] for r in sums.tolist()]
-    return out
+        sums = np.array([w[i : i + size] @ stack for w in weights])
+        if len(alive) < len(ts):  # the groups past their live prefix get 0.0
+            sums, live_sums = np.zeros(shape), sums
+            sums[:, alive] = live_sums
+        partials.append(sums)
+    kernel = np.asarray(kernel_weight, dtype=float)[:, None, None]
+    if len(partials) == 1:
+        return kernel + partials[0]
+    # elementwise over the chunks; with no chunk, every sum is 0.0
+    columns = np.reshape(partials, (len(partials), math.prod(shape))).T.tolist()
+    return kernel + np.reshape([math.fsum(c) for c in columns], shape)
 
 
 def _panel_edges(delta: float) -> list[tuple[float, float]]:

@@ -69,8 +69,7 @@ class PeriodPoint(Record, eq=False):
             )
         arr = np.array(eta, dtype=complex)
         arr.setflags(write=False)
-        object.__setattr__(self, "sublattice", sublattice)
-        object.__setattr__(self, "coords", arr)
+        super().__init__(sublattice, arr)
 
 
 @functools.lru_cache(maxsize=128)
@@ -124,8 +123,7 @@ class PeriodPair(Record, eq=False):
         conj = np.conj(plus.coords)
         conj.setflags(write=False)
         minus = PeriodPoint._of(plus.sublattice, conj)
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
+        super().__init__(plus, minus)
 
     def labels(self) -> tuple[int, int]:
         return component_label(self.plus), component_label(self.minus)

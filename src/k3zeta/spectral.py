@@ -102,16 +102,11 @@ class HeatTail(Record):
                 raise InputError("leading straight coefficient must be positive")
             if t is not None and len(t) < dim + 1:
                 raise InputError("twisted tail needs at least dim+1 coefficients")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "straight", s)
-        object.__setattr__(self, "twisted", t)
+        super().__init__(dim, s, t)
 
     @property
     def free(self) -> bool:
         return self.twisted is None
-
-    def straight_model(self) -> TraceModel:
-        return TraceModel.from_ladder(self.dim, self.straight)
 
 
 def _sequence(x, what: str) -> tuple:
@@ -212,10 +207,7 @@ class EquivariantSpectrum(Record, eq=False):
                 raise InputError("a truncated spectrum needs a positive cutoff")
             if lams.size and lams[-1] > cut:
                 raise InputError("entries extend beyond the declared cutoff")
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "kernel", k)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "cutoff", cut)
+        super().__init__(columns, k, tail, cut)
 
     def __eq__(self, other):
         if not isinstance(other, EquivariantSpectrum):
@@ -276,8 +268,7 @@ class CurveComponent(Record):
                 "a curve spectrum needs the trivial involution: no minus"
                 " states and a twisted tail equal to the straight one"
             )
-        object.__setattr__(self, "volume", v)
-        object.__setattr__(self, "spectrum", spectrum)
+        super().__init__(v, spectrum)
 
 
 class DeterminantReport(Record):
@@ -361,7 +352,7 @@ def _continue(requests, tol: float) -> list[list[ContinuationResult]]:
             np.array(weights),
             kernels,
             models,
-            spectrum.tail.straight_model(),
+            TraceModel.from_ladder(spectrum.tail.dim, spectrum.tail.straight),
             spectrum.cutoff,
             target=tol,
         )
@@ -536,22 +527,18 @@ def borcherds_report(
     if _finite(nu, "nu") < 1:
         raise InputError("nu must be a positive integer")
     nu = _count(nu, "nu")
-    try:
-        norm = tau ** (-2 * nu)
-    except OverflowError:
-        norm = math.inf
-    if not 0.0 < norm < math.inf:
-        raise InputError("implied norm tau**(-2 nu) is out of floating-point range")
+    log_norm = -2 * nu * math.log(tau)
+    norm = _in_range("implied norm tau**(-2 nu)", log_norm, lambda: tau ** (-2 * nu))
     round_trip = norm ** (-1.0 / (2 * nu))
     factor = norm**0.25 if nu == 1 else None
     with_constant = None
     if constant is not None:
         c = _positive(constant, "normalizing constant")
-        with_constant = c * norm**0.25
-        if with_constant == math.inf:
-            raise InputError(
-                "normalizing constant %r times norm**0.25 passes float range" % c
-            )
+        with_constant = _in_range(
+            "normalizing constant %r times norm**0.25" % c,
+            math.log(c) + 0.25 * log_norm,
+            lambda: c * norm**0.25,
+        )
     return BorcherdsReport(tau, nu, norm, round_trip, factor, with_constant)
 
 

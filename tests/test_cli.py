@@ -312,6 +312,8 @@ def test_tol_must_be_positive_and_finite(tmp_path, capsys, command, tol):
         ["report", "--tau", "1e-300"],
         ["report", "--tau", "0.5", "--nu", "100000"],
         ["tau", "--builtin", "s2-antipodal", "--nu", "100000"],
+        ["report", "--tau", "3e161"],  # a subnormal norm
+        ["report", "--tau", "1e155"],
     ],
 )
 def test_out_of_range_norm_exit_code(capsys, argv):
@@ -415,6 +417,22 @@ def test_period_reads_the_lattice_of_an_involution_file_from_the_form(
     assert err.startswith("input error:") and "not an integer" in err
 
 
+def test_involution_with_a_trivial_eigenlattice(tmp_path, capsys):
+    # the identity of U: the minus eigenlattice is {0}, of rank 0
+    lattice, matrix = tmp_path / "u.json", tmp_path / "identity.json"
+    lattice.write_text(json.dumps({"gram": [[0, 1], [1, 0]]}))
+    matrix.write_text(json.dumps({"matrix": [[1, 0], [0, 1]]}))
+    argv = ["involution", "--lattice", str(lattice), "--matrix", str(matrix)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == (
+        '{"minus":{"a_invariant":0,"divisors":[],"hyperbolic":false,"rank":0,'
+        '"signature":[0,0],"two_elementary":true},"plus":{"a_invariant":0,'
+        '"divisors":[],"hyperbolic":true,"rank":2,"signature":[1,1],'
+        '"two_elementary":true},"trace":2}\n'
+    )
+
+
 def test_cli_never_loads_scipy():
     script = (
         "import sys\n"
@@ -497,6 +515,10 @@ def test_period_preset_is_the_golden_bytes(capfd):
     [
         (["report", "--tau", "0.5", "--nu", "2"], "report-tau0.5-nu2.out"),
         (
+            ["report", "--tau", "0.5", "--nu", "1", "--constant", "2"],
+            "report-tau0.5-nu1-constant2.out",
+        ),
+        (
             ["zeta", "--spectrum", os.path.join(PRESETS, "spectrum-torus.json")],
             "zeta-spectrum-torus.out",
         ),
@@ -539,6 +561,7 @@ def test_period_preset_is_the_golden_bytes(capfd):
     ],
     ids=[
         "report",
+        "report-constant",
         "zeta-spectrum",
         "involution-files",
         "period-marked",
@@ -561,7 +584,8 @@ def test_command_output_is_the_golden_bytes(capfd, argv, golden):
     # (l_max 150) as fixed curves; tau-spectrum-curves.out, which continues
     # the three spectra, was captured before the panel table.
     # spectrum-complete.json is _SPECTRUM, a complete spectrum, whose zeta
-    # values are the closed form -sum m log lambda.
+    # values are the closed form -sum m log lambda. report-constant is the
+    # one golden that prints determinant_with_constant.
     assert main(argv) == 0
     with open(os.path.join(PRESETS, golden), "rb") as fh:
         assert capfd.readouterr().out.encode() == fh.read()

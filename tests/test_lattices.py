@@ -4,6 +4,7 @@ import pytest
 from k3zeta import intlinalg
 from k3zeta.errors import DegenerateLatticeError, InputError
 from k3zeta.lattices import (
+    DiscriminantInfo,
     Lattice,
     LatticeIsometry,
     SublatticeBasis,
@@ -127,6 +128,18 @@ def test_unimodular_discriminant_is_trivial():
     assert info.divisors == ()
     assert info.group_order == 1
     assert info.a_invariant == 0
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_trivial_eigenlattice_has_rank_zero_invariants(sign):
+    # +I or -I on U: one eigenlattice is all of U, the other is {0}, whose
+    # empty Gram matrix has no Smith divisors and signature (0, 0)
+    iso = LatticeIsometry(build_standard_lattice("u"), [[sign, 0], [0, sign]])
+    trivial = eigenlattice(iso, -sign)
+    assert trivial.rank == 0
+    assert discriminant_info(trivial) == DiscriminantInfo((), 0, True, 1)
+    assert is_hyperbolic_type(trivial) is False
+    assert is_hyperbolic_type(eigenlattice(iso, sign)) is True
 
 
 def test_degenerate_sublattice_rejected():

@@ -311,7 +311,8 @@ def same(a, b) -> bool:
 def test_sectors_continued_together_equal_each_alone(radius, l_max, antipodal, tol):
     spectrum = round_sphere_spectrum(radius, antipodal, l_max)
     rows = [spectral._sector(spectrum, s) for s in (1, -1, 0)]
-    lams, bound = spectrum.lambdas(), spectrum.tail.straight_model()
+    lams = spectrum.lambdas()
+    bound = TraceModel.from_ladder(spectrum.tail.dim, spectrum.tail.straight)
     together = continue_trace(
         lams, [w for w, _, _ in rows], [k for _, k, _ in rows],
         [m for _, _, m in rows], bound, spectrum.cutoff, tol,

@@ -472,7 +472,7 @@ def test_curve_determinant_is_the_plus_sector_determinant():
             curve.volume / math.exp(-plus.zeta_prime_at_0),
         )
         # the plus sector continues with the straight model itself
-        straight = spec.tail.straight_model()
+        straight = spectral.TraceModel.from_ladder(spec.tail.dim, spec.tail.straight)
         [res] = spectral.continue_trace(
             spec.lambdas(),
             [spec.mults(1)],
@@ -517,6 +517,14 @@ def test_tau_kind_mismatch():
         tau_iota(free, (curve,), TOL)
     with pytest.raises(ConsistencyError):
         tau_iota(pinned, None, TOL)
+
+
+def test_an_empty_curve_tuple_is_no_curve_data():
+    free = round_sphere_spectrum(l_max=30)
+    assert repr(tau_iota(free, (), TOL)) == repr(tau_iota(free, None, TOL))
+    pinned = flat_torus_spectrum(I2, character=(0, 0), cutoff=30.0)
+    with pytest.raises(ConsistencyError):
+        tau_iota(pinned, (), TOL)
 
 
 def test_borcherds_round_trip_and_constant():
