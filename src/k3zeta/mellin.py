@@ -74,16 +74,25 @@ all panels would hold a whole-chunk block for each at once (eleven times
 the memory of one call for a sphere of l_max 2000), and every sector would
 reduce the blocks of panels it does not use.
 
-Only the live prefix of a block is evaluated. exp(-x) rounds to exactly
-0.0 for every x >= 746, since e^-746 is below half the least subnormal
-2^-1074, and the eigenvalues ascend; so every row with lambda >=
-750 / min(ts) is exactly zero (750 leaves room for the rounding of that
-quotient and of the products lambda t). Those rows are left as the zeros
-of the block instead of being computed, so the block, and the reduction
-over it, are the ones a full evaluation gives. In a stack each block has
-its own prefix, from the least t of its own group. Chunks wholly past a
-block's prefix contribute exactly zero and give it 0.0, which leaves the
-fsum of its partials unchanged.
+No work is spent on entries whose terms are exactly 0.0. exp(-x) rounds to
+exactly 0.0 for every x >= 746, since e^-746 is below half the least
+subnormal 2^-1074, and the eigenvalues ascend. So the E1 term is summed
+over its nonzero prefix, lambda < 746, only: exp1 returns exactly 0.0 past
+it, and fsum ignores exact zeros, so the sum keeps its bits.
+
+Likewise only the live prefix of a theta block is evaluated: every row
+with lambda >= 750 / min(ts) is exactly zero (750 leaves room for the
+rounding of that quotient and of the products lambda t). In a stack each
+block has its own prefix, from the least t of its own group. A chunk's
+stack stops at the longest of them, rounded up to a multiple of _ALIGN =
+64 rows and capped at the chunk, and the rows of a block between its
+prefix and that end are left as zeros. The rows dropped are zeros, which
+add nothing to a sum, and dropping them in whole multiples of 64 rows
+leaves how numpy's OpenBLAS dot and gemv kernels group the live rows
+unchanged, so each reduction keeps the bits of the full block. A multiple
+of 4 is not enough: a width-1 block, which takes numpy's dot path, then
+groups its last live rows differently. Chunks wholly past a block's prefix
+give it 0.0, which leaves the fsum of its partials unchanged.
 
 E1 is computed here rather than imported: it is the only special function
 the continuation needs, and importing scipy.special would more than double
@@ -113,6 +122,9 @@ _CHUNK = 4096
 _DEAD = 750.0  # exp(-x) is exactly 0.0 for every x >= 746
 _FEW_LIVE = 32  # below this many live entries a numpy step costs more than a loop
 _NARROW = 4  # theta blocks at most this wide are built column by column
+_ALIGN = 64  # theta blocks stop at their live prefix rounded up to 64 rows
+_SPLITS = 0.5 * 2.0 ** (-0.25 * np.arange(121))  # the split candidates
+_SPLITS.flags.writeable = False
 
 
 def _mirrored(nodes, weights):
@@ -265,17 +277,25 @@ def _theta_at(lams, weights, kernel_weight, ts):
     each group still live in the chunk, in one zeroed stack, and each
     sector reduces the stack with one `w @ stack`: one gemv on each block,
     the same one a lone block gets, which is why a group's bits do not
-    depend on the others. Only a group's live prefix is evaluated (see the
-    module docstring); the rest stays 0.0, so each block has the shape,
-    and its reduction the bits, of a full one. A chunk past a group's
+    depend on the others. Only a group's live prefix is evaluated, and the
+    stack stops at the longest live prefix of its groups, rounded up to a
+    multiple of _ALIGN rows (see the module docstring). The rows a block
+    loses are zeros, dropped in whole multiples of 64 rows, so its dot or
+    gemv groups the live rows as over the whole chunk and keeps the full
+    block's bits; tests/test_mellin.py checks every group against the
+    whole-chunk block (test_theta_at_is_the_full_block_bit_for_bit, and
+    test_theta_at_cut_on_and_past_the_alignment for prefixes that end on
+    a multiple of 64 rows and one row past it). A chunk past a group's
     live prefix gives it 0.0.
     """
     lives = np.searchsorted(lams, _DEAD / ts.min(axis=1)).tolist()
     shape = (len(weights),) + ts.shape
     partials = []  # one (sectors, groups, t values) array a chunk
     for i in range(0, max(lives), _CHUNK):
-        size = min(_CHUNK, lams.size - i)
         alive = [g for g, live in enumerate(lives) if live > i]
+        # rows up to the longest live prefix, rounded up to whole _ALIGN rows
+        reach = max(lives[g] for g in alive) - i
+        size = min(_CHUNK, lams.size - i, -(-reach // _ALIGN) * _ALIGN)
         stack = np.zeros((len(alive), size, ts.shape[1]))
         for block, g in zip(stack, alive):
             head = block[: lives[g] - i]
@@ -384,10 +404,12 @@ def continue_trace(
     if not cutoff > 0.0:
         raise InputError("a truncated spectrum needs a positive finite cutoff")
 
-    e1 = exp1(lams)
+    # E1 is exactly 0.0 from 746 on, and fsum ignores exact zeros
+    nz = int(np.searchsorted(lams, 746.0))
+    e1 = exp1(lams[:nz])
     # per sector: (weights, kernel weight, model, zeta(0), b term, pole part)
     sectors = [
-        (w, k, m, m.coeff_at_zero() - k, ordered_chunk_sum(w * e1), m.pole_part())
+        (w, k, m, m.coeff_at_zero() - k, ordered_chunk_sum(w[:nz] * e1), m.pole_part())
         for w, k, m in zip(weights, kernel_weights, models)
     ]
     abs_bound = bound_model.abs_model()
@@ -395,25 +417,24 @@ def continue_trace(
     def trunc_bound(t):
         return 2.0 * np.exp(-0.5 * cutoff * t) * abs_bound(t / 2.0)
 
-    grid = 0.5 * 2.0 ** (-0.25 * np.arange(121))
-    tvals = trunc_bound(grid)
+    tvals = trunc_bound(_SPLITS)
     feasible = np.flatnonzero(tvals <= 0.2 * target).tolist()
-    candidates = feasible if feasible else list(range(grid.size))
+    candidates = feasible if feasible else list(range(_SPLITS.size))
     if len(candidates) > 24:
         idx = np.linspace(0, len(candidates) - 1, 24).astype(int)
         candidates = [candidates[i] for i in idx]
-    deltas, talls = grid.tolist(), tvals.tolist()
+    deltas, talls = _SPLITS.tolist(), tvals.tolist()
 
     def split_estimates(points, rows) -> dict:
-        """(search estimate, below-split part) of the split at grid[i], for
-        each i of `points` and each sector of `rows`: {(i, sector): ...}.
+        """(search estimate, below-split part) of the split at _SPLITS[i],
+        for each i of `points` and each sector of `rows`: {(i, sector): ...}.
         theta and each sector's model at every delta and delta / 2 come from
         one stacked pass; a non-finite estimate counts as infinite, so it is
         a miss."""
         if not (points and rows):
             return {}
         out = {}
-        ts = np.stack([grid[points], grid[points] / 2.0], axis=1)
+        ts = np.stack([_SPLITS[points], _SPLITS[points] / 2.0], axis=1)
         theta = _theta_at(lams, weights[rows], [kernel_weights[s] for s in rows], ts)
         for s, pairs in zip(rows, theta.tolist()):
             model = sectors[s][2]
@@ -437,11 +458,11 @@ def continue_trace(
     missed = [s for s in every if least[s] > target or least[s] == math.inf]
     # a missed sector refuses with its least estimate over the whole grid,
     # whatever the target
-    rest = sorted(set(range(grid.size)) - set(candidates))
+    rest = sorted(set(range(_SPLITS.size)) - set(candidates))
     estimates.update(split_estimates(rest, missed))
     results = {}
     for s in missed:
-        achievable = min(estimates[i, s][0] for i in range(grid.size))
+        achievable = min(estimates[i, s][0] for i in range(_SPLITS.size))
         results[s] = AccuracyError(
             "requested tolerance %.3e is not reachable with cutoff %.6g"
             " (achievable about %.3e); extend the spectrum or relax --tol"
@@ -465,6 +486,7 @@ def continue_trace(
     # the models and the truncation bound are elementwise, so one evaluation
     # on the whole table gives each row the bits of its own
     trunc = trunc_bound(nodes) / nodes
+    trunc_one = float(trunc_bound(1.0))
 
     for s, ps in edges.items():
         _, _, model, zeta0, b_term, pole = sectors[s]
@@ -477,13 +499,34 @@ def continue_trace(
         err = (
             below
             + abs(trunc_r)
-            + float(trunc_bound(1.0))
+            + trunc_one
             + quad_err
             + 1e-14 * (abs(zeta0) + abs(pole) + abs(r_term) + abs(b_term) + 1.0)
         )
         zp = np.euler_gamma * zeta0 + pole + r_term + b_term
         results[s] = ContinuationResult(zeta0, zp, err, delta)
     return [results[s] for s in every]
+
+
+def constant_mismatch(what: str, constant: float, kernel_weight: float, weights):
+    """|constant - (kernel_weight + sum weights)|: how far a complete
+    sector's declared constant misses its signed count of states.
+
+    This is the one rule for a complete spectrum's constants: a mismatch
+    above 1e-9 times the sector's number of states, |kernel_weight| +
+    sum |weights| (or 1 if that is less), is refused with an InputError
+    that names the constant by `what`. The spectrum constructor applies it
+    to every sector, and the closed form applies it again to the same
+    numbers, so a spectrum that constructs is never refused for them."""
+    states = kernel_weight + ordered_chunk_sum(weights)
+    mismatch = abs(constant - states)
+    size = abs(kernel_weight) + ordered_chunk_sum(np.abs(weights))
+    if mismatch > 1e-9 * max(1.0, size):
+        raise InputError(
+            "complete spectrum: %s constant %.17g != its state count %.17g"
+            " (mismatch %.3e)" % (what, constant, states, mismatch)
+        )
+    return mismatch
 
 
 def _continue_complete(lams, weights, kernel_weights, models) -> list:
@@ -504,13 +547,7 @@ def _continue_complete(lams, weights, kernel_weights, models) -> list:
     results = []
     for w, k, m in zip(weights, kernel_weights, models):
         p0 = m.coeff_at_zero()
-        scale = max(1.0, abs(k), float(np.max(np.abs(w))) if w.size else 0.0)
-        mismatch = abs(p0 - (k + ordered_chunk_sum(w)))
-        if mismatch > 1e-9 * scale * max(1.0, lams.size):
-            raise InputError(
-                "complete spectrum disagrees with its constant heat model"
-                " (mismatch %.3e)" % mismatch
-            )
+        mismatch = constant_mismatch("a sector's", p0, k, w)
         terms = w * logs
         err = 2.0**-53 * (8.0 * ordered_chunk_sum(np.abs(terms)) + 4.0) + mismatch
         zp = 0.0 - ordered_chunk_sum(terms)  # a zero sum gives 0.0, not -0.0

@@ -199,6 +199,13 @@ _TRUNCATED = {
         {"entries": [[1.0, 10**308, 0], [2.0, 10**308, 0]]},
         # the same total in a truncated spectrum would overflow its heat trace
         {**_TRUNCATED, "entries": [[1.0, 10**308, 0], [2.0, 10**308, 0]]},
+        # the straight constant is within 1e-9 of the 10**9 + 1 states, but
+        # the plus sector's (straight + twisted) / 2 = 1.25 misses its 1 state
+        {
+            "entries": [[1.0, 1, 0]],
+            "kernel": [0, 10**9],
+            "tail": {"dim": 0, "straight": [10**9 + 1.5], "twisted": [1 - 10**9]},
+        },
     ],
 )
 def test_malformed_spectrum_file_exit_code(tmp_path, capsys, change):

@@ -66,6 +66,18 @@ def test_exp1_matches_scipy_bit_for_bit_on_random_arrays(x):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@settings(max_examples=100, deadline=None)
+@given(exp1_inputs())
+@example(np.array(_EXP1_EDGES))
+@example(np.array([0.5, 745.0, np.nextafter(746.0, 0.0), 746.0, 746.0, 800.0, 1e6]))
+def test_exp1_is_zero_past_its_nonzero_prefix(x):
+    # continue_trace evaluates E1 only below 746, where it can be nonzero
+    nz = int(np.searchsorted(x, 746.0))
+    whole = exp1(x)
+    assert np.array_equal(exp1(x[:nz]).view(np.uint64), whole[:nz].view(np.uint64))
+    assert not whole[nz:].view(np.uint64).any()  # +0.0, bit for bit
+
+
 def test_exp1_against_mpmath():
     rng = np.random.default_rng(5)
     x = np.sort(
@@ -243,7 +255,7 @@ def theta_reference(lams, w, kernel_weight, ts):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    size=st.sampled_from([1, 4095, 4096, 4097, 8193]),
+    size=st.integers(1, 9000),
     log_t=st.floats(-9.0, 0.0),
     nodes=st.sampled_from([1, 2, 3, 4, 5, 48]),
     groups=st.integers(1, 24),
@@ -256,6 +268,8 @@ def theta_reference(lams, w, kernel_weight, ts):
 @example(size=4097, log_t=-3.0, nodes=2, groups=1, dead=True, sectors=1, seed=3)
 @example(size=8193, log_t=-4.0, nodes=3, groups=5, dead=False, sectors=2, seed=4)
 @example(size=4097, log_t=-3.0, nodes=5, groups=3, dead=True, sectors=3, seed=5)
+@example(size=8193, log_t=-4.0, nodes=1, groups=6, dead=True, sectors=2, seed=6)
+@example(size=4160, log_t=-5.0, nodes=1, groups=1, dead=False, sectors=1, seed=7)
 def test_theta_at_is_the_full_block_bit_for_bit(
     size, log_t, nodes, groups, dead, sectors, seed
 ):
@@ -264,7 +278,9 @@ def test_theta_at_is_the_full_block_bit_for_bit(
     dead in the later chunks; a dead group's t values kill every entry,
     and it gets its kernel weight. The widths lie on both sides of
     _NARROW, so blocks built column by column and by the outer product
-    both meet the reference."""
+    both meet the reference, and width 1 takes numpy's dot path. Any size
+    up to 9000 lets the live prefixes end at every residue mod _ALIGN, so
+    the blocks cut at their aligned live prefix meet the full ones."""
     rng = np.random.default_rng(seed)
     lows = log_t + rng.uniform(0.0, 3.0, groups)
     lows[0] = log_t
@@ -286,6 +302,40 @@ def test_theta_at_is_the_full_block_bit_for_bit(
             assert np.array_equal(got[s, g].view(np.uint64), want.view(np.uint64))
         if dead:
             assert np.all(got[s, -1] == kernel[s])
+
+
+_BASES = (1.0, 1e3, 1e6, 1e9)
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 3, 48])
+@pytest.mark.parametrize(
+    "end", [64, 65, 127, 640, 641, 4095, 4096, 4097, 4096 + 64, 4096 + 65, 8192]
+)
+def test_theta_at_cut_on_and_past_the_alignment(end, nodes):
+    """The longest live prefix of a stack ends exactly on a multiple of
+    _ALIGN rows, or one row past it, in the first or the second chunk, and
+    every group gets the full block's bits. The eigenvalues come in three
+    clusters, [1, 2), [1e3, 2e3) and [1e6, 2e6), then 1e9 onwards, and
+    each of three groups is live to the end of one cluster: its block has
+    values far from 0.0 right up to its live prefix, where how a reduction
+    groups the rows shows in its bits. With blocks cut at a multiple of 1,
+    4 or 16 rows instead, width-1 blocks, which take numpy's dot path,
+    miss the reference here (numpy 2.4 with its bundled OpenBLAS)."""
+    rng = np.random.default_rng(end * 97 + nodes)
+    ends = [end, end // 2 + 1, end // 3 + 1]
+    sizes = np.diff([0, ends[2], ends[1], ends[0], 9000])
+    clusters = [b * (1.0 + rng.uniform(0.0, 1.0, n)) for b, n in zip(_BASES, sizes)]
+    lams = np.sort(np.concatenate(clusters))
+    edges = mellin._DEAD / np.array([1e8, 1e5, 1e2])  # between the clusters
+    ts = edges[:, None] * rng.uniform(1.0, 2.0, (3, nodes))
+    ts[:, 0] = edges
+    assert np.searchsorted(lams, mellin._DEAD / ts.min(axis=1)).tolist() == ends
+    weights = np.stack([rng.standard_normal(9000), rng.integers(-9, 10, 9000)])
+    got = mellin._theta_at(lams, weights, [0.5, -1.0], ts)
+    for s, kernel in enumerate([0.5, -1.0]):
+        for g, group in enumerate(ts):
+            want = theta_reference(lams, weights[s], kernel, group)
+            assert np.array_equal(got[s, g].view(np.uint64), want.view(np.uint64))
 
 
 def same(a, b) -> bool:
@@ -319,6 +369,51 @@ def test_sectors_continued_together_equal_each_alone(radius, l_max, antipodal, t
     )
     for (w, k, m), res in zip(rows, together):
         assert same(res, continue_one(lams, w, k, m, bound, spectrum.cutoff, tol))
+
+
+# float.hex of (zeta(0), zeta'(0), error estimate, split point) of the plus,
+# minus and twisted sectors of round_sphere_spectrum(radius, True, l_max),
+# continued together at tol
+_MULTI_CHUNK = {
+    (1.0, 8500, 1e-8): [
+        ("-0x1.aaaaaaaaaaaabp-1", "-0x1.625e9ec9084aap+0",
+         "0x1.09ab6a85a8fb3p-45", "0x1.0000000000000p-4"),
+        ("0x1.5555555555555p-3", "-0x1.ea8cd1d4716f4p-3",
+         "0x1.0dc07394c31c3p-44", "0x1.ae89f995ad3adp-10"),
+        ("-0x1.0000000000000p+0", "-0x1.250d048e7a1c0p+0",
+         "0x1.ebf5efc7aed50p-46", "0x1.0000000000000p-4"),
+    ],
+    (0.6, 5000, 1e-6): [
+        ("-0x1.aaaaaaaaaaaabp-1", "-0x1.10d5ae249e775p-1",
+         "0x1.9b7deaee872c0p-45", "0x1.6a09e667f3bcdp-10"),
+        ("0x1.5555555555555p-3", "-0x1.a3a308af9994cp-2",
+         "0x1.4dbe5feeae48ep-46", "0x1.6a09e667f3bcdp-6"),
+        ("-0x1.0000000000000p+0", "-0x1.f8214e668d694p-4",
+         "0x1.ecb9787dd80fcp-46", "0x1.6a09e667f3bcdp-6"),
+    ],
+}
+
+
+@pytest.mark.parametrize("radius, l_max, tol", sorted(_MULTI_CHUNK))
+def test_multi_chunk_continuation_keeps_its_bits(radius, l_max, tol):
+    """More than one _CHUNK of entries in every sector: the E1 term sums
+    over several chunks, of which only the first is nonzero, and the split
+    search reduces theta blocks in every chunk. The values are pinned."""
+    spectrum = round_sphere_spectrum(radius, True, l_max)
+    rows = [spectral._sector(spectrum, s) for s in (1, -1, 0)]
+    lams = spectrum.lambdas()
+    assert lams.size > mellin._CHUNK
+    bound = TraceModel.from_ladder(spectrum.tail.dim, spectrum.tail.straight)
+    together = continue_trace(
+        lams, [w for w, _, _ in rows], [k for _, k, _ in rows],
+        [m for _, _, m in rows], bound, spectrum.cutoff, tol,
+    )
+    got = [
+        tuple(float.hex(v) for v in (r.zeta_at_0, r.zeta_prime_at_0))
+        + tuple(float.hex(v) for v in (r.error_estimate, r.split_point))
+        for r in together
+    ]
+    assert got == _MULTI_CHUNK[radius, l_max, tol]
 
 
 def test_complete_sectors_continued_together_equal_each_alone():

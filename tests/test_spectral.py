@@ -95,6 +95,10 @@ def test_spectrum_validation():
         (((1.0, 1),), (0, 0), HeatTail(0, (1.0,), (1.0,))),
         # a free tail declares a signed state count of zero, here 3
         (((1.0, 2, 1),), (1, 0), HeatTail(0, (4.0,))),
+        # straight and twisted each within 1e-9 of their counts relative to
+        # the 10**9 + 1 states, but the plus sector's constant, 1.25, misses
+        # its one state: once accepted here and refused when continued
+        (((1.0, 1, 0),), (0, 10**9), HeatTail(0, [10**9 + 1.5], [1 - 10**9])),
     ],
 )
 def test_malformed_spectra_are_refused_at_construction(entries, kernel, tail):
@@ -202,6 +206,23 @@ def complete_spectra_in_range(draw):
     counts[odd, rng.integers(0, 2, odd.size)] += 1
     kernel = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
     return _complete(lams, counts, kernel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complete_spectra(), st.floats(-4e-9, 4e-9), st.floats(-4e-9, 4e-9))
+def test_a_complete_spectrum_accepted_is_continued(spectrum, ds, dt):
+    """Tail constants moved off their counts by up to 4e-9 of the total,
+    on both sides of the tolerance: the constructor refuses the spectrum,
+    or every sector is continued, never refused for its constants."""
+    straight, twisted = spectrum.tail.straight[0], spectrum.tail.twisted[0]
+    tail = HeatTail(0, (straight * (1.0 + ds),), (twisted + dt * straight,))
+    try:
+        moved = EquivariantSpectrum(spectrum.entries, spectrum.kernel, tail)
+    except InputError as exc:
+        assert str(exc).startswith("complete spectrum: the ")
+        return
+    for res in spectral.zeta_values(moved)[:2]:
+        assert math.isfinite(res.zeta_prime_at_0)
 
 
 def _exact_zeta_primes(spectrum):
