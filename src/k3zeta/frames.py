@@ -163,7 +163,7 @@ def _split_directions(sub, want_pos: int):
     """Form-orthonormal positive and negative directions of the sublattice's
     exact induced form, as read-only arrays, computed once per sublattice;
     raises GeometryError if the positive count is wrong."""
-    basis = np.asarray(sub.basis_matrix(), dtype=float)
+    basis = sub.float_basis
     w, v = np.linalg.eigh(sub.induced_lattice().float_gram)
     if int(np.sum(w > 0)) != want_pos:
         raise GeometryError(

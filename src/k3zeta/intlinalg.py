@@ -8,7 +8,11 @@ of Python ints are both fast enough and easy to audit.
 Products are one numpy product: in int64 when every entry is an integer and
 inner * max|a| * max|b| < 2**63, a bound on every partial sum, so the int64
 product cannot wrap; on object arrays of the entries otherwise, which stays
-exact for big ints and Fractions.
+exact for big ints and Fractions. A product's factors may also be numpy
+arrays, which are taken as given: an int64 array is multiplied without a
+copy, so a caller that multiplies the same matrix often keeps it as one
+(the exact views of `lattices`). A product returns lists of rows either
+way.
 
 One integer elimination loop, `_clear_row`, serves the Hermite form, integer
 kernels, ranks (the length of a Hermite form) and Smith divisors (Hermite
@@ -77,8 +81,9 @@ def _product(a, b) -> np.ndarray:
     if all(x.dtype.kind in "biu" for x in xs):
         top = [max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in xs]
         if xs[0].shape[-1] * top[0] * top[1] < 2**63:
-            return xs[0].astype(np.int64) @ xs[1].astype(np.int64)
+            return xs[0].astype(np.int64, copy=False) @ xs[1].astype(np.int64, copy=False)
         return xs[0].astype(object) @ xs[1].astype(object)
+    # a nested list mixing ints within and past int64 reads as float64 here
     return np.array(a, dtype=object) @ np.array(b, dtype=object)
 
 

@@ -10,10 +10,20 @@ signature, and an isometry its involution check and its two eigenlattices,
 once, on first use, and keeps them on the object; every reader goes through
 those values.
 
-The float code of frames and periods reads each object's data through a
-read-only float64 view (`Lattice.float_gram`, `LatticeIsometry.float_matrix`),
-likewise derived once per object. The views only feed that float code:
-every invariant reported here stays exact.
+Each object also keeps read-only array views of its data, built once, on
+first use, beside its tuple fields:
+
+- exact views (`Lattice.int_gram`, `LatticeIsometry.int_matrix`,
+  `SublatticeBasis.int_vectors`), which every exact product here reads: the
+  form check M^T G M = G, the involution check M M = I, the M -/+ I whose
+  kernels are the eigenlattices, and B^T G B. A view is int64 when every
+  entry fits and an object array of Python ints otherwise; whether a
+  product runs in int64 is still decided by `intlinalg.matmul` alone, from
+  the sizes of its factors, so a product of int64 views that could wrap
+  runs on Python ints;
+- float64 views (`Lattice.float_gram`, `LatticeIsometry.float_matrix`,
+  `SublatticeBasis.float_basis`), which only the float code of frames and
+  periods reads: every invariant reported here stays exact.
 """
 
 from __future__ import annotations
@@ -39,6 +49,19 @@ def _float_view(rows) -> np.ndarray:
     return a
 
 
+def _int_view(rows, width: int) -> np.ndarray:
+    """Exact rows as a read-only (len(rows), width) array: int64 when every
+    entry fits, an object array of the Python ints otherwise."""
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        a = np.array(rows, dtype=object)
+    # an empty tuple of rows reads as shape (0,)
+    a = a.reshape(len(rows), width)
+    a.setflags(write=False)
+    return a
+
+
 class Lattice(Record):
     """A free Z-module with an integer symmetric bilinear form."""
 
@@ -53,6 +76,11 @@ class Lattice(Record):
     @property
     def rank(self) -> int:
         return len(self.gram)
+
+    @functools.cached_property
+    def int_gram(self) -> np.ndarray:
+        """The Gram matrix as a read-only exact array (see `_int_view`)."""
+        return _int_view(self.gram, self.rank)
 
     @functools.cached_property
     def float_gram(self) -> np.ndarray:
@@ -84,10 +112,17 @@ class LatticeIsometry(Record):
         n = lattice.rank
         if len(m) != n or any(len(r) != n for r in m):
             raise InputError("isometry matrix must be %d x %d" % (n, n))
-        mt_g = intlinalg.matmul(intlinalg.transpose(m), lattice.gram)
-        if _freeze(intlinalg.matmul(mt_g, m)) != lattice.gram:
-            raise InputError("matrix does not preserve the bilinear form")
         super().__init__(lattice, _freeze(m))
+        # the form check reads the views the object keeps
+        mat = self.int_matrix
+        mt_g = intlinalg.matmul(mat.T, lattice.int_gram)
+        if _freeze(intlinalg.matmul(mt_g, mat)) != lattice.gram:
+            raise InputError("matrix does not preserve the bilinear form")
+
+    @functools.cached_property
+    def int_matrix(self) -> np.ndarray:
+        """The matrix as a read-only exact array (see `_int_view`)."""
+        return _int_view(self.matrix, self.lattice.rank)
 
     @functools.cached_property
     def float_matrix(self) -> np.ndarray:
@@ -96,16 +131,15 @@ class LatticeIsometry(Record):
 
     @functools.cached_property
     def is_involution(self) -> bool:
-        square = intlinalg.matmul(self.matrix, self.matrix)
+        square = intlinalg.matmul(self.int_matrix, self.int_matrix)
         return square == intlinalg.identity(self.lattice.rank)
 
     def _kernel_of(self, sign: int) -> "SublatticeBasis":
         """Saturated basis of the kernel of f - sign * id."""
-        n = self.lattice.rank
-        m = [
-            [self.matrix[i][j] - (sign if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
+        # on Python ints, where M -/+ I cannot wrap as int64 arithmetic could
+        m = self.int_matrix.tolist()
+        for i, row in enumerate(m):
+            row[i] -= sign
         # a Hermite basis of a kernel: independent rows of Python ints
         kernel = intlinalg.integer_kernel(m)
         return SublatticeBasis._of(self.lattice, _freeze(kernel))
@@ -151,10 +185,22 @@ class SublatticeBasis(Record):
         return intlinalg.transpose(self.vectors)
 
     @functools.cached_property
+    def int_vectors(self) -> np.ndarray:
+        """The vectors as the rows of a read-only exact array, B^T (see
+        `_int_view`); rank 0 gives shape (0, ambient rank)."""
+        return _int_view(self.vectors, self.ambient.rank)
+
+    @functools.cached_property
+    def float_basis(self) -> np.ndarray:
+        """`basis_matrix()` as a read-only, C-ordered float64 array."""
+        return _float_view(self.int_vectors.T)
+
+    @functools.cached_property
     def _induced(self) -> Lattice:
-        # the stored vectors are the rows of B^T; B^T G B is symmetric
-        bt_g = intlinalg.matmul(self.vectors, self.ambient.gram)
-        return Lattice._of(_freeze(intlinalg.matmul(bt_g, self.basis_matrix())))
+        # B^T G B, which is symmetric
+        bt = self.int_vectors
+        bt_g = intlinalg.matmul(bt, self.ambient.int_gram)
+        return Lattice._of(_freeze(intlinalg.matmul(bt_g, bt.T)))
 
     def induced_lattice(self) -> Lattice:
         """The lattice with Gram matrix B^T G B, computed once per object."""

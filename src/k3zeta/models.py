@@ -191,8 +191,17 @@ def flat_torus_spectrum(
     half period; the involution is free unless the character is trivial,
     in which case the twisted trace coincides with the straight one.
     """
+    return _flat_torus(gram, character, cutoff, None)[0]
+
+
+def _flat_torus(gram, character, cutoff, dim) -> tuple[EquivariantSpectrum, float]:
+    """The spectrum of `flat_torus_spectrum` and sqrt(det Q), converting and
+    factoring the Gram matrix once; a `dim` other than None is the only
+    dimension accepted (a curve's 2)."""
     q = to_int_matrix(gram)
     n = len(q)
+    if dim is not None and n != dim:
+        raise InputError("curve components are %d-dimensional" % dim)
     if n == 0:
         raise InputError("gram matrix must be nonempty")
     if not is_symmetric(q):
@@ -258,18 +267,14 @@ def flat_torus_spectrum(
     straight = (c0,) + (0.0,) * (n + 8)
     twisted = straight if not any(eps) else None
     tail = HeatTail(n, straight, twisted)
-    return EquivariantSpectrum._of(columns, (1, 0), tail, cut)
+    return EquivariantSpectrum._of(columns, (1, 0), tail, cut), root_det
 
 
 def flat_torus_curve(gram, cutoff: float = DEFAULT_TORUS_CUTOFF) -> CurveComponent:
     """A flat 2-torus as a fixed-curve component: volume (2 pi)^2 sqrt(det Q)
     and its spectrum under the trivial character."""
-    q = to_int_matrix(gram)
-    if len(q) != 2:
-        raise InputError("curve components are 2-dimensional")
-    spectrum = flat_torus_spectrum(q, None, cutoff)
-    volume = (2.0 * math.pi) ** 2 * math.sqrt(float(det_bareiss(q)))
-    return CurveComponent(volume, spectrum)
+    spectrum, root_det = _flat_torus(gram, None, cutoff, 2)
+    return CurveComponent((2.0 * math.pi) ** 2 * root_det, spectrum)
 
 
 _PRESETS = {

@@ -143,16 +143,15 @@ def _marking_context(
     if marking is not None:
         if marking.lattice != invol.lattice:
             raise MarkingError("marking acts on a different lattice")
-        image = [intlinalg.matvec(marking.matrix, v) for v in domain.vectors]
+        image = [intlinalg.matvec(marking.int_matrix, v) for v in domain.vectors]
         # a Hermite basis, independent by construction
         hnf = lattices._freeze(intlinalg.column_hnf(image))
         domain = lattices.SublatticeBasis._of(invol.lattice, hnf)
     _check_domain_lattice(domain)
-    b = np.asarray(domain.basis_matrix(), dtype=float)
+    b = domain.float_basis
     induced = domain.induced_lattice().float_gram
     coords_of = np.linalg.solve(induced, b.T @ invol.lattice.float_gram)
     coords_of.setflags(write=False)
-    b.setflags(write=False)
     return _MarkingContext(domain, b, coords_of)
 
 

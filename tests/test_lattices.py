@@ -17,6 +17,7 @@ from k3zeta.lattices import (
 )
 
 from fixtures import complement, is_saturated, same_span
+from oracles import nested_sum_product
 
 
 def test_hyperbolic_plane():
@@ -207,3 +208,92 @@ def test_float_views_are_the_exact_data_read_only():
     # derived once per object
     assert iso.float_matrix is iso.float_matrix
     assert iso.lattice.float_gram is iso.lattice.float_gram
+
+
+def _pell_unit(power):
+    """A^power and its inverse, in Python ints, for A = [[3, 4], [2, 3]]:
+    an isometry of x^2 - 2 y^2 of infinite order."""
+    g, g_inv = intlinalg.identity(2), intlinalg.identity(2)
+    for _ in range(power):
+        g = nested_sum_product(g, [[3, 4], [2, 3]])
+        g_inv = nested_sum_product(g_inv, [[3, -4], [-2, 3]])
+    return g, g_inv
+
+
+def _exact_cases():
+    """(gram, involution, + eigenvector, - eigenvector): U and U(2^70)
+    with the swap, and x^2 - 2 y^2 with diag(1, -1) conjugated by A^30,
+    whose entries pass 2^150 while its Gram matrix stays small."""
+    big = 2**70
+    g, g_inv = _pell_unit(30)
+    conj = nested_sum_product(nested_sum_product(g, [[1, 0], [0, -1]]), g_inv)
+    return [
+        ([[0, 1], [1, 0]], [[0, 1], [1, 0]], (1, 1), (1, -1)),
+        ([[0, big], [big, 0]], [[0, 1], [1, 0]], (1, 1), (1, -1)),
+        ([[1, 0], [0, -2]], conj, (g[0][0], g[1][0]), (g[0][1], g[1][1])),
+    ]
+
+
+def _assert_exact_view(view, rows):
+    fits = all(-(2**63) <= x < 2**63 for row in rows for x in row)
+    assert view.dtype == (np.int64 if fits else object)
+    assert view.tolist() == [list(row) for row in rows]
+    assert all(type(x) is int for row in view.tolist() for x in row)
+    with pytest.raises(ValueError):
+        view[0, 0] = 0
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_exact_views_past_int64_match_python_ints(case):
+    gram, matrix, plus_vector, minus_vector = _exact_cases()[case]
+    lattice = Lattice(gram)
+    iso = LatticeIsometry(lattice, matrix)
+    # the reference: the same algebra on nested sums of Python ints
+    mt = intlinalg.transpose(matrix)
+    assert nested_sum_product(nested_sum_product(mt, gram), matrix) == gram
+    assert nested_sum_product(matrix, matrix) == intlinalg.identity(2)
+    assert iso.is_involution
+    bad = [[matrix[0][0] + 1, matrix[0][1]], matrix[1]]
+    assert nested_sum_product(nested_sum_product(intlinalg.transpose(bad), gram), bad) != gram
+    with pytest.raises(InputError, match="does not preserve"):
+        LatticeIsometry(lattice, bad)
+    _assert_exact_view(lattice.int_gram, gram)
+    _assert_exact_view(iso.int_matrix, matrix)
+    for sign, vector in ((1, plus_vector), (-1, minus_vector)):
+        sub = eigenlattice(iso, sign)
+        assert sub.vectors == (vector,)
+        column = [[x] for x in vector]
+        assert nested_sum_product(matrix, column) == [[sign * x] for x in vector]
+        _assert_exact_view(sub.int_vectors, sub.vectors)
+        induced = nested_sum_product(nested_sum_product([vector], gram), column)
+        assert sub.induced_lattice().gram == tuple(map(tuple, induced))
+        _assert_exact_view(sub.induced_lattice().int_gram, induced)
+        norm = abs(induced[0][0])
+        divisors = (norm,) if norm > 1 else ()
+        assert discriminant_info(sub).divisors == divisors
+        assert np.array_equal(sub.float_basis, np.array(column, dtype=float))
+    # derived once per object
+    sub = eigenlattice(iso, -1)
+    for owner, name in (
+        (lattice, "int_gram"),
+        (iso, "int_matrix"),
+        (sub, "int_vectors"),
+        (sub, "float_basis"),
+        (sub.induced_lattice(), "int_gram"),
+    ):
+        assert getattr(owner, name) is getattr(owner, name)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_views_of_a_rank_zero_eigenlattice(sign):
+    iso = LatticeIsometry(build_standard_lattice("u"), [[sign, 0], [0, sign]])
+    trivial = eigenlattice(iso, -sign)
+    assert trivial.int_vectors.shape == (0, 2)
+    assert trivial.float_basis.shape == (2, 0)
+    assert not trivial.int_vectors.flags.writeable
+    assert not trivial.float_basis.flags.writeable
+    induced = trivial.induced_lattice()
+    assert induced.gram == ()
+    assert induced.int_gram.shape == (0, 0)
+    assert induced.signature() == (0, 0)
+    assert discriminant_info(trivial) == DiscriminantInfo((), 0, True, 1)

@@ -321,6 +321,12 @@ def test_theta_at_cut_on_and_past_the_alignment(end, nodes):
     groups the rows shows in its bits. With blocks cut at a multiple of 1,
     4 or 16 rows instead, width-1 blocks, which take numpy's dot path,
     miss the reference here (numpy 2.4 with its bundled OpenBLAS)."""
+    _assert_theta_is_the_reference(*_clustered_case(end, nodes), mellin._theta_at)
+
+
+def _clustered_case(end, nodes):
+    """(lams, ts, weights) of 9000 clustered eigenvalues, three groups,
+    live to `end`, end // 2 + 1 and end // 3 + 1 rows, and two sectors."""
     rng = np.random.default_rng(end * 97 + nodes)
     ends = [end, end // 2 + 1, end // 3 + 1]
     sizes = np.diff([0, ends[2], ends[1], ends[0], 9000])
@@ -331,11 +337,55 @@ def test_theta_at_cut_on_and_past_the_alignment(end, nodes):
     ts[:, 0] = edges
     assert np.searchsorted(lams, mellin._DEAD / ts.min(axis=1)).tolist() == ends
     weights = np.stack([rng.standard_normal(9000), rng.integers(-9, 10, 9000)])
-    got = mellin._theta_at(lams, weights, [0.5, -1.0], ts)
+    return lams, ts, weights
+
+
+def _assert_theta_is_the_reference(lams, ts, weights, theta_at):
+    """theta_at of two sectors gives every group theta_reference's bits."""
+    got = theta_at(lams, weights, [0.5, -1.0], ts)
     for s, kernel in enumerate([0.5, -1.0]):
         for g, group in enumerate(ts):
             want = theta_reference(lams, weights[s], kernel, group)
             assert np.array_equal(got[s, g].view(np.uint64), want.view(np.uint64))
+
+
+def _staggered_case(nodes):
+    """(lams, ts, weights) of 6000 eigenvalues spread over [1, 1e7], six
+    groups with live prefixes from 150 to 5900 rows, in one or two chunks,
+    and two sectors."""
+    rng = np.random.default_rng(nodes)
+    lams = np.sort(10.0 ** rng.uniform(0.0, 7.0, 6000))
+    ends = [150, 700, 2000, 4100, 4500, 5900]
+    ts = (mellin._DEAD / lams[ends])[:, None] * rng.uniform(1.0, 1.5, (6, nodes))
+    weights = np.stack([rng.standard_normal(6000), rng.integers(-9, 10, 6000)])
+    return lams, ts, weights
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("clustered", end, nodes) for end in (64, 65, 4096, 4097, 8192) for nodes in (1, 2, 48)]
+    + [("staggered", None, nodes) for nodes in (1, 2, 4, 5, 48)],
+)
+def test_theta_at_reads_no_row_it_did_not_write(case, monkeypatch):
+    """theta with every numpy.empty of the call full of NaN: a stack row
+    that is read before it is written (a pad row left unzeroed, say) makes
+    its group's sum NaN. Fresh memory is often zero, so the other theta
+    tests could pass by luck."""
+    kind, end, nodes = case
+    data = _clustered_case(end, nodes) if kind == "clustered" else _staggered_case(nodes)
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    def theta_at(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", poisoned)
+            return mellin._theta_at(*args)
+
+    _assert_theta_is_the_reference(*data, theta_at)
 
 
 def same(a, b) -> bool:

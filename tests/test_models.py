@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -382,6 +383,28 @@ def test_curve_volumes():
         torus.volume, (2 * math.pi) ** 2 * math.sqrt(5.0), rel_tol=1e-15
     )
     assert torus.spectrum.kernel == (1, 0)
+
+
+def test_a_torus_curve_converts_and_factors_its_gram_once(monkeypatch):
+    calls = collections.Counter()
+    for name in ("to_int_matrix", "det_bareiss"):
+
+        def counted(*args, _fn=getattr(models, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(models, name, counted)
+    gram = [[2, 1], [1, 3]]
+    spectrum = flat_torus_spectrum(gram, None, 50.0)
+    # one conversion, det Q and the four cofactors of adj(Q)
+    assert calls == {"to_int_matrix": 1, "det_bareiss": 5}
+    calls.clear()
+    curve = flat_torus_curve(gram, 50.0)
+    assert calls == {"to_int_matrix": 1, "det_bareiss": 5}
+    assert curve.spectrum == spectrum
+    assert curve.volume == (2.0 * math.pi) ** 2 * math.sqrt(5.0)
+    with pytest.raises(InputError, match="2-dimensional"):
+        flat_torus_curve(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 50.0)
 
 
 def test_builtin_dispatch():
