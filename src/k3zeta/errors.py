@@ -5,6 +5,12 @@ GeometryError -> 4. Messages name the violated check so failures are
 actionable from scripts. The readers at the end refuse with an InputError
 the arguments float() and int() would coerce or truncate, and counts a
 float64 would round.
+
+_within is the one float acceptance rule of the package: a deviation is
+accepted when it is at most max(tol, 1e-9 * scale), an absolute tolerance
+or a relative one against the size of the data, whichever is larger. A
+NaN deviation is never accepted. The frame, period and continuation
+checks all decide through it, so a change of tolerance is made there.
 """
 
 import math
@@ -82,3 +88,8 @@ def _positive(x, what: str) -> float:
     if not v > 0.0:
         raise InputError("%s must be positive and finite, got %r" % (what, x))
     return v
+
+
+def _within(deviation: float, tol: float, scale: float = 0.0) -> bool:
+    """True iff deviation <= max(tol, 1e-9 * scale); a NaN deviation fails."""
+    return deviation <= max(tol, 1e-9 * scale)

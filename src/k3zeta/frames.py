@@ -6,10 +6,13 @@ A frame is a triple (gamma_I, gamma_J, gamma_K) of ambient vectors with
 compatible with an involution that fixes gamma_I and negates gamma_J and
 gamma_K, and such frames come in a one-parameter family per branch.
 
-All checks use one absolute tolerance, DEFAULT_TOL, except is_compatible,
-which takes the tolerance of the period computation that calls it. The
-compatibility checks take the involution as an exact LatticeIsometry of
-the frame's dimension, as the sampler does, and read its float view.
+Every check accepts by the package's one rule, errors._within: a
+deviation passes when it is at most max(tol, 1e-9 * scale). The frame's
+symmetry and pairing use tol DEFAULT_TOL and no scale; is_compatible takes
+the tolerance of the period computation that calls it, and the scale
+max|target| of the sign-flipped frame. The compatibility checks take the
+involution as an exact LatticeIsometry of the frame's dimension, as the
+sampler does, and read its float view.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import lattices
 from ._record import Record
-from .errors import GeometryError, InputError, _finite
+from .errors import GeometryError, InputError, _finite, _within
 
 DEFAULT_TOL = 1e-10
 
@@ -63,7 +66,7 @@ class HKFrame(Record, eq=False):
             raise InputError("frame entries must be finite")
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise InputError("ambient form must be square")
-        if not np.all(np.abs(g - g.T) <= DEFAULT_TOL):
+        if not _within(float(np.max(np.abs(g - g.T), initial=0.0)), DEFAULT_TOL):
             raise InputError("ambient form must be symmetric")
         if v.shape != (3, g.shape[0]):
             raise InputError(
@@ -73,8 +76,8 @@ class HKFrame(Record, eq=False):
             pairing = v @ g @ v.T
         if not np.isfinite(pairing).all():
             raise InputError("frame pairing overflows the float range")
-        dev = float(np.max(np.abs(pairing - 2.0 * np.eye(3))))
-        if dev > DEFAULT_TOL:
+        dev = float(np.max(np.abs(pairing - 2.0 * np.eye(3)), initial=0.0))
+        if not _within(dev, DEFAULT_TOL):
             raise GeometryError(
                 "frame pairing is not 2*identity (max deviation %.3e)" % dev
             )
@@ -129,9 +132,18 @@ def is_compatible(frame: HKFrame, invol, tol: float = DEFAULT_TOL) -> bool:
         )
     moved = frame.gammas @ invol.float_matrix.T
     target = np.vstack([frame.gammas[0], -frame.gammas[1], -frame.gammas[2]])
-    return float(np.max(np.abs(moved - target))) <= max(
-        tol, 1e-9 * float(np.max(np.abs(target)))
+    return _within(
+        float(np.max(np.abs(moved - target))), tol, float(np.max(np.abs(target)))
     )
+
+
+def _require_compatible(frame: HKFrame, invol, tol: float) -> None:
+    """Raise GeometryError unless is_compatible(frame, invol, tol)."""
+    if not is_compatible(frame, invol, tol):
+        raise GeometryError(
+            "frame is not compatible with the involution (sign pattern"
+            " (+1, -1, -1) fails)"
+        )
 
 
 def compatible_frames(frame: HKFrame, invol, branch: int, psi: float) -> HKFrame:
@@ -144,11 +156,7 @@ def compatible_frames(frame: HKFrame, invol, branch: int, psi: float) -> HKFrame
     if _finite(branch, "branch") not in (1, -1):
         raise InputError("branch must be +1 or -1")
     psi = _finite(psi, "psi")
-    if not is_compatible(frame, invol):
-        raise GeometryError(
-            "frame is not compatible with the involution (sign pattern"
-            " (+1, -1, -1) fails)"
-        )
+    _require_compatible(frame, invol, DEFAULT_TOL)
     c, s = np.cos(psi), np.sin(psi)
     gi, gj, gk = frame.gammas
     if branch == 1:

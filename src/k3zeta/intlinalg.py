@@ -94,10 +94,6 @@ def matmul(a, b):
     return _product(a, b).tolist()
 
 
-def matvec(a, v):
-    return _product(a, v).tolist() if len(a) else []
-
-
 def is_symmetric(a) -> bool:
     n = len(a)
     return all(len(r) == n for r in a) and all(

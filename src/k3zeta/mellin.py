@@ -23,7 +23,10 @@ on geometrically growing panels, with the truncation bounded through
 exp(-cutoff*t/2) * P_bound(t/2). Every result carries the summed error
 estimate; if no split point meets the requested tolerance the evaluation
 refuses with the achievable bound instead of returning a silently bad
-number.
+number. Both float acceptance checks of the module go through the
+package's one rule, errors._within: an estimate meets the target when it
+is at most the target, and a complete sector's constant meets its state
+count by constant_mismatch.
 
 The panels use a 32-node rule with an embedded 16-node rule for the error
 estimate. Both are literal tables of the values that
@@ -118,7 +121,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from .errors import AccuracyError, InputError
+from .errors import AccuracyError, InputError, _positive, _within
 
 DEFAULT_TARGET = 1e-8
 _CHUNK = 4096
@@ -386,6 +389,7 @@ def continue_trace(
     AccuracyError it refuses with when no split point meets `target`, so
     one sector's miss does not stop the others.
     """
+    target = _positive(target, "target")
     lams = np.asarray(lams, dtype=float)
     weights = np.ascontiguousarray(weights, dtype=float)
     kernel_weights = [float(k) for k in kernel_weights]
@@ -465,7 +469,7 @@ def continue_trace(
     estimates = split_estimates(candidates, every)
     best = [min(candidates, key=lambda i: estimates[i, s][0]) for s in every]
     least = [estimates[best[s], s][0] for s in every]
-    missed = [s for s in every if least[s] > target or least[s] == math.inf]
+    missed = [s for s in every if not _within(least[s], target)]
     # a missed sector refuses with its least estimate over the whole grid,
     # whatever the target
     rest = sorted(set(range(_SPLITS.size)) - set(candidates))
@@ -523,15 +527,16 @@ def constant_mismatch(what: str, constant: float, kernel_weight: float, weights)
     sector's declared constant misses its signed count of states.
 
     This is the one rule for a complete spectrum's constants: a mismatch
-    above 1e-9 times the sector's number of states, |kernel_weight| +
-    sum |weights| (or 1 if that is less), is refused with an InputError
-    that names the constant by `what`. The spectrum constructor applies it
-    to every sector, and the closed form applies it again to the same
+    that errors._within refuses at tol 1e-9 and scale the sector's number
+    of states, |kernel_weight| + sum |weights| (so one above 1e-9 times
+    the larger of that number and 1), is refused with an InputError that
+    names the constant by `what`. The spectrum constructor applies it to
+    every sector, and the closed form applies it again to the same
     numbers, so a spectrum that constructs is never refused for them."""
     states = kernel_weight + ordered_chunk_sum(weights)
     mismatch = abs(constant - states)
     size = abs(kernel_weight) + ordered_chunk_sum(np.abs(weights))
-    if mismatch > 1e-9 * max(1.0, size):
+    if not _within(mismatch, 1e-9, size):
         raise InputError(
             "complete spectrum: %s constant %.17g != its state count %.17g"
             " (mismatch %.3e)" % (what, constant, states, mismatch)

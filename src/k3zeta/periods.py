@@ -12,6 +12,14 @@ point; its minus point is the conjugate of those coordinates.
 Every check and label reads the sublattice's induced lattice, which the
 sublattice computes once, on first use, as does that lattice its signature.
 
+Every float check accepts by the package's one rule, errors._within
+(deviation <= max(tol, 1e-9 * scale); a NaN deviation fails): period_of
+matches the frame's form with tol and no scale, and the residual of the
+frame vectors in the domain with tol and the scale of those vectors; a
+period point's isotropy |<eta, eta>| is held to 1e-9 <eta, eta-bar>, that
+is tol 0 and scale <eta, eta-bar>. The component label's ambiguity test is
+a different decision and keeps its own bound.
+
 The period domain of an involution is its anti-invariant eigenlattice, the
 one its isometry computes and keeps; under a marking m it is the image of
 that lattice, in Hermite form. For an involution of a nondegenerate lattice
@@ -28,9 +36,7 @@ import numpy as np
 from . import frames as frames_mod
 from . import intlinalg, lattices
 from ._record import Record
-from .errors import GeometryError, InputError, MarkingError, _positive
-
-ISOTROPY_RTOL = 1e-9
+from .errors import GeometryError, InputError, MarkingError, _positive, _within
 
 
 def _check_domain_lattice(sub: lattices.SublatticeBasis) -> None:
@@ -57,12 +63,14 @@ class PeriodPoint(Record, eq=False):
             raise InputError(
                 "period coordinates must have length %d" % sublattice.rank
             )
+        if not np.isfinite(eta).all():
+            raise InputError("period coordinates must be finite")
         g = sublattice.induced_lattice().float_gram
         norm2 = float(np.real(eta @ g @ np.conj(eta)))
-        if norm2 <= 0.0:
+        if not norm2 > 0.0:
             raise GeometryError("period vector has <eta, eta-bar> <= 0")
         iso = complex(eta @ g @ eta)
-        if abs(iso) > ISOTROPY_RTOL * norm2:
+        if not _within(abs(iso), 0.0, norm2):
             raise GeometryError(
                 "period vector is not isotropic (|<eta,eta>| / <eta,eta-bar>"
                 " = %.3e)" % (abs(iso) / norm2)
@@ -103,7 +111,7 @@ def component_label(p: PeriodPoint) -> int:
     scale = float(
         np.linalg.norm(np.vstack([re, im]) @ g) * np.linalg.norm(ref) + 1.0
     )
-    if abs(d) <= 1e-12 * scale:
+    if not abs(d) > 1e-12 * scale:
         raise GeometryError("component label is numerically ambiguous")
     return 1 if d > 0 else -1
 
@@ -143,7 +151,7 @@ def _marking_context(
     if marking is not None:
         if marking.lattice != invol.lattice:
             raise MarkingError("marking acts on a different lattice")
-        image = [intlinalg.matvec(marking.int_matrix, v) for v in domain.vectors]
+        image = intlinalg.matmul(domain.int_vectors, marking.int_matrix.T)
         # a Hermite basis, independent by construction
         hnf = lattices._freeze(intlinalg.column_hnf(image))
         domain = lattices.SublatticeBasis._of(invol.lattice, hnf)
@@ -170,15 +178,11 @@ def period_of(
     error.
     """
     tol = _positive(tol, "tol")
-    if frame.form.shape[0] != invol.lattice.rank or not np.all(
-        np.abs(frame.form - invol.lattice.float_gram) <= tol
+    if frame.form.shape[0] != invol.lattice.rank or not _within(
+        float(np.max(np.abs(frame.form - invol.lattice.float_gram))), tol
     ):
         raise InputError("frame ambient form does not match the lattice")
-    if not frames_mod.is_compatible(frame, invol, tol=tol):
-        raise GeometryError(
-            "frame is not compatible with the involution (sign pattern"
-            " (+1, -1, -1) fails)"
-        )
+    frames_mod._require_compatible(frame, invol, tol)
     ctx = _marking_context(invol, marking)
     gj, gk = frame.gammas[1], frame.gammas[2]
     if marking is not None:
@@ -190,7 +194,7 @@ def period_of(
         float(np.max(np.abs(ctx.basis @ xj - gj))),
         float(np.max(np.abs(ctx.basis @ xk - gk))),
     )
-    if residual > max(tol, 1e-9 * scale):
+    if not _within(residual, tol, scale):
         raise MarkingError(
             "anti-invariant frame vectors do not land in the marked"
             " complement (residual %.3e)" % residual

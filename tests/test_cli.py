@@ -623,8 +623,44 @@ def test_command_output_is_the_golden_bytes(capfd, argv, golden):
             ],
             "argument --tol: expected a positive finite number, got 'abc'",
         ),
+        (["lattice"], "input error: give either --builtin or --in\n"),
+        (["zeta"], "input error: give either --builtin or --spectrum\n"),
+        (["tau"], "input error: give either --builtin or --spectrum\n"),
+        (
+            ["involution", "--builtin", "k3"],
+            "input error: unknown builtin involution 'k3' (available: enriques)\n",
+        ),
+        (
+            ["involution", "--lattice", os.path.join(PRESETS, "lattice-k3.json")],
+            "input error: give --builtin or both --lattice and --matrix\n",
+        ),
+        (
+            ["involution", "--matrix", os.path.join(PRESETS, "matrix-enriques.json")],
+            "input error: give --builtin or both --lattice and --matrix\n",
+        ),
+        (
+            # a spectrum file holds an object, not a list of curves
+            [
+                "tau",
+                "--builtin",
+                "t2-flat",
+                "--curves",
+                os.path.join(PRESETS, "spectrum-torus.json"),
+            ],
+            "input error: curves file must hold a JSON list\n",
+        ),
     ],
-    ids=["non-involutive-matrix", "tol-not-a-number"],
+    ids=[
+        "non-involutive-matrix",
+        "tol-not-a-number",
+        "lattice-without-input",
+        "zeta-without-input",
+        "tau-without-input",
+        "unknown-involution",
+        "lattice-without-matrix",
+        "matrix-without-lattice",
+        "curves-not-a-list",
+    ],
 )
 def test_file_and_flag_refusals_exit_2(capsys, argv, message):
     code, err = exit_and_stderr(capsys, argv)
@@ -829,3 +865,19 @@ def test_cli_ends_in_a_report_or_a_typed_exit(tmp_path, data):
     assert code in (0, 2, 3, 4), err.getvalue()
     if code == 0:
         json.loads(out.getvalue())
+
+
+def test_incompatible_frame_refusal_is_the_golden_bytes(capfd):
+    # frame-rng5-swapped.json is frame-rng5.json with gamma_I and gamma_J
+    # swapped: still a frame, but the involution negates its first vector
+    with open(os.path.join(PRESETS, "frame-rng5.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["gammas"][:2] = obj["gammas"][1::-1]
+    path = os.path.join(PRESETS, "frame-rng5-swapped.json")
+    with open(path, "rb") as fh:
+        assert (jsonio.canonical_dumps(obj) + "\n").encode() == fh.read()
+    assert main(["period", "--frame", path, "--involution", "enriques"]) == 4
+    out = capfd.readouterr()
+    assert out.out == ""
+    with open(os.path.join(PRESETS, "period-incompatible-refusal.err"), "rb") as fh:
+        assert out.err.encode() == fh.read()

@@ -207,3 +207,20 @@ def test_degenerate_split_is_a_geometry_error(monkeypatch, sign, swap, what):
     monkeypatch.setattr("k3zeta.frames._split_directions", degenerate)
     with pytest.raises(GeometryError, match="frame sampling: %s has norm" % what):
         random_compatible_frame(iso, np.random.default_rng(3))
+
+
+def test_sampler_refuses_a_wrong_positive_count():
+    # the invariant lattice of -f is the anti-invariant one of f, of
+    # signature (2, 10), where the sampler needs one positive direction
+    f = enriques_involution()
+    negated = LatticeIsometry(f.lattice, [[-x for x in row] for row in f.matrix])
+    with pytest.raises(GeometryError, match="^eigenspace has 2 positive directions, expected 1$"):
+        random_compatible_frame(negated, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sampler_refuses_plus_or_minus_the_identity(sign):
+    k3 = build_standard_lattice("K3")
+    identity = LatticeIsometry(k3, (sign * np.eye(22, dtype=int)).tolist())
+    with pytest.raises(GeometryError, match="^involution has a trivial eigenlattice$"):
+        random_compatible_frame(identity, np.random.default_rng(0))

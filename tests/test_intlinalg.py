@@ -19,7 +19,6 @@ from k3zeta.intlinalg import (
     identity,
     integer_kernel,
     matmul,
-    matvec,
     rational_inertia,
     smith_divisors,
     to_int_matrix,
@@ -88,7 +87,7 @@ def _assert_exact_ints(product, a, b):
 def test_matmul_matches_nested_sums_at_the_int64_bound(ab):
     a, b = ab
     _assert_exact_ints(matmul(a, b), a, b)
-    _assert_exact_ints([[x] for x in matvec(a, [row[0] for row in b])], a, [row[:1] for row in b])
+    _assert_exact_ints(matmul(a, [row[:1] for row in b]), a, [row[:1] for row in b])
 
 
 @given(product_at_the_int64_bound())
@@ -137,13 +136,11 @@ def test_matmul_keeps_fractions_exact(ab):
     assert repr(matmul(a, b)) == repr(nested_sum_product(a, b))
 
 
-def test_matmul_and_matvec_on_empty_shapes():
+def test_matmul_on_empty_shapes():
     assert matmul([], [[1]]) == []
     assert matmul([[1, 2]], []) == []
     assert matmul([[], []], []) == []  # inner dimension 0
     assert matmul([[1, 2], [3, 4], [5, 6]], [[], []]) == [[], [], []]
-    assert matvec([], [1]) == []
-    assert matvec([[], []], []) == [0, 0]
 
 
 def _inertia_or_message(inertia, gram):
@@ -265,7 +262,7 @@ def test_integer_kernel_annihilates_and_saturates():
     a = [[1, 2, 3], [2, 4, 6]]
     k = integer_kernel(a)
     assert len(k) == 2
-    assert all(all(x == 0 for x in matvec(a, v)) for v in k)
+    assert all(all(x == 0 for x in matmul(a, v)) for v in k)
     # kernel basis extends to a basis of Z^n: all invariant factors 1
     assert smith_divisors(transpose(k)) == [1, 1]
 
@@ -274,7 +271,7 @@ def test_integer_kernel_annihilates_and_saturates():
 @settings(max_examples=60, deadline=None)
 def test_integer_kernel_property(rows):
     k = integer_kernel(rows)
-    assert all(all(x == 0 for x in matvec(rows, v)) for v in k)
+    assert all(all(x == 0 for x in matmul(rows, v)) for v in k)
     rank = len(smith_divisors(rows)) if any(any(r) for r in rows) else 0
     assert len(k) == 4 - rank
 

@@ -549,3 +549,12 @@ def test_panel_table_rows_are_each_panel_mapped_alone(log_delta, lead, extra, se
     for (a, b), *rows in zip(panels, *table):
         for got, want in zip(rows, panel_alone(a, b)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("cutoff", [200.0, math.inf])
+def test_target_must_be_positive_and_finite(target, cutoff):
+    # a NaN target was never read: it returned a result with no refusal
+    model = TraceModel.from_ladder(0, [2.0])
+    with pytest.raises(InputError, match="^target must be positive and finite, got "):
+        continue_one(np.array([1.0]), np.array([1.0]), 1.0, model, model, cutoff, target)

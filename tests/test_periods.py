@@ -164,7 +164,7 @@ def _random_root(rng) -> list[int]:
 
 def _reflection(lattice, r) -> list[list[int]]:
     """The reflection x -> x - 2 (x.r) / (r.r) r in a root r."""
-    gr = intlinalg.matvec([list(row) for row in lattice.gram], r)
+    gr = intlinalg.matmul([list(row) for row in lattice.gram], r)
     c = 2 // sum(x * y for x, y in zip(r, gr))
     return [[(i == j) - c * r[i] * gr[j] for j in range(22)] for i in range(22)]
 
@@ -242,7 +242,7 @@ def test_domain_is_the_complement_of_the_marked_invariant_lattice():
     for length in range(3, 9):
         marking = _reflection_word(iso.lattice, rng, length)
         mm = [list(row) for row in marking.matrix]
-        image = [intlinalg.matvec(mm, list(v)) for v in plus.vectors]
+        image = [intlinalg.matmul(mm, list(v)) for v in plus.vectors]
         pair = period_of(frame, iso, marking)
         assert pair.plus.sublattice.vectors == complement(gram, image)
         assert set(pair.labels()) == {1, -1}
@@ -307,3 +307,57 @@ def test_form_check_at_its_tolerance(tol):
         else:
             with pytest.raises(InputError, match="does not match the lattice"):
                 period_of(frame, iso, tol=tol)
+
+
+def test_period_domain_needs_rank_2_and_signature_2_k():
+    f = enriques_involution()
+    line = SublatticeBasis(f.lattice, eigenlattice(f, -1).vectors[:1])
+    with pytest.raises(GeometryError, match="^period domain needs rank >= 2$"):
+        PeriodPoint(line, [1.0])
+    with pytest.raises(
+        GeometryError, match=r"^period domain needs signature \(2, rank-2\), got \(1, 9\)$"
+    ):
+        PeriodPoint(eigenlattice(f, 1), np.ones(10))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_period_coordinates_must_be_finite(bad):
+    # a NaN or infinite coordinate constructed a point, which was then
+    # labelled -1
+    coords = np.zeros(12, dtype=complex)
+    coords[0], coords[1] = bad, 1j
+    with pytest.raises(InputError, match="^period coordinates must be finite$"):
+        PeriodPoint(eigenlattice(enriques_involution(), -1), coords)
+
+
+def test_label_of_a_tiny_representative_is_ambiguous():
+    # the label's determinant never vanishes on a checked point, but the
+    # ambiguity bound 1e-12 * scale has a scale of at least 1, so a
+    # representative 1e-7 times a labelled one is refused: the one input
+    # that reaches this refusal, and a bound that is not projective
+    p = period_of(seed_frame(), enriques_involution()).plus
+    tiny = PeriodPoint(p.sublattice, 1e-7 * p.coords)
+    with pytest.raises(GeometryError, match="^component label is numerically ambiguous$"):
+        component_label(tiny)
+
+
+def test_residual_outside_the_marked_domain_is_a_marking_error():
+    # a frame turned by 1e-3 from a compatible one passes the compatibility
+    # check at tol 3e-3; the Eichler transvection x -> x - <a, x> e + <e, x> a
+    # (e isotropic, a = 100 e' isotropic and orthogonal to it) stretches the
+    # invariant part of gamma_J about 70 times, past that tol
+    f = enriques_involution()
+    g = np.array(f.lattice.gram)
+    e, a = np.zeros(22, dtype=int), np.zeros(22, dtype=int)
+    e[0], a[2] = 1, 100
+    m = np.eye(22, dtype=int) - np.outer(e, a @ g) + np.outer(a, e @ g)
+    marking = LatticeIsometry(f.lattice, m.tolist())
+    base = seed_frame()
+    c, s = np.cos(1e-3), np.sin(1e-3)
+    turn = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(
+        MarkingError,
+        match=r"^anti-invariant frame vectors do not land in the marked"
+        r" complement \(residual 7\.142e-02\)$",
+    ):
+        period_of(rotate(base, turn), f, marking, tol=3e-3)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from k3zeta import cli, frames, jsonio, lattices, periods, spectral
+from k3zeta import cli, frames, intlinalg, jsonio, lattices, mellin, periods, spectral
 from k3zeta.errors import AccuracyError, ConsistencyError, InputError
 from k3zeta.models import (
     flat_torus_curve,
@@ -582,6 +582,8 @@ def test_truncate_entries():
 
 _SPHERE = round_sphere_spectrum(l_max=10)
 _ENRIQUES = lattices.enriques_involution()
+_POINT = EquivariantSpectrum(((1.0, 1, 0),), (1, 0), HeatTail(0, (2.0,), (2.0,)))
+_CONSTANT = mellin.TraceModel.from_ladder(0, [2.0])
 _TAIL = HeatTail(2, (2.0, 0.0, 0.5))
 
 
@@ -661,6 +663,87 @@ def test_library_arguments_are_refused_not_truncated(call):
             lambda: frames.compatible_frames(seed_frame(), _ENRIQUES, 0, 0.3),
             "branch must be +1 or -1",
         ),
+        (
+            lambda: frames.HKFrame(2.0 * np.eye(2), np.eye(2)),
+            "frame needs 3 vectors of ambient dimension 2",
+        ),
+        (
+            lambda: frames.two_form_of(np.eye(4), np.eye(3)),
+            "metric and structure must be square of equal size",
+        ),
+        (
+            lambda: frames.random_compatible_frame(
+                _ENRIQUES.float_matrix, np.random.default_rng(0)
+            ),
+            "random_compatible_frame needs an exact lattice isometry",
+        ),
+        (
+            lambda: intlinalg.integer_kernel([]),
+            "empty matrix has no well-defined kernel here",
+        ),
+        (
+            lambda: lattices.SublatticeBasis(_ENRIQUES.lattice, [[1, 0]]),
+            "basis vectors must have ambient rank 22",
+        ),
+        (lambda: lattices.direct_sum(), "direct_sum needs at least one summand"),
+        (
+            # a quarter turn of Z^2 with the standard form, of order 4
+            lambda: lattices.eigenlattice(
+                lattices.LatticeIsometry(
+                    lattices.Lattice(((1, 0), (0, 1))), ((0, -1), (1, 0))
+                ),
+                1,
+            ),
+            "eigenlattice needs an involution (f squared != id)",
+        ),
+        (
+            lambda: periods.PeriodPoint(lattices.eigenlattice(_ENRIQUES, -1), [1.0, 1j]),
+            "period coordinates must have length 12",
+        ),
+        (
+            # two kernel weights for one weight row and one model
+            lambda: mellin.continue_trace(
+                [1.0], [[1.0]], [1.0, 0.0], [_CONSTANT], _CONSTANT, math.inf
+            ),
+            "eigenvalues must be 1-d, with one aligned weight row, kernel"
+            " weight and model per sector",
+        ),
+        (lambda: round_sphere_spectrum(1.0, True, 1), "l_max must be at least 2"),
+        (lambda: flat_torus_spectrum([], None, 10.0), "gram matrix must be nonempty"),
+        (
+            lambda: flat_torus_spectrum([[2, 1], [0, 2]], None, 10.0),
+            "gram matrix must be symmetric",
+        ),
+        (
+            lambda: HeatTail(0, (2.0,), (2.0, 0.0)),
+            "a complete twisted trace is one constant",
+        ),
+        (
+            lambda: HeatTail(2, (1.0, 0.0, 0.5), (1.0, 0.0)),
+            "twisted tail needs at least dim+1 coefficients",
+        ),
+        (
+            lambda: EquivariantSpectrum(((1.0, 1, 0),), (1, 0), {"dim": 0}),
+            "tail must be a HeatTail",
+        ),
+        (lambda: CurveComponent(0.0, _POINT), "curve volume must be positive"),
+        (lambda: CurveComponent(-1.0, _POINT), "curve volume must be positive"),
+        (
+            lambda: CurveComponent(1.0, _POINT.tail),
+            "curve component needs an EquivariantSpectrum",
+        ),
+    ]
+    + [
+        (
+            lambda twisted=twisted: jsonio.decode_spectrum(
+                {
+                    **jsonio.encode_spectrum(_POINT),
+                    "tail": {"dim": 0, "straight": [2.0], "twisted": twisted},
+                }
+            ),
+            'tail "twisted" must be "free" or a coefficient list',
+        )
+        for twisted in (2.0, "fixed", {"c": [2.0]})
     ]
     + [
         (
