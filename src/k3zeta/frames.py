@@ -13,6 +13,9 @@ the tolerance of the period computation that calls it, and the scale
 max|target| of the sign-flipped frame. The compatibility checks take the
 involution as an exact LatticeIsometry of the frame's dimension, as the
 sampler does, and read its float view.
+
+One eigendecomposition per sublattice, _split_directions, gives the
+sampler its directions and the period labels their reference 2-frame.
 """
 
 from __future__ import annotations
@@ -167,23 +170,23 @@ def compatible_frames(frame: HKFrame, invol, branch: int, psi: float) -> HKFrame
 
 
 @functools.lru_cache(maxsize=128)
-def _split_directions(sub, want_pos: int):
-    """Form-orthonormal positive and negative directions of the sublattice's
-    exact induced form, as read-only arrays, computed once per sublattice;
-    raises GeometryError if the positive count is wrong."""
-    basis = sub.float_basis
+def _split_directions(sub):
+    """The one eigendecomposition of the sublattice's exact induced form,
+    as read-only arrays: form-orthonormal ambient directions `pos` and
+    `neg`, one per eigenvalue computed positive or negative, and `ref`, the
+    labels' reference 2-frame in lattice coordinates (the top two
+    eigenvectors, each column's largest entry made positive)."""
     w, v = np.linalg.eigh(sub.induced_lattice().float_gram)
-    if int(np.sum(w > 0)) != want_pos:
-        raise GeometryError(
-            "eigenspace has %d positive directions, expected %d"
-            % (int(np.sum(w > 0)), want_pos)
-        )
-    pos = basis @ (v[:, -want_pos:] / np.sqrt(w[-want_pos:]))
-    nneg = len(w) - want_pos
-    neg = basis @ (v[:, :nneg] / np.sqrt(-w[:nneg]))
-    pos.setflags(write=False)
-    neg.setflags(write=False)
-    return pos, neg
+    basis = sub.float_basis
+    pos = basis @ (v[:, w > 0] / np.sqrt(w[w > 0]))
+    neg = basis @ (v[:, w < 0] / np.sqrt(-w[w < 0]))
+    ref = v[:, -2:].copy()
+    for col in ref.T:
+        if col[np.argmax(np.abs(col))] < 0:
+            col *= -1.0
+    for a in (pos, neg, ref):
+        a.setflags(write=False)
+    return pos, neg, ref
 
 
 def _norm(v, g, sign: int, what: str) -> float:
@@ -221,12 +224,18 @@ def random_compatible_frame(invol, rng) -> HKFrame:
         u = neg @ rng.standard_normal(neg.shape[1])
         return u / np.sqrt(-_norm(u, g, -1, "negative admixture"))
 
-    pos_p, neg_p = _split_directions(plus, want_pos=1)
+    pos_p, neg_p, _ = _split_directions(plus)
+    pos_m, neg_m, _ = _split_directions(minus)
+    for pos, want_pos in ((pos_p, 1), (pos_m, 2)):
+        if pos.shape[1] != want_pos:
+            raise GeometryError(
+                "eigenspace has %d positive directions, expected %d"
+                % (pos.shape[1], want_pos)
+            )
     alpha = rng.uniform(0.0, 0.8)
     x = float(rng.choice([-1.0, 1.0])) * pos_p[:, 0] + alpha * _unit_neg(neg_p)
     gi = x * np.sqrt(2.0 / _norm(x, g, 1, "invariant direction"))
 
-    pos_m, neg_m = _split_directions(minus, want_pos=2)
     phi = rng.uniform(0.0, 2.0 * np.pi)
     p1 = np.cos(phi) * pos_m[:, 0] + np.sin(phi) * pos_m[:, 1]
     p2 = -np.sin(phi) * pos_m[:, 0] + np.cos(phi) * pos_m[:, 1]

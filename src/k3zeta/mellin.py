@@ -206,12 +206,9 @@ class TraceModel(Record):
         )
 
     def pole_part(self) -> float:
-        """sum over nonzero exponents of p_e / e, exactly ordered."""
-        terms = sorted(
-            ((e, c) for e, c in self.coeffs if e != 0 and c != 0.0),
-            key=lambda ec: ec[0],
-        )
-        return math.fsum(c / e for e, c in terms)
+        """sum over nonzero exponents of p_e / e, correctly rounded, so in
+        any order of the terms."""
+        return math.fsum(c / e for e, c in self.coeffs if e != 0 and c != 0.0)
 
 
 class ContinuationResult(Record):
@@ -417,7 +414,18 @@ def continue_trace(
         return _continue_complete(lams, weights, kernel_weights, models)
     if not cutoff > 0.0:
         raise InputError("a truncated spectrum needs a positive finite cutoff")
+    # a huge heat-tail coefficient overflows the models and the truncation
+    # bound; a non-finite estimate is already a miss, so none of it warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _continue_truncated(
+            lams, weights, kernel_weights, models, bound_model, cutoff, target
+        )
 
+
+def _continue_truncated(
+    lams, weights, kernel_weights, models, bound_model, cutoff, target
+) -> list:
+    """continue_trace on a truncated spectrum, its inputs checked."""
     # E1 is exactly 0.0 from 746 on, and fsum ignores exact zeros
     nz = int(np.searchsorted(lams, 746.0))
     e1 = exp1(lams[:nz])

@@ -4,7 +4,9 @@ A period point is the projective class of an isotropic vector eta in the
 complexification of a signature-(2, k) lattice with <eta, eta-bar> > 0. The
 set of such classes has two connected components, swapped by conjugation; a
 component label is computed as an orientation sign against a fixed reference
-positive 2-frame of the lattice.
+positive 2-frame of the lattice. That frame comes from the sublattice's one
+eigendecomposition, frames._split_directions, which also serves the frame
+sampler, and a pair's two labels come from one orientation.
 
 Coordinates are always taken in the exact integer basis of the lattice, so
 labels are basis-independent by construction. A pair is built from its plus
@@ -18,7 +20,10 @@ matches the frame's form with tol and no scale, and the residual of the
 frame vectors in the domain with tol and the scale of those vectors; a
 period point's isotropy |<eta, eta>| is held to 1e-9 <eta, eta-bar>, that
 is tol 0 and scale <eta, eta-bar>. The component label's ambiguity test is
-a different decision and keeps its own bound.
+a different decision and keeps its own bound. The checks and the label read
+eta scaled by the power of two that puts its largest real or imaginary
+entry in [1, 2), so a projective class gets one answer whatever its
+representative; the stored coordinates are eta as given.
 
 The period domain of an involution is its anti-invariant eigenlattice, the
 one its isometry computes and keeps; under a marking m it is the image of
@@ -30,6 +35,7 @@ complement is computed.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -49,6 +55,16 @@ def _check_domain_lattice(sub: lattices.SublatticeBasis) -> None:
         )
 
 
+def _normalized(eta: np.ndarray) -> np.ndarray:
+    """eta times the power of two that puts its largest real or imaginary
+    entry in [1, 2). The scaling is exact, so every check and label of a
+    projective class reads the same bits whatever its representative,
+    unless the representative's own products over- or underflow."""
+    top = float(np.max(np.abs(np.concatenate([eta.real, eta.imag]))))
+    k = 1 - math.frexp(top)[1]
+    return np.ldexp(eta.real, k) + 1j * np.ldexp(eta.imag, k)
+
+
 class PeriodPoint(Record, eq=False):
     """Projective class [eta] with <eta, eta> = 0 and <eta, eta-bar> > 0,
     in the integer coordinates of a signature-(2, k) sublattice."""
@@ -66,10 +82,11 @@ class PeriodPoint(Record, eq=False):
         if not np.isfinite(eta).all():
             raise InputError("period coordinates must be finite")
         g = sublattice.induced_lattice().float_gram
-        norm2 = float(np.real(eta @ g @ np.conj(eta)))
+        unit = _normalized(eta)
+        norm2 = float(np.real(unit @ g @ np.conj(unit)))
         if not norm2 > 0.0:
             raise GeometryError("period vector has <eta, eta-bar> <= 0")
-        iso = complex(eta @ g @ eta)
+        iso = complex(unit @ g @ unit)
         if not _within(abs(iso), 0.0, norm2):
             raise GeometryError(
                 "period vector is not isotropic (|<eta,eta>| / <eta,eta-bar>"
@@ -80,37 +97,20 @@ class PeriodPoint(Record, eq=False):
         super().__init__(sublattice, arr)
 
 
-@functools.lru_cache(maxsize=128)
-def _reference_positive_frame(sub: lattices.SublatticeBasis) -> np.ndarray:
-    """A fixed positive 2-frame of the lattice (columns, lattice coords),
-    from the two positive eigen-directions of the induced Gram matrix; signs
-    are pinned so the frame is deterministic."""
-    w, v = np.linalg.eigh(sub.induced_lattice().float_gram)
-    ref = v[:, -2:]
-    for k in range(2):
-        col = ref[:, k]
-        if col[np.argmax(np.abs(col))] < 0:
-            ref[:, k] = -col
-    ref.setflags(write=False)
-    return ref
-
-
 def component_label(p: PeriodPoint) -> int:
     """Which of the two components [eta] lies in: the orientation sign of
-    the plane (Re eta, Im eta) paired against the reference 2-frame.
+    the plane (Re eta, Im eta) paired against the reference 2-frame of
+    frames._split_directions, read on the normalized representative.
 
     Conjugation flips the label. Constant along any path that stays in the
     domain, because the pairing determinant of two positive 2-planes in
     signature (2, k) never vanishes.
     """
-    ref = _reference_positive_frame(p.sublattice)
-    g = p.sublattice.induced_lattice().float_gram
-    re, im = np.real(p.coords), np.imag(p.coords)
-    m = np.vstack([re, im]) @ g @ ref
-    d = float(np.linalg.det(m))
-    scale = float(
-        np.linalg.norm(np.vstack([re, im]) @ g) * np.linalg.norm(ref) + 1.0
-    )
+    _, _, ref = frames_mod._split_directions(p.sublattice)
+    eta = _normalized(p.coords)
+    xg = np.vstack([eta.real, eta.imag]) @ p.sublattice.induced_lattice().float_gram
+    d = float(np.linalg.det(xg @ ref))
+    scale = float(np.linalg.norm(xg) * np.linalg.norm(ref) + 1.0)
     if not abs(d) > 1e-12 * scale:
         raise GeometryError("component label is numerically ambiguous")
     return 1 if d > 0 else -1
@@ -134,12 +134,15 @@ class PeriodPair(Record, eq=False):
         super().__init__(plus, minus)
 
     def labels(self) -> tuple[int, int]:
-        return component_label(self.plus), component_label(self.minus)
+        """The labels of (plus, minus) from one orientation: conjugation
+        negates the Im row of the label's 2 x 2 matrix, and its determinant
+        (LU with partial pivoting) is exactly odd in a row."""
+        label = component_label(self.plus)
+        return label, -label
 
 
 class _MarkingContext(Record, eq=False):
     domain: lattices.SublatticeBasis
-    basis: np.ndarray
     coords_of: np.ndarray
 
 
@@ -160,7 +163,7 @@ def _marking_context(
     induced = domain.induced_lattice().float_gram
     coords_of = np.linalg.solve(induced, b.T @ invol.lattice.float_gram)
     coords_of.setflags(write=False)
-    return _MarkingContext(domain, b, coords_of)
+    return _MarkingContext(domain, coords_of)
 
 
 def period_of(
@@ -191,8 +194,8 @@ def period_of(
     xk = ctx.coords_of @ gk
     scale = max(float(np.max(np.abs(gj))), float(np.max(np.abs(gk))), 1.0)
     residual = max(
-        float(np.max(np.abs(ctx.basis @ xj - gj))),
-        float(np.max(np.abs(ctx.basis @ xk - gk))),
+        float(np.max(np.abs(ctx.domain.float_basis @ xj - gj))),
+        float(np.max(np.abs(ctx.domain.float_basis @ xk - gk))),
     )
     if not _within(residual, tol, scale):
         raise MarkingError(

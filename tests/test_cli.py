@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -702,6 +703,25 @@ def test_float_range_refusal_is_the_golden_bytes(capfd):
     out = capfd.readouterr()
     assert out.out == ""
     with open(os.path.join(PRESETS, "tau-det-overflow-refusal.err"), "rb") as fh:
+        assert out.err.encode() == fh.read()
+
+
+def test_huge_tail_refusal_is_the_golden_bytes(capfd):
+    # spectrum-huge-tail.json declares a straight coefficient 1e300 on
+    # t^-1, whose model and truncation bound overflow at the small splits:
+    # a miss, refused with exit 3 and no numpy warning on the way
+    path = os.path.join(PRESETS, "spectrum-huge-tail.json")
+    tail = HeatTail(2, (1e300, 0.0, 1.0), None)
+    spectrum = EquivariantSpectrum(((1.0, 1, 0),), (1, 0), tail, cutoff=5.0)
+    with open(path, "rb") as fh:
+        text = jsonio.canonical_dumps(jsonio.encode_spectrum(spectrum)) + "\n"
+        assert text.encode() == fh.read()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["zeta", "--spectrum", path]) == 3
+    out = capfd.readouterr()
+    assert out.out == ""
+    with open(os.path.join(PRESETS, "zeta-huge-tail-refusal.err"), "rb") as fh:
         assert out.err.encode() == fh.read()
 
 

@@ -172,8 +172,8 @@ def test_split_directions_is_cached_read_only_and_moves_no_frame():
     warm = [random_compatible_frame(iso, rng) for _ in range(4)]
     info = _split_directions.cache_info()
     assert (info.misses, info.hits) == (2, 8)
-    for sub, want_pos in ((eigenlattice(iso, 1), 1), (eigenlattice(iso, -1), 2)):
-        for directions in _split_directions(sub, want_pos=want_pos):
+    for sub in (eigenlattice(iso, 1), eigenlattice(iso, -1)):
+        for directions in _split_directions(sub):
             with pytest.raises(ValueError):
                 directions[0, 0] = 0.0
     rng = np.random.default_rng(5)
@@ -198,11 +198,12 @@ def test_degenerate_split_is_a_geometry_error(monkeypatch, sign, swap, what):
     # radicand, a NaN, into the frame; it is refused as geometry instead
     iso = enriques_involution()
 
-    def degenerate(sub, want_pos):
-        pos, neg = _split_directions(sub, want_pos)
+    def degenerate(sub):
+        pos, neg, ref = _split_directions(sub)
+        want_pos = pos.shape[1]
         if (want_pos == 1) != (sign == 1):
-            return pos, neg
-        return (neg[:, :want_pos], neg) if swap == "pos" else (pos, pos)
+            return pos, neg, ref
+        return (neg[:, :want_pos], neg, ref) if swap == "pos" else (pos, pos, ref)
 
     monkeypatch.setattr("k3zeta.frames._split_directions", degenerate)
     with pytest.raises(GeometryError, match="frame sampling: %s has norm" % what):

@@ -102,6 +102,20 @@ def test_trace_model_ladder():
     assert TraceModel(coeffs=(), next_exponent=math.inf)(0.3) == 0.0
 
 
+def test_pole_part_does_not_depend_on_the_order_of_terms():
+    # math.fsum rounds the exact sum once, so every order gives its bits
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        dim = int(rng.integers(1, 5))
+        ladder = rng.standard_normal(9) * 10.0 ** rng.uniform(-8.0, 8.0, 9)
+        model = TraceModel.from_ladder(dim, ladder.tolist())
+        shuffled = TraceModel(
+            coeffs=tuple(model.coeffs[i] for i in rng.permutation(9)),
+            next_exponent=model.next_exponent,
+        )
+        assert shuffled.pole_part().hex() == model.pole_part().hex()
+
+
 def test_ordered_chunk_sum_matches_fsum():
     rng = np.random.default_rng(7)
     v = rng.standard_normal(10001)

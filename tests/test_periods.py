@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3zeta import intlinalg, periods
+from k3zeta import frames, intlinalg, periods
 from k3zeta.cli import main
 from k3zeta.errors import GeometryError, InputError, MarkingError
-from k3zeta.frames import HKFrame, compatible_frames, random_compatible_frame
+from k3zeta.frames import (
+    HKFrame,
+    _split_directions,
+    compatible_frames,
+    random_compatible_frame,
+)
 from k3zeta.lattices import (
     Lattice,
     LatticeIsometry,
@@ -17,7 +22,7 @@ from k3zeta.lattices import (
     eigenlattice,
     enriques_involution,
 )
-from k3zeta.periods import PeriodPoint, component_label, period_of
+from k3zeta.periods import PeriodPair, PeriodPoint, component_label, period_of
 
 from fixtures import (
     complement,
@@ -216,7 +221,7 @@ def test_derived_lattices_read_no_outside_matrix(monkeypatch):
     frame = random_compatible_frame(enriques_involution(), np.random.default_rng(3))
     iso = enriques_involution()
     periods._marking_context.cache_clear()
-    periods._reference_positive_frame.cache_clear()
+    _split_directions.cache_clear()
     calls = []
 
     def counted(obj, _fn=intlinalg.to_int_matrix):
@@ -273,7 +278,7 @@ def test_induced_lattice_and_signature_are_computed_once(monkeypatch, capsys):
 
         monkeypatch.setattr(intlinalg, name, counted)
     periods._marking_context.cache_clear()
-    periods._reference_positive_frame.cache_clear()
+    _split_directions.cache_clear()
     pair = period_of(frame, iso)
     pair.labels()
     # is_involution and B^T G B (two products)
@@ -330,15 +335,94 @@ def test_period_coordinates_must_be_finite(bad):
         PeriodPoint(eigenlattice(enriques_involution(), -1), coords)
 
 
-def test_label_of_a_tiny_representative_is_ambiguous():
-    # the label's determinant never vanishes on a checked point, but the
-    # ambiguity bound 1e-12 * scale has a scale of at least 1, so a
-    # representative 1e-7 times a labelled one is refused: the one input
-    # that reaches this refusal, and a bound that is not projective
+@pytest.mark.parametrize(
+    "factor", [1e-300, 1e-170, 1e-160, 1e-7, 1.0, 1e150, 1e160, 1e300, 1j]
+)
+def test_checks_and_label_do_not_depend_on_the_representative(factor):
+    # the checks and the label read eta scaled by a power of two, so every
+    # multiple of the seed's plus point passes them and keeps its label;
+    # 1e-170 was refused, 1e-160 and 1e-7 were ambiguous and 1e160 overflowed
     p = period_of(seed_frame(), enriques_involution()).plus
-    tiny = PeriodPoint(p.sublattice, 1e-7 * p.coords)
-    with pytest.raises(GeometryError, match="^component label is numerically ambiguous$"):
-        component_label(tiny)
+    scaled = PeriodPoint(p.sublattice, factor * p.coords)
+    assert scaled.coords.tobytes() == (factor * p.coords).tobytes()
+    assert component_label(scaled) == component_label(p) == -1
+
+
+def test_label_near_the_light_cone_is_ambiguous():
+    # on U + U, eta = a + i b is exactly isotropic with <eta, eta-bar> = 4
+    # for every m, while its entries grow like 2 m^2: the plane (a, b)
+    # nears the light cone, and the label's determinant on the normalized
+    # representative falls below the 1e-12 ambiguity bound
+    lattice = Lattice([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    sub = SublatticeBasis(lattice, np.eye(4, dtype=int).tolist())
+    for m in (10, 10**5, 10**6):
+        n = 2 * m * m - 2 * m + 1
+        eta = np.array([n, 1, m, 2 - 2 * m]) + 1j * np.array([n, 1, m - 1, -2 * m])
+        g = sub.induced_lattice().float_gram
+        assert complex(eta @ g @ eta) == 0
+        p = PeriodPoint(sub, eta)
+        if m < 10**6:
+            assert PeriodPair(p).labels() == (1, -1)
+        else:
+            with pytest.raises(
+                GeometryError, match="^component label is numerically ambiguous$"
+            ):
+                component_label(p)
+
+
+def _label_cases():
+    """Period pairs of random frames of the Enriques involution, of its
+    conjugates by root reflections, and under markings by such words."""
+    rng = np.random.default_rng(67)
+    iso = enriques_involution()
+    for length in range(8):
+        conj = _conjugated_enriques(rng, length)
+        yield period_of(random_compatible_frame(iso, rng), iso)
+        yield period_of(random_compatible_frame(conj, rng), conj)
+        marking = _reflection_word(iso.lattice, rng, length + 1)
+        yield period_of(random_compatible_frame(iso, rng), iso, marking)
+
+
+def test_pair_labels_are_the_labels_of_both_points():
+    # labels() reads one orientation and negates it; each point's own
+    # label, computed on its own coordinates, agrees
+    for pair in _label_cases():
+        plus = PeriodPoint(pair.plus.sublattice, pair.plus.coords)
+        minus = PeriodPoint(pair.minus.sublattice, pair.minus.coords)
+        assert pair.labels() == (component_label(plus), component_label(minus))
+
+
+def test_pair_labels_compute_one_orientation(monkeypatch):
+    calls = []
+
+    def counted(p, _fn=component_label):
+        calls.append(p)
+        return _fn(p)
+
+    monkeypatch.setattr(periods, "component_label", counted)
+    pair = period_of(seed_frame(), enriques_involution())
+    assert pair.labels() == (-1, 1)
+    assert calls == [pair.plus]
+
+
+def test_frames_periods_and_labels_share_one_split(monkeypatch):
+    # the sampler's directions and the labels' reference frame come from
+    # one eigendecomposition per sublattice: two for four rounds
+    calls = []
+
+    def counted(a, _fn=np.linalg.eigh):
+        calls.append(a.shape)
+        return _fn(a)
+
+    iso = enriques_involution()
+    for fn in [*vars(frames).values(), *vars(periods).values()]:
+        if callable(getattr(fn, "cache_clear", None)):
+            fn.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        period_of(random_compatible_frame(iso, rng), iso).labels()
+    assert calls == [(10, 10), (12, 12)]
 
 
 def test_residual_outside_the_marked_domain_is_a_marking_error():

@@ -36,7 +36,7 @@ def _point():
 
 def _context():
     ctx = periods._marking_context(lattices.enriques_involution(), None)
-    return periods._MarkingContext(ctx.domain, ctx.basis, ctx.coords_of)
+    return periods._MarkingContext(ctx.domain, ctx.coords_of)
 
 
 # (class, first field, a builder giving a fresh, equal record on each call)
@@ -198,7 +198,7 @@ def test_value_records_differ_on_any_field():
             (0.5, 2, 16.0, 0.5, 1.0, None),
         ),
         (frames.FlatModel, ("metric", "I", "J", "K"), ("m", "i", "j", "k")),
-        (periods._MarkingContext, ("domain", "basis", "coords_of"), ("d", "b", "c")),
+        (periods._MarkingContext, ("domain", "coords_of"), ("d", "c")),
     ],
     ids=lambda x: x.__name__ if isinstance(x, type) else "",
 )
