@@ -36,18 +36,23 @@ from .errors import DegenerateLatticeError, InputError
 def to_int_matrix(obj) -> list[list[int]]:
     """Coerce a nested sequence / numpy array to list-of-rows of Python ints.
 
-    Raises InputError on ragged input or entries that are not integral.
+    Raises InputError on ragged input or entries that are not integral. A
+    list or tuple row of Python ints is copied as it is; any other row is
+    read entry by entry.
     """
     rows = []
     width = None
     try:
         for row in obj:
-            out = []
-            for x in row:
-                xi = int(x)
-                if xi != x or isinstance(x, bool):
-                    raise InputError("matrix entry %r is not an integer" % (x,))
-                out.append(xi)
+            if type(row) in (list, tuple) and all(type(x) is int for x in row):
+                out = list(row)
+            else:
+                out = []
+                for x in row:
+                    xi = int(x)
+                    if xi != x or isinstance(x, bool):
+                        raise InputError("matrix entry %r is not an integer" % (x,))
+                    out.append(xi)
             if width is None:
                 width = len(out)
             elif len(out) != width:

@@ -80,21 +80,39 @@ all panels would hold a whole-chunk block for each at once (eleven times
 the memory of one call for a sphere of l_max 2000), and every sector would
 reduce the blocks of panels it does not use.
 
-No work is spent on entries whose terms are exactly 0.0. exp(-x) rounds to
+No work is spent on E1 terms that are exactly 0.0. exp(-x) rounds to
 exactly 0.0 for every x >= 746, since e^-746 is below half the least
 subnormal 2^-1074, and the eigenvalues ascend. So the E1 term is summed
 over its nonzero prefix, lambda < 746, only: exp1 returns exactly 0.0 past
 it, and fsum ignores exact zeros, so the sum keeps its bits.
 
-Likewise only the live prefix of a theta block is evaluated: every row
-with lambda >= 750 / min(ts) is exactly zero (750 leaves room for the
-rounding of that quotient and of the products lambda t). In a stack each
-block has its own prefix, from the least t of its own group. A chunk's
-stack stops at the longest of them, rounded up to a multiple of _ALIGN =
-64 rows and capped at the chunk, and the rows of a block between its
-prefix and that end are left as zeros. The rows dropped are zeros, which
-add nothing to a sum, and dropping them in whole multiples of 64 rows
-leaves how numpy's OpenBLAS dot and gemv kernels group the live rows
+theta drops every term whose computed exponent -lambda t is at or below
+_FLOOR = -707.5: the term reads 0.0. A dropped term is at most
+e^-707.5 |w| < 7.3e-308 |w|, so theta moves by less than 7.3e-308 sum |w|,
+which for at most 2^53 states is some 270 orders of magnitude below the
+1e-14 floor of every continuation's error estimate. The floor is where
+numpy's vectorized exp stays cheap. With AVX-512 (numpy 2.4) it keeps a
+vector of 8 inputs on its fast path, about 1 ns an input, only when every
+input is above about -707.7. An input in the subnormal band (-745, -708)
+costs 110 to 140 ns, one below -746 16 to 19 ns, and one slow input in 8
+makes its whole vector cost 15 to 30 ns an input. e^-707.5 is a normal
+double, inside the fast range. So the rows of a block whose every term is
+above the floor, lambda < 707 / max(ts), go to exp as they are. On the
+rows from there on, the fringe, the terms at or below the floor are
+marked, raised to _FLOOR with one np.maximum, so that the block's one exp
+stays on the fast path, and set to 0.0 after it with np.putmask. The rule
+is elementwise: a term's value does not depend on the block it is in.
+
+Only the live prefix of a theta block is evaluated: every row with
+lambda >= _DEAD / min(ts), _DEAD = 708, has every term at or below the
+floor (708 leaves room for the rounding of that quotient and of the
+products lambda t), so it reads 0.0 whether it is built or not. In a stack
+each block has its own prefix, from the least t of its own group. A
+chunk's stack stops at the longest of them, rounded up to a multiple of
+_ALIGN = 64 rows and capped at the chunk, and the rows of a block between
+its prefix and that end are left as zeros. The rows dropped are zeros,
+which add nothing to a sum, and dropping them in whole multiples of 64
+rows leaves how numpy's OpenBLAS dot and gemv kernels group the live rows
 unchanged, so each reduction keeps the bits of the full block. A multiple
 of 4 is not enough: a width-1 block, which takes numpy's dot path, then
 groups its last live rows differently. Chunks wholly past a block's prefix
@@ -125,7 +143,8 @@ from .errors import AccuracyError, InputError, _positive, _within
 
 DEFAULT_TARGET = 1e-8
 _CHUNK = 4096
-_DEAD = 750.0  # exp(-x) is exactly 0.0 for every x >= 746
+_FLOOR = -707.5  # theta drops every term exp(x) with x <= _FLOOR
+_DEAD = 708.0  # so a row with lambda * t >= _DEAD for every t adds nothing
 _FEW_LIVE = 32  # below this many live entries a numpy step costs more than a loop
 _NARROW = 4  # theta blocks at most this wide are built column by column
 _ALIGN = 64  # theta blocks stop at their live prefix rounded up to 64 rows
@@ -286,18 +305,26 @@ def _theta_at(lams, weights, kernel_weight, ts):
     each group still live in the chunk, in one stack, and each
     sector reduces the stack with one `w @ stack`: one gemv on each block,
     the same one a lone block gets, which is why a group's bits do not
-    depend on the others. Only a group's live prefix is evaluated, and the
-    stack stops at the longest live prefix of its groups, rounded up to a
-    multiple of _ALIGN rows (see the module docstring). The rows a block
+    depend on the others. Every term whose exponent is at or below _FLOOR
+    is dropped (reads 0.0): from the group's cut, the first row with a
+    term that may be, such terms are raised to _FLOOR before the block's
+    one np.exp, which then stays on its vector fast path, and zeroed after
+    it (see the module docstring). Only a group's live prefix is
+    evaluated, and the stack stops at the longest live prefix of its
+    groups, rounded up to a multiple of _ALIGN rows. The rows a block
     loses are zeros, dropped in whole multiples of 64 rows, so its dot or
     gemv groups the live rows as over the whole chunk and keeps the full
     block's bits; tests/test_mellin.py checks every group against the
-    whole-chunk block (test_theta_at_is_the_full_block_bit_for_bit, and
+    whole-chunk block with the same terms dropped
+    (test_theta_at_is_the_full_block_bit_for_bit, and
     test_theta_at_cut_on_and_past_the_alignment for prefixes that end on
-    a multiple of 64 rows and one row past it). A chunk past a group's
-    live prefix gives it 0.0.
+    a multiple of 64 rows and one row past it), and against the exact
+    exponentials within e^_FLOOR sum |w|
+    (test_theta_at_drops_less_than_its_floor_bound). A chunk past a
+    group's live prefix gives it 0.0.
     """
     lives = np.searchsorted(lams, _DEAD / ts.min(axis=1)).tolist()
+    cuts = np.searchsorted(lams, (_DEAD - 1.0) / ts.max(axis=1)).tolist()
     shape = (len(weights),) + ts.shape
     partials = []  # one (sectors, groups, t values) array a chunk
     for i in range(0, max(lives), _CHUNK):
@@ -315,7 +342,13 @@ def _theta_at(lams, weights, kernel_weight, ts):
                     np.multiply(live, -t, out=head[:, j])
             else:
                 np.einsum("i,j->ij", live, -ts[g], out=head)
+            # from its cut on, a block raises each term at or below _FLOOR to
+            # _FLOOR for exp's fast path, then drops it
+            fringe = head[max(cuts[g] - i, 0) :]
+            dropped = fringe <= _FLOOR
+            np.maximum(fringe, _FLOOR, out=fringe)
             np.exp(head, out=head)
+            np.putmask(fringe, dropped, 0.0)
         sums = np.array([w[i : i + size] @ stack for w in weights])
         if len(alive) < len(ts):  # the groups past their live prefix get 0.0
             sums, live_sums = np.zeros(shape), sums

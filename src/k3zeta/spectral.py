@@ -66,7 +66,9 @@ class HeatTail(Record):
     `straight` are the coefficients c_j on t^((j - dim)/2) of the full
     trace (kernel included); `twisted` either lists coefficients on the
     same ladder or is None, declaring the twisted trace exponentially
-    small (a free involution).
+    small (a free involution). Each sector's model is evaluated once here:
+    a pole part sum p_e / e or a t^0 coefficient past float range is
+    refused, so the engine only reads finite ones.
     """
 
     dim: int
@@ -101,6 +103,17 @@ class HeatTail(Record):
             if t is not None and len(t) < dim + 1:
                 raise InputError("twisted tail needs at least dim+1 coefficients")
         super().__init__(dim, s, t)
+        for sector, name in _SECTOR_NAMES.items():
+            model = _sector_model(self, sector)
+            try:
+                values = (model.pole_part(), model.coeff_at_zero())
+            except (OverflowError, ValueError):  # fsum past float range
+                values = (math.inf,)
+            if not all(map(math.isfinite, values)):
+                raise InputError(
+                    "heat tail: the %s sector's pole part or t^0 coefficient"
+                    " is past float range" % name
+                )
 
     @property
     def free(self) -> bool:
@@ -297,23 +310,30 @@ _TWISTED = 0  # the sector of the twisted trace; +1 and -1 are the eigenspaces
 _SECTOR_NAMES = {1: "plus", -1: "minus", _TWISTED: "twisted"}
 
 
-def _sector(spectrum: EquivariantSpectrum, sector: int):
-    """(weights, kernel weight, t -> 0 model) of one sector: the +1 or -1
-    eigenspace, with model (straight + sign * twisted) / 2, or the twisted
-    trace, weighted by m_plus - m_minus against the twisted model."""
-    tail = spectrum.tail
+def _sector_model(tail: HeatTail, sector: int) -> TraceModel:
+    """The t -> 0 model of one sector: (straight + sign * twisted) / 2 for
+    the +1 or -1 eigenspace, the twisted tail for the twisted trace."""
     if sector == _TWISTED:
-        weights = spectrum.mults(1) - spectrum.mults(-1)
-        kernel = float(spectrum.kernel[0] - spectrum.kernel[1])
         if tail.free:
-            return weights, kernel, TraceModel(coeffs=(), next_exponent=math.inf)
-        return weights, kernel, TraceModel.from_ladder(tail.dim, tail.twisted)
+            return TraceModel(coeffs=(), next_exponent=math.inf)
+        return TraceModel.from_ladder(tail.dim, tail.twisted)
     if tail.free:
         coeffs = [c / 2.0 for c in tail.straight]
     else:
         coeffs = [(s + sector * t) / 2.0 for s, t in zip(tail.straight, tail.twisted)]
-    kernel = float(spectrum.kernel[0] if sector > 0 else spectrum.kernel[1])
-    return spectrum.mults(sector), kernel, TraceModel.from_ladder(tail.dim, coeffs)
+    return TraceModel.from_ladder(tail.dim, coeffs)
+
+
+def _sector(spectrum: EquivariantSpectrum, sector: int):
+    """(weights, kernel weight, t -> 0 model) of one sector: the +1 or -1
+    eigenspace, or the twisted trace, weighted by m_plus - m_minus."""
+    if sector == _TWISTED:
+        weights = spectrum.mults(1) - spectrum.mults(-1)
+        kernel = float(spectrum.kernel[0] - spectrum.kernel[1])
+    else:
+        weights = spectrum.mults(sector)
+        kernel = float(spectrum.kernel[0] if sector > 0 else spectrum.kernel[1])
+    return weights, kernel, _sector_model(spectrum.tail, sector)
 
 
 def _continue(requests, tol: float) -> list[list[ContinuationResult]]:
@@ -328,7 +348,9 @@ def _continue(requests, tol: float) -> list[list[ContinuationResult]]:
     report refuses with the figure of its worst sector, not of the first
     one to miss. Its message names the sector and the source, the spectrum
     or a curve, whose cutoff it quotes; of requests sharing the worst
-    sector, it names the first.
+    sector, it names the first. A sector whose achievable is infinite
+    cannot be evaluated at any split point, so its heat tail is malformed
+    input: the first such sector is refused with an InputError instead.
     """
     tol = _positive(tol, "tol")
     wanted = {}  # each distinct spectrum's sectors, in the order first asked
@@ -354,6 +376,12 @@ def _continue(requests, tol: float) -> list[list[ContinuationResult]]:
         for sector, r in zip(sectors, out):
             if isinstance(r, AccuracyError):
                 where = "%s sector of %s" % (_SECTOR_NAMES[sector], source)
+                if r.achievable == math.inf:  # no split point can be evaluated
+                    raise InputError(
+                        "%s: its heat tail gives no finite error estimate at any"
+                        " split point; the model or its truncation bound is past"
+                        " float range" % where
+                    )
                 misses.append(AccuracyError("%s: %s" % (where, r), r.achievable))
         results.append(out)
     if misses:

@@ -726,6 +726,32 @@ def test_huge_tail_refusal_is_the_golden_bytes(capfd):
 
 
 @pytest.mark.parametrize(
+    "name, straight",
+    [
+        ("tail-pole-overflow", [1.0, 0.0, 0.0, 1.7e308, 1.7e308]),
+        ("tail-bound-overflow", [1.0, 0.0, 1e308, 1e308]),
+        ("tail-leading-overflow", [1e308, 0.0, 1.0]),
+    ],
+)
+def test_tail_past_float_range_refusal_is_the_golden_bytes(capfd, name, straight):
+    # a free tail on dim 2, cutoff 5, one entry: the plus sector's pole part
+    # p_e / e sums past float range, or the truncation bound overflows at
+    # every split point. Either is malformed input: exit 2, with no warning
+    path = os.path.join(PRESETS, "spectrum-%s.json" % name)
+    tail = {"dim": 2, "straight": straight, "twisted": "free"}
+    obj = {"cutoff": 5, "entries": [[1, 1, 0]], "kernel": [1, 0], "tail": tail}
+    with open(path, "rb") as fh:
+        assert (jsonio.canonical_dumps(obj) + "\n").encode() == fh.read()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["zeta", "--spectrum", path]) == 2
+    out = capfd.readouterr()
+    assert out.out == ""
+    with open(os.path.join(PRESETS, "zeta-%s-refusal.err" % name), "rb") as fh:
+        assert out.err.encode() == fh.read()
+
+
+@pytest.mark.parametrize(
     "form, gammas",
     [([], [[], [], []]), ([[]], [[], [], []]), ([[2.0, 0.0]], [[1.0, 0.0]] * 3)],
     ids=["empty", "one-by-zero", "one-by-two"],

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import fraction_inertia, nested_sum_product
 
@@ -42,6 +42,80 @@ def test_to_int_matrix_rejects_bad_input():
     with pytest.raises(InputError):
         to_int_matrix([[0.5, 1], [1, 0]])
     assert to_int_matrix(np.array([[2, 0], [0, 2]])) == [[2, 0], [0, 2]]
+
+
+def _to_int_matrix_by_entry(obj):
+    """to_int_matrix reading every entry of every row, with no fast path for
+    rows of Python ints: the reference the fast path must agree with."""
+    rows = []
+    width = None
+    try:
+        for row in obj:
+            out = []
+            for x in row:
+                xi = int(x)
+                if xi != x or isinstance(x, bool):
+                    raise InputError("matrix entry %r is not an integer" % (x,))
+                out.append(xi)
+            if width is None:
+                width = len(out)
+            elif len(out) != width:
+                raise InputError("ragged matrix rows")
+            rows.append(out)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError("matrix must be rows of integers (%s)" % exc) from None
+    if width == 0 and rows:
+        raise InputError("matrix rows must be nonempty")
+    return rows
+
+
+_BIG_INTS = st.integers(-(2**70), 2**70)  # past int64 both ways
+_ENTRIES = st.one_of(
+    _BIG_INTS,
+    st.booleans(),
+    st.floats(),
+    st.integers(-9, 9).map(float),
+    st.text(max_size=2),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+_ROWS = st.one_of(
+    st.lists(_BIG_INTS, max_size=4),
+    st.lists(_BIG_INTS, max_size=4).map(tuple),
+    st.lists(st.one_of(_BIG_INTS, st.booleans()), max_size=4),
+    st.lists(_ENTRIES, max_size=4),
+    _BIG_INTS,
+    st.text(max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_ROWS, max_size=4),
+        st.integers(0, 4).flatmap(
+            lambda n: st.lists(st.lists(_BIG_INTS, min_size=n, max_size=n), max_size=4)
+        ),
+    )
+)
+@example([[2**64, -(2**70)], (1, 2)])
+@example([[1, True], [2, 3]])
+@example([[1, np.int64(2)], [2.0, 3]])
+@example([[], []])
+def test_to_int_matrix_agrees_with_reading_every_entry(rows):
+    """Rows of Python ints are copied as they are; every other row (bools,
+    floats, strings, numpy ints, ragged, empty or not a sequence) gets the
+    result, or the refusal and its message, of the entry-by-entry reading."""
+    try:
+        want = _to_int_matrix_by_entry(rows)
+    except InputError as exc:
+        with pytest.raises(InputError) as refusal:
+            to_int_matrix(rows)
+        assert str(refusal.value) == str(exc)
+    else:
+        got = to_int_matrix(rows)
+        assert got == want
+        assert all(type(x) is int for row in got for x in row)
+        assert all(type(r) is list and r is not s for r, s in zip(got, rows))
 
 
 def test_det_bareiss_known_values():

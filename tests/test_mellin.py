@@ -256,12 +256,14 @@ def test_truncated_continuation_value_and_determinism():
     assert abs(out[0].zeta_prime_at_0 - exact) < max(out[0].error_estimate, 1e-9)
 
 
-def theta_reference(lams, w, kernel_weight, ts):
+def theta_reference(lams, w, kernel_weight, ts, floor=mellin._FLOOR):
     """theta(t) of one sector, one weight column: every chunk's full
-    exp(-lambda t) block, dead entries included."""
+    exp(-lambda t) block, dead entries included, each term whose exponent
+    is at or below `floor` read as 0.0 (with floor -inf, none is)."""
     parts = [[] for _ in ts]
     for i in range(0, lams.size, 4096):
-        sums = w[i : i + 4096] @ np.exp(-np.outer(lams[i : i + 4096], ts))
+        x = -np.outer(lams[i : i + 4096], ts)
+        sums = w[i : i + 4096] @ np.where(x <= floor, 0.0, np.exp(x))
         for k in range(len(ts)):
             parts[k].append(float(sums[k]))
     return np.array([kernel_weight + math.fsum(p) for p in parts])
@@ -316,6 +318,41 @@ def test_theta_at_is_the_full_block_bit_for_bit(
             assert np.array_equal(got[s, g].view(np.uint64), want.view(np.uint64))
         if dead:
             assert np.all(got[s, -1] == kernel[s])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(1, 9000),
+    log_t=st.floats(-9.0, 0.0),
+    nodes=st.sampled_from([1, 2, 5, 48]),
+    groups=st.integers(1, 6),
+    band=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=3000, log_t=-3.0, nodes=2, groups=2, band=True, seed=8)
+@example(size=5000, log_t=-6.0, nodes=48, groups=1, band=True, seed=9)
+def test_theta_at_drops_less_than_its_floor_bound(size, log_t, nodes, groups, band, seed):
+    """Against the block of exact exponentials, with no term dropped, every
+    theta value is within e^_FLOOR * sum |w|: each dropped term is at most
+    e^_FLOOR |w|. The kernel weights are 0.0, so a dropped term is not lost
+    in the rounding of a larger sum. With `band`, the last group's t values
+    put every term of its column at or below _FLOOR, the least of them
+    above -745.13, so the exact block there is subnormal and nonzero, and
+    theta drops all of it."""
+    rng = np.random.default_rng(seed)
+    ts = 10.0 ** np.minimum(0.0, log_t + rng.uniform(0.0, 3.0, (groups, nodes)))
+    lams = np.sort(708.0 / ts.min() * 10.0 ** rng.uniform(-3.0, 1.0, size))
+    if band:
+        ts[-1] = rng.uniform(707.6, 745.0, nodes) / lams[0]
+    weights = np.stack([rng.standard_normal(size), rng.integers(-40, 41, size)])
+    got = mellin._theta_at(lams, weights, [0.0, 0.0], ts)
+    for s, w in enumerate(weights):
+        bound = math.exp(mellin._FLOOR) * float(np.abs(w).sum())
+        for g, group in enumerate(ts):
+            exact = theta_reference(lams, w, 0.0, group, floor=-math.inf)
+            assert np.all(np.abs(got[s, g] - exact) <= bound)
+        if band:
+            assert np.all(got[s, -1] == 0.0)
 
 
 _BASES = (1.0, 1e3, 1e6, 1e9)
@@ -400,6 +437,45 @@ def test_theta_at_reads_no_row_it_did_not_write(case, monkeypatch):
             return mellin._theta_at(*args)
 
     _assert_theta_is_the_reference(*data, theta_at)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("clustered", end, nodes) for end in (64, 4097) for nodes in (1, 2, 48)]
+    + [("staggered", None, nodes) for nodes in (1, 2, 48)]
+    + [("sphere", None, None)],
+)
+def test_theta_at_sends_exp_no_input_below_the_floor(case, monkeypatch):
+    """Every np.exp of theta reads inputs at or above _FLOOR only. numpy's
+    AVX-512 exp leaves its vector fast path for an input below about
+    -707.7, and one such input sends its whole vector of 8 to the slow
+    path, which costs over ten times as much an input; the blocks of the
+    split candidates and the panels mix both kinds of rows. The sphere is
+    a zeta_signed of l_max 2000, so theta is checked on the stacks and
+    panels of a whole continuation; the np.exp calls outside theta (the
+    truncation bound's) are not watched."""
+    kind, end, nodes = case
+    least = []
+    exp, theta_at = np.exp, mellin._theta_at
+
+    def watched(x, *args, **kwargs):
+        least.append(float(np.min(x, initial=math.inf)))
+        return exp(x, *args, **kwargs)
+
+    def watched_theta_at(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "exp", watched)
+            return theta_at(*args)
+
+    monkeypatch.setattr(mellin, "_theta_at", watched_theta_at)
+    if kind == "sphere":
+        spectral.zeta_signed(round_sphere_spectrum(1.0, True, 2000), 1)
+    else:
+        lams, ts, weights = (
+            _clustered_case(end, nodes) if kind == "clustered" else _staggered_case(nodes)
+        )
+        mellin._theta_at(lams, weights, [0.5, -1.0], ts)
+    assert least and min(least) >= mellin._FLOOR
 
 
 def same(a, b) -> bool:

@@ -60,6 +60,25 @@ def test_heat_tail_validation():
     assert not HeatTail(2, (2.0, 0.0, 1.0), (2.0, 0.0, 1.0)).free
 
 
+@pytest.mark.parametrize(
+    "straight, twisted, sector",
+    [
+        # the plus pole part 8.5e307 / 0.5 + 8.5e307 / 1 overflows in fsum
+        ((1.0, 0.0, 0.0, 1.7e308, 1.7e308), None, "plus"),
+        # (straight + twisted) / 2 is inf on t^0
+        ((1.0, 0.0, 1.7e308), (1.0, 0.0, 1.7e308), "plus"),
+        # (straight - twisted) / 2 is inf on t^0
+        ((1.0, 0.0, 1.7e308), (1.0, 0.0, -1.7e308), "minus"),
+        # the plus pole terms are -inf on t^-1 and inf on t^(1/2): fsum
+        # raises ValueError, not OverflowError
+        ((1.7e308, 0.0, 0.0, 1.7e308), (1.7e308, 0.0, 0.0, 1.7e308), "plus"),
+    ],
+)
+def test_a_tail_past_float_range_is_refused_at_construction(straight, twisted, sector):
+    with pytest.raises(InputError, match="heat tail: the %s sector" % sector):
+        HeatTail(2, straight, twisted)
+
+
 def test_spectrum_validation():
     tail = HeatTail(2, (2.0, 0.0, 1.0))
     with pytest.raises(InputError):
