@@ -40,12 +40,6 @@ def _holds(x, kind) -> bool:
     return isinstance(x, kind)
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 class HKFrame(Record, eq=False):
     """An orthogonal triple of ambient vectors with self-pairing 2.
 
@@ -84,43 +78,7 @@ class HKFrame(Record, eq=False):
             raise GeometryError(
                 "frame pairing is not 2*identity (max deviation %.3e)" % dev
             )
-        super().__init__(_readonly(g), _readonly(v))
-
-
-class FlatModel(Record, eq=False):
-    """The flat quaternion model on R^4 (basis 1, i, j, k): integer complex
-    structures I, J, K with IJ = -JI = K, and the Euclidean metric."""
-
-    metric: np.ndarray
-    I: np.ndarray
-    J: np.ndarray
-    K: np.ndarray
-
-
-def standard_flat_model() -> FlatModel:
-    i = np.array(
-        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=int
-    )
-    j = np.array(
-        [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=int
-    )
-    k = np.array(
-        [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=int
-    )
-    return FlatModel(metric=np.eye(4, dtype=int), I=i, J=j, K=k)
-
-
-def two_form_of(metric, structure) -> np.ndarray:
-    """Matrix of the fundamental two-form attached to a complex structure.
-
-    Integer inputs stay integer, so the quaternion identities of the flat
-    model can be checked exactly.
-    """
-    m = np.asarray(metric)
-    s = np.asarray(structure)
-    if m.shape != s.shape or m.ndim != 2:
-        raise InputError("metric and structure must be square of equal size")
-    return m @ s
+        super().__init__(lattices._float_view(g), lattices._float_view(v))
 
 
 def is_compatible(frame: HKFrame, invol, tol: float = DEFAULT_TOL) -> bool:

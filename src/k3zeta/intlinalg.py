@@ -11,16 +11,19 @@ product cannot wrap; on object arrays of the entries otherwise, which stays
 exact for big ints and Fractions. A product's factors may also be numpy
 arrays, which are taken as given: an int64 array is multiplied without a
 copy, so a caller that multiplies the same matrix often keeps it as one
-(the exact views of `lattices`). A product returns lists of rows either
-way.
+(the exact views of `lattices`). A product returns the exact array it
+computes, int64 or object, so a chain of products stays in numpy; a caller
+calls `.tolist()` only where it stores or eliminates rows.
 
 One integer elimination loop, `_clear_row`, serves the Hermite form, integer
 kernels, ranks (the length of a Hermite form) and Smith divisors (Hermite
 forms of a matrix and of its transpose, in turn). Determinants use Bareiss
 elimination and signatures a fraction-free symmetric elimination.
 
-Matrices are read as sequences of rows of ints, lists or tuples, and
-returned as lists of rows unless a function says otherwise.
+Matrices are read as sequences of rows of ints, lists or tuples.
+`to_int_matrix`, `identity` and `transpose` return lists of rows,
+`column_hnf` and `integer_kernel` lists of columns; `matmul` returns an
+array.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def _product(a, b) -> np.ndarray:
+def matmul(a, b) -> np.ndarray:
     """a @ b, exact, as an int64 or an object array.
 
     numpy reads the entries as integers only when every one is an integer;
@@ -90,13 +93,6 @@ def _product(a, b) -> np.ndarray:
         return xs[0].astype(object) @ xs[1].astype(object)
     # a nested list mixing ints within and past int64 reads as float64 here
     return np.array(a, dtype=object) @ np.array(b, dtype=object)
-
-
-def matmul(a, b):
-    """Exact product of two int (or Fraction) matrices."""
-    if len(a) == 0 or len(b) == 0:
-        return []
-    return _product(a, b).tolist()
 
 
 def is_symmetric(a) -> bool:
@@ -255,7 +251,7 @@ def integer_kernel(a) -> list[list[int]]:
     kernel = [col[m:] for col in cols[lead:]]
     if not kernel:
         return []
-    if _product(a, transpose(kernel)).any():
+    if matmul(a, transpose(kernel)).any():
         raise ArithmeticError("integer kernel basis is not annihilated by the matrix")
     return column_hnf(kernel)
 

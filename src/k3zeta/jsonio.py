@@ -78,16 +78,18 @@ def canonical_dumps(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
+    # JSONDecodeError, an over-long integer literal, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise InputError("invalid JSON: %s" % exc) from None
 
 
 def load_path(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return loads(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
+    return loads(text)
 
 
 def _require(obj, key, kind=None):

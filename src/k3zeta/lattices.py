@@ -20,7 +20,9 @@ first use, beside its tuple fields:
   entry fits and an object array of Python ints otherwise; whether a
   product runs in int64 is still decided by `intlinalg.matmul` alone, from
   the sizes of its factors, so a product of int64 views that could wrap
-  runs on Python ints;
+  runs on Python ints. A product stays the array `intlinalg.matmul`
+  returns: the form and involution checks compare arrays
+  (`np.array_equal`), and only B^T G B, which is stored, becomes rows;
 - float64 views (`Lattice.float_gram`, `LatticeIsometry.float_matrix`,
   `SublatticeBasis.float_basis`), which only the float code of frames and
   periods reads: every invariant reported here stays exact.
@@ -43,7 +45,7 @@ def _freeze(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
 
 
 def _float_view(rows) -> np.ndarray:
-    """Exact rows as a read-only, C-ordered float64 array."""
+    """Rows of numbers as a read-only, C-ordered float64 copy."""
     a = np.array(rows, dtype=float, order="C")
     a.setflags(write=False)
     return a
@@ -116,7 +118,7 @@ class LatticeIsometry(Record):
         # the form check reads the views the object keeps
         mat = self.int_matrix
         mt_g = intlinalg.matmul(mat.T, lattice.int_gram)
-        if _freeze(intlinalg.matmul(mt_g, mat)) != lattice.gram:
+        if not np.array_equal(intlinalg.matmul(mt_g, mat), lattice.int_gram):
             raise InputError("matrix does not preserve the bilinear form")
 
     @functools.cached_property
@@ -132,7 +134,7 @@ class LatticeIsometry(Record):
     @functools.cached_property
     def is_involution(self) -> bool:
         square = intlinalg.matmul(self.int_matrix, self.int_matrix)
-        return square == intlinalg.identity(self.lattice.rank)
+        return np.array_equal(square, np.identity(self.lattice.rank, dtype=np.int64))
 
     def _kernel_of(self, sign: int) -> "SublatticeBasis":
         """Saturated basis of the kernel of f - sign * id."""
@@ -200,7 +202,7 @@ class SublatticeBasis(Record):
         # B^T G B, which is symmetric
         bt = self.int_vectors
         bt_g = intlinalg.matmul(bt, self.ambient.int_gram)
-        return Lattice._of(_freeze(intlinalg.matmul(bt_g, bt.T)))
+        return Lattice._of(_freeze(intlinalg.matmul(bt_g, bt.T).tolist()))
 
     def induced_lattice(self) -> Lattice:
         """The lattice with Gram matrix B^T G B, computed once per object."""

@@ -88,9 +88,9 @@ it, and fsum ignores exact zeros, so the sum keeps its bits.
 
 theta drops every term whose computed exponent -lambda t is at or below
 _FLOOR = -707.5: the term reads 0.0. A dropped term is at most
-e^-707.5 |w| < 7.3e-308 |w|, so theta moves by less than 7.3e-308 sum |w|,
-which for at most 2^53 states is some 270 orders of magnitude below the
-1e-14 floor of every continuation's error estimate. The floor is where
+e^-707.5 |w| < 7.3e-308 |w|, so theta moves by less than 7.3e-308 sum |w|
+plus the rounding of the sum; for at most 2^53 states the first part is
+270 orders of magnitude below the 1e-14 error floor. The floor is where
 numpy's vectorized exp stays cheap. With AVX-512 (numpy 2.4) it keeps a
 vector of 8 inputs on its fast path, about 1 ns an input, only when every
 input is above about -707.7. An input in the subnormal band (-745, -708)
@@ -319,7 +319,7 @@ def _theta_at(lams, weights, kernel_weight, ts):
     (test_theta_at_is_the_full_block_bit_for_bit, and
     test_theta_at_cut_on_and_past_the_alignment for prefixes that end on
     a multiple of 64 rows and one row past it), and against the exact
-    exponentials within e^_FLOOR sum |w|
+    exponentials within e^_FLOOR sum |w| plus the rounding of both sums
     (test_theta_at_drops_less_than_its_floor_bound). A chunk past a
     group's live prefix gives it 0.0.
     """

@@ -156,7 +156,7 @@ def _marking_context(
             raise MarkingError("marking acts on a different lattice")
         image = intlinalg.matmul(domain.int_vectors, marking.int_matrix.T)
         # a Hermite basis, independent by construction
-        hnf = lattices._freeze(intlinalg.column_hnf(image))
+        hnf = lattices._freeze(intlinalg.column_hnf(image.tolist()))
         domain = lattices.SublatticeBasis._of(invol.lattice, hnf)
     _check_domain_lattice(domain)
     b = domain.float_basis

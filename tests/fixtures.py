@@ -90,7 +90,7 @@ def complement(gram, vectors) -> tuple[tuple[int, ...], ...]:
     to the given vectors under the Gram matrix, as tuples (the form of
     `SublatticeBasis.vectors`)."""
     pairings = intlinalg.matmul([list(v) for v in vectors], gram)
-    return tuple(map(tuple, intlinalg.integer_kernel(pairings)))
+    return tuple(map(tuple, intlinalg.integer_kernel(pairings.tolist())))
 
 
 def same_span(a, b) -> bool:

@@ -669,6 +669,47 @@ def test_file_and_flag_refusals_exit_2(capsys, argv, message):
     assert message in err
 
 
+_GOOD = {
+    flag: os.path.join(PRESETS, name)
+    for flag, name in (
+        ("--lattice", "lattice-k3.json"),
+        ("--matrix", "matrix-enriques.json"),
+        ("--frame", "frame-rng5.json"),
+        ("--spectrum", "spectrum-torus-fixed.json"),
+    )
+}
+
+
+@pytest.mark.parametrize("content", ["non-utf-8", "deep"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "--in", "{}"],
+        ["involution", "--lattice", "{}", "--matrix", _GOOD["--matrix"]],
+        ["involution", "--lattice", _GOOD["--lattice"], "--matrix", "{}"],
+        ["period", "--frame", "{}", "--involution", "enriques"],
+        ["period", "--frame", _GOOD["--frame"], "--involution", "{}"],
+        ["period", "--frame", _GOOD["--frame"], "--involution", "enriques", "--marking", "{}"],
+        ["zeta", "--spectrum", "{}"],
+        ["tau", "--spectrum", "{}"],
+        ["tau", "--spectrum", _GOOD["--spectrum"], "--curves", "{}"],
+    ],
+    ids=lambda argv: "%s-%s" % (argv[0], argv[argv.index("{}") - 1].lstrip("-")),
+)
+def test_malformed_file_bytes_exit_2(tmp_path, capsys, argv, content):
+    # bytes that are not UTF-8 cannot be read, and JSON nested past the
+    # recursion limit cannot be parsed: both are input errors, not tracebacks
+    path = tmp_path / "input.json"
+    if content == "non-utf-8":
+        path.write_bytes(b'\xff\xfe{"a": 1}')
+    else:
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    code, err = exit_and_stderr(capsys, [str(path) if a == "{}" else a for a in argv])
+    assert code == 2
+    assert err.startswith("input error: ")
+    assert "Traceback" not in err
+
+
 def test_refusal_is_the_golden_bytes(capfd):
     # zeta-t2-flat-refusal.err is the stderr of this refusal, captured before
     # the split candidates were evaluated in one stacked pass
@@ -851,6 +892,7 @@ _VALUES = (
     st.integers(-3, 5)
     | st.sampled_from([2**53, 2**53 + 1, 10**400])
     | st.floats()
+    | st.sampled_from([1.7e308, -1.7e308, 1e300, -1e300, 5e-324, -5e-324])
     | st.none()
     | st.booleans()
     | st.sampled_from(["free", "1", ""])
@@ -870,16 +912,19 @@ _FLAGS = {
 
 @st.composite
 def _mutated(draw, obj):
-    """The input with the value at one random path replaced."""
+    """The input with the values at one to three random paths replaced, one
+    after another."""
     obj = copy.deepcopy(obj)
-    parent, key, node = None, None, obj
-    while isinstance(node, (dict, list)) and node and draw(st.integers(0, 4)):
-        keys = sorted(node) if isinstance(node, dict) else range(len(node))
-        parent, key = node, draw(st.sampled_from(keys))
-        node = parent[key]
-    if parent is None:
-        return draw(_VALUES)
-    parent[key] = draw(_VALUES)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, obj
+        while isinstance(node, (dict, list)) and node and draw(st.integers(0, 4)):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, draw(st.sampled_from(keys))
+            node = parent[key]
+        if parent is None:
+            obj = draw(_VALUES)
+        else:
+            parent[key] = draw(_VALUES)
     return obj
 
 

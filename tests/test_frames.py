@@ -9,8 +9,6 @@ from k3zeta.frames import (
     compatible_frames,
     is_compatible,
     random_compatible_frame,
-    standard_flat_model,
-    two_form_of,
 )
 from k3zeta.lattices import (
     LatticeIsometry,
@@ -28,37 +26,6 @@ from fixtures import (
 )
 
 TOL = 1e-10
-
-
-def test_flat_model_quaternion_relations():
-    m = standard_flat_model()
-    i, j, k = m.I, m.J, m.K
-    eye = np.eye(4)
-    assert np.array_equal(i @ i, -eye)
-    assert np.array_equal(j @ j, -eye)
-    assert np.array_equal(k @ k, -eye)
-    assert np.array_equal(i @ j, k)
-    assert np.array_equal(j @ i, -k)
-    assert np.array_equal(j @ k, i)
-    assert np.array_equal(k @ i, j)
-
-
-def test_two_forms_are_antisymmetric():
-    m = standard_flat_model()
-    for s in (m.I, m.J, m.K):
-        w = two_form_of(m.metric, s)
-        assert np.array_equal(w, -w.T)
-
-
-def test_antiholomorphic_sign_check():
-    # an isometric involution that anticommutes with J flips the sign of
-    # the J-form under pullback, exactly
-    m = standard_flat_model()
-    s = np.diag([1, 1, -1, -1])
-    assert np.array_equal(s.T @ m.metric @ s, m.metric)
-    assert np.array_equal(s @ m.J, -m.J @ s)
-    pullback = s.T @ two_form_of(m.metric, m.J) @ s
-    assert np.array_equal(pullback, -two_form_of(m.metric, m.J))
 
 
 def test_frame_pairing_validation():

@@ -152,8 +152,9 @@ def product_at_the_int64_bound(draw):
 
 
 def _assert_exact_ints(product, a, b):
-    assert product == nested_sum_product(a, b)
-    assert all(type(x) is int for row in product for x in row)
+    rows = product.tolist()
+    assert rows == nested_sum_product(a, b)
+    assert all(type(x) is int for row in rows for x in row)
 
 
 @given(product_at_the_int64_bound())
@@ -207,14 +208,18 @@ fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 def test_matmul_keeps_fractions_exact(ab):
     # never cast to int64, which would truncate
     a, b = ab
-    assert repr(matmul(a, b)) == repr(nested_sum_product(a, b))
+    assert repr(matmul(a, b).tolist()) == repr(nested_sum_product(a, b))
 
 
 def test_matmul_on_empty_shapes():
-    assert matmul([], [[1]]) == []
-    assert matmul([[1, 2]], []) == []
-    assert matmul([[], []], []) == []  # inner dimension 0
-    assert matmul([[1, 2], [3, 4], [5, 6]], [[], []]) == [[], [], []]
+    # the empty views of `lattices`: a sublattice of rank 0 is (0, n), its
+    # transpose (n, 0)
+    for n, m in ((3, 2), (3, 0), (0, 2), (0, 0)):
+        for left, right, shape in (((0, n), (n, m), (0, m)), ((n, 0), (0, m), (n, m))):
+            product = matmul(np.zeros(left, dtype=np.int64), np.ones(right, dtype=np.int64))
+            assert product.dtype == np.int64
+            assert product.shape == shape
+            assert not product.any()
 
 
 def _inertia_or_message(inertia, gram):
@@ -232,7 +237,7 @@ def congruent_diagonal_forms(draw):
     d = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
     x = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n))
     dx = [[d[i] * v for v in x[i]] for i in range(n)]
-    return d, x, matmul(transpose(x), dx)
+    return d, x, matmul(transpose(x), dx).tolist()
 
 
 @given(congruent_diagonal_forms())
@@ -277,7 +282,7 @@ def test_integer_kernel_check_survives_optimized_mode():
     code = (
         "import numpy\n"
         "from k3zeta import intlinalg\n"
-        "intlinalg._product = lambda a, b: numpy.ones((1, 1))\n"
+        "intlinalg.matmul = lambda a, b: numpy.ones((1, 1))\n"
         "try:\n    intlinalg.integer_kernel([[1, 2, 3]])\n"
         "except ArithmeticError:\n    print('raised')\n"
     )
@@ -427,4 +432,4 @@ def test_smith_divisors_of_a_unimodular_congruence():
     diag = [2] * 10 + [6] * 12
     rng.shuffle(diag)
     d = [[diag[i] if i == j else 0 for j in range(22)] for i in range(22)]
-    assert smith_divisors(matmul(transpose(u), matmul(d, u))) == [2] * 10 + [6] * 12
+    assert smith_divisors(matmul(transpose(u), matmul(d, u)).tolist()) == [2] * 10 + [6] * 12

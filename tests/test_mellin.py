@@ -331,14 +331,20 @@ def test_theta_at_is_the_full_block_bit_for_bit(
 )
 @example(size=3000, log_t=-3.0, nodes=2, groups=2, band=True, seed=8)
 @example(size=5000, log_t=-6.0, nodes=48, groups=1, band=True, seed=9)
+@example(size=6, log_t=-5.0, nodes=5, groups=6, band=False, seed=1699)
 def test_theta_at_drops_less_than_its_floor_bound(size, log_t, nodes, groups, band, seed):
     """Against the block of exact exponentials, with no term dropped, every
-    theta value is within e^_FLOOR * sum |w|: each dropped term is at most
-    e^_FLOOR |w|. The kernel weights are 0.0, so a dropped term is not lost
-    in the rounding of a larger sum. With `band`, the last group's t values
+    theta value is within e^_FLOOR * sum |w| plus the rounding of the two
+    sums: each dropped term is at most e^_FLOOR |w|, and a sum of n
+    products rounds by at most gamma_n sum |w_i e^(-lambda_i t)|, with
+    gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3). The kernel weights are 0.0,
+    so adding them rounds nothing. With `band`, the last group's t values
     put every term of its column at or below _FLOOR, the least of them
     above -745.13, so the exact block there is subnormal and nonzero, and
-    theta drops all of it."""
+    theta drops all of it. The seed-1699 example's exact block holds the
+    subnormal term e^-725.18, and its gemv rounds that sum one ulp away
+    from theta's, far above e^_FLOOR sum |w|."""
     rng = np.random.default_rng(seed)
     ts = 10.0 ** np.minimum(0.0, log_t + rng.uniform(0.0, 3.0, (groups, nodes)))
     lams = np.sort(708.0 / ts.min() * 10.0 ** rng.uniform(-3.0, 1.0, size))
@@ -346,11 +352,13 @@ def test_theta_at_drops_less_than_its_floor_bound(size, log_t, nodes, groups, ba
         ts[-1] = rng.uniform(707.6, 745.0, nodes) / lams[0]
     weights = np.stack([rng.standard_normal(size), rng.integers(-40, 41, size)])
     got = mellin._theta_at(lams, weights, [0.0, 0.0], ts)
+    gamma = size * 2.0**-53 / (1.0 - size * 2.0**-53)
     for s, w in enumerate(weights):
-        bound = math.exp(mellin._FLOOR) * float(np.abs(w).sum())
+        dropped = math.exp(mellin._FLOOR) * float(np.abs(w).sum())
         for g, group in enumerate(ts):
             exact = theta_reference(lams, w, 0.0, group, floor=-math.inf)
-            assert np.all(np.abs(got[s, g] - exact) <= bound)
+            rounding = 2.0 * gamma * (np.abs(w) @ np.exp(-np.outer(lams, group)))
+            assert np.all(np.abs(got[s, g] - exact) <= dropped + rounding)
         if band:
             assert np.all(got[s, -1] == 0.0)
 

@@ -281,8 +281,9 @@ def test_induced_lattice_and_signature_are_computed_once(monkeypatch, capsys):
     _split_directions.cache_clear()
     pair = period_of(frame, iso)
     pair.labels()
-    # is_involution and B^T G B (two products)
-    assert calls["matmul"] == 3
+    # is_involution, B^T G B (two products) and the self-check of the one
+    # kernel
+    assert calls["matmul"] == 4
     # the one kernel and the one signature of the anti-invariant lattice
     assert calls["integer_kernel"] == 1
     assert calls["rational_inertia"] == 1

@@ -81,7 +81,6 @@ VALUE_RECORDS = [
 
 IDENTITY_RECORDS = [
     (frames.HKFrame, "form", seed_frame),
-    (frames.FlatModel, "metric", frames.standard_flat_model),
     (periods.PeriodPoint, "sublattice", _point),
     (periods.PeriodPair, "plus", lambda: periods.PeriodPair(_pair().plus)),
     (periods._MarkingContext, "domain", _context),
@@ -197,7 +196,6 @@ def test_value_records_differ_on_any_field():
             ),
             (0.5, 2, 16.0, 0.5, 1.0, None),
         ),
-        (frames.FlatModel, ("metric", "I", "J", "K"), ("m", "i", "j", "k")),
         (periods._MarkingContext, ("domain", "coords_of"), ("d", "c")),
     ],
     ids=lambda x: x.__name__ if isinstance(x, type) else "",

@@ -687,10 +687,6 @@ def test_library_arguments_are_refused_not_truncated(call):
             "frame needs 3 vectors of ambient dimension 2",
         ),
         (
-            lambda: frames.two_form_of(np.eye(4), np.eye(3)),
-            "metric and structure must be square of equal size",
-        ),
-        (
             lambda: frames.random_compatible_frame(
                 _ENRIQUES.float_matrix, np.random.default_rng(0)
             ),

@@ -16,17 +16,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "k3zeta").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
-_FLAT = "the three Kahler forms of a flat metric, kept for the flat 4-torus model"
-
 # public names kept without a caller, each with its reason
 ALLOWED = {
     "jsonio.encode_lattice": "writes the lattice file format that decode_lattice reads",
     "jsonio.encode_frame": "writes the frame file format that `period --frame` reads",
     "jsonio.encode_spectrum": "writes the spectrum file format that `--spectrum` reads",
     "jsonio.encode_curve": "writes the curve file format that `tau --curves` reads",
-    "frames.FlatModel": _FLAT,
-    "frames.standard_flat_model": _FLAT,
-    "frames.two_form_of": _FLAT,
 }
 
 
