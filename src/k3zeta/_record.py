@@ -10,10 +10,11 @@ gives it:
   for a class declared with `eq=False`, identity equality (unless the class
   defines its own);
 - the repr `Name(field=value, ...)`;
-- construction by position or keyword, for a class with no `__init__` of
-  its own;
+- construction by position only, one value a field in field order, for a
+  class with no `__init__` of its own; a keyword or a wrong count of
+  values is a TypeError;
 - `_of(*values)`, a record of field values in field order, stored without
-  running the class's `__init__`.
+  running the class's `__init__`, through the same store as `__init__`.
 
 Outside input is checked once: a class's constructor, and the decoders
 that call it, check what arrives from a caller or a file. What the package
@@ -47,13 +48,16 @@ class Record:
                 if name not in cls.__dict__:
                     setattr(cls, name, getattr(object, name))
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *values):
         fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._positional(args, kwargs)
+        if len(values) != len(fields):
+            raise TypeError(
+                "%s takes the fields %s by position; got %d values"
+                % (type(self).__name__, fields, len(values))
+            )
         # one store per field: reading self.__dict__ here would give every
         # record a materialized dict, whose attribute loads are slower
-        for name, value in zip(fields, args):
+        for name, value in zip(fields, values):
             _store(self, name, value)
 
     @classmethod
@@ -62,22 +66,8 @@ class Record:
         the class's `__init__`: only for data the package derived from data
         it has already checked."""
         self = object.__new__(cls)
-        for name, value in zip(cls._fields, values, strict=True):
-            _store(self, name, value)
+        Record.__init__(self, *values)
         return self
-
-    @classmethod
-    def _positional(cls, args: tuple, kwargs: dict) -> tuple:
-        """All field values in field order, from leading positions and
-        keywords for the rest of the fields."""
-        rest = cls._fields[len(args) :]
-        if len(args) > len(cls._fields) or kwargs.keys() != set(rest):
-            raise TypeError(
-                "%s takes the fields %s, by position or keyword; got %d"
-                " positions and the keywords %s"
-                % (cls.__name__, cls._fields, len(args), sorted(kwargs))
-            )
-        return args + tuple(kwargs[f] for f in rest)
 
     def __setattr__(self, name, value):
         raise AttributeError(

@@ -26,8 +26,6 @@ from .frames import DEFAULT_TOL
 from .mellin import DEFAULT_TARGET, ContinuationResult
 from .periods import period_of
 
-_LATTICE_BUILTINS = ("u", "e8(-1)", "k3")
-
 
 def _load_lattice(args) -> lattices.Lattice:
     if args.builtin:
@@ -237,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lattice", help="invariants of a lattice")
-    p.add_argument("--builtin", choices=_LATTICE_BUILTINS)
+    p.add_argument("--builtin", choices=lattices.BUILTIN_LATTICES)
     p.add_argument("--in", dest="infile", help="lattice JSON file")
     _add_common(p)
     p.set_defaults(func=cmd_lattice)

@@ -218,14 +218,6 @@ class DiscriminantInfo(Record):
     group_order: int
 
 
-_BUILTIN_ALIASES = {
-    "u": "U",
-    "e8minus": "E8minus",
-    "e8(-1)": "E8minus",
-    "e8-": "E8minus",
-    "k3": "K3",
-}
-
 # Bourbaki ordering: node 2 is the branch node attached to node 4.
 _E8_BONDS = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4))
 
@@ -240,19 +232,27 @@ def _e8_minus_gram() -> list[list[int]]:
     return g
 
 
+def _k3() -> Lattice:
+    u, e8 = build_standard_lattice("u"), build_standard_lattice("e8(-1)")
+    return direct_sum(u, u, u, e8, e8)
+
+
+# the builtin lattices, by the names the command line offers
+BUILTIN_LATTICES = {
+    "u": lambda: Lattice([[0, 1], [1, 0]]),  # the hyperbolic plane
+    "e8(-1)": lambda: Lattice(_e8_minus_gram()),  # negative definite E8
+    "k3": _k3,  # U + U + U + E8(-1) + E8(-1)
+}
+
+
 def build_standard_lattice(name: str) -> Lattice:
-    """Builtin lattices: "U" (hyperbolic plane), "E8minus" (negative
-    definite E8), "K3" (U + U + U + E8minus + E8minus)."""
-    key = _BUILTIN_ALIASES.get(str(name).strip().lower())
-    if key == "U":
-        return Lattice([[0, 1], [1, 0]])
-    if key == "E8minus":
-        return Lattice(_e8_minus_gram())
-    if key == "K3":
-        u = build_standard_lattice("U")
-        e8 = build_standard_lattice("E8minus")
-        return direct_sum(u, u, u, e8, e8)
-    raise InputError("unknown builtin lattice %r (want U, E8minus, K3)" % (name,))
+    """The builtin lattice of a name of BUILTIN_LATTICES, in any case."""
+    build = BUILTIN_LATTICES.get(str(name).strip().lower())
+    if build is None:
+        raise InputError(
+            "unknown builtin lattice %r (want %s)" % (name, ", ".join(BUILTIN_LATTICES))
+        )
+    return build()
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:
@@ -313,10 +313,10 @@ def discriminant_info(sub: SublatticeBasis) -> DiscriminantInfo:
     for d in divisors:
         order *= d
     return DiscriminantInfo(
-        divisors=divisors,
-        a_invariant=sum(1 for d in divisors if d == 2),
-        two_elementary=all(d == 2 for d in divisors),
-        group_order=order,
+        divisors,
+        sum(1 for d in divisors if d == 2),
+        all(d == 2 for d in divisors),
+        order,
     )
 
 

@@ -58,6 +58,14 @@ layout of its block. Each sector's model is evaluated once on the same
 (candidates, 2) array of split points, the only model values the search
 reads.
 
+The split search is one (sectors x candidates) table of estimates, and of
+their below-split parts, computed elementwise from that theta and those
+model values, with log(1 / delta) + 1 read from a module table of libm's
+log at each candidate. A sector's split is the first least entry of its
+row. A deviation that is NaN (a model undefined at delta / 2, say) makes
+its estimate NaN, and a non-finite estimate counts as infinite, so it
+never wins a split or passes the target.
+
 A block of at most _NARROW columns, such as a candidate's (delta, delta
 / 2), is filled one column at a time, each column one 1-d multiply of the
 eigenvalues by -t, and then exponentiated in one call over the contiguous
@@ -150,6 +158,10 @@ _NARROW = 4  # theta blocks at most this wide are built column by column
 _ALIGN = 64  # theta blocks stop at their live prefix rounded up to 64 rows
 _SPLITS = 0.5 * 2.0 ** (-0.25 * np.arange(121))  # the split candidates
 _SPLITS.flags.writeable = False
+# log(1 / delta) + 1 at each candidate, by libm's log (numpy's need not
+# round the same way)
+_LOG_TERMS = np.array([math.log(1.0 / d) + 1.0 for d in _SPLITS.tolist()])
+_LOG_TERMS.flags.writeable = False
 
 
 def _mirrored(nodes, weights):
@@ -205,7 +217,7 @@ class TraceModel(Record):
         """Model on the ladder t^((j - dim)/2), j = 0 .. len(coeffs)-1."""
         pairs = tuple(((j - dim) / 2.0, float(c)) for j, c in enumerate(coeffs))
         nxt = (len(coeffs) - dim) / 2.0
-        return TraceModel(coeffs=pairs, next_exponent=nxt)
+        return TraceModel(pairs, nxt)
 
     def coeff_at_zero(self) -> float:
         return math.fsum(c for e, c in self.coeffs if e == 0)
@@ -220,8 +232,7 @@ class TraceModel(Record):
 
     def abs_model(self) -> "TraceModel":
         return TraceModel(
-            coeffs=tuple((e, abs(c)) for e, c in self.coeffs),
-            next_exponent=self.next_exponent,
+            tuple((e, abs(c)) for e, c in self.coeffs), self.next_exponent
         )
 
     def pole_part(self) -> float:
@@ -459,14 +470,6 @@ def _continue_truncated(
     lams, weights, kernel_weights, models, bound_model, cutoff, target
 ) -> list:
     """continue_trace on a truncated spectrum, its inputs checked."""
-    # E1 is exactly 0.0 from 746 on, and fsum ignores exact zeros
-    nz = int(np.searchsorted(lams, 746.0))
-    e1 = exp1(lams[:nz])
-    # per sector: (weights, kernel weight, model, zeta(0), b term, pole part)
-    sectors = [
-        (w, k, m, m.coeff_at_zero() - k, ordered_chunk_sum(w[:nz] * e1), m.pole_part())
-        for w, k, m in zip(weights, kernel_weights, models)
-    ]
     abs_bound = bound_model.abs_model()
 
     def trunc_bound(t):
@@ -478,60 +481,57 @@ def _continue_truncated(
     if len(candidates) > 24:
         idx = np.linspace(0, len(candidates) - 1, 24).astype(int)
         candidates = [candidates[i] for i in idx]
-    deltas, talls = _SPLITS.tolist(), tvals.tolist()
 
-    def split_estimates(points, rows) -> dict:
+    def split_estimates(points, rows):
         """(search estimate, below-split part) of the split at _SPLITS[i],
-        for each i of `points` and each sector of `rows`: {(i, sector): ...}.
-        theta and each sector's model at every delta and delta / 2 come from
-        one stacked pass; a non-finite estimate counts as infinite, so it is
-        a miss."""
-        if not (points and rows):
-            return {}
-        out = {}
+        for each i of `points` and each sector of `rows`: two (rows x
+        points) arrays. theta and each sector's model at every delta and
+        delta / 2 come from one stacked pass. A NaN deviation makes the
+        estimate NaN, and a non-finite estimate counts as infinite, so it
+        is a miss."""
         ts = np.stack([_SPLITS[points], _SPLITS[points] / 2.0], axis=1)
         theta = _theta_at(lams, weights[rows], [kernel_weights[s] for s in rows], ts)
-        for s, pairs in zip(rows, theta.tolist()):
-            model = sectors[s][2]
-            for i, (th1, th2), (m1, m2) in zip(points, pairs, model(ts).tolist()):
-                delta, tall = deltas[i], talls[i]
-                dev1 = abs(th1 - m1)
-                dev2 = abs(th2 - m2)
-                if math.isinf(model.next_exponent):
-                    below = dev1 + dev2 + tall
-                else:
-                    q = model.next_exponent
-                    below = max(dev1, dev2 * 2.0**q) / q + tall / max(q, 1.0)
-                est = below + tall * (math.log(1.0 / delta) + 1.0)
-                out[i, s] = (est if math.isfinite(est) else math.inf, below)
-        return out
+        tall = tvals[points]
+        below = np.empty((len(rows), len(points)))
+        for out, th, s in zip(below, theta, rows):
+            dev1, dev2 = np.abs(th - models[s](ts)).T
+            q = models[s].next_exponent
+            if math.isinf(q):
+                out[:] = dev1 + dev2 + tall
+            else:
+                out[:] = np.maximum(dev1, dev2 * 2.0**q) / q + tall / max(q, 1.0)
+        est = below + tall * _LOG_TERMS[points]
+        est[~np.isfinite(est)] = np.inf
+        return est, below
 
-    every = list(range(len(sectors)))
-    estimates = split_estimates(candidates, every)
-    best = [min(candidates, key=lambda i: estimates[i, s][0]) for s in every]
-    least = [estimates[best[s], s][0] for s in every]
+    every = list(range(len(models)))
+    estimates, belows = split_estimates(candidates, every)
+    first = estimates.argmin(axis=1)  # each sector's first least estimate
+    splits = _SPLITS[np.take(candidates, first)].tolist()
+    least = estimates.min(axis=1).tolist()
     missed = [s for s in every if not _within(least[s], target)]
-    # a missed sector refuses with its least estimate over the whole grid,
-    # whatever the target
-    rest = sorted(set(range(_SPLITS.size)) - set(candidates))
-    estimates.update(split_estimates(rest, missed))
     results = {}
-    for s in missed:
-        achievable = min(estimates[i, s][0] for i in range(_SPLITS.size))
-        results[s] = AccuracyError(
-            "requested tolerance %.3e is not reachable with cutoff %.6g"
-            " (achievable about %.3e); extend the spectrum or relax --tol"
-            % (target, cutoff, achievable),
-            achievable=achievable,
-        )
+    if missed:
+        # a missed sector refuses with its least estimate over the whole
+        # grid, whatever the target
+        rest = sorted(set(range(_SPLITS.size)) - set(candidates))
+        others, _ = split_estimates(rest, missed)
+        for s, other in zip(missed, others.min(axis=1).tolist()):
+            achievable = min(least[s], other)
+            results[s] = AccuracyError(
+                "requested tolerance %.3e is not reachable with cutoff %.6g"
+                " (achievable about %.3e); extend the spectrum or relax --tol"
+                % (target, cutoff, achievable),
+                achievable=achievable,
+            )
 
     # one table of the distinct panels of the live sectors, and theta once
     # per panel, for the sectors integrating over it
-    edges = {s: _panel_edges(deltas[best[s]]) for s in every if s not in results}
+    edges = {s: _panel_edges(splits[s]) for s in every if s not in results}
     panels = sorted(set().union(*edges.values()))
     row = {panel: p for p, panel in enumerate(panels)}
     nodes, w32, w16 = _panel_nodes(panels)
-    theta = np.zeros((len(sectors), len(panels), 48))
+    theta = np.zeros((len(models), len(panels), 48))
     for p, panel in enumerate(panels):
         rows = [s for s, ps in edges.items() if panel in ps]
         values = _theta_at(
@@ -543,10 +543,15 @@ def _continue_truncated(
     trunc = trunc_bound(nodes) / nodes
     trunc_one = float(trunc_bound(1.0))
 
+    # E1 is exactly 0.0 from 746 on, and fsum ignores exact zeros
+    nz = int(np.searchsorted(lams, 746.0))
+    e1 = exp1(lams[:nz])
     for s, ps in edges.items():
-        _, _, model, zeta0, b_term, pole = sectors[s]
-        delta = deltas[best[s]]
-        below = estimates[best[s], s][1]
+        model = models[s]
+        zeta0 = model.coeff_at_zero() - kernel_weights[s]
+        b_term = ordered_chunk_sum(weights[s, :nz] * e1)
+        pole = model.pole_part()
+        below = belows[s, first[s]].item()
         at = [row[panel] for panel in ps]  # ascending: the error sum keeps its order
         y = (theta[s] - model(nodes)) / nodes
         r_term, quad_err = _integrate(y, w32, w16, at)
@@ -559,7 +564,7 @@ def _continue_truncated(
             + 1e-14 * (abs(zeta0) + abs(pole) + abs(r_term) + abs(b_term) + 1.0)
         )
         zp = np.euler_gamma * zeta0 + pole + r_term + b_term
-        results[s] = ContinuationResult(zeta0, zp, err, delta)
+        results[s] = ContinuationResult(zeta0, zp, err, splits[s])
     return [results[s] for s in every]
 
 

@@ -11,8 +11,10 @@ minus states and a twisted tail equal to the straight one.
 
 A spectrum has three sectors, each continued to s = 0 by the engine in
 `mellin`: plus and minus, the (1 +/- involution)/2 eigenspaces, and the
-twisted trace, weighted by m_plus - m_minus. `_sector` holds the one table
-from a sector to its continuation arguments, and every value below is
+twisted trace, weighted by m_plus - m_minus. A heat tail builds its
+three sector models once and keeps them (`HeatTail.models`), and
+`_sector` holds the one table from a sector to its continuation
+arguments, reading the model from the tail. Every value below is
 arithmetic on the results of one runner, `_continue`, which continues
 each requested sector once. The sectors of one spectrum are continued
 together, in one engine call that shares the heat-trace work between
@@ -44,6 +46,7 @@ its own call.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -66,9 +69,10 @@ class HeatTail(Record):
     `straight` are the coefficients c_j on t^((j - dim)/2) of the full
     trace (kernel included); `twisted` either lists coefficients on the
     same ladder or is None, declaring the twisted trace exponentially
-    small (a free involution). Each sector's model is evaluated once here:
-    a pole part sum p_e / e or a t^0 coefficient past float range is
-    refused, so the engine only reads finite ones.
+    small (a free involution). Each sector's model is built and evaluated
+    once here and kept as `models`, which the engine reads: a pole part sum
+    p_e / e or a t^0 coefficient past float range is refused, so the engine
+    only reads finite ones.
     """
 
     dim: int
@@ -103,8 +107,7 @@ class HeatTail(Record):
             if t is not None and len(t) < dim + 1:
                 raise InputError("twisted tail needs at least dim+1 coefficients")
         super().__init__(dim, s, t)
-        for sector, name in _SECTOR_NAMES.items():
-            model = _sector_model(self, sector)
+        for sector, model in self.models.items():
             try:
                 values = (model.pole_part(), model.coeff_at_zero())
             except (OverflowError, ValueError):  # fsum past float range
@@ -112,12 +115,28 @@ class HeatTail(Record):
             if not all(map(math.isfinite, values)):
                 raise InputError(
                     "heat tail: the %s sector's pole part or t^0 coefficient"
-                    " is past float range" % name
+                    " is past float range" % _SECTOR_NAMES[sector]
                 )
 
     @property
     def free(self) -> bool:
         return self.twisted is None
+
+    @functools.cached_property
+    def models(self) -> dict[int, TraceModel]:
+        """Each sector's t -> 0 model, in _SECTOR_NAMES order: (straight +
+        sign * twisted) / 2 for the +1 or -1 eigenspace, one object for both
+        when the tail is free, and the twisted tail for the twisted trace."""
+        if self.free:
+            half = TraceModel.from_ladder(self.dim, [c / 2.0 for c in self.straight])
+            return {1: half, -1: half, _TWISTED: TraceModel((), math.inf)}
+        pairs = tuple(zip(self.straight, self.twisted))
+        plus, minus = (
+            TraceModel.from_ladder(self.dim, [(s + sign * t) / 2.0 for s, t in pairs])
+            for sign in (1, -1)
+        )
+        twisted = TraceModel.from_ladder(self.dim, self.twisted)
+        return {1: plus, -1: minus, _TWISTED: twisted}
 
 
 def _sequence(x, what: str) -> tuple:
@@ -310,20 +329,6 @@ _TWISTED = 0  # the sector of the twisted trace; +1 and -1 are the eigenspaces
 _SECTOR_NAMES = {1: "plus", -1: "minus", _TWISTED: "twisted"}
 
 
-def _sector_model(tail: HeatTail, sector: int) -> TraceModel:
-    """The t -> 0 model of one sector: (straight + sign * twisted) / 2 for
-    the +1 or -1 eigenspace, the twisted tail for the twisted trace."""
-    if sector == _TWISTED:
-        if tail.free:
-            return TraceModel(coeffs=(), next_exponent=math.inf)
-        return TraceModel.from_ladder(tail.dim, tail.twisted)
-    if tail.free:
-        coeffs = [c / 2.0 for c in tail.straight]
-    else:
-        coeffs = [(s + sector * t) / 2.0 for s, t in zip(tail.straight, tail.twisted)]
-    return TraceModel.from_ladder(tail.dim, coeffs)
-
-
 def _sector(spectrum: EquivariantSpectrum, sector: int):
     """(weights, kernel weight, t -> 0 model) of one sector: the +1 or -1
     eigenspace, or the twisted trace, weighted by m_plus - m_minus."""
@@ -333,7 +338,7 @@ def _sector(spectrum: EquivariantSpectrum, sector: int):
     else:
         weights = spectrum.mults(sector)
         kernel = float(spectrum.kernel[0] if sector > 0 else spectrum.kernel[1])
-    return weights, kernel, _sector_model(spectrum.tail, sector)
+    return weights, kernel, spectrum.tail.models[sector]
 
 
 def _continue(requests, tol: float) -> list[list[ContinuationResult]]:

@@ -767,19 +767,30 @@ def test_huge_tail_refusal_is_the_golden_bytes(capfd):
 
 
 @pytest.mark.parametrize(
-    "name, straight",
+    "name, straight, twisted",
     [
-        ("tail-pole-overflow", [1.0, 0.0, 0.0, 1.7e308, 1.7e308]),
-        ("tail-bound-overflow", [1.0, 0.0, 1e308, 1e308]),
-        ("tail-leading-overflow", [1e308, 0.0, 1.0]),
+        ("tail-pole-overflow", [1.0, 0.0, 0.0, 1.7e308, 1.7e308], "free"),
+        ("tail-bound-overflow", [1.0, 0.0, 1e308, 1e308], "free"),
+        ("tail-leading-overflow", [1e308, 0.0, 1.0], "free"),
+        ("tail-twisted-nan", [1.0, 0.0, 0.0], [0.7e308, -0.85e308, 0.0]),
+    ],
+    ids=[
+        "tail-pole-overflow-straight0",
+        "tail-bound-overflow-straight1",
+        "tail-leading-overflow-straight2",
+        "tail-twisted-nan-straight3",
     ],
 )
-def test_tail_past_float_range_refusal_is_the_golden_bytes(capfd, name, straight):
-    # a free tail on dim 2, cutoff 5, one entry: the plus sector's pole part
+def test_tail_past_float_range_refusal_is_the_golden_bytes(
+    capfd, name, straight, twisted
+):
+    # a tail on dim 2, cutoff 5, one entry: the plus sector's pole part
     # p_e / e sums past float range, or the truncation bound overflows at
-    # every split point. Either is malformed input: exit 2, with no warning
+    # every split point, or the twisted model is finite at a split delta
+    # but NaN (inf - inf) at delta / 2, which makes that split's estimate
+    # infinite, not finite. Each is malformed input: exit 2, with no warning
     path = os.path.join(PRESETS, "spectrum-%s.json" % name)
-    tail = {"dim": 2, "straight": straight, "twisted": "free"}
+    tail = {"dim": 2, "straight": straight, "twisted": twisted}
     obj = {"cutoff": 5, "entries": [[1, 1, 0]], "kernel": [1, 0], "tail": tail}
     with open(path, "rb") as fh:
         assert (jsonio.canonical_dumps(obj) + "\n").encode() == fh.read()

@@ -99,7 +99,7 @@ def test_trace_model_ladder():
     assert m.next_exponent == 1.5
     # pole part: c0 / (-1) + c4 / 1
     assert abs(m.pole_part() - (-2.0 + 0.1)) < 1e-15
-    assert TraceModel(coeffs=(), next_exponent=math.inf)(0.3) == 0.0
+    assert TraceModel((), math.inf)(0.3) == 0.0
 
 
 def test_pole_part_does_not_depend_on_the_order_of_terms():
@@ -110,8 +110,7 @@ def test_pole_part_does_not_depend_on_the_order_of_terms():
         ladder = rng.standard_normal(9) * 10.0 ** rng.uniform(-8.0, 8.0, 9)
         model = TraceModel.from_ladder(dim, ladder.tolist())
         shuffled = TraceModel(
-            coeffs=tuple(model.coeffs[i] for i in rng.permutation(9)),
-            next_exponent=model.next_exponent,
+            tuple(model.coeffs[i] for i in rng.permutation(9)), model.next_exponent
         )
         assert shuffled.pole_part().hex() == model.pole_part().hex()
 
@@ -213,6 +212,58 @@ def test_non_finite_split_estimate_is_a_miss():
     res = continue_one(lams, ws, 1.0, broken, model, 200.0, 1e-6)
     assert isinstance(res, AccuracyError)
     assert res.achievable == math.inf
+
+
+def _loop_estimates(lams, ws, kernel, model, bound, cutoff):
+    """The split search's estimate at every grid point, by the loop over
+    Python floats that the estimate table replaced, with a NaN deviation
+    counted as infinite."""
+    splits = mellin._SPLITS
+    ts = np.stack([splits, splits / 2.0], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = mellin._theta_at(lams, np.array([ws]), [kernel], ts)[0].tolist()
+        talls = 2.0 * np.exp(-0.5 * cutoff * splits) * bound.abs_model()(splits / 2)
+        models = model(ts).tolist()
+    q = model.next_exponent
+    out = []
+    for delta, tall, (th1, th2), (m1, m2) in zip(
+        splits.tolist(), talls.tolist(), theta, models
+    ):
+        dev1, dev2 = abs(th1 - m1), abs(th2 - m2)
+        if math.isinf(q):
+            below = dev1 + dev2 + tall
+        else:
+            below = max(dev1, dev2 * 2.0**q) / q + tall / max(q, 1.0)
+        est = below + tall * (math.log(1.0 / delta) + 1.0)
+        out.append(est if math.isfinite(est) and not math.isnan(dev2) else math.inf)
+    return out
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        round_sphere_spectrum(1.0, True, 60),
+        round_sphere_spectrum(1.0, False, 60),
+        # the twisted model is finite at some split delta and NaN (inf - inf)
+        # at delta / 2: that split's estimate is infinite, not finite
+        EquivariantSpectrum(
+            [(1.0, 1, 0)], (1, 0), HeatTail(2, [1, 0, 0], [0.7e308, -0.85e308, 0]), 5.0
+        ),
+    ],
+    ids=["free", "fixed-curves", "twisted-nan"],
+)
+def test_split_search_table_is_the_loop_over_floats(spectrum):
+    # at target 1e-300 every sector misses and quotes its least estimate over
+    # the whole grid, from both passes of the table: bit for bit the least
+    # of the loop's
+    sectors = [spectral._sector(spectrum, s) for s in (1, -1, 0)]
+    weights, kernels, models = zip(*sectors)
+    lams, cutoff = spectrum.lambdas(), spectrum.cutoff
+    bound = TraceModel.from_ladder(spectrum.tail.dim, spectrum.tail.straight)
+    out = continue_trace(lams, np.array(weights), kernels, models, bound, cutoff, 1e-300)
+    for res, (w, k, m) in zip(out, sectors):
+        assert isinstance(res, AccuracyError)
+        assert res.achievable == min(_loop_estimates(lams, w, k, m, bound, cutoff))
 
 
 @pytest.mark.parametrize("cutoff", [0.0, -1.0, -math.inf, math.nan])

@@ -435,6 +435,43 @@ def test_each_distinct_continuation_runs_once(monkeypatch, capsys):
         assert capsys.readouterr().out.encode() == fh.read()
 
 
+@pytest.mark.parametrize("twisted", [False, True], ids=["free", "fixed-curves"])
+def test_engine_reads_the_tails_own_sector_models(monkeypatch, twisted):
+    # each sector's model is built once, by its HeatTail, and handed to the
+    # engine as that object: no call builds its own copy
+    seen = []
+    real = spectral.continue_trace
+
+    def spying(*args, **kwargs):
+        seen.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "continue_trace", spying)
+    spectrum = round_sphere_spectrum(1.0, not twisted, 200)
+    spectral.zeta_values(spectrum, TOL)
+    [models] = seen
+    assert len(models) == 3
+    for model, sector in zip(models, (1, -1, 0)):
+        assert model is spectrum.tail.models[sector]
+    assert list(spectrum.tail.models) == [1, -1, 0]
+
+
+def test_free_tail_shares_one_model_for_plus_and_minus():
+    free = HeatTail(2, [1.0, 0.0, 0.5])
+    assert free.models[1] is free.models[-1]
+    assert free.models[0] == mellin.TraceModel((), math.inf)
+    fixed = HeatTail(2, [1.0, 0.0, 0.5], [0.5, 0.0, 0.25])
+    assert fixed.models[1] is not fixed.models[-1]
+    assert fixed.models[1] == mellin.TraceModel.from_ladder(2, [0.75, 0.0, 0.375])
+    assert fixed.models[-1] == mellin.TraceModel.from_ladder(2, [0.25, 0.0, 0.125])
+    # the models are kept beside the fields, not as one: equality, hash and
+    # repr read the fields only
+    again = HeatTail(2, [1.0, 0.0, 0.5])
+    assert again.models is not free.models
+    assert again == free and hash(again) == hash(free)
+    assert repr(again) == "HeatTail(dim=2, straight=(1.0, 0.0, 0.5), twisted=None)"
+
+
 def test_a_shared_sector_keeps_its_value_and_its_refusal():
     spectrum, curve = flat_torus_spectrum(I2, None, 300.0), flat_torus_curve(I2, 300.0)
     assert curve.spectrum == spectrum and curve.spectrum is not spectrum
