@@ -458,6 +458,10 @@ def continue_trace(
         return _continue_complete(lams, weights, kernel_weights, models)
     if not cutoff > 0.0:
         raise InputError("a truncated spectrum needs a positive finite cutoff")
+    # the remainder past a model is O(t^q), with q its next_exponent: it
+    # must vanish as t -> 0, so the t^0 term is declared
+    if not all(m.next_exponent > 0.0 for m in models):
+        raise InputError("a model's next exponent must be positive")
     # a huge heat-tail coefficient overflows the models and the truncation
     # bound; a non-finite estimate is already a miss, so none of it warns
     with np.errstate(over="ignore", invalid="ignore"):

@@ -72,7 +72,8 @@ class HeatTail(Record):
     small (a free involution). Each sector's model is built and evaluated
     once here and kept as `models`, which the engine reads: a pole part sum
     p_e / e or a t^0 coefficient past float range is refused, so the engine
-    only reads finite ones.
+    only reads finite ones. The straight model of the truncation bound is
+    kept as `bound`, built on first use.
     """
 
     dim: int
@@ -137,6 +138,12 @@ class HeatTail(Record):
         )
         twisted = TraceModel.from_ladder(self.dim, self.twisted)
         return {1: plus, -1: minus, _TWISTED: twisted}
+
+    @functools.cached_property
+    def bound(self) -> TraceModel:
+        """The straight trace's model, from which the engine bounds every
+        sector's truncation error."""
+        return TraceModel.from_ladder(self.dim, self.straight)
 
 
 def _sequence(x, what: str) -> tuple:
@@ -370,7 +377,7 @@ def _continue(requests, tol: float) -> list[list[ContinuationResult]]:
             np.array(weights),
             kernels,
             models,
-            TraceModel.from_ladder(spectrum.tail.dim, spectrum.tail.straight),
+            spectrum.tail.bound,
             spectrum.cutoff,
             target=tol,
         )

