@@ -12,12 +12,15 @@ Subcommands:
 All output is canonical JSON on stdout (or --out FILE): identical inputs
 produce byte-identical reports. Exit codes: 0 success, 2 invalid input,
 3 requested accuracy not reachable, 4 geometric precondition failed.
+
+The parser checks builtin names, against the tables of lattices and
+models, and that exactly one input source is given; its refusals exit 2.
+Values, --tol included, are checked once, by the library.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import jsonio, lattices, models, spectral
@@ -29,19 +32,15 @@ from .periods import period_of
 
 def _load_lattice(args) -> lattices.Lattice:
     if args.builtin:
-        return lattices.build_standard_lattice(args.builtin)
-    if args.infile:
-        return jsonio.decode_lattice(jsonio.load_path(args.infile))
-    raise InputError("give either --builtin or --in")
+        return lattices.BUILTIN_LATTICES[args.builtin]()
+    return jsonio.decode_lattice(jsonio.load_path(args.infile))
 
 
 def _load_spectrum(args) -> spectral.EquivariantSpectrum:
     if args.builtin:
-        spec = models.build_model_spectrum(args.builtin)
-    elif args.spectrum:
-        spec = jsonio.decode_spectrum(jsonio.load_path(args.spectrum))
+        spec = models.BUILTIN_MODELS[args.builtin]()
     else:
-        raise InputError("give either --builtin or --spectrum")
+        spec = jsonio.decode_spectrum(jsonio.load_path(args.spectrum))
     if args.max_terms is not None:
         spec = spectral.truncate_entries(spec, args.max_terms)
     return spec
@@ -57,7 +56,7 @@ def _zeta_dict(r: ContinuationResult) -> dict:
 
 def _emit(args, obj) -> None:
     text = jsonio.canonical_dumps(obj)
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -98,19 +97,14 @@ def _eigenlattice_dict(sub: lattices.SublatticeBasis) -> dict:
 
 
 def cmd_involution(args) -> None:
+    given = tuple(x is not None for x in (args.builtin, args.lattice, args.matrix))
+    if given not in ((True, False, False), (False, True, True)):
+        raise InputError("give --builtin or both --lattice and --matrix")
     if args.builtin:
-        if args.builtin != "enriques":
-            raise InputError(
-                "unknown builtin involution %r (available: enriques)" % args.builtin
-            )
-        iso = lattices.enriques_involution()
+        iso = lattices.BUILTIN_INVOLUTIONS[args.builtin]()
     else:
-        if not (args.lattice and args.matrix):
-            raise InputError("give --builtin or both --lattice and --matrix")
         lat = jsonio.decode_lattice(jsonio.load_path(args.lattice))
         iso = jsonio.decode_isometry(jsonio.load_path(args.matrix), lat)
-    if not iso.is_involution:
-        raise InputError("matrix squared is not the identity")
     plus = lattices.eigenlattice(iso, +1)
     minus = lattices.eigenlattice(iso, -1)
     _emit(
@@ -125,8 +119,9 @@ def cmd_involution(args) -> None:
 
 def cmd_period(args) -> None:
     frame = jsonio.decode_frame(jsonio.load_path(args.frame))
-    if args.involution == "enriques":
-        iso = lattices.enriques_involution()
+    build = lattices.BUILTIN_INVOLUTIONS.get(args.involution)
+    if build is not None:
+        iso = build()
     else:
         iso = jsonio.decode_isometry(
             jsonio.load_path(args.involution), lattices.Lattice(frame.form.tolist())
@@ -206,22 +201,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the JSON report to this file")
 
 
-def _tolerance(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 < tol < math.inf:
-        raise argparse.ArgumentTypeError(
-            "expected a positive finite number, got %r" % text
-        )
-    return tol
-
-
 def _add_tol(p: argparse.ArgumentParser, default: float) -> None:
     p.add_argument(
         "--tol",
-        type=_tolerance,
+        type=float,
         default=default,
         help="accuracy target (default %g)" % default,
     )
@@ -235,13 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lattice", help="invariants of a lattice")
-    p.add_argument("--builtin", choices=lattices.BUILTIN_LATTICES)
-    p.add_argument("--in", dest="infile", help="lattice JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--builtin", choices=lattices.BUILTIN_LATTICES)
+    source.add_argument("--in", dest="infile", help="lattice JSON file")
     _add_common(p)
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("involution", help="eigenlattice invariants")
-    p.add_argument("--builtin", help="builtin involution (enriques)")
+    p.add_argument("--builtin", choices=lattices.BUILTIN_INVOLUTIONS)
     p.add_argument("--lattice", help="lattice JSON file")
     p.add_argument("--matrix", help="isometry JSON file")
     _add_common(p)
@@ -252,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--involution",
         required=True,
-        help="isometry JSON file, or the builtin name enriques",
+        help="isometry JSON file, or a builtin involution: %s"
+        % ", ".join(lattices.BUILTIN_INVOLUTIONS),
     )
     p.add_argument("--marking", help="marking isometry JSON file")
     _add_tol(p, DEFAULT_TOL)
@@ -264,11 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("tau", cmd_tau, "torsion invariant of an equivariant spectrum"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--spectrum", help="spectrum JSON file")
-        p.add_argument(
-            "--builtin",
-            help="builtin model (%s)" % ", ".join(models.builtin_model_names()),
-        )
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--spectrum", help="spectrum JSON file")
+        source.add_argument("--builtin", choices=models.BUILTIN_MODELS)
         p.add_argument(
             "--max-terms",
             type=int,

@@ -289,6 +289,10 @@ def enriques_involution() -> LatticeIsometry:
     return LatticeIsometry(k3, m)
 
 
+# the builtin involutions, by the names the command line offers
+BUILTIN_INVOLUTIONS = {"enriques": enriques_involution}
+
+
 def eigenlattice(f: LatticeIsometry, sign: int) -> SublatticeBasis:
     """Saturated basis of the (+1 or -1) eigenlattice of an involution,
     computed once per isometry object."""

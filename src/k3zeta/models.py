@@ -277,23 +277,8 @@ def flat_torus_curve(gram, cutoff: float = DEFAULT_TORUS_CUTOFF) -> CurveCompone
     return CurveComponent((2.0 * math.pi) ** 2 * root_det, spectrum)
 
 
-_PRESETS = {
+# the builtin spectra, by the names the command line offers
+BUILTIN_MODELS = {
     "s2-antipodal": lambda: round_sphere_spectrum(1.0, True),
     "t2-flat": lambda: flat_torus_spectrum([[1, 0], [0, 1]], [1, 0]),
 }
-
-
-def builtin_model_names() -> tuple[str, ...]:
-    return tuple(sorted(_PRESETS))
-
-
-def build_model_spectrum(name: str) -> EquivariantSpectrum:
-    """Build the spectrum of a preset model by name."""
-    try:
-        build = _PRESETS[name]
-    except (KeyError, TypeError):
-        raise InputError(
-            "unknown builtin model %r (available: %s)"
-            % (name, ", ".join(builtin_model_names()))
-        ) from None
-    return build()

@@ -225,6 +225,9 @@ class EquivariantSpectrum(Record, eq=False):
         total = k[0] + k[1] + sum(mp.tolist()) + sum(mm.tolist())
         _count(total, "total state count")
         if tail.dim == 0:
+            # a complete spectrum has no cutoff: its encoding omits the key
+            if cutoff != math.inf:
+                raise InputError("a complete spectrum takes no cutoff, got %r" % (cutoff,))
             cut = math.inf
         else:
             cut = _finite(cutoff, "a truncated spectrum's cutoff")

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from k3zeta import models
 from k3zeta.errors import AccuracyError, InputError
 from k3zeta.models import (
+    BUILTIN_MODELS,
     SPHERE_HEAT_COEFFICIENTS,
-    build_model_spectrum,
-    builtin_model_names,
     flat_torus_curve,
     flat_torus_spectrum,
     round_sphere_curve,
@@ -408,11 +407,9 @@ def test_a_torus_curve_converts_and_factors_its_gram_once(monkeypatch):
 
 
 def test_builtin_dispatch():
-    assert set(builtin_model_names()) == {"s2-antipodal", "t2-flat"}
-    sphere = build_model_spectrum("s2-antipodal")
+    assert set(BUILTIN_MODELS) == {"s2-antipodal", "t2-flat"}
+    sphere = BUILTIN_MODELS["s2-antipodal"]()
     assert sphere.entries == round_sphere_spectrum().entries
-    torus = build_model_spectrum("t2-flat")
+    torus = BUILTIN_MODELS["t2-flat"]()
     reference = flat_torus_spectrum(I2, character=(1, 0))
     assert torus.entries == reference.entries
-    with pytest.raises(InputError):
-        build_model_spectrum("klein-bottle")

@@ -132,6 +132,15 @@ def test_truncated_spectrum_needs_a_finite_cutoff():
             EquivariantSpectrum(((1.0, 1, 0),), (0, 0), tail, cutoff)
     assert EquivariantSpectrum(((1.0, 1, 0),), (0.0, 0), tail, 4).kernel == (0, 0)
 
+
+@pytest.mark.parametrize("cutoff", ["abc", None, True, -1, 5.0, math.nan])
+def test_complete_spectrum_takes_no_cutoff(cutoff):
+    tail = HeatTail(0, (1.0,), (1.0,))
+    with pytest.raises(InputError) as exc:
+        EquivariantSpectrum(((1.0, 1, 0),), (0, 0), tail, cutoff)
+    assert str(exc.value) == "a complete spectrum takes no cutoff, got %r" % (cutoff,)
+    assert EquivariantSpectrum(((1.0, 1, 0),), (0, 0), tail, math.inf).cutoff == math.inf
+
 def test_achievable_does_not_depend_on_the_tolerance():
     # no split reaches these targets; the least estimate over the whole grid
     # of splits is the same whatever the target asked for
