@@ -15,7 +15,8 @@ produce byte-identical reports. Exit codes: 0 success, 2 invalid input,
 
 The parser checks builtin names, against the tables of lattices and
 models, and that exactly one input source is given; its refusals exit 2.
-Values, --tol included, are checked once, by the library.
+Builtin names are read in any case, as the library reads them. Values,
+--tol included, and the shape of each input file are checked by the library.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .periods import period_of
 
 def _load_lattice(args) -> lattices.Lattice:
     if args.builtin:
-        return lattices.BUILTIN_LATTICES[args.builtin]()
+        return lattices.build_standard_lattice(args.builtin)
     return jsonio.decode_lattice(jsonio.load_path(args.infile))
 
 
@@ -119,7 +120,7 @@ def cmd_involution(args) -> None:
 
 def cmd_period(args) -> None:
     frame = jsonio.decode_frame(jsonio.load_path(args.frame))
-    build = lattices.BUILTIN_INVOLUTIONS.get(args.involution)
+    build = lattices.BUILTIN_INVOLUTIONS.get(args.involution.lower())
     if build is not None:
         iso = build()
     else:
@@ -158,10 +159,7 @@ def cmd_tau(args) -> None:
     spec = _load_spectrum(args)
     curves = None
     if args.curves:
-        data = jsonio.load_path(args.curves)
-        if not isinstance(data, list):
-            raise InputError("curves file must hold a JSON list")
-        curves = tuple(jsonio.decode_curve(c) for c in data)
+        curves = jsonio.decode_curves(jsonio.load_path(args.curves))
     tau = spectral.tau_iota(spec, curves, args.tol)
     br = spectral.borcherds_report(tau.value, args.nu)
     out = {
@@ -219,13 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="invariants of a lattice")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--builtin", choices=lattices.BUILTIN_LATTICES)
+    source.add_argument("--builtin", type=str.lower, choices=lattices.BUILTIN_LATTICES)
     source.add_argument("--in", dest="infile", help="lattice JSON file")
     _add_common(p)
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("involution", help="eigenlattice invariants")
-    p.add_argument("--builtin", choices=lattices.BUILTIN_INVOLUTIONS)
+    p.add_argument("--builtin", type=str.lower, choices=lattices.BUILTIN_INVOLUTIONS)
     p.add_argument("--lattice", help="lattice JSON file")
     p.add_argument("--matrix", help="isometry JSON file")
     _add_common(p)
@@ -251,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--spectrum", help="spectrum JSON file")
-        source.add_argument("--builtin", choices=models.BUILTIN_MODELS)
+        source.add_argument("--builtin", type=str.lower, choices=models.BUILTIN_MODELS)
         p.add_argument(
             "--max-terms",
             type=int,

@@ -19,10 +19,11 @@ Wire shapes:
   curve       {"volume": num, "spectrum": {"entries": [[lam, m]],
                "kernel": k, "tail": {"dim": n, "straight": [num]},
                "cutoff": num (omitted when complete)}}
+  curves      [curve]
 
-A curve's Laplacian decodes into the one spectrum type with the trivial
-involution: entries (lam, m, 0), kernel (k, 0), and a twisted tail equal to
-the straight one. Its wire format keeps only the plus sector.
+A curve's spectrum is the spectrum format without its minus sector. It is
+put back (entries (lam, m, 0), kernel (k, 0), twisted tail = straight) for
+`decode_spectrum`, and `CurveComponent` checks the result as a curve.
 """
 
 from __future__ import annotations
@@ -186,31 +187,29 @@ def decode_spectrum(obj) -> EquivariantSpectrum:
 
 
 def encode_curve(curve: CurveComponent) -> dict:
-    spec = curve.spectrum
-    out = {
-        "entries": [[lam, mp] for lam, mp, _ in spec.entries],
-        "kernel": spec.kernel[0],
-        "tail": {
-            "dim": spec.tail.dim,
-            "straight": [float(c) for c in spec.tail.straight],
-        },
-    }
-    if math.isfinite(spec.cutoff):
-        out["cutoff"] = float(spec.cutoff)
-    return {"volume": curve.volume, "spectrum": out}
+    spec = encode_spectrum(curve.spectrum)
+    spec["entries"] = [e[:2] for e in spec["entries"]]
+    spec["kernel"] = spec["kernel"][0]
+    del spec["tail"]["twisted"]
+    return {"volume": curve.volume, "spectrum": spec}
 
 
 def decode_curve(obj) -> CurveComponent:
-    spec_obj = _require(obj, "spectrum", dict)
-    tail_obj = _require(spec_obj, "tail", dict)
-    entries = _require(spec_obj, "entries", list)
+    spec = dict(_require(obj, "spectrum", dict))
+    entries = _require(spec, "entries", list)
     if not all(isinstance(e, list) and len(e) == 2 for e in entries):
         raise InputError("curve spectrum entries must be [eigenvalue, multiplicity]")
-    straight = _require(tail_obj, "straight", list)
-    spectrum = EquivariantSpectrum(
-        [(lam, m, 0) for lam, m in entries],
-        (_require(spec_obj, "kernel", int), 0),
-        HeatTail(_require(tail_obj, "dim", int), straight, straight),
-        spec_obj.get("cutoff", math.inf),
+    tail = _require(spec, "tail", dict)
+    spec.update(
+        entries=[e + [0] for e in entries],
+        kernel=[_require(spec, "kernel", int), 0],
+        tail={**tail, "twisted": _require(tail, "straight", list)},
     )
-    return CurveComponent(_require(obj, "volume", (int, float)), spectrum)
+    return CurveComponent(_require(obj, "volume", (int, float)), decode_spectrum(spec))
+
+
+def decode_curves(obj) -> tuple[CurveComponent, ...]:
+    """The fixed curves of a curves file: a JSON list of curves."""
+    if not isinstance(obj, list):
+        raise InputError("curves file must hold a JSON list")
+    return tuple(map(decode_curve, obj))

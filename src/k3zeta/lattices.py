@@ -247,7 +247,7 @@ BUILTIN_LATTICES = {
 
 def build_standard_lattice(name: str) -> Lattice:
     """The builtin lattice of a name of BUILTIN_LATTICES, in any case."""
-    build = BUILTIN_LATTICES.get(str(name).strip().lower())
+    build = BUILTIN_LATTICES.get(str(name).lower())
     if build is None:
         raise InputError(
             "unknown builtin lattice %r (want %s)" % (name, ", ".join(BUILTIN_LATTICES))

@@ -191,17 +191,14 @@ def flat_torus_spectrum(
     half period; the involution is free unless the character is trivial,
     in which case the twisted trace coincides with the straight one.
     """
-    return _flat_torus(gram, character, cutoff, None)[0]
+    return _flat_torus(gram, character, cutoff)[0]
 
 
-def _flat_torus(gram, character, cutoff, dim) -> tuple[EquivariantSpectrum, float]:
+def _flat_torus(gram, character, cutoff) -> tuple[EquivariantSpectrum, float]:
     """The spectrum of `flat_torus_spectrum` and sqrt(det Q), converting and
-    factoring the Gram matrix once; a `dim` other than None is the only
-    dimension accepted (a curve's 2)."""
+    factoring the Gram matrix once."""
     q = to_int_matrix(gram)
     n = len(q)
-    if dim is not None and n != dim:
-        raise InputError("curve components are %d-dimensional" % dim)
     if n == 0:
         raise InputError("gram matrix must be nonempty")
     if not is_symmetric(q):
@@ -273,7 +270,7 @@ def _flat_torus(gram, character, cutoff, dim) -> tuple[EquivariantSpectrum, floa
 def flat_torus_curve(gram, cutoff: float = DEFAULT_TORUS_CUTOFF) -> CurveComponent:
     """A flat 2-torus as a fixed-curve component: volume (2 pi)^2 sqrt(det Q)
     and its spectrum under the trivial character."""
-    spectrum, root_det = _flat_torus(gram, None, cutoff, 2)
+    spectrum, root_det = _flat_torus(gram, None, cutoff)
     return CurveComponent((2.0 * math.pi) ** 2 * root_det, spectrum)
 
 

@@ -6,8 +6,8 @@ integers of at most 2**53 so that the engine's float64 weights are exact,
 the kernel dimensions, and a heat-tail declaration describing the t -> 0
 trace on the ladder t^((j - dim)/2). dim = 0 means the entries are the
 complete spectrum of a finite model and the tail is the exact constant. A
-fixed curve's Laplacian is the same type with the trivial involution: no
-minus states and a twisted tail equal to the straight one.
+fixed curve's Laplacian is the same type, with a 2-dimensional or complete
+tail and the trivial involution: no minus states, twisted tail = straight.
 
 A spectrum has three sectors, each continued to s = 0 by the engine in
 `mellin`: plus and minus, the (1 +/- involution)/2 eigenspaces, and the
@@ -280,8 +280,8 @@ class EquivariantSpectrum(Record, eq=False):
 
 
 class CurveComponent(Record):
-    """One fixed-curve component: its volume and its Laplacian, a spectrum
-    on which the involution acts trivially."""
+    """One fixed-curve component: its volume and its Laplacian, a complete
+    or 2-dimensional (complex curve) spectrum with the trivial involution."""
 
     volume: float
     spectrum: EquivariantSpectrum
@@ -300,6 +300,11 @@ class CurveComponent(Record):
             raise InputError(
                 "a curve spectrum needs the trivial involution: no minus"
                 " states and a twisted tail equal to the straight one"
+            )
+        if spectrum.tail.dim not in (0, 2):
+            raise InputError(
+                "a curve spectrum is 2-dimensional or complete, not %d-dimensional"
+                % spectrum.tail.dim
             )
         super().__init__(v, spectrum)
 
@@ -505,32 +510,31 @@ def tau_iota(
     exp(-zeta'(0)) of the curve's plus sector (its whole spectrum, the
     involution acting trivially).
 
-    For a manifold spectrum (dim >= 1) the twisted-tail kind must match the
-    call: a free tail forbids curve data, explicit twisted coefficients
-    require it. Complete synthetic spectra accept either form.
+    `curves` is None or a sequence of CurveComponents. For a manifold
+    spectrum (dim >= 1) a free tail forbids curves, explicit twisted
+    coefficients require them; complete synthetic spectra accept either.
     """
-    if curves is not None and len(curves) == 0:
-        curves = None
-    if spectrum.tail.dim >= 1:
-        if spectrum.tail.free and curves is not None:
-            raise ConsistencyError(
-                "tail declares a free involution but curve data was supplied"
-            )
-        if not spectrum.tail.free and curves is None:
-            raise ConsistencyError(
-                "tail declares fixed curves (explicit twisted coefficients)"
-                " but no curve data was supplied"
-            )
+    curves = _sequence(() if curves is None else curves, "curves")
+    for c in curves:
+        if not isinstance(c, CurveComponent):
+            raise InputError("curves hold CurveComponents, not %s" % type(c).__name__)
+    if spectrum.tail.dim >= 1 and spectrum.tail.free == bool(curves):
+        raise ConsistencyError(
+            "tail declares a free involution but curve data was supplied"
+            if curves
+            else "tail declares fixed curves (explicit twisted coefficients)"
+            " but no curve data was supplied"
+        )
     requests = [("the spectrum", spectrum, (1, -1))]
     requests += [
-        ("curve %d" % k, comp.spectrum, (1,)) for k, comp in enumerate(curves or (), 1)
+        ("curve %d" % k, comp.spectrum, (1,)) for k, comp in enumerate(curves, 1)
     ]
     (plus, minus), *curve_zetas = _continue(requests, tol)
     det = _determinant(plus, minus)
     log_tau = -2.0 * math.log(det.value)
     err_log = 2.0 * (plus.error_estimate + minus.error_estimate)
     factors = []
-    if curves is None:
+    if not curves:
         # keep tau = det^-2 an identity of floats, not just of logs
         value = _in_range("tau", log_tau, lambda: det.value**-2.0)
     else:

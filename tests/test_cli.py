@@ -30,6 +30,7 @@ from k3zeta.models import (
 )
 from k3zeta.periods import period_of
 from k3zeta.spectral import (
+    CurveComponent,
     EquivariantSpectrum,
     HeatTail,
     borcherds_report,
@@ -40,6 +41,7 @@ from k3zeta.spectral import (
 from fixtures import run_python, seed_frame
 
 I2 = ((1, 0), (0, 1))
+I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def run(capsys, argv):
@@ -571,6 +573,13 @@ GOLDENS = [
         0,
         "tau-spectrum-curves.out",
     ),
+    # a curve whose tail is 3-dimensional, not a complex curve's: exit 2
+    (
+        "curve-dim3-refusal",
+        ["tau", "--spectrum", "spectrum-torus-fixed.json", "--curves", "curves-torus3.json"],
+        2,
+        "tau-curve-dim3-refusal.err",
+    ),
     # no split point reaches the tolerance: exit 3
     (
         "zeta-t2-flat-refusal",
@@ -706,6 +715,12 @@ _BUILT = {
     "curves-torus-sphere.json": lambda: [
         jsonio.encode_curve(curve)
         for curve in (flat_torus_curve(_TORUS_GRAM, 200.0), round_sphere_curve(l_max=150))
+    ],
+    # the flat 3-torus as a curve, written past CurveComponent's checks
+    "curves-torus3.json": lambda: [
+        jsonio.encode_curve(
+            CurveComponent._of((2.0 * math.pi) ** 3, flat_torus_spectrum(I3, None, 90.0))
+        )
     ],
     # a complete spectrum, whose zeta values are the closed form
     # -sum m log lambda
@@ -864,6 +879,63 @@ def test_builtin_flag_offers_its_table(command, table, kind):
     assert list(_option(command, "--builtin").choices) == list(table)
     for build in table.values():
         assert isinstance(build(), kind)
+
+
+_NAMED = [
+    (["lattice", "--builtin"], BUILTIN_LATTICES),
+    (["involution", "--builtin"], BUILTIN_INVOLUTIONS),
+    (["zeta", "--builtin"], BUILTIN_MODELS),
+    (["tau", "--builtin"], BUILTIN_MODELS),
+    (["period", "--frame", "frame-rng5.json", "--involution"], BUILTIN_INVOLUTIONS),
+]
+_NAMES = {name for _, table in _NAMED for name in table}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [head + [name] for head, table in _NAMED for name in table],
+    ids=lambda argv: "%s-%s" % (argv[0], argv[-1]),
+)
+def test_every_builtin_name_is_read_in_any_case(monkeypatch, capsys, argv):
+    # the library's rule, in the parser: a name is lower-cased, then looked up
+    monkeypatch.chdir(PRESETS)
+    code, out, err = run(capsys, argv[:-1] + [argv[-1].upper()])
+    assert (code, out, err) == run(capsys, argv)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv, code, golden",
+    [row[1:] for row in GOLDENS if _NAMES.intersection(row[1])],
+    ids=[row[0] for row in GOLDENS if _NAMES.intersection(row[1])],
+)
+def test_upper_case_builtin_names_print_the_golden(
+    monkeypatch, capsys, argv, code, golden
+):
+    monkeypatch.chdir(PRESETS)
+    with open(golden, encoding="utf-8") as fh:
+        want = fh.read()
+    got = run(capsys, [a.upper() if a in _NAMES else a for a in argv])
+    assert got == ((code, want, "") if code == 0 else (code, "", want))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "--builtin", "LEECH"],
+        ["involution", "--builtin", "K3"],
+        ["zeta", "--builtin", "S2"],
+        ["tau", "--builtin", "T2-FLAT "],
+        ["period", "--frame", "frame-rng5.json", "--involution", "ENRIQUES2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unknown_builtin_names_exit_2(monkeypatch, capsys, argv):
+    monkeypatch.chdir(PRESETS)
+    code, err = exit_and_stderr(capsys, argv)
+    assert code == 2
+    # the parser's refusal, or, for period, the file that is not there
+    assert "invalid choice" in err or err.startswith("input error: cannot read")
 
 
 @pytest.mark.parametrize("name", BUILTIN_INVOLUTIONS)

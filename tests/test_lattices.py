@@ -4,6 +4,7 @@ import pytest
 from k3zeta import intlinalg
 from k3zeta.errors import DegenerateLatticeError, InputError
 from k3zeta.lattices import (
+    BUILTIN_LATTICES,
     DiscriminantInfo,
     Lattice,
     LatticeIsometry,
@@ -47,8 +48,15 @@ def test_k3_lattice_invariants():
 
 
 def test_unknown_builtin():
-    with pytest.raises(InputError):
-        build_standard_lattice("leech")
+    for name in ("leech", "LEECH", " k3"):
+        with pytest.raises(InputError, match="unknown builtin lattice"):
+            build_standard_lattice(name)
+
+
+def test_builtin_names_are_read_in_any_case():
+    # the command line's rule too: lower-case, then look up
+    for name in BUILTIN_LATTICES:
+        assert build_standard_lattice(name.upper()) == build_standard_lattice(name)
 
 
 def test_direct_sum_blocks():

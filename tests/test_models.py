@@ -406,6 +406,13 @@ def test_a_torus_curve_converts_and_factors_its_gram_once(monkeypatch):
         flat_torus_curve(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 50.0)
 
 
+@pytest.mark.parametrize("gram", [[[2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+def test_a_torus_curve_is_2_dimensional(gram):
+    # the torus is built, and CurveComponent refuses its tail
+    with pytest.raises(InputError, match="not %d-dimensional" % len(gram)):
+        flat_torus_curve(gram, 50.0)
+
+
 def test_builtin_dispatch():
     assert set(BUILTIN_MODELS) == {"s2-antipodal", "t2-flat"}
     sphere = BUILTIN_MODELS["s2-antipodal"]()

@@ -597,6 +597,19 @@ def test_curve_component_needs_the_trivial_involution():
     with pytest.raises(InputError):
         CurveComponent(math.nan, ok)
 
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+def test_curve_component_needs_a_complete_or_2_dimensional_tail(dim):
+    # a fixed curve is a complex curve; a complete synthetic one is kept
+    straight = (2.0,) + (0.0,) * dim
+    tail = HeatTail(dim, straight, straight)
+    spectrum = EquivariantSpectrum(((1.0, 1, 0),), (1, 0), tail, 5.0 if dim else math.inf)
+    if dim in (0, 2):
+        assert CurveComponent(1.0, spectrum).spectrum is spectrum
+    else:
+        with pytest.raises(InputError, match="not %d-dimensional" % dim):
+            CurveComponent(1.0, spectrum)
+
+
 def test_tau_kind_mismatch():
     free = round_sphere_spectrum(l_max=30)
     pinned = flat_torus_spectrum(I2, character=(0, 0), cutoff=30.0)
@@ -667,6 +680,7 @@ _TAIL = HeatTail(2, (2.0, 0.0, 0.5))
             "entries",
             id="entries-none",
         ),
+        pytest.param(lambda: tau_iota(_POINT, 5), "curves", id="curves"),
     ],
 )
 def test_non_sequences_are_refused_by_name(make, name):
@@ -794,6 +808,11 @@ def test_library_arguments_are_refused_not_truncated(call):
         (
             lambda: CurveComponent(1.0, _POINT.tail),
             "curve component needs an EquivariantSpectrum",
+        ),
+        (
+            # a spectrum where a curve belongs
+            lambda: tau_iota(_POINT, [_POINT]),
+            "curves hold CurveComponents, not EquivariantSpectrum",
         ),
     ]
     + [
