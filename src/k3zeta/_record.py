@@ -20,7 +20,10 @@ Outside input is checked once: a class's constructor, and the decoders
 that call it, check what arrives from a caller or a file. What the package
 derives from data it has already checked (a Hermite kernel basis, an exact
 product B^T G B, the conjugate of a checked period point, the columns of a
-model spectrum) is stored through `_of`, so it is not checked again.
+model spectrum) is stored through `_of`, so it is not checked again. A
+function given a checked record checks only that it is one: every report
+refuses a spectrum that is not an EquivariantSpectrum, and the
+continuation engine checks none of the arrays it reads from one.
 
 The field names are read once, when the class is made, and the methods are
 shared: no code is generated per class, so a record costs about what a

@@ -296,6 +296,8 @@ BUILTIN_INVOLUTIONS = {"enriques": enriques_involution}
 def eigenlattice(f: LatticeIsometry, sign: int) -> SublatticeBasis:
     """Saturated basis of the (+1 or -1) eigenlattice of an involution,
     computed once per isometry object."""
+    if not isinstance(f, LatticeIsometry):
+        raise InputError("an eigenlattice needs an exact lattice isometry")
     if _finite(sign, "eigenvalue sign") not in (1, -1):
         raise InputError("eigenvalue sign must be +1 or -1")
     if not f.is_involution:

@@ -34,10 +34,14 @@ numpy.polynomial.legendre.leggauss(32) and (16) return, stored as their
 negative halves and mirrored (leggauss's rules are exactly symmetric), so
 numpy.polynomial is not imported; a test checks the tables bit for bit.
 
-Reductions over eigenvalue entries run in fixed-size chunks in ascending
-order and the chunk partials are combined with math.fsum, node by node
-where a chunk gives one partial per node (theta), so results are
-deterministic and compensated no matter how entries are batched.
+The E1 term and a complete spectrum's sums are one math.fsum over the
+entries; theta combines its chunk partials with math.fsum, node by node.
+
+The engine checks none of its arguments: they are the arrays of a checked
+EquivariantSpectrum, as spectral._continue passes them, whose constructor
+makes the eigenvalues finite, positive and strictly ascending and a
+truncated cutoff finite and positive; its heat tail gives each model a
+next exponent of at least 1/2, and spectral._continue checks the target.
 
 All sectors of one spectrum (one weight row each) are continued in one
 call. They share E1 of the eigenvalues, the split candidates (which depend
@@ -147,7 +151,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from .errors import AccuracyError, InputError, _positive, _within
+from .errors import AccuracyError, InputError, _within
 
 DEFAULT_TARGET = 1e-8
 _CHUNK = 4096
@@ -246,16 +250,6 @@ class ContinuationResult(Record):
     zeta_prime_at_0: float
     error_estimate: float
     split_point: float
-
-
-def ordered_chunk_sum(values: np.ndarray) -> float:
-    """Deterministic compensated reduction: fixed-size chunks in the given
-    order, exact fsum of the chunk partials."""
-    v = np.asarray(values, dtype=float)
-    partials = [
-        math.fsum(v[i : i + _CHUNK].tolist()) for i in range(0, v.size, _CHUNK)
-    ]
-    return math.fsum(partials)
 
 
 def exp1(lams) -> np.ndarray:
@@ -429,39 +423,14 @@ def continue_trace(
     Returns one item per sector: its ContinuationResult, or the
     AccuracyError it refuses with when no split point meets `target`, so
     one sector's miss does not stop the others.
-    """
-    target = _positive(target, "target")
-    lams = np.asarray(lams, dtype=float)
-    weights = np.ascontiguousarray(weights, dtype=float)
-    kernel_weights = [float(k) for k in kernel_weights]
-    models = list(models)
-    if (
-        lams.ndim != 1
-        or weights.ndim != 2
-        or weights.shape[1:] != lams.shape
-        or not len(weights) == len(kernel_weights) == len(models)
-    ):
-        raise InputError(
-            "eigenvalues must be 1-d, with one aligned weight row, kernel"
-            " weight and model per sector"
-        )
-    if not (
-        np.isfinite(lams).all()
-        and np.isfinite(weights).all()
-        and all(map(math.isfinite, kernel_weights))
-    ):
-        raise InputError("eigenvalues and weights must be finite")
-    if lams.size and (np.any(lams <= 0.0) or np.any(np.diff(lams) < 0)):
-        raise InputError("eigenvalues must be positive and ascending")
 
+    Nothing is checked here: the arguments are those of a checked
+    EquivariantSpectrum and a positive `target`, as spectral._continue
+    passes them.
+    """
+    weights = np.asarray(weights, dtype=float)
     if cutoff == math.inf:
         return _continue_complete(lams, weights, kernel_weights, models)
-    if not cutoff > 0.0:
-        raise InputError("a truncated spectrum needs a positive finite cutoff")
-    # the remainder past a model is O(t^q), with q its next_exponent: it
-    # must vanish as t -> 0, so the t^0 term is declared
-    if not all(m.next_exponent > 0.0 for m in models):
-        raise InputError("a model's next exponent must be positive")
     # a huge heat-tail coefficient overflows the models and the truncation
     # bound; a non-finite estimate is already a miss, so none of it warns
     with np.errstate(over="ignore", invalid="ignore"):
@@ -473,7 +442,7 @@ def continue_trace(
 def _continue_truncated(
     lams, weights, kernel_weights, models, bound_model, cutoff, target
 ) -> list:
-    """continue_trace on a truncated spectrum, its inputs checked."""
+    """continue_trace on a truncated spectrum."""
     abs_bound = bound_model.abs_model()
 
     def trunc_bound(t):
@@ -553,7 +522,7 @@ def _continue_truncated(
     for s, ps in edges.items():
         model = models[s]
         zeta0 = model.coeff_at_zero() - kernel_weights[s]
-        b_term = ordered_chunk_sum(weights[s, :nz] * e1)
+        b_term = math.fsum((weights[s, :nz] * e1).tolist())
         pole = model.pole_part()
         below = belows[s, first[s]].item()
         at = [row[panel] for panel in ps]  # ascending: the error sum keeps its order
@@ -583,9 +552,9 @@ def constant_mismatch(what: str, constant: float, kernel_weight: float, weights)
     names the constant by `what`. The spectrum constructor applies it to
     every sector, and the closed form applies it again to the same
     numbers, so a spectrum that constructs is never refused for them."""
-    states = kernel_weight + ordered_chunk_sum(weights)
+    states = kernel_weight + math.fsum(weights.tolist())
     mismatch = abs(constant - states)
-    size = abs(kernel_weight) + ordered_chunk_sum(np.abs(weights))
+    size = abs(kernel_weight) + math.fsum(np.abs(weights).tolist())
     if not _within(mismatch, 1e-9, size):
         raise InputError(
             "complete spectrum: %s constant %.17g != its state count %.17g"
@@ -601,12 +570,12 @@ def _continue_complete(lams, weights, kernel_weights, models) -> list:
 
     The error is u (8 S + 4), u = 2^-53 and S = sum |w log lambda|, plus
     the mismatch between the model's constant and w0 + sum w. zeta'(0)
-    alone needs 5u S: each term is rounded in its log (within one ulp,
-    2u) and its product (u), and the sum in its chunk partial and in the
-    result (u of S each). The rest covers the rounding of the reports
-    built on two sectors, which add no bar of their own: the sum
-    -zeta_+'(0) + zeta_-'(0) (u S), an exp and a power (one ulp each),
-    and second-order terms.
+    alone needs 4u S: each term is rounded in its log (within one ulp,
+    2u) and its product (u), and the sum once, by math.fsum (u of S). The
+    rest covers the rounding of the reports built on two sectors, which
+    add no bar of their own: the sum -zeta_+'(0) + zeta_-'(0) (u S), an
+    exp and a power (one ulp each), and second-order terms, with room to
+    spare.
     """
     logs = np.log(lams)
     results = []
@@ -614,7 +583,7 @@ def _continue_complete(lams, weights, kernel_weights, models) -> list:
         p0 = m.coeff_at_zero()
         mismatch = constant_mismatch("a sector's", p0, k, w)
         terms = w * logs
-        err = 2.0**-53 * (8.0 * ordered_chunk_sum(np.abs(terms)) + 4.0) + mismatch
-        zp = 0.0 - ordered_chunk_sum(terms)  # a zero sum gives 0.0, not -0.0
+        err = 2.0**-53 * (8.0 * math.fsum(np.abs(terms).tolist()) + 4.0) + mismatch
+        zp = 0.0 - math.fsum(terms.tolist())  # a zero sum gives 0.0, not -0.0
         results.append(ContinuationResult(p0 - k, zp, err, 0.0))
     return results

@@ -356,6 +356,15 @@ def _sector(spectrum: EquivariantSpectrum, sector: int):
     return weights, kernel, spectrum.tail.models[sector]
 
 
+def _require_spectrum(spectrum) -> None:
+    """Refuse anything but an EquivariantSpectrum: its constructor has
+    checked every array the engine reads, and the engine checks none."""
+    if not isinstance(spectrum, EquivariantSpectrum):
+        raise InputError(
+            "spectrum must be an EquivariantSpectrum, not %s" % type(spectrum).__name__
+        )
+
+
 def _continue(requests, tol: float) -> list[list[ContinuationResult]]:
     """Continue the sectors of each (source, spectrum, sectors) request
     and return their results per request. Equal spectra (a curve equal to
@@ -375,6 +384,7 @@ def _continue(requests, tol: float) -> list[list[ContinuationResult]]:
     tol = _positive(tol, "tol")
     wanted = {}  # each distinct spectrum's sectors, in the order first asked
     for _, spectrum, sectors in requests:
+        _require_spectrum(spectrum)
         have = wanted.setdefault(spectrum, [])
         have += [s for s in sectors if s not in have]
     done = {}
@@ -514,6 +524,7 @@ def tau_iota(
     spectrum (dim >= 1) a free tail forbids curves, explicit twisted
     coefficients require them; complete synthetic spectra accept either.
     """
+    _require_spectrum(spectrum)
     curves = _sequence(() if curves is None else curves, "curves")
     for c in curves:
         if not isinstance(c, CurveComponent):
@@ -586,6 +597,7 @@ def truncate_entries(
     """Keep only the first `max_terms` entries, tightening the completeness
     claim to the last kept eigenvalue. Complete spectra cannot lose entries
     without lying, so they are refused."""
+    _require_spectrum(spectrum)
     if _finite(max_terms, "max terms") < 1:
         raise InputError("max terms must be at least 1")
     n = _count(max_terms, "max terms")

@@ -6,9 +6,11 @@ the fixed seed frame, SO(3) rotations of a frame and their recovery, the
 inverse of the compatible family, projective equality of period points and
 unordered period-pair equality, and the orthogonal complement and
 saturation of a sublattice. `run_python` runs a fresh interpreter on the
-package the tests imported.
+package the tests imported. `checked_continue_trace` is the continuation
+engine behind an assertion of the arguments it reads unchecked.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +18,7 @@ import sys
 import numpy as np
 
 import k3zeta
-from k3zeta import intlinalg
+from k3zeta import intlinalg, mellin
 from k3zeta.frames import HKFrame
 from k3zeta.lattices import build_standard_lattice
 from k3zeta.periods import PeriodPoint
@@ -124,3 +126,24 @@ def is_saturated(vectors) -> bool:
     """True iff the vectors span a primitive sublattice: every Smith
     divisor of the matrix with them as columns is 1."""
     return all(d == 1 for d in intlinalg.smith_divisors(intlinalg.transpose(vectors)))
+
+
+def checked_continue_trace(
+    lams, weights, kernel_weights, models, bound_model, cutoff, target
+):
+    """mellin.continue_trace, after asserting what it reads unchecked: the
+    arrays of a checked spectrum and a positive target, as spectral passes
+    them. Patched in for `spectral.continue_trace`, it tests that contract
+    on every continuation a report runs."""
+    weights = np.asarray(weights, dtype=float)
+    assert lams.ndim == 1 and np.isfinite(lams).all()
+    assert (lams > 0.0).all() and (np.diff(lams) > 0.0).all()
+    assert weights.shape == (len(models), lams.size) and np.isfinite(weights).all()
+    assert len(kernel_weights) == len(models)
+    assert all(map(math.isfinite, kernel_weights))
+    assert cutoff > 0.0  # math.inf for a complete spectrum
+    assert all(m.next_exponent > 0.0 for m in models)
+    assert math.isfinite(target) and target > 0.0
+    return mellin.continue_trace(
+        lams, weights, kernel_weights, models, bound_model, cutoff, target
+    )

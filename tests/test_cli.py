@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from k3zeta import jsonio
+from k3zeta import jsonio, spectral
 from k3zeta.cli import build_parser, main
 from k3zeta.errors import InputError
 from k3zeta.frames import HKFrame, random_compatible_frame
@@ -38,7 +38,7 @@ from k3zeta.spectral import (
     zeta_signed,
 )
 
-from fixtures import run_python, seed_frame
+from fixtures import checked_continue_trace, run_python, seed_frame
 
 I2 = ((1, 0), (0, 1))
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -1127,9 +1127,11 @@ def _mutated(draw, obj):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=st.data())
-def test_cli_ends_in_a_report_or_a_typed_exit(tmp_path, data):
+def test_cli_ends_in_a_report_or_a_typed_exit(tmp_path, monkeypatch, data):
     # any mutation of the repo's own input files, under any flags, ends in
-    # exit 0 with JSON on stdout or in a typed refusal, never a traceback
+    # exit 0 with JSON on stdout or in a typed refusal, never a traceback;
+    # and every continuation it runs gets the arguments the engine assumes
+    monkeypatch.setattr(spectral, "continue_trace", checked_continue_trace)
     obj, argv, flags = data.draw(st.sampled_from(_FUZZ))
     path, fixed = tmp_path / "input.json", tmp_path / "fixed.json"
     path.write_text(json.dumps(data.draw(_mutated(obj))))

@@ -29,12 +29,20 @@ from k3zeta.spectral import (
     zeta_signed,
 )
 
-from fixtures import seed_frame
+from fixtures import checked_continue_trace, seed_frame
 from oracles import direct_zeta, scaled_spectrum
 
 I2 = ((1, 0), (0, 1))
 TOL = 1e-8
 PRESETS = os.path.join(os.path.dirname(__file__), "data", "presets")
+
+
+@pytest.fixture(autouse=True)
+def _engine_contract(monkeypatch):
+    # every continuation a report runs here gets the arguments the engine
+    # reads unchecked
+    monkeypatch.setattr(spectral, "continue_trace", checked_continue_trace)
+
 
 # complete synthetic spectrum: one positive state in the kernel,
 # eigenvalue 1 with signs (2, 1), eigenvalue 2 with signs (1, 0)
@@ -127,7 +135,7 @@ def test_malformed_spectra_are_refused_at_construction(entries, kernel, tail):
 
 def test_truncated_spectrum_needs_a_finite_cutoff():
     tail = HeatTail(2, (2.0, 0.0, 1.0))
-    for cutoff in (math.nan, math.inf, -1.0, "four"):
+    for cutoff in (math.nan, math.inf, -math.inf, 0.0, -1.0, "four"):
         with pytest.raises(InputError):
             EquivariantSpectrum(((1.0, 1, 0),), (0, 0), tail, cutoff)
     assert EquivariantSpectrum(((1.0, 1, 0),), (0.0, 0), tail, 4).kernel == (0, 0)
@@ -663,7 +671,6 @@ def test_truncate_entries():
 _SPHERE = round_sphere_spectrum(l_max=10)
 _ENRIQUES = lattices.enriques_involution()
 _POINT = EquivariantSpectrum(((1.0, 1, 0),), (1, 0), HeatTail(0, (2.0,), (2.0,)))
-_CONSTANT = mellin.TraceModel.from_ladder(0, [2.0])
 _TAIL = HeatTail(2, (2.0, 0.0, 0.5))
 
 
@@ -777,13 +784,32 @@ def test_library_arguments_are_refused_not_truncated(call):
             lambda: periods.PeriodPoint(lattices.eigenlattice(_ENRIQUES, -1), [1.0, 1j]),
             "period coordinates must have length 12",
         ),
+        # a report or a truncation of something that is not a spectrum
+        (lambda: tau_iota(5), "spectrum must be an EquivariantSpectrum, not int"),
         (
-            # two kernel weights for one weight row and one model
-            lambda: mellin.continue_trace(
-                [1.0], [[1.0]], [1.0, 0.0], [_CONSTANT], _CONSTANT, math.inf
-            ),
-            "eigenvalues must be 1-d, with one aligned weight row, kernel"
-            " weight and model per sector",
+            lambda: truncate_entries(None, 3),
+            "spectrum must be an EquivariantSpectrum, not NoneType",
+        ),
+        (
+            lambda: spectral.zeta_values([1, 2]),
+            "spectrum must be an EquivariantSpectrum, not list",
+        ),
+        (
+            lambda: equivariant_determinant_report(HeatTail(2, [1, 0, 0])),
+            "spectrum must be an EquivariantSpectrum, not HeatTail",
+        ),
+        # the lattice path with a float matrix where an isometry belongs
+        (
+            lambda: lattices.eigenlattice(np.eye(2), 1),
+            "an eigenlattice needs an exact lattice isometry",
+        ),
+        (
+            lambda: periods.period_of(seed_frame(), np.eye(22)),
+            "a period needs an exact lattice isometry",
+        ),
+        (
+            lambda: periods.period_of(seed_frame(), _ENRIQUES, np.eye(22)),
+            "a marking must be an exact lattice isometry",
         ),
         (lambda: round_sphere_spectrum(1.0, True, 1), "l_max must be at least 2"),
         (lambda: flat_torus_spectrum([], None, 10.0), "gram matrix must be nonempty"),

@@ -7,6 +7,9 @@ attributes and imported names) in module-level code outside definitions and
 in `perfbench/*.py` are reached, and so is every identifier in the body of a
 reached definition. Identifiers are matched by name alone, so a name that a
 reached definition mentions for another object counts as reached too.
+
+Every name a package module imports is read in that module: an import left
+behind when its last use goes is dead code no linter here would report.
 """
 
 import ast
@@ -78,3 +81,22 @@ def test_every_public_name_is_reached_outside_the_tests():
 def test_every_allowance_is_still_needed():
     assert sorted(ALLOWED) == [n for n in _unreached() if n in ALLOWED]
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def _unused_imports(path) -> list[str]:
+    """The names a module imports (apart from __future__ features) that no
+    name in the module reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_every_import_is_used():
+    unused = {path.stem: _unused_imports(path) for path in PACKAGE}
+    assert {module: names for module, names in unused.items() if names} == {}
