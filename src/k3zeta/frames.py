@@ -86,6 +86,7 @@ def is_compatible(frame: HKFrame, invol, tol: float = DEFAULT_TOL) -> bool:
     fixes gamma_I and negates gamma_J, gamma_K."""
     if not isinstance(invol, lattices.LatticeIsometry):
         raise InputError("a frame check needs an exact lattice isometry")
+    _require_frame(frame)
     if invol.lattice.rank != frame.form.shape[0]:
         raise InputError(
             "isometry of rank %d on a frame of dimension %d"
@@ -96,6 +97,13 @@ def is_compatible(frame: HKFrame, invol, tol: float = DEFAULT_TOL) -> bool:
     return _within(
         float(np.max(np.abs(moved - target))), tol, float(np.max(np.abs(target)))
     )
+
+
+def _require_frame(frame) -> None:
+    """Refuse anything but an HKFrame: its constructor has checked the form
+    and the vectors that the frame checks read."""
+    if not isinstance(frame, HKFrame):
+        raise InputError("frame must be an HKFrame, not %s" % type(frame).__name__)
 
 
 def _require_compatible(frame: HKFrame, invol, tol: float) -> None:

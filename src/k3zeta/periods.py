@@ -185,6 +185,7 @@ def period_of(
         raise InputError("a period needs an exact lattice isometry")
     if marking is not None and not isinstance(marking, lattices.LatticeIsometry):
         raise InputError("a marking must be an exact lattice isometry")
+    frames_mod._require_frame(frame)
     if frame.form.shape[0] != invol.lattice.rank or not _within(
         float(np.max(np.abs(frame.form - invol.lattice.float_gram))), tol
     ):

@@ -7,8 +7,10 @@ gen.lattice_ops(), sphere_ops() and torus_ops() through the benchmark's
 Runner, emptying k3zeta's caches before each. Each operation gives one
 line, the repr of (Runner.run output, check_data), or the repr of the
 exception it raised. Prints the operation count and the sha256 of those
-lines, each ending in a newline. Two trees that compute the same values,
-bit for bit, print the same line; so do two runs of one tree.
+lines, each ending in a newline, after one such `workload count sha256`
+line for each workload, so that a mismatch names its workload. Two trees
+that compute the same values, bit for bit, print the same lines; so do two
+runs of one tree.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ def main(root: str) -> int:
         ("torus-zeta", gen.torus_ops()),
     ):
         runner = worker.Runner(workload)
+        part = hashlib.sha256()
         for op in ops:
             runner.clear_caches()
             try:
@@ -38,8 +41,10 @@ def main(root: str) -> int:
                 line = repr((out, None if state is None else runner.check_data(op, state)))
             except Exception as exc:
                 line = repr(exc)
-            digest.update((line + "\n").encode())
-            count += 1
+            for h in (digest, part):
+                h.update((line + "\n").encode())
+        print(workload, len(ops), part.hexdigest())
+        count += len(ops)
     print(count, digest.hexdigest())
     return 0
 

@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3zeta import jsonio, spectral
@@ -1081,6 +1081,9 @@ _FUZZ = [
         ("--tol",),
     ),
 ]
+# the rows whose input is a spectrum or a curves file, which a report
+# continues
+_FUZZ_SPECTRA = _FUZZ[:3]
 _VALUES = (
     st.integers(-3, 5)
     | st.sampled_from([2**53, 2**53 + 1, 10**400])
@@ -1121,33 +1124,68 @@ def _mutated(draw, obj):
     return obj
 
 
-@settings(
-    max_examples=50,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(data=st.data())
-def test_cli_ends_in_a_report_or_a_typed_exit(tmp_path, monkeypatch, data):
+@st.composite
+def _kept_valid(draw, obj):
+    """A spectrum or curves input with one change that keeps it valid: an
+    entry's multiplicity changed, or its eigenvalue moved strictly between
+    its neighbours (the last one up to the cutoff)."""
+    obj = copy.deepcopy(obj)
+    spectrum = obj[0]["spectrum"] if isinstance(obj, list) else obj
+    rows = spectrum["entries"]
+    i = draw(st.integers(0, len(rows) - 1))
+    if draw(st.booleans()):
+        last = i + 1 == len(rows)
+        low = rows[i - 1][0] if i else 0.0
+        high = spectrum["cutoff"] if last else rows[i + 1][0]
+        moved = st.floats(low, high, exclude_min=True, exclude_max=not last)
+        rows[i][0] = draw(moved)
+    else:
+        rows[i][draw(st.integers(1, len(rows[i]) - 1))] = draw(st.integers(1, 50))
+    return obj
+
+
+def test_cli_ends_in_a_report_or_a_typed_exit(tmp_path, monkeypatch):
     # any mutation of the repo's own input files, under any flags, ends in
     # exit 0 with JSON on stdout or in a typed refusal, never a traceback;
-    # and every continuation it runs gets the arguments the engine assumes
-    monkeypatch.setattr(spectral, "continue_trace", checked_continue_trace)
-    obj, argv, flags = data.draw(st.sampled_from(_FUZZ))
+    # and every continuation it runs gets the arguments the engine assumes.
+    # About half the examples change a spectrum or curves file in a way that
+    # keeps it valid, so that the run reaches the engine; it must reach it
+    # at least once
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return checked_continue_trace(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "continue_trace", spy)
     path, fixed = tmp_path / "input.json", tmp_path / "fixed.json"
-    path.write_text(json.dumps(data.draw(_mutated(obj))))
     fixed.write_text(json.dumps(_TORUS_FIXED))
-    argv = [{"{}": str(path), "fixed": str(fixed)}.get(a, a) for a in argv]
-    for flag in flags:
-        value = data.draw(st.none() | _FLAGS[flag])
-        if value is not None:
-            argv += [flag, value]
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    except SystemExit as exc:  # argparse refuses a flag
-        assert exc.code == 2, err.getvalue()
-        return
-    assert code in (0, 2, 3, 4), err.getvalue()
-    if code == 0:
-        json.loads(out.getvalue())
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def one_input(data):
+        if data.draw(st.booleans()):
+            obj, argv, flags = data.draw(st.sampled_from(_FUZZ_SPECTRA))
+            obj = data.draw(_kept_valid(obj))
+        else:
+            obj, argv, flags = data.draw(st.sampled_from(_FUZZ))
+            obj = data.draw(_mutated(obj))
+        path.write_text(json.dumps(obj))
+        argv = [{"{}": str(path), "fixed": str(fixed)}.get(a, a) for a in argv]
+        for flag in flags:
+            value = data.draw(st.none() | _FLAGS[flag])
+            if value is not None:
+                argv += [flag, value]
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:  # argparse refuses a flag
+            assert exc.code == 2, err.getvalue()
+            return
+        assert code in (0, 2, 3, 4), err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue())
+
+    one_input()
+    assert calls

@@ -16,6 +16,7 @@ from k3zeta.lattices import (
     eigenlattice,
     enriques_involution,
 )
+from k3zeta.periods import period_of
 
 from fixtures import (
     family_parameters,
@@ -71,6 +72,21 @@ def test_involution_must_be_a_lattice_isometry():
             is_compatible(seed_frame(), invol)
         with pytest.raises(InputError, match="exact lattice isometry"):
             compatible_frames(seed_frame(), invol, 1, 0.3)
+
+
+@pytest.mark.parametrize(
+    "frame, name",
+    [(np.eye(22), "ndarray"), (None, "NoneType"), (np.eye(22).tolist(), "list")],
+)
+def test_frame_checks_refuse_what_is_not_a_frame(frame, name):
+    iso = enriques_involution()
+    message = "^frame must be an HKFrame, not %s$" % name
+    with pytest.raises(InputError, match=message):
+        is_compatible(frame, iso)
+    with pytest.raises(InputError, match=message):
+        compatible_frames(frame, iso, 1, 0.3)
+    with pytest.raises(InputError, match=message):
+        period_of(frame, iso)
 
 
 def test_frame_checks_refuse_an_isometry_of_another_rank():

@@ -19,7 +19,7 @@ from k3zeta.models import (
     round_sphere_curve,
     round_sphere_spectrum,
 )
-from k3zeta.spectral import EquivariantSpectrum, truncate_entries
+from k3zeta.spectral import EquivariantSpectrum, tau_iota, truncate_entries
 
 from oracles import (
     exact_torus_eigenvalues,
@@ -29,6 +29,14 @@ from oracles import (
 )
 
 I2 = ((1, 0), (0, 1))
+
+
+@pytest.fixture(autouse=True)
+def cold_builders():
+    # each test starts with no spectrum built, so a spy sees every build
+    # it asks for, not a hit on what an earlier test left behind
+    models._torus_of.cache_clear()
+    models._sphere_of.cache_clear()
 
 
 def test_sphere_heat_coefficients_exact():
@@ -256,6 +264,7 @@ def test_torus_entries_match_exact_enumeration_over_blocks(monkeypatch):
     want = exact_torus_entries(I2, (1, 0), 8300.0)
     for block in [100, 16 * 259, models._BLOCK]:
         monkeypatch.setattr(models, "_BLOCK", block)
+        models._torus_of.cache_clear()
         spec = flat_torus_spectrum(I2, (1, 0), 8300.0)
         assert list(spec.entries) == want, block
 
@@ -397,13 +406,88 @@ def test_a_torus_curve_converts_and_factors_its_gram_once(monkeypatch):
     spectrum = flat_torus_spectrum(gram, None, 50.0)
     # one conversion, det Q and the four cofactors of adj(Q)
     assert calls == {"to_int_matrix": 1, "det_bareiss": 5}
+    # a curve built after it converts its Gram matrix for the checks and
+    # gets that same spectrum, not factored again
     calls.clear()
     curve = flat_torus_curve(gram, 50.0)
-    assert calls == {"to_int_matrix": 1, "det_bareiss": 5}
-    assert curve.spectrum == spectrum
+    assert calls == {"to_int_matrix": 1}
+    assert curve.spectrum is spectrum
     assert curve.volume == (2.0 * math.pi) ** 2 * math.sqrt(5.0)
+    # a cold cache builds the curve's spectrum again
+    calls.clear()
+    models._torus_of.cache_clear()
+    curve = flat_torus_curve(gram, 50.0)
+    assert calls == {"to_int_matrix": 1, "det_bareiss": 5}
+    assert curve.spectrum == spectrum and curve.spectrum is not spectrum
     with pytest.raises(InputError, match="2-dimensional"):
         flat_torus_curve(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 50.0)
+
+
+def test_a_curve_built_after_its_spectrum_is_that_spectrum():
+    gram = [[2, 1], [1, 3]]
+    torus = flat_torus_spectrum(gram, None, 50.0)
+    assert flat_torus_curve(gram, 50.0).spectrum is torus
+    # the trivial character and other spellings of one argument are one key
+    assert flat_torus_spectrum(gram, [0, 0], 50.0) is torus
+    assert flat_torus_spectrum(np.array(gram), (0.0, 0), 50) is torus
+    assert flat_torus_spectrum(gram, [1, 0], 50.0) is not torus
+    sphere = round_sphere_spectrum(2.0, False, 30)
+    assert round_sphere_curve(2.0, 30).spectrum is sphere
+    assert round_sphere_spectrum(2, 0, 30.0) is sphere
+    assert round_sphere_spectrum(2.0, True, 30) is not sphere
+
+
+@pytest.mark.parametrize(
+    "build, valid, bad, message",
+    [
+        (
+            flat_torus_spectrum,
+            (I2, None, 50.0),
+            ([[1, 0], [1, 1]], None, 50.0),
+            "gram matrix must be symmetric",
+        ),
+        (
+            flat_torus_spectrum,
+            (I2, None, 50.0),
+            (I2, None, 0.0),
+            "cutoff must be positive and finite, got 0.0",
+        ),
+        (
+            flat_torus_spectrum,
+            (I2, None, 50.0),
+            (I2, None, -50.0),
+            "cutoff must be positive and finite, got -50.0",
+        ),
+        (
+            round_sphere_spectrum,
+            (1.0, False, 2),
+            (1.0, False, 1),
+            "l_max must be at least 2",
+        ),
+    ],
+    ids=["non-symmetric-gram", "zero-cutoff", "negative-cutoff", "l_max-1"],
+)
+def test_refusals_keep_their_messages_with_a_warm_cache(build, valid, bad, message):
+    with pytest.raises(InputError) as cold:
+        build(*bad)
+    assert str(cold.value) == message
+    build(*valid)
+    with pytest.raises(InputError) as warm:
+        build(*bad)
+    assert str(warm.value) == str(cold.value)
+
+
+def test_tau_of_a_torus_that_is_its_own_curve_keeps_its_bits():
+    spectrum, curve = flat_torus_spectrum(I2, None, 300.0), flat_torus_curve(I2, 300.0)
+    assert curve.spectrum is spectrum
+    shared = tau_iota(spectrum, (curve,), 1e-8)
+    models._torus_of.cache_clear()
+    curve = flat_torus_curve(I2, 300.0)
+    assert curve.spectrum == spectrum and curve.spectrum is not spectrum
+    apart = tau_iota(spectrum, (curve,), 1e-8)
+    # repr gives each float's shortest round-trip digits, so equal reprs
+    # are equal bits
+    assert repr(apart) == repr(shared)
 
 
 @pytest.mark.parametrize("gram", [[[2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])

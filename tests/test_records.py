@@ -86,12 +86,16 @@ IDENTITY_RECORDS = [
     (periods._MarkingContext, "domain", _context),
 ]
 
+
+def _spectrum():
+    # the model builds each spectrum once; a copy through the constructor
+    # is a second, equal object
+    s = flat_torus_spectrum(I2, (1, 0), 30.0)
+    return spectral.EquivariantSpectrum(s.entries, s.kernel, s.tail, s.cutoff)
+
+
 # a spectrum has its own value equality, hash and repr (of its entries)
-SPECTRUM = (
-    spectral.EquivariantSpectrum,
-    "kernel",
-    lambda: flat_torus_spectrum(I2, (1, 0), 30.0),
-)
+SPECTRUM = (spectral.EquivariantSpectrum, "kernel", _spectrum)
 
 
 def _cases(cases):

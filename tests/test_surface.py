@@ -10,9 +10,14 @@ reached definition mentions for another object counts as reached too.
 
 Every name a package module imports is read in that module: an import left
 behind when its last use goes is dead code no linter here would report.
+
+Every functools cache of the package is a module or class attribute, where
+the benchmark finds the caches it empties before each operation.
 """
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -100,3 +105,45 @@ def _unused_imports(path) -> list[str]:
 def test_every_import_is_used():
     unused = {path.stem: _unused_imports(path) for path in PACKAGE}
     assert {module: names for module, names in unused.items() if names} == {}
+
+
+def _decorated_caches() -> set[str]:
+    """module.name of every definition that `ast` finds decorated with
+    lru_cache or cache, in any spelling (bare, called or an attribute)."""
+    found = set()
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(dec, "attr", getattr(dec, "id", None))
+                if name in ("lru_cache", "cache"):
+                    found.add("%s.%s" % (path.stem, node.name))
+    return found
+
+
+def _clearable_caches() -> set[str]:
+    """module.name of every attribute with a cache_clear, on a package
+    module or on a class defined there: the caches the benchmark's worker
+    empties before each operation."""
+    found = set()
+    for path in PACKAGE:
+        stem = "" if path.stem == "__init__" else "." + path.stem
+        module = importlib.import_module("k3zeta" + stem)
+        for obj in vars(module).values():
+            owners = [obj]
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                owners += list(vars(obj).values())
+            for owner in owners:
+                if callable(getattr(owner, "cache_clear", None)):
+                    found.add("%s.%s" % (path.stem, owner.__name__))
+    return found
+
+
+def test_every_functools_cache_can_be_emptied_from_outside():
+    # a cache kept anywhere else (in a closure, say) would outlive the
+    # benchmark's clearing and make repeated operations look fast
+    decorated = _decorated_caches()
+    assert {"models._torus_of", "models._sphere_of"} <= decorated
+    assert _clearable_caches() == decorated
