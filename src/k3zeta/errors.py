@@ -15,6 +15,8 @@ checks all decide through it, so a change of tolerance is made there.
 
 import math
 
+import numpy as np
+
 
 class K3ZetaError(Exception):
     """Base class for all typed errors raised by this package."""
@@ -54,10 +56,10 @@ class AccuracyError(K3ZetaError):
 
 
 def _finite(x, what: str) -> float:
-    """A finite float from a number: booleans, strings and values past
-    float range are refused."""
+    """A finite float from a number: booleans (numpy's too), strings and
+    values past float range are refused."""
     try:
-        v = math.nan if isinstance(x, (bool, str)) else float(x)
+        v = math.nan if isinstance(x, (bool, np.bool_, str)) else float(x)
     except (TypeError, ValueError, OverflowError):
         v = math.nan
     if not math.isfinite(v):
@@ -67,12 +69,13 @@ def _finite(x, what: str) -> float:
 
 def _count(x, what: str) -> int:
     """A nonnegative integer of at most 2**53 (2**53 + 1 is the first that
-    float64 rounds), from an int or an integral float."""
+    float64 rounds), from an int or an integral float; booleans (numpy's
+    too) are refused."""
     try:
         n = int(x)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or n != x or not 0 <= n <= 2**53 or isinstance(x, bool):
+    if n is None or n != x or not 0 <= n <= 2**53 or isinstance(x, (bool, np.bool_)):
         raise InputError(
             "%s must be a nonnegative integer of at most 2**53, not %r" % (what, x)
         )

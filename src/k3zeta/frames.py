@@ -32,10 +32,12 @@ DEFAULT_TOL = 1e-10
 
 
 def _holds(x, kind) -> bool:
-    """True if a nested list of numbers, as JSON decodes it, has an entry
-    of `kind` (numpy would read a boolean as 0 or 1 and parse a numeric
-    string)."""
-    if isinstance(x, (list, tuple)):
+    """True if a nested list of numbers, as JSON decodes it, or an array
+    has an entry of `kind` (numpy would read a boolean as 0 or 1 and parse a
+    numeric string)."""
+    if isinstance(x, np.ndarray) and x.dtype != object:
+        return issubclass(x.dtype.type, kind)
+    if isinstance(x, (list, tuple, np.ndarray)):
         return any(_holds(e, kind) for e in x)
     return isinstance(x, kind)
 
@@ -56,7 +58,7 @@ class HKFrame(Record, eq=False):
             v = np.asarray(gammas, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError("frame entries must be numbers (%s)" % exc) from None
-        for kind, name in ((bool, "booleans"), (str, "strings")):
+        for kind, name in (((bool, np.bool_), "booleans"), (str, "strings")):
             if _holds(form, kind) or _holds(gammas, kind):
                 raise InputError("frame entries must be numbers, not %s" % name)
         if not (np.isfinite(g).all() and np.isfinite(v).all()):
@@ -199,7 +201,7 @@ def random_compatible_frame(invol, rng) -> HKFrame:
                 % (pos.shape[1], want_pos)
             )
     alpha = rng.uniform(0.0, 0.8)
-    x = float(rng.choice([-1.0, 1.0])) * pos_p[:, 0] + alpha * _unit_neg(neg_p)
+    x = (-1.0, 1.0)[int(rng.integers(2))] * pos_p[:, 0] + alpha * _unit_neg(neg_p)
     gi = x * np.sqrt(2.0 / _norm(x, g, 1, "invariant direction"))
 
     phi = rng.uniform(0.0, 2.0 * np.pi)

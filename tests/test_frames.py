@@ -35,6 +35,16 @@ def test_frame_pairing_validation():
     HKFrame(form, good)
     with pytest.raises(GeometryError):
         HKFrame(form, np.vstack([good[0], good[0], good[2]]))
+    # booleans and numeric strings are refused, as lists or as arrays
+    for bad_form, bad_gammas, name in (
+        (form.tolist(), [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], "booleans"),
+        (form, np.eye(3, 4, dtype=bool), "booleans"),
+        (np.eye(4, dtype=bool), good, "booleans"),
+        ([[np.True_, 0], [0, 1]], good, "booleans"),
+        (form, good.astype(str), "strings"),
+    ):
+        with pytest.raises(InputError, match="^frame entries must be numbers, not %s$" % name):
+            HKFrame(bad_form, bad_gammas)
 
 
 def test_rotation_group_structure():
@@ -130,6 +140,17 @@ def test_random_compatible_frames_are_compatible():
     for _ in range(20):
         fr = random_compatible_frame(iso, rng)
         assert is_compatible(fr, iso)
+
+
+def test_sign_draw_reads_the_stream_as_a_choice_of_two_did():
+    # the sampler draws its sign as (-1.0, 1.0)[rng.integers(2)]; that reads
+    # the sign, and leaves the stream, as rng.choice([-1.0, 1.0]) did, so
+    # seeded frames (and the benchmark's digest) keep their values
+    for seed in range(500):
+        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert float(old.choice([-1.0, 1.0])) == (-1.0, 1.0)[int(new.integers(2))]
+        assert old.uniform() == new.uniform()
 
 
 def test_symmetry_check_at_its_tolerance():

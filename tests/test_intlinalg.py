@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import fraction_inertia, nested_sum_product
+from test_periods import _conjugated_enriques
 
 import k3zeta
 from k3zeta.errors import DegenerateLatticeError, InputError
@@ -24,6 +25,7 @@ from k3zeta.intlinalg import (
     to_int_matrix,
     transpose,
 )
+from k3zeta.lattices import enriques_involution
 
 U = [[0, 1], [1, 0]]
 
@@ -41,6 +43,10 @@ def test_to_int_matrix_rejects_bad_input():
         to_int_matrix([[0, 1], [1, 1, 3]])
     with pytest.raises(InputError):
         to_int_matrix([[0.5, 1], [1, 0]])
+    # numpy booleans are refused as Python booleans are
+    for rows in (np.array([[True, False], [False, True]]), [[1, np.True_]]):
+        with pytest.raises(InputError, match="is not an integer"):
+            to_int_matrix(rows)
     assert to_int_matrix(np.array([[2, 0], [0, 2]])) == [[2, 0], [0, 2]]
 
 
@@ -54,7 +60,7 @@ def _to_int_matrix_by_entry(obj):
             out = []
             for x in row:
                 xi = int(x)
-                if xi != x or isinstance(x, bool):
+                if xi != x or isinstance(x, (bool, np.bool_)):
                     raise InputError("matrix entry %r is not an integer" % (x,))
                 out.append(xi)
             if width is None:
@@ -73,6 +79,7 @@ _BIG_INTS = st.integers(-(2**70), 2**70)  # past int64 both ways
 _ENTRIES = st.one_of(
     _BIG_INTS,
     st.booleans(),
+    st.booleans().map(np.bool_),
     st.floats(),
     st.integers(-9, 9).map(float),
     st.text(max_size=2),
@@ -99,12 +106,14 @@ _ROWS = st.one_of(
 )
 @example([[2**64, -(2**70)], (1, 2)])
 @example([[1, True], [2, 3]])
+@example(np.array([[True, False], [False, True]]))
 @example([[1, np.int64(2)], [2.0, 3]])
 @example([[], []])
 def test_to_int_matrix_agrees_with_reading_every_entry(rows):
-    """Rows of Python ints are copied as they are; every other row (bools,
-    floats, strings, numpy ints, ragged, empty or not a sequence) gets the
-    result, or the refusal and its message, of the entry-by-entry reading."""
+    """Rows of Python ints are copied as they are; every other row (Python
+    or numpy bools, floats, strings, numpy ints, ragged, empty or not a
+    sequence) gets the result, or the refusal and its message, of the
+    entry-by-entry reading."""
     try:
         want = _to_int_matrix_by_entry(rows)
     except InputError as exc:
@@ -277,6 +286,35 @@ def test_inertia_of_zero_diagonal_forms_matches_fractions(gram):
         assert got == (len(gram) // 2, len(gram) // 2)  # a sum of hyperbolic planes
 
 
+# entries at and past the int64 range, where the fraction-free pivots and
+# minors of rational_inertia grow on Python ints
+_WIDE = st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 + 3])
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Symmetric n x n matrices, n in 1..22, mostly zero: half of them with
+    a zero diagonal (the congruence branch), and a share of entries at and
+    past 2**63; singular ones now and then."""
+    n = draw(st.integers(1, 22))
+    zero_diagonal = draw(st.booleans())
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), _WIDE)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i if zero_diagonal else i + 1):
+            gram[i][j] = gram[j][i] = draw(entry)
+    return gram
+
+
+@given(symmetric_forms())
+@settings(max_examples=120, deadline=None)
+@example([[0, 2**63], [2**63, 0]])
+@example([[2**64 + 3, 2**63], [2**63, 2**62]])
+def test_inertia_up_to_rank_22_matches_fractions(gram):
+    got = _inertia_or_message(rational_inertia, gram)
+    assert got == _inertia_or_message(fraction_inertia, gram)
+
+
 def test_integer_kernel_check_survives_optimized_mode():
     # the self-check is a raise, not an assert, so python -O keeps it
     code = (
@@ -433,3 +471,31 @@ def test_smith_divisors_of_a_unimodular_congruence():
     rng.shuffle(diag)
     d = [[diag[i] if i == j else 0 for j in range(22)] for i in range(22)]
     assert smith_divisors(matmul(transpose(u), matmul(d, u)).tolist()) == [2] * 10 + [6] * 12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 8))
+def test_exact_layer_on_conjugated_enriques_involutions(seed, length):
+    # g i g^-1 for the Enriques involution i and a word g of root
+    # reflections: the eigenlattice kernels are Hermite-canonical and
+    # saturated, of ranks 10 and 12, and together span a sublattice of
+    # index 2**10; the Smith divisors of i - 1 are those of the unconjugated
+    # involution, as conjugation by a unimodular g keeps them
+    conj = _conjugated_enriques(np.random.default_rng(seed), length).matrix
+    plain = enriques_involution().matrix
+    kernels = []
+    for sign, rank in ((1, 10), (-1, 12)):
+        shifted = [[x - sign * (i == j) for j, x in enumerate(row)] for i, row in enumerate(conj)]
+        k = integer_kernel(shifted)
+        assert len(k) == rank
+        assert column_hnf(k) == k
+        assert column_hnf(k[::-1] + [[x + y for x, y in zip(k[0], k[-1])]]) == k
+        assert smith_divisors(k) == [1] * rank
+        kernels += k
+    assert smith_divisors(kernels) == [1] * 12 + [2] * 10
+    assert abs(det_bareiss(kernels)) == 2**10
+
+    def divisors(m):
+        return smith_divisors([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)])
+
+    assert divisors(conj) == divisors(plain)

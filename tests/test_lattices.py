@@ -190,6 +190,10 @@ def test_gram_must_be_symmetric_and_integral():
         Lattice([[0, 1], [2, 0]])
     with pytest.raises(InputError):
         Lattice([[0.5]])
+    # booleans, numpy's included, are not integers
+    for gram in ([[False, True], [True, False]], np.array([[False, True], [True, False]])):
+        with pytest.raises(InputError, match="is not an integer"):
+            Lattice(gram)
 
 
 def test_basis_vectors_may_come_from_a_generator():

@@ -901,6 +901,36 @@ def test_argument_refusals_keep_their_messages(call, message):
             "psi",
             id="psi-string",
         ),
+        # numpy booleans are refused as Python booleans are
+        pytest.param(lambda: borcherds_report(np.True_), "tau", id="tau-numpy-boolean"),
+        pytest.param(lambda: dolbeault_zeta(_SPHERE, np.True_), "q", id="q-numpy-boolean"),
+        pytest.param(
+            lambda: zeta_signed(_SPHERE, np.True_), "sign", id="sign-numpy-boolean"
+        ),
+        pytest.param(
+            lambda: lattices.eigenlattice(_ENRIQUES, np.True_),
+            "sign",
+            id="eigen-numpy-boolean",
+        ),
+        pytest.param(
+            lambda: frames.compatible_frames(seed_frame(), _ENRIQUES, np.True_, 0.3),
+            "branch",
+            id="branch-numpy-boolean",
+        ),
+        pytest.param(
+            lambda: EquivariantSpectrum(
+                [[np.True_, 1, 0]], (1, 0), HeatTail(2, (2.0, 0.0, 0.5)), 10.0
+            ),
+            "eigenvalue",
+            id="eigenvalue-numpy-boolean",
+        ),
+        pytest.param(
+            lambda: EquivariantSpectrum(
+                [[1.0, np.True_, 0]], (1, 0), HeatTail(2, (2.0, 0.0, 0.5)), 10.0
+            ),
+            "multiplicity",
+            id="multiplicity-numpy-boolean",
+        ),
     ]
     + [
         pytest.param(lambda tol=tol: zeta_signed(_SPHERE, 1, tol=tol), "tol", id=name)
