@@ -34,8 +34,9 @@ numpy.polynomial.legendre.leggauss(32) and (16) return, stored as their
 negative halves and mirrored (leggauss's rules are exactly symmetric), so
 numpy.polynomial is not imported; a test checks the tables bit for bit.
 
-The E1 term and a complete spectrum's sums are one math.fsum over the
-entries; theta combines its chunk partials with math.fsum, node by node.
+The E1 term is the correctly rounded sum of its terms, and a complete
+spectrum's sums are one math.fsum over the entries; theta combines its
+chunk partials with math.fsum, node by node.
 
 The engine checks none of its arguments: they are the arrays of a checked
 EquivariantSpectrum, as spectral._continue passes them, whose constructor
@@ -94,9 +95,25 @@ reduce the blocks of panels it does not use.
 
 No work is spent on E1 terms that are exactly 0.0. exp(-x) rounds to
 exactly 0.0 for every x >= 746, since e^-746 is below half the least
-subnormal 2^-1074, and the eigenvalues ascend. So the E1 term is summed
+subnormal 2^-1074, and the eigenvalues ascend. So the E1 term is the fsum
 over its nonzero prefix, lambda < 746, only: exp1 returns exactly 0.0 past
 it, and fsum ignores exact zeros, so the sum keeps its bits.
+
+Nor is E1 evaluated where it cannot move that sum. _e1_sums runs exp1
+only on the entries below lambda_1 + 64, whose terms sum to S by fsum;
+past lambda_1 + 64 a term is below e^-64 of the first. Each sector's rest
+below 746 is at most T = (1 + 1e-6) sum |w| e^-m / lambda, m = min(lambda,
+700), since E1(x) < e^-x / x. The factor 1 + 1e-6 covers the rounding of
+exp1, of the products and of T: on the rest lambda > 64, where E1(x) <
+(1 - 1/x + 2/x^2) e^-x / x leaves a margin above 1e-3, and from 700 on,
+where a term may be subnormal, e^-700 / lambda is a normal bound far above
+it. The min also keeps np.exp on its fast path. math.fsum rounds the exact
+sum of its inputs once, and rounding is monotone. So when fsum of the
+prefix terms with -T and with +T both give S, the sum over every term
+below 746 rounds to S too, bit for bit. A sector the check does not settle
+(a prefix that sums to about 0, say) takes that whole sum, as before, with
+exp1 run once more on every entry below 746. A sector that missed its
+target needs no E1 and gets none.
 
 theta drops every term whose computed exponent -lambda t is at or below
 _FLOOR = -707.5: the term reads 0.0. A dropped term is at most
@@ -160,6 +177,7 @@ _DEAD = 708.0  # so a row with lambda * t >= _DEAD for every t adds nothing
 _FEW_LIVE = 32  # below this many live entries a numpy step costs more than a loop
 _NARROW = 4  # theta blocks at most this wide are built column by column
 _ALIGN = 64  # theta blocks stop at their live prefix rounded up to 64 rows
+_E1_REACH = 64.0  # exp1 runs on lambda < lambda_1 + _E1_REACH; the rest is bounded
 _SPLITS = 0.5 * 2.0 ** (-0.25 * np.arange(121))  # the split candidates
 _SPLITS.flags.writeable = False
 # log(1 / delta) + 1 at each candidate, by libm's log (numpy's need not
@@ -439,6 +457,34 @@ def continue_trace(
         )
 
 
+def _e1_sums(lams, weights, sectors) -> dict:
+    """sum_i w_i E1(lambda_i) of each sector of `sectors` (rows of
+    `weights`), keyed by sector: the fsum of its terms below 746, bit for
+    bit, from exp1 on the entries below lambda_1 + _E1_REACH and a bound
+    T on the rest, checked against that fsum with -T and +T; a sector the
+    check does not settle sums every term below 746 (see the module
+    docstring)."""
+    nz = int(np.searchsorted(lams, 746.0))
+    if not sectors or not nz:
+        return dict.fromkeys(sectors, 0.0)
+    head = min(int(np.searchsorted(lams, lams[0] + _E1_REACH)), nz)
+    e1 = exp1(lams[:head])
+    tail = lams[head:nz]
+    decay = (1.0 + 1e-6) * np.exp(-np.minimum(tail, 700.0)) / tail
+    full = None  # E1 below 746, for a sector the check does not settle
+    sums = {}
+    for s in sectors:
+        terms = (weights[s, :head] * e1).tolist()
+        total = math.fsum(terms)
+        bound = float(np.abs(weights[s, head:nz]) @ decay)
+        if not math.fsum(terms + [-bound]) == total == math.fsum(terms + [bound]):
+            if full is None:
+                full = exp1(lams[:nz])
+            total = math.fsum((weights[s, :nz] * full).tolist())
+        sums[s] = total
+    return sums
+
+
 def _continue_truncated(
     lams, weights, kernel_weights, models, bound_model, cutoff, target
 ) -> list:
@@ -516,13 +562,11 @@ def _continue_truncated(
     trunc = trunc_bound(nodes) / nodes
     trunc_one = float(trunc_bound(1.0))
 
-    # E1 is exactly 0.0 from 746 on, and fsum ignores exact zeros
-    nz = int(np.searchsorted(lams, 746.0))
-    e1 = exp1(lams[:nz])
+    b_terms = _e1_sums(lams, weights, list(edges))
     for s, ps in edges.items():
         model = models[s]
         zeta0 = model.coeff_at_zero() - kernel_weights[s]
-        b_term = math.fsum((weights[s, :nz] * e1).tolist())
+        b_term = b_terms[s]
         pole = model.pole_part()
         below = belows[s, first[s]].item()
         at = [row[panel] for panel in ps]  # ascending: the error sum keeps its order

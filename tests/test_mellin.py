@@ -11,7 +11,7 @@ from numpy.polynomial.legendre import leggauss
 from k3zeta import mellin, spectral
 from k3zeta.errors import AccuracyError, InputError
 from k3zeta.mellin import TraceModel, continue_trace, exp1
-from k3zeta.models import round_sphere_spectrum
+from k3zeta.models import flat_torus_spectrum, round_sphere_spectrum
 from k3zeta.spectral import EquivariantSpectrum, HeatTail
 
 
@@ -71,7 +71,9 @@ def test_exp1_matches_scipy_bit_for_bit_on_random_arrays(x):
 @example(np.array(_EXP1_EDGES))
 @example(np.array([0.5, 745.0, np.nextafter(746.0, 0.0), 746.0, 746.0, 800.0, 1e6]))
 def test_exp1_is_zero_past_its_nonzero_prefix(x):
-    # continue_trace evaluates E1 only below 746, where it can be nonzero
+    # continue_trace sums E1 only below 746, where it can be nonzero: exp1
+    # runs on the prefix below lambda_1 + 64, and on every entry below 746
+    # only when the bound on the rest leaves a sum unsettled
     nz = int(np.searchsorted(x, 746.0))
     whole = exp1(x)
     assert np.array_equal(exp1(x[:nz]).view(np.uint64), whole[:nz].view(np.uint64))
@@ -547,9 +549,11 @@ _MULTI_CHUNK = {
 
 @pytest.mark.parametrize("radius, l_max, tol", sorted(_MULTI_CHUNK))
 def test_multi_chunk_continuation_keeps_its_bits(radius, l_max, tol):
-    """More than one _CHUNK of entries in every sector: the E1 term sums
-    over several chunks, of which only the first is nonzero, and the split
-    search reduces theta blocks in every chunk. The values are pinned."""
+    """More than one _CHUNK of entries in every sector: the E1 term is
+    nonzero only in the first chunk, where exp1 runs on the entries below
+    lambda_1 + 64 and the rest up to 746 is bounded, and the split search
+    reduces theta blocks in every chunk. The values are pinned, so the
+    bound and its check keep them bit for bit."""
     spectrum = round_sphere_spectrum(radius, True, l_max)
     rows = [spectral._sector(spectrum, s) for s in (1, -1, 0)]
     lams = spectrum.lambdas()
@@ -565,6 +569,116 @@ def test_multi_chunk_continuation_keeps_its_bits(radius, l_max, tol):
         for r in together
     ]
     assert got == _MULTI_CHUNK[radius, l_max, tol]
+
+
+_GRAMS_3 = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+            [[1, 0, 0], [0, 2, 1], [0, 1, 3]])
+
+
+@st.composite
+def e1_cases(draw):
+    """(eigenvalues, weight rows) for mellin._e1_sums: the plus, minus and
+    twisted sectors of an antipodal or plain sphere, or of a 2- or 3-torus
+    under any character; or a hand-built spectrum, of one entry or with
+    entries on either side of lambda_1 + 64 and of 746, weights up to 2**53
+    in size, and at times a row whose prefix weights all vanish."""
+    kind = draw(st.sampled_from(["sphere", "torus", "hand", "one entry"]))
+    if kind == "sphere":
+        spectrum = round_sphere_spectrum(
+            draw(st.floats(0.05, 5.0)), draw(st.booleans()), draw(st.integers(2, 200))
+        )
+    elif kind == "torus":
+        if draw(st.booleans()):
+            a = draw(st.integers(1, 3))
+            b, c = draw(st.integers(0, a // 2)), draw(st.integers(a, 3))
+            gram = [[a, b], [b, c]]
+            cutoff = draw(st.floats(20.0, 900.0))
+        else:
+            gram = draw(st.sampled_from(_GRAMS_3))
+            cutoff = draw(st.floats(5.0, 40.0))
+        n = len(gram)
+        character = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        spectrum = flat_torus_spectrum(gram, character, cutoff)
+    if kind in ("sphere", "torus"):
+        rows = [spectral._sector(spectrum, s)[0] for s in (1, -1, 0)]
+        return spectrum.lambdas(), np.array(rows)
+    first = 10.0 ** draw(st.floats(-3.0, 2.95))  # past 746 at times
+    edges = (first + 64.0, 746.0)
+    near = [math.nextafter(e, d) for e in edges for d in (0.0, e, math.inf)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(0, 40)) if kind == "hand" else 0
+    picked = draw(st.lists(st.sampled_from(near), max_size=len(near) if size else 0))
+    lams = np.unique([first, *picked, *rng.uniform(first, 900.0, size)])
+    lams = lams[lams >= first]
+    big = 2**53
+    pool = [0, 1, -1, 2, -3, big, -big, big - 1, 1 - big, big // 3]
+    weights = rng.choice(pool, size=(draw(st.integers(1, 3)), lams.size)).astype(float)
+    if draw(st.booleans()):
+        # the prefix adds nothing, so the bound on the rest decides
+        weights[0, lams < first + 64.0] = 0.0
+    return lams, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(e1_cases())
+@example((np.array([1.0]), np.array([[2.0**53]])))
+@example((np.array([745.0, 746.0]), np.array([[1.0, -1.0]])))
+@example((np.array([746.0, 800.0]), np.array([[1.0, 2.0]])))
+def test_e1_sums_are_the_fsum_of_every_term_below_746(case):
+    lams, weights = case
+    nz = int(np.searchsorted(lams, 746.0))
+    e1 = exp1(lams[:nz])
+    want = [math.fsum((w[:nz] * e1).tolist()).hex() for w in weights]
+    got = mellin._e1_sums(lams, weights, range(len(weights)))
+    assert [got[s].hex() for s in range(len(weights))] == want
+
+
+def recording_exp1(monkeypatch):
+    """Replace mellin.exp1 by one that records the size of each input."""
+    sizes = []
+    real = mellin.exp1
+
+    def recording(x):
+        sizes.append(len(x))
+        return real(x)
+
+    monkeypatch.setattr(mellin, "exp1", recording)
+    return sizes
+
+
+def test_e1_falls_back_to_every_entry_when_the_prefix_cannot_settle(monkeypatch):
+    # the plus sector of the antipodal sphere of radius 0.091: its prefix
+    # below lambda_1 + 64 is l = 1, whose weight is 0, while l = 2 (lambda
+    # 362) has weight 5; S = 0 < T, so the E1 of all three entries below
+    # 746 is summed, as with no prefix at all
+    spectrum = round_sphere_spectrum(0.091, True, 87)
+    weights, kernel, model = spectral._sector(spectrum, 1)
+    lams = spectrum.lambdas()
+    assert weights[0] == 0.0 and lams[1] > lams[0] + mellin._E1_REACH
+    sizes = recording_exp1(monkeypatch)
+    bound = TraceModel.from_ladder(spectrum.tail.dim, spectrum.tail.straight)
+    res = continue_one(lams, weights, kernel, model, bound, spectrum.cutoff)
+    assert sizes == [1, 3]
+    # the value without the prefix rule
+    assert res.zeta_prime_at_0.hex() == "0x1.4e27287000000p+1"
+
+
+def test_e1_runs_on_a_short_prefix(monkeypatch):
+    sizes = recording_exp1(monkeypatch)
+    spectrum = flat_torus_spectrum([[2, 1], [1, 3]], [1, 0], 650)
+    spectral.equivariant_determinant_report(spectrum, 1e-8)
+    # 158 entries lie below lambda_1 + 64, of the 1,319 below 746
+    assert 0 < sum(sizes) <= 160
+    # sectors that miss their target take no E1
+    sizes.clear()
+    rows = [spectral._sector(spectrum, s) for s in (1, -1, 0)]
+    bound = TraceModel.from_ladder(spectrum.tail.dim, spectrum.tail.straight)
+    results = continue_trace(
+        spectrum.lambdas(), [w for w, _, _ in rows], [k for _, k, _ in rows],
+        [m for _, _, m in rows], bound, spectrum.cutoff, 1e-300,
+    )
+    assert all(isinstance(r, AccuracyError) for r in results)
+    assert sizes == []
 
 
 def test_complete_sectors_continued_together_equal_each_alone():
