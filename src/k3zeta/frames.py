@@ -14,13 +14,11 @@ max|target| of the sign-flipped frame. The compatibility checks take the
 involution as an exact LatticeIsometry of the frame's dimension, as the
 sampler does, and read its float view.
 
-One eigendecomposition per sublattice, _split_directions, gives the
-sampler its directions and the period labels their reference 2-frame.
+The sampler reads its eigenlattices' `SublatticeBasis.split_directions`,
+the one eigendecomposition each keeps, which the period labels also read.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -137,26 +135,6 @@ def compatible_frames(frame: HKFrame, invol, branch: int, psi: float) -> HKFrame
     return HKFrame(frame.form, new)
 
 
-@functools.lru_cache(maxsize=128)
-def _split_directions(sub):
-    """The one eigendecomposition of the sublattice's exact induced form,
-    as read-only arrays: form-orthonormal ambient directions `pos` and
-    `neg`, one per eigenvalue computed positive or negative, and `ref`, the
-    labels' reference 2-frame in lattice coordinates (the top two
-    eigenvectors, each column's largest entry made positive)."""
-    w, v = np.linalg.eigh(sub.induced_lattice().float_gram)
-    basis = sub.float_basis
-    pos = basis @ (v[:, w > 0] / np.sqrt(w[w > 0]))
-    neg = basis @ (v[:, w < 0] / np.sqrt(-w[w < 0]))
-    ref = v[:, -2:].copy()
-    for col in ref.T:
-        if col[np.argmax(np.abs(col))] < 0:
-            col *= -1.0
-    for a in (pos, neg, ref):
-        a.setflags(write=False)
-    return pos, neg, ref
-
-
 def _norm(v, g, sign: int, what: str) -> float:
     """The norm v^T g v, which must have the given sign: it is the
     radicand of a square root below, and the float split of an involution
@@ -192,8 +170,8 @@ def random_compatible_frame(invol, rng) -> HKFrame:
         u = neg @ rng.standard_normal(neg.shape[1])
         return u / np.sqrt(-_norm(u, g, -1, "negative admixture"))
 
-    pos_p, neg_p, _ = _split_directions(plus)
-    pos_m, neg_m, _ = _split_directions(minus)
+    pos_p, neg_p, _ = plus.split_directions
+    pos_m, neg_m, _ = minus.split_directions
     for pos, want_pos in ((pos_p, 1), (pos_m, 2)):
         if pos.shape[1] != want_pos:
             raise GeometryError(

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 from . import frames as frames_mod
 from . import lattices
@@ -41,7 +42,11 @@ def _emit(x, out: list) -> None:
     if isinstance(x, bool):
         out.append("true" if x else "false")
     elif isinstance(x, int):
-        out.append(str(x))
+        try:
+            out.append(str(x))
+        except ValueError:  # the interpreter's limit on int -> str digits
+            limit = sys.get_int_max_str_digits()
+            raise InputError("output integer past the %d-digit limit" % limit) from None
     elif isinstance(x, float):
         if not math.isfinite(x):
             raise InputError("non-finite numbers cannot be serialized")

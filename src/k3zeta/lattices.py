@@ -5,10 +5,12 @@ exact symmetric elimination in integers, determinants from fraction-free
 elimination, and discriminant groups from Smith divisors, so every invariant
 this module reports is exact, never floating point.
 
-A sublattice computes its induced lattice B^T G B, a lattice its
-signature, and an isometry its involution check and its two eigenlattices,
-once, on first use, and keeps them on the object; every reader goes through
-those values.
+A sublattice computes its induced lattice B^T G B and that form's one
+eigendecomposition (`split_directions`), a lattice its signature, and an
+isometry its involution check and its two eigenlattices, once, on first
+use, and keeps them on the object; every reader goes through those
+values. `Lattice` is the one reader of an exact Gram matrix, the torus
+builder's too.
 
 Each object also keeps read-only array views of its data, built once, on
 first use, beside its tuple fields:
@@ -24,8 +26,8 @@ first use, beside its tuple fields:
   returns: the form and involution checks compare arrays
   (`np.array_equal`), and only B^T G B, which is stored, becomes rows;
 - float64 views (`Lattice.float_gram`, `LatticeIsometry.float_matrix`,
-  `SublatticeBasis.float_basis`), which only the float code of frames and
-  periods reads: every invariant reported here stays exact.
+  `SublatticeBasis.float_basis`), which only float code reads
+  (`split_directions`, frames, periods): every invariant here stays exact.
 """
 
 from __future__ import annotations
@@ -207,6 +209,26 @@ class SublatticeBasis(Record):
     def induced_lattice(self) -> Lattice:
         """The lattice with Gram matrix B^T G B, computed once per object."""
         return self._induced
+
+    @functools.cached_property
+    def split_directions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one eigendecomposition of the exact induced form, as
+        read-only float arrays: form-orthonormal ambient directions `pos`
+        and `neg`, one per eigenvalue computed positive or negative, and
+        `ref`, the period labels' reference 2-frame in lattice coordinates
+        (the top two eigenvectors, each column's largest entry made
+        positive)."""
+        w, v = np.linalg.eigh(self._induced.float_gram)
+        basis = self.float_basis
+        pos = basis @ (v[:, w > 0] / np.sqrt(w[w > 0]))
+        neg = basis @ (v[:, w < 0] / np.sqrt(-w[w < 0]))
+        ref = v[:, -2:].copy()
+        for col in ref.T:
+            if col[np.argmax(np.abs(col))] < 0:
+                col *= -1.0
+        for a in (pos, neg, ref):
+            a.setflags(write=False)
+        return pos, neg, ref
 
 
 class DiscriminantInfo(Record):

@@ -20,13 +20,13 @@ a deterministically chosen split point delta the integrand is replaced by
 the model (whose error is estimated from the first omitted ladder power);
 above delta the truncated theta is integrated by composite Gauss-Legendre
 on geometrically growing panels, with the truncation bounded through
-exp(-cutoff*t/2) * P_bound(t/2). Every result carries the summed error
-estimate; if no split point meets the requested tolerance the evaluation
-refuses with the achievable bound instead of returning a silently bad
-number. Both float acceptance checks of the module go through the
-package's one rule, errors._within: an estimate meets the target when it
-is at most the target, and a complete sector's constant meets its state
-count by constant_mismatch.
+exp(-cutoff*t/2) * P_bound(t/2), P_bound nonnegative (`HeatTail.bound`).
+Every result carries the summed error estimate; if no split point meets
+the requested tolerance the evaluation refuses with the achievable bound
+instead of returning a silently bad number. Both float acceptance checks
+of the module go through the package's one rule, errors._within: an
+estimate meets the target when it is at most the target, and a complete
+sector's constant meets its state count by constant_mismatch.
 
 The panels use a 32-node rule with an embedded 16-node rule for the error
 estimate. Both are literal tables of the values that
@@ -251,11 +251,6 @@ class TraceModel(Record):
             if c != 0.0:
                 out = out + c * t ** e
         return out
-
-    def abs_model(self) -> "TraceModel":
-        return TraceModel(
-            tuple((e, abs(c)) for e, c in self.coeffs), self.next_exponent
-        )
 
     def pole_part(self) -> float:
         """sum over nonzero exponents of p_e / e, correctly rounded, so in
@@ -489,10 +484,9 @@ def _continue_truncated(
     lams, weights, kernel_weights, models, bound_model, cutoff, target
 ) -> list:
     """continue_trace on a truncated spectrum."""
-    abs_bound = bound_model.abs_model()
 
     def trunc_bound(t):
-        return 2.0 * np.exp(-0.5 * cutoff * t) * abs_bound(t / 2.0)
+        return 2.0 * np.exp(-0.5 * cutoff * t) * bound_model(t / 2.0)
 
     tvals = trunc_bound(_SPLITS)
     feasible = np.flatnonzero(tvals <= 0.2 * target).tolist()

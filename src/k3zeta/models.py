@@ -45,7 +45,8 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, InputError, _count, _finite, _positive
-from .intlinalg import det_bareiss, is_symmetric, rational_inertia, to_int_matrix
+from .intlinalg import det_bareiss
+from .lattices import Lattice
 from .spectral import CurveComponent, EquivariantSpectrum, HeatTail, _frozen_columns
 
 DEFAULT_SPHERE_LMAX = 250
@@ -215,13 +216,11 @@ def _flat_torus(gram, character, cutoff) -> tuple[EquivariantSpectrum, float]:
     """The spectrum of `flat_torus_spectrum` and sqrt(det Q): the arguments
     are checked here, on every call, and the spectrum is built by
     `_torus_of`."""
-    q = to_int_matrix(gram)
-    n = len(q)
+    lattice = Lattice(gram)
+    q, n = lattice.gram, lattice.rank
     if n == 0:
         raise InputError("gram matrix must be nonempty")
-    if not is_symmetric(q):
-        raise InputError("gram matrix must be symmetric")
-    if rational_inertia(q) != (n, 0):
+    if lattice.signature() != (n, 0):
         raise InputError("gram matrix must be positive definite")
     if character is None:
         eps = (0,) * n
@@ -247,7 +246,7 @@ def _flat_torus(gram, character, cutoff) -> tuple[EquivariantSpectrum, float]:
             "dual-lattice enumeration needs %d points; lower the cutoff" % box,
             achievable=None,
         )
-    return _torus_of(tuple(map(tuple, q)), eps, cut, tuple(bounds))
+    return _torus_of(q, eps, cut, tuple(bounds))
 
 
 @functools.lru_cache(maxsize=4)

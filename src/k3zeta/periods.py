@@ -5,8 +5,8 @@ complexification of a signature-(2, k) lattice with <eta, eta-bar> > 0. The
 set of such classes has two connected components, swapped by conjugation; a
 component label is computed as an orientation sign against a fixed reference
 positive 2-frame of the lattice. That frame comes from the sublattice's one
-eigendecomposition, frames._split_directions, which also serves the frame
-sampler, and a pair's two labels come from one orientation.
+eigendecomposition, `SublatticeBasis.split_directions`, which also serves
+the frame sampler, and a pair's two labels come from one orientation.
 
 Coordinates are always taken in the exact integer basis of the lattice, so
 labels are basis-independent by construction. A pair is built from its plus
@@ -99,14 +99,14 @@ class PeriodPoint(Record, eq=False):
 
 def component_label(p: PeriodPoint) -> int:
     """Which of the two components [eta] lies in: the orientation sign of
-    the plane (Re eta, Im eta) paired against the reference 2-frame of
-    frames._split_directions, read on the normalized representative.
+    the plane (Re eta, Im eta) paired against its sublattice's reference
+    2-frame (`split_directions`), read on the normalized representative.
 
     Conjugation flips the label. Constant along any path that stays in the
     domain, because the pairing determinant of two positive 2-planes in
     signature (2, k) never vanishes.
     """
-    _, _, ref = frames_mod._split_directions(p.sublattice)
+    _, _, ref = p.sublattice.split_directions
     eta = _normalized(p.coords)
     xg = np.vstack([eta.real, eta.imag]) @ p.sublattice.induced_lattice().float_gram
     d = float(np.linalg.det(xg @ ref))

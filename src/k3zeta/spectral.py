@@ -72,8 +72,8 @@ class HeatTail(Record):
     small (a free involution). Each sector's model is built and evaluated
     once here and kept as `models`, which the engine reads: a pole part sum
     p_e / e or a t^0 coefficient past float range is refused, so the engine
-    only reads finite ones. The straight model of the truncation bound is
-    kept as `bound`, built on first use.
+    only reads finite ones. `bound`, the ladder of |straight|, is the
+    nonnegative model of the truncation bound, built on first use.
     """
 
     dim: int
@@ -141,9 +141,9 @@ class HeatTail(Record):
 
     @functools.cached_property
     def bound(self) -> TraceModel:
-        """The straight trace's model, from which the engine bounds every
-        sector's truncation error."""
-        return TraceModel.from_ladder(self.dim, self.straight)
+        """The ladder of |straight|: the nonnegative model from which the
+        engine bounds every sector's truncation error."""
+        return TraceModel.from_ladder(self.dim, [abs(c) for c in self.straight])
 
 
 def _sequence(x, what: str) -> tuple:

@@ -143,6 +143,8 @@ def checked_continue_trace(
     assert all(map(math.isfinite, kernel_weights))
     assert cutoff > 0.0  # math.inf for a complete spectrum
     assert all(m.next_exponent > 0.0 for m in models)
+    # the engine bounds the truncation with the model as it is
+    assert all(c >= 0.0 for _, c in bound_model.coeffs)
     assert math.isfinite(target) and target > 0.0
     return mellin.continue_trace(
         lams, weights, kernel_weights, models, bound_model, cutoff, target

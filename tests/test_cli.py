@@ -990,6 +990,20 @@ def test_malformed_file_bytes_exit_2(tmp_path, capsys, argv, content):
     assert "Traceback" not in err
 
 
+def test_an_integer_too_long_to_print_exits_2(tmp_path):
+    # the Gram matrix reads fine, but its determinant has about 6,000
+    # digits, past the interpreter's default limit of 4,300 for str(int);
+    # a fresh interpreter has that default
+    d = 10**1500
+    gram = [[2 * d if i == j else d + 1 for j in range(4)] for i in range(4)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"gram": gram}))
+    done = run_python("-m", "k3zeta.cli", "lattice", "--in", str(path))
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"input error: ")
+    assert b"Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize(
     "form, gammas",
     [([], [[], [], []]), ([[]], [[], [], []]), ([[2.0, 0.0]], [[1.0, 0.0]] * 3)],

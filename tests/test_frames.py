@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from k3zeta import periods
 from k3zeta.errors import GeometryError, InputError
 from k3zeta.frames import (
     DEFAULT_TOL,
     HKFrame,
-    _split_directions,
     compatible_frames,
     is_compatible,
     random_compatible_frame,
@@ -168,24 +168,43 @@ def test_symmetry_check_at_its_tolerance():
         HKFrame(np.zeros((0, 0)), np.zeros((3, 0)))
 
 
-def test_split_directions_is_cached_read_only_and_moves_no_frame():
+def test_split_directions_is_cached_read_only_and_moves_no_frame(monkeypatch):
     iso = enriques_involution()
-    _split_directions.cache_clear()
-    random_compatible_frame(iso, np.random.default_rng(0))
+    calls = []
+
+    def counted(a, _fn=np.linalg.eigh):
+        calls.append(1)
+        return _fn(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    # a cold context takes its domain from this involution, not from an
+    # equal one an earlier test made
+    periods._marking_context.cache_clear()
     rng = np.random.default_rng(5)
     warm = [random_compatible_frame(iso, rng) for _ in range(4)]
-    info = _split_directions.cache_info()
-    assert (info.misses, info.hits) == (2, 8)
-    for sub in (eigenlattice(iso, 1), eigenlattice(iso, -1)):
-        for directions in _split_directions(sub):
+    labels = period_of(warm[0], iso).labels()
+    # one eigendecomposition per eigenlattice, kept on the sublattice: the
+    # sampler's later frames and the period label read the same arrays
+    assert len(calls) == 2
+    minus = eigenlattice(iso, -1)
+    assert period_of(warm[1], iso).plus.sublattice is minus
+    assert minus.split_directions is minus.split_directions
+    for sub in (eigenlattice(iso, 1), minus):
+        for directions in sub.split_directions:
+            assert not directions.flags.writeable
             with pytest.raises(ValueError):
                 directions[0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            sub.split_directions = None
+    monkeypatch.undo()
+    # a fresh involution computes its own directions, to the same bits
     rng = np.random.default_rng(5)
     for frame in warm:
-        _split_directions.cache_clear()
         cold = random_compatible_frame(enriques_involution(), rng)
         assert cold.gammas.tobytes() == frame.gammas.tobytes()
         assert cold.form.tobytes() == frame.form.tobytes()
+    periods._marking_context.cache_clear()
+    assert period_of(warm[0], enriques_involution()).labels() == labels
 
 
 @pytest.mark.parametrize(
@@ -196,20 +215,16 @@ def test_split_directions_is_cached_read_only_and_moves_no_frame():
         (1, "neg", "negative admixture"),
     ],
 )
-def test_degenerate_split_is_a_geometry_error(monkeypatch, sign, swap, what):
+def test_degenerate_split_is_a_geometry_error(sign, swap, what):
     # a split whose "positive" directions have negative norm (or whose
     # "negative" ones positive norm) would put a float sqrt of a negative
     # radicand, a NaN, into the frame; it is refused as geometry instead
     iso = enriques_involution()
-
-    def degenerate(sub):
-        pos, neg, ref = _split_directions(sub)
-        want_pos = pos.shape[1]
-        if (want_pos == 1) != (sign == 1):
-            return pos, neg, ref
-        return (neg[:, :want_pos], neg, ref) if swap == "pos" else (pos, pos, ref)
-
-    monkeypatch.setattr("k3zeta.frames._split_directions", degenerate)
+    sub = eigenlattice(iso, sign)
+    pos, neg, ref = sub.split_directions
+    degenerate = (neg[:, : pos.shape[1]], neg, ref) if swap == "pos" else (pos, pos, ref)
+    # the sampler reads the directions this eigenlattice keeps
+    vars(sub)["split_directions"] = degenerate
     with pytest.raises(GeometryError, match="frame sampling: %s has norm" % what):
         random_compatible_frame(iso, np.random.default_rng(3))
 

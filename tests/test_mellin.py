@@ -170,8 +170,9 @@ def test_non_finite_split_estimate_is_a_miss():
     ladder = [2.0, 0.0, 0.5, 0.0, 1.0 / 24.0, 0.0, 0.0, 0.0, -1.0 / 5760.0]
     model = TraceModel.from_ladder(2, ladder)
     broken = TraceModel.from_ladder(2, [2.0, math.nan] + ladder[2:])
-    assert continue_one(lams, ws, 1.0, model, model, 200.0, 1e-6).error_estimate < 1e-6
-    res = continue_one(lams, ws, 1.0, broken, model, 200.0, 1e-6)
+    bound = TraceModel.from_ladder(2, [abs(c) for c in ladder])
+    assert continue_one(lams, ws, 1.0, model, bound, 200.0, 1e-6).error_estimate < 1e-6
+    res = continue_one(lams, ws, 1.0, broken, bound, 200.0, 1e-6)
     assert isinstance(res, AccuracyError)
     assert res.achievable == math.inf
 
@@ -184,7 +185,7 @@ def _loop_estimates(lams, ws, kernel, model, bound, cutoff):
     ts = np.stack([splits, splits / 2.0], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         theta = mellin._theta_at(lams, np.array([ws]), [kernel], ts)[0].tolist()
-        talls = 2.0 * np.exp(-0.5 * cutoff * splits) * bound.abs_model()(splits / 2)
+        talls = 2.0 * np.exp(-0.5 * cutoff * splits) * bound(splits / 2)
         models = model(ts).tolist()
     q = model.next_exponent
     out = []
@@ -247,11 +248,12 @@ def test_truncated_continuation_value_and_determinism():
     ws = np.ones(399)
     # theta(t) = 1/(e^(t/2) - 1) + 1 = 2/t + 1/2 + t/24 - t^3/5760 + O(t^5),
     # so the ladder lives on integer-offset exponents (dim 2), not dim 1.
-    model = TraceModel.from_ladder(
-        2, [2.0, 0.0, 0.5, 0.0, 1.0 / 24.0, 0.0, 0.0, 0.0, -1.0 / 5760.0]
-    )
+    ladder = [2.0, 0.0, 0.5, 0.0, 1.0 / 24.0, 0.0, 0.0, 0.0, -1.0 / 5760.0]
+    model = TraceModel.from_ladder(2, ladder)
+    # the truncation bound is nonnegative, as HeatTail.bound builds it
+    bound = TraceModel.from_ladder(2, [abs(c) for c in ladder])
     out = [
-        continue_one(lams, ws, 1.0, model, model, 200.0, target=1e-6)
+        continue_one(lams, ws, 1.0, model, bound, 200.0, target=1e-6)
         for _ in range(2)
     ]
     assert out[0].zeta_prime_at_0 == out[1].zeta_prime_at_0

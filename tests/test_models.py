@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3zeta import models
-from k3zeta.errors import AccuracyError, InputError
+from k3zeta import intlinalg, models
+from k3zeta.errors import AccuracyError, DegenerateLatticeError, InputError
 from k3zeta.models import (
     BUILTIN_MODELS,
     SPHERE_HEAT_COEFFICIENTS,
@@ -394,14 +394,16 @@ def test_curve_volumes():
 
 
 def test_a_torus_curve_converts_and_factors_its_gram_once(monkeypatch):
+    # the Gram matrix is read by Lattice, through intlinalg, and factored
+    # by the builder
     calls = collections.Counter()
-    for name in ("to_int_matrix", "det_bareiss"):
+    for owner, name in ((intlinalg, "to_int_matrix"), (models, "det_bareiss")):
 
-        def counted(*args, _fn=getattr(models, name), _name=name):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(models, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     gram = [[2, 1], [1, 3]]
     spectrum = flat_torus_spectrum(gram, None, 50.0)
     # one conversion, det Q and the four cofactors of adj(Q)
@@ -437,44 +439,79 @@ def test_a_curve_built_after_its_spectrum_is_that_spectrum():
     assert round_sphere_spectrum(2.0, True, 30) is not sphere
 
 
+# each malformed Gram matrix, the error and the message it is refused with:
+# Lattice reads the matrix for both torus builders
+_BAD_GRAMS = [
+    ("ragged", [[1, 0], [0]], InputError, "ragged matrix rows"),
+    ("non-integral", [[1.5, 0], [0, 1]], InputError, "matrix entry 1.5 is not an integer"),
+    ("boolean", [[True, 0], [0, 1]], InputError, "matrix entry True is not an integer"),
+    ("non-symmetric", [[1, 0], [1, 1]], InputError, "gram matrix must be symmetric"),
+    ("empty", [], InputError, "gram matrix must be nonempty"),
+    (
+        "singular",
+        [[1, 1], [1, 1]],
+        DegenerateLatticeError,
+        "gram matrix is singular (rank 1 of 2)",
+    ),
+    ("indefinite", [[0, 1], [1, 0]], InputError, "gram matrix must be positive definite"),
+]
+
+
 @pytest.mark.parametrize(
-    "build, valid, bad, message",
+    "build, valid, bad, error, message",
     [
         (
             flat_torus_spectrum,
             (I2, None, 50.0),
             ([[1, 0], [1, 1]], None, 50.0),
+            InputError,
             "gram matrix must be symmetric",
         ),
         (
             flat_torus_spectrum,
             (I2, None, 50.0),
             (I2, None, 0.0),
+            InputError,
             "cutoff must be positive and finite, got 0.0",
         ),
         (
             flat_torus_spectrum,
             (I2, None, 50.0),
             (I2, None, -50.0),
+            InputError,
             "cutoff must be positive and finite, got -50.0",
         ),
         (
             round_sphere_spectrum,
             (1.0, False, 2),
             (1.0, False, 1),
+            InputError,
             "l_max must be at least 2",
         ),
+    ]
+    + [
+        (flat_torus_spectrum, (I2, None, 50.0), (gram, None, 50.0), error, message)
+        for name, gram, error, message in _BAD_GRAMS
+        if name != "non-symmetric"
+    ]
+    + [
+        (flat_torus_curve, (I2, 50.0), (gram, 50.0), error, message)
+        for _, gram, error, message in _BAD_GRAMS
     ],
-    ids=["non-symmetric-gram", "zero-cutoff", "negative-cutoff", "l_max-1"],
+    ids=["non-symmetric-gram", "zero-cutoff", "negative-cutoff", "l_max-1"]
+    + ["%s-gram" % name for name, *_ in _BAD_GRAMS if name != "non-symmetric"]
+    + ["curve-%s-gram" % name for name, *_ in _BAD_GRAMS],
 )
-def test_refusals_keep_their_messages_with_a_warm_cache(build, valid, bad, message):
+def test_refusals_keep_their_messages_with_a_warm_cache(
+    build, valid, bad, error, message
+):
     with pytest.raises(InputError) as cold:
         build(*bad)
-    assert str(cold.value) == message
+    assert type(cold.value) is error and str(cold.value) == message
     build(*valid)
     with pytest.raises(InputError) as warm:
         build(*bad)
-    assert str(warm.value) == str(cold.value)
+    assert type(warm.value) is error and str(warm.value) == message
 
 
 def test_tau_of_a_torus_that_is_its_own_curve_keeps_its_bits():

@@ -10,7 +10,6 @@ from k3zeta.cli import main
 from k3zeta.errors import GeometryError, InputError, MarkingError
 from k3zeta.frames import (
     HKFrame,
-    _split_directions,
     compatible_frames,
     random_compatible_frame,
 )
@@ -221,7 +220,6 @@ def test_derived_lattices_read_no_outside_matrix(monkeypatch):
     frame = random_compatible_frame(enriques_involution(), np.random.default_rng(3))
     iso = enriques_involution()
     periods._marking_context.cache_clear()
-    _split_directions.cache_clear()
     calls = []
 
     def counted(obj, _fn=intlinalg.to_int_matrix):
@@ -278,7 +276,6 @@ def test_induced_lattice_and_signature_are_computed_once(monkeypatch, capsys):
 
         monkeypatch.setattr(intlinalg, name, counted)
     periods._marking_context.cache_clear()
-    _split_directions.cache_clear()
     pair = period_of(frame, iso)
     pair.labels()
     # is_involution, B^T G B (two products) and the self-check of the one

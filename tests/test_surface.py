@@ -13,6 +13,9 @@ behind when its last use goes is dead code no linter here would report.
 
 Every functools cache of the package is a module or class attribute, where
 the benchmark finds the caches it empties before each operation.
+
+Each exact matrix from outside is converted in `lattices` alone, so one
+module owns what an integer matrix is.
 """
 
 import ast
@@ -145,5 +148,18 @@ def test_every_functools_cache_can_be_emptied_from_outside():
     # a cache kept anywhere else (in a closure, say) would outlive the
     # benchmark's clearing and make repeated operations look fast
     decorated = _decorated_caches()
-    assert {"models._torus_of", "models._sphere_of"} <= decorated
+    assert decorated == {
+        "models._sphere_of",
+        "models._torus_of",
+        "periods._marking_context",
+    }
     assert _clearable_caches() == decorated
+
+
+def test_only_lattices_converts_an_integer_matrix():
+    readers = {
+        path.stem
+        for path in PACKAGE
+        if "to_int_matrix" in _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert readers == {"lattices"}
