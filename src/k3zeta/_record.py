@@ -14,16 +14,18 @@ gives it:
   class with no `__init__` of its own; a keyword or a wrong count of
   values is a TypeError;
 - `_of(*values)`, a record of field values in field order, stored without
-  running the class's `__init__`, through the same store as `__init__`.
+  running the class's `__init__`, through the same store as `__init__`;
+- `_require(value, what)`, the value if it is an instance of the class,
+  else InputError("<what> must be of type <Class>, not <type>").
 
 Outside input is checked once: a class's constructor, and the decoders
 that call it, check what arrives from a caller or a file. What the package
 derives from data it has already checked (a Hermite kernel basis, an exact
 product B^T G B, the conjugate of a checked period point, the columns of a
 model spectrum) is stored through `_of`, so it is not checked again. A
-function given a checked record checks only that it is one: every report
-refuses a spectrum that is not an EquivariantSpectrum, and the
-continuation engine checks none of the arrays it reads from one.
+function given a checked record checks only that it is one, by `_require`
+alone: every report refuses a spectrum that is not an EquivariantSpectrum,
+and the continuation engine checks none of the arrays it reads from one.
 
 The field names are read once, when the class is made, and the methods are
 shared: no code is generated per class, so a record costs about what a
@@ -33,6 +35,8 @@ plain class costs at import.
 from __future__ import annotations
 
 from operator import attrgetter
+
+from .errors import InputError
 
 _store = object.__setattr__
 
@@ -71,6 +75,14 @@ class Record:
         self = object.__new__(cls)
         Record.__init__(self, *values)
         return self
+
+    @classmethod
+    def _require(cls, value, what: str):
+        """`value` if it is a `cls`, else an InputError naming `what`."""
+        if not isinstance(value, cls):
+            kinds = (what, cls.__name__, type(value).__name__)
+            raise InputError("%s must be of type %s, not %s" % kinds)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError(

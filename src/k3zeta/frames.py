@@ -84,9 +84,8 @@ class HKFrame(Record, eq=False):
 def is_compatible(frame: HKFrame, invol, tol: float = DEFAULT_TOL) -> bool:
     """True iff the involution, a LatticeIsometry of the frame's dimension,
     fixes gamma_I and negates gamma_J, gamma_K."""
-    if not isinstance(invol, lattices.LatticeIsometry):
-        raise InputError("a frame check needs an exact lattice isometry")
-    _require_frame(frame)
+    lattices.LatticeIsometry._require(invol, "involution")
+    HKFrame._require(frame, "frame")
     if invol.lattice.rank != frame.form.shape[0]:
         raise InputError(
             "isometry of rank %d on a frame of dimension %d"
@@ -97,13 +96,6 @@ def is_compatible(frame: HKFrame, invol, tol: float = DEFAULT_TOL) -> bool:
     return _within(
         float(np.max(np.abs(moved - target))), tol, float(np.max(np.abs(target)))
     )
-
-
-def _require_frame(frame) -> None:
-    """Refuse anything but an HKFrame: its constructor has checked the form
-    and the vectors that the frame checks read."""
-    if not isinstance(frame, HKFrame):
-        raise InputError("frame must be an HKFrame, not %s" % type(frame).__name__)
 
 
 def _require_compatible(frame: HKFrame, invol, tol: float) -> None:
@@ -158,8 +150,7 @@ def random_compatible_frame(invol, rng) -> HKFrame:
     bounded negative admixture, so no rejection loop is needed even though
     the positive cone is thin in these signatures.
     """
-    if not isinstance(invol, lattices.LatticeIsometry):
-        raise InputError("random_compatible_frame needs an exact lattice isometry")
+    lattices.LatticeIsometry._require(invol, "involution")
     g = invol.lattice.float_gram
     plus = lattices.eigenlattice(invol, +1)
     minus = lattices.eigenlattice(invol, -1)

@@ -25,6 +25,17 @@ forms of a matrix and of its transpose, in turn). Determinants use Bareiss
 elimination, and signatures its symmetric form, whose pivots are principal
 minors: exact divisions, and no gcd pass over the block.
 
+The door caps of `lattices` (rank at most MAX_RANK, a Hadamard bound of
+at most 2**MAX_BITS on a matrix from outside) also bound the Bareiss work:
+every entry that step k of `det_bareiss` holds is a (k+1) x (k+1) minor of
+its input, so at most the Hadamard bound, and the elimination makes fewer
+than n**3 / 3 products and exact divisions of such integers.
+`rational_inertia` holds minors too, of its input after the unimodular
+row and column additions it makes when no diagonal pivot is left. At rank
+32 and a Gram matrix just under the Hadamard cap, `lattice --in` and
+`involution` with the identity take about 0.4 s on a 2-vCPU x86-64
+machine, start-up included.
+
 Matrices are read as sequences of rows of ints, lists or tuples.
 `to_int_matrix`, `identity` and `transpose` return lists of rows,
 `column_hnf` and `integer_kernel` lists of columns; `matmul` returns an

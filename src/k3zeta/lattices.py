@@ -28,11 +28,34 @@ first use, beside its tuple fields:
 - float64 views (`Lattice.float_gram`, `LatticeIsometry.float_matrix`,
   `SublatticeBasis.float_basis`), which only float code reads
   (`split_directions`, frames, periods): every invariant here stays exact.
+
+One door rule bounds the work and the output of every exact matrix from
+outside, and each refusal is an InputError (exit 2) naming its bound:
+
+- a Gram matrix has rank at most MAX_RANK (32: room for the rank-28
+  lattice II(2,26) of Borcherds' Phi; the K3 lattice has rank 22), and an
+  isometry or a sublattice basis has the rank of its lattice;
+- a Gram matrix, an isometry matrix and a sublattice basis each have a
+  Hadamard bound prod_i max(1, |row i|) of at most 2**MAX_BITS. It bounds
+  |det| and every minor, and so every entry of a Bareiss elimination (see
+  `intlinalg`). The eigenlattices of an involution M are the saturated
+  kernels of M -/+ I, whose rows are at most 1 longer: by the covolume of
+  a saturated kernel, every maximal minor of their bases has at most
+  MAX_BITS + MAX_RANK bits, and by Cauchy-Binet the determinant of an
+  induced form at most 3 MAX_BITS + 4 MAX_RANK bits. That is about 1,900
+  digits, well under the 4,300 that `str()` prints of an int, and bounds
+  every Smith divisor the package reports.
+
+The bound is read from the exact view. An int64 view's entries are at
+most 2**63, so below rank 32 its bound is within the cap without a pass
+over its entries; at rank 32, and for an object view, the row lengths are
+summed in Python ints.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -51,6 +74,28 @@ def _float_view(rows) -> np.ndarray:
     a = np.array(rows, dtype=float, order="C")
     a.setflags(write=False)
     return a
+
+
+MAX_RANK = 32
+MAX_BITS = 2048
+
+
+def _check_size(view: np.ndarray, what: str) -> None:
+    """Refuse an exact view whose Hadamard bound prod_i max(1, |row i|)
+    passes 2**MAX_BITS."""
+    rows, width = view.shape
+    # an int64 entry is at most 2**63, so a row is at most sqrt(width) 2**63
+    # long: below rank 32 an int64 matrix is within the cap
+    int64_top = rows * (63 + math.log2(max(width, 1)) / 2)
+    if view.dtype != object and int64_top <= MAX_BITS:
+        return
+    squares = [sum(x * x for x in row) for row in view.tolist()]
+    bits = sum(math.log2(q) for q in squares if q) / 2
+    if bits > MAX_BITS:
+        raise InputError(
+            "%s has a Hadamard bound of 2**%d, past the cap of 2**%d"
+            % (what, math.ceil(bits), MAX_BITS)
+        )
 
 
 def _int_view(rows, width: int) -> np.ndarray:
@@ -73,9 +118,14 @@ class Lattice(Record):
 
     def __init__(self, gram):
         g = intlinalg.to_int_matrix(gram)
+        if len(g) > MAX_RANK:
+            raise InputError(
+                "gram matrix has rank %d, past the cap of %d" % (len(g), MAX_RANK)
+            )
         if not intlinalg.is_symmetric(g):
             raise InputError("gram matrix must be symmetric")
         super().__init__(_freeze(g))
+        _check_size(self.int_gram, "gram matrix")
 
     @property
     def rank(self) -> int:
@@ -112,13 +162,15 @@ class LatticeIsometry(Record):
     matrix: tuple[tuple[int, ...], ...]
 
     def __init__(self, lattice: Lattice, matrix):
+        Lattice._require(lattice, "lattice")
         m = intlinalg.to_int_matrix(matrix)
         n = lattice.rank
         if len(m) != n or any(len(r) != n for r in m):
             raise InputError("isometry matrix must be %d x %d" % (n, n))
         super().__init__(lattice, _freeze(m))
-        # the form check reads the views the object keeps
+        # the size and form checks read the views the object keeps
         mat = self.int_matrix
+        _check_size(mat, "isometry matrix")
         mt_g = intlinalg.matmul(mat.T, lattice.int_gram)
         if not np.array_equal(intlinalg.matmul(mt_g, mat), lattice.int_gram):
             raise InputError("matrix does not preserve the bilinear form")
@@ -172,13 +224,15 @@ class SublatticeBasis(Record):
     vectors: tuple[tuple[int, ...], ...]
 
     def __init__(self, ambient: Lattice, vectors):
+        Lattice._require(ambient, "ambient lattice")
         vs = intlinalg.to_int_matrix(vectors)
         n = ambient.rank
         if any(len(v) != n for v in vs):
             raise InputError("basis vectors must have ambient rank %d" % n)
+        super().__init__(ambient, _freeze(vs))
+        _check_size(self.int_vectors, "sublattice basis")
         if len(intlinalg.column_hnf(vs)) != len(vs):
             raise InputError("basis vectors are linearly dependent")
-        super().__init__(ambient, _freeze(vs))
 
     @property
     def rank(self) -> int:
@@ -280,7 +334,7 @@ def build_standard_lattice(name: str) -> Lattice:
 def direct_sum(*lattices: Lattice) -> Lattice:
     if not lattices:
         raise InputError("direct_sum needs at least one summand")
-    n = sum(latt.rank for latt in lattices)
+    n = sum(Lattice._require(latt, "a summand").rank for latt in lattices)
     g = [[0] * n for _ in range(n)]
     off = 0
     for latt in lattices:
@@ -318,8 +372,7 @@ BUILTIN_INVOLUTIONS = {"enriques": enriques_involution}
 def eigenlattice(f: LatticeIsometry, sign: int) -> SublatticeBasis:
     """Saturated basis of the (+1 or -1) eigenlattice of an involution,
     computed once per isometry object."""
-    if not isinstance(f, LatticeIsometry):
-        raise InputError("an eigenlattice needs an exact lattice isometry")
+    LatticeIsometry._require(f, "isometry")
     if _finite(sign, "eigenvalue sign") not in (1, -1):
         raise InputError("eigenvalue sign must be +1 or -1")
     if not f.is_involution:
@@ -333,6 +386,7 @@ def discriminant_info(sub: SublatticeBasis) -> DiscriminantInfo:
     The sublattice must be nondegenerate. `a_invariant` counts the divisors
     equal to 2; `two_elementary` says the discriminant group is (Z/2)^a.
     """
+    SublatticeBasis._require(sub, "sublattice")
     smith = intlinalg.smith_divisors(sub.induced_lattice().gram)
     if len(smith) < sub.rank:
         raise DegenerateLatticeError("induced gram matrix is singular")
@@ -350,4 +404,5 @@ def discriminant_info(sub: SublatticeBasis) -> DiscriminantInfo:
 
 def is_hyperbolic_type(sub: SublatticeBasis) -> bool:
     """True iff the induced form has signature (1, rank-1)."""
+    SublatticeBasis._require(sub, "sublattice")
     return sub.induced_lattice().signature() == (1, sub.rank - 1)

@@ -73,6 +73,7 @@ class PeriodPoint(Record, eq=False):
     coords: np.ndarray
 
     def __init__(self, sublattice, coords):
+        lattices.SublatticeBasis._require(sublattice, "sublattice")
         _check_domain_lattice(sublattice)
         eta = np.asarray(coords, dtype=complex)
         if eta.shape != (sublattice.rank,):
@@ -106,6 +107,7 @@ def component_label(p: PeriodPoint) -> int:
     domain, because the pairing determinant of two positive 2-planes in
     signature (2, k) never vanishes.
     """
+    PeriodPoint._require(p, "period point")
     _, _, ref = p.sublattice.split_directions
     eta = _normalized(p.coords)
     xg = np.vstack([eta.real, eta.imag]) @ p.sublattice.induced_lattice().float_gram
@@ -127,6 +129,7 @@ class PeriodPair(Record, eq=False):
     minus: PeriodPoint
 
     def __init__(self, plus: PeriodPoint):
+        PeriodPoint._require(plus, "plus point")
         # the conjugate of a checked point passes every check it passed
         conj = np.conj(plus.coords)
         conj.setflags(write=False)
@@ -181,11 +184,10 @@ def period_of(
     error.
     """
     tol = _positive(tol, "tol")
-    if not isinstance(invol, lattices.LatticeIsometry):
-        raise InputError("a period needs an exact lattice isometry")
-    if marking is not None and not isinstance(marking, lattices.LatticeIsometry):
-        raise InputError("a marking must be an exact lattice isometry")
-    frames_mod._require_frame(frame)
+    lattices.LatticeIsometry._require(invol, "involution")
+    if marking is not None:
+        lattices.LatticeIsometry._require(marking, "marking")
+    frames_mod.HKFrame._require(frame, "frame")
     if frame.form.shape[0] != invol.lattice.rank or not _within(
         float(np.max(np.abs(frame.form - invol.lattice.float_gram))), tol
     ):

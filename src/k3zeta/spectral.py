@@ -219,8 +219,7 @@ class EquivariantSpectrum(Record, eq=False):
     def __init__(self, entries, kernel, tail, cutoff=math.inf):
         lams, mp, mm = columns = _check_entries(entries)
         k = tuple(_count(n, "kernel dimension") for n in _fields(kernel, 2, "kernel"))
-        if not isinstance(tail, HeatTail):
-            raise InputError("tail must be a HeatTail")
+        HeatTail._require(tail, "tail")
         # a total of at most 2**53 also keeps every heat-trace sum finite
         total = k[0] + k[1] + sum(mp.tolist()) + sum(mm.tolist())
         _count(total, "total state count")
@@ -290,8 +289,7 @@ class CurveComponent(Record):
         v = _finite(volume, "curve volume")
         if v <= 0.0:
             raise InputError("curve volume must be positive")
-        if not isinstance(spectrum, EquivariantSpectrum):
-            raise InputError("curve component needs an EquivariantSpectrum")
+        EquivariantSpectrum._require(spectrum, "curve spectrum")
         if (
             spectrum.kernel[1]
             or spectrum.mults(-1).any()
@@ -356,15 +354,6 @@ def _sector(spectrum: EquivariantSpectrum, sector: int):
     return weights, kernel, spectrum.tail.models[sector]
 
 
-def _require_spectrum(spectrum) -> None:
-    """Refuse anything but an EquivariantSpectrum: its constructor has
-    checked every array the engine reads, and the engine checks none."""
-    if not isinstance(spectrum, EquivariantSpectrum):
-        raise InputError(
-            "spectrum must be an EquivariantSpectrum, not %s" % type(spectrum).__name__
-        )
-
-
 def _continue(requests, tol: float) -> list[list[ContinuationResult]]:
     """Continue the sectors of each (source, spectrum, sectors) request
     and return their results per request. Equal spectra (a curve equal to
@@ -384,7 +373,7 @@ def _continue(requests, tol: float) -> list[list[ContinuationResult]]:
     tol = _positive(tol, "tol")
     wanted = {}  # each distinct spectrum's sectors, in the order first asked
     for _, spectrum, sectors in requests:
-        _require_spectrum(spectrum)
+        EquivariantSpectrum._require(spectrum, "spectrum")
         have = wanted.setdefault(spectrum, [])
         have += [s for s in sectors if s not in have]
     done = {}
@@ -524,11 +513,10 @@ def tau_iota(
     spectrum (dim >= 1) a free tail forbids curves, explicit twisted
     coefficients require them; complete synthetic spectra accept either.
     """
-    _require_spectrum(spectrum)
+    EquivariantSpectrum._require(spectrum, "spectrum")
     curves = _sequence(() if curves is None else curves, "curves")
     for c in curves:
-        if not isinstance(c, CurveComponent):
-            raise InputError("curves hold CurveComponents, not %s" % type(c).__name__)
+        CurveComponent._require(c, "a curve")
     if spectrum.tail.dim >= 1 and spectrum.tail.free == bool(curves):
         raise ConsistencyError(
             "tail declares a free involution but curve data was supplied"
@@ -597,7 +585,7 @@ def truncate_entries(
     """Keep only the first `max_terms` entries, tightening the completeness
     claim to the last kept eigenvalue. Complete spectra cannot lose entries
     without lying, so they are refused."""
-    _require_spectrum(spectrum)
+    EquivariantSpectrum._require(spectrum, "spectrum")
     if _finite(max_terms, "max terms") < 1:
         raise InputError("max terms must be at least 1")
     n = _count(max_terms, "max terms")

@@ -26,17 +26,18 @@ from k3zeta.periods import PeriodPoint
 PROJECTIVE_TOL = 1e-9
 
 
-def run_python(*args, cwd=None) -> subprocess.CompletedProcess:
+def run_python(*args, cwd=None, timeout=None) -> subprocess.CompletedProcess:
     """`python *args` in a fresh interpreter, its stdout and stderr captured
     as bytes. The child imports the k3zeta these tests imported, installed
-    or not, and every warning in it is an error."""
+    or not, and every warning in it is an error. Past `timeout` seconds the
+    child is killed and subprocess.TimeoutExpired raised."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(k3zeta.__file__)))
     inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     # absolute, so that a cwd elsewhere still finds every entry
     path = os.pathsep.join(os.path.abspath(p) for p in [src, *inherited] if p)
     env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, cwd=cwd, env=env
+        [sys.executable, *args], capture_output=True, cwd=cwd, env=env, timeout=timeout
     )
 
 

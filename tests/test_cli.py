@@ -5,10 +5,13 @@ import io
 import json
 import math
 import os
+import random
+import tempfile
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3zeta import jsonio, spectral
@@ -18,6 +21,8 @@ from k3zeta.frames import HKFrame, random_compatible_frame
 from k3zeta.lattices import (
     BUILTIN_INVOLUTIONS,
     BUILTIN_LATTICES,
+    MAX_BITS,
+    MAX_RANK,
     Lattice,
     LatticeIsometry,
     enriques_involution,
@@ -637,6 +642,27 @@ GOLDENS = [
         2,
         "zeta-tail-twisted-nan-refusal.err",
     ),
+    # a Gram matrix of rank 33, past the rank cap of 32: exit 2
+    (
+        "lattice-rank-cap-refusal",
+        ["lattice", "--in", "lattice-rank33.json"],
+        2,
+        "lattice-rank-cap-refusal.err",
+    ),
+    # an isometry matrix with a 701-digit entry, whose Hadamard bound is
+    # past the cap of 2**2048: refused before its form check, exit 2
+    (
+        "involution-size-cap-refusal",
+        [
+            "involution",
+            "--lattice",
+            "lattice-k3.json",
+            "--matrix",
+            "matrix-past-size-cap.json",
+        ],
+        2,
+        "involution-size-cap-refusal.err",
+    ),
     # a frame that the involution does not preserve: exit 4
     (
         "period-incompatible-refusal",
@@ -696,6 +722,12 @@ def _tail(straight, twisted):
     return {"cutoff": 5, "entries": [[1, 1, 0]], "kernel": [1, 0], "tail": tail}
 
 
+def _past_size_cap():
+    matrix = [[int(i == j) for j in range(22)] for i in range(22)]
+    matrix[0][1] = 10**700
+    return {"matrix": matrix}
+
+
 _TORUS_GRAM = ((2, 1), (1, 3))
 # each input file of a golden row that is built, and how: its canonical JSON
 # is the file's bytes
@@ -746,6 +778,12 @@ _BUILT = {
     "spectrum-tail-twisted-nan.json": lambda: _tail(
         [1.0, 0.0, 0.0], [0.7e308, -0.85e308, 0.0]
     ),
+    # 2 times the identity of rank 33, one past the rank cap
+    "lattice-rank33.json": lambda: {
+        "gram": [[2 * int(i == j) for j in range(33)] for i in range(33)]
+    },
+    # the identity of rank 22 with a 701-digit entry above its diagonal
+    "matrix-past-size-cap.json": _past_size_cap,
 }
 
 
@@ -991,9 +1029,10 @@ def test_malformed_file_bytes_exit_2(tmp_path, capsys, argv, content):
 
 
 def test_an_integer_too_long_to_print_exits_2(tmp_path):
-    # the Gram matrix reads fine, but its determinant has about 6,000
-    # digits, past the interpreter's default limit of 4,300 for str(int);
-    # a fresh interpreter has that default
+    # the Gram matrix reads fine, but its determinant would have about
+    # 6,000 digits, past the interpreter's default limit of 4,300 for
+    # str(int); a fresh interpreter has that default. The Hadamard cap of
+    # the Gram matrix now refuses it first
     d = 10**1500
     gram = [[2 * d if i == j else d + 1 for j in range(4)] for i in range(4)]
     path = tmp_path / "big.json"
@@ -1002,6 +1041,58 @@ def test_an_integer_too_long_to_print_exits_2(tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith(b"input error: ")
     assert b"Traceback" not in done.stderr
+
+
+# the wall time of one command on an input near the caps, start-up
+# included; a run at both caps (rank 32, a Gram matrix just under the
+# Hadamard cap, the identity as involution) takes about 0.4 s
+CAP_RUN_S = 10.0
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    rank=st.integers(1, MAX_RANK + 8),
+    bits=st.integers(MAX_BITS // 2, 3 * MAX_BITS // 2),
+    seed=st.integers(0, 2**32 - 1),
+    sign=st.sampled_from((1, -1)),
+)
+@example(rank=MAX_RANK, bits=MAX_BITS - 60, seed=1, sign=1)  # just inside both
+@example(rank=MAX_RANK + 1, bits=MAX_BITS // 8, seed=2, sign=-1)  # past the rank cap
+@example(rank=22, bits=MAX_BITS + 200, seed=3, sign=1)  # past the size cap
+def test_matrices_near_the_caps_end_in_time(rank, bits, seed, sign):
+    # a random even Gram matrix whose Hadamard bound has about `bits` bits,
+    # as `lattice --in`, and with +-identity as `involution`
+    rng = random.Random(seed)
+    top = 2 ** max(1, round(bits / rank - math.log2(rank) / 2))
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            x = rng.randint(-top, top)
+            gram[i][j] = gram[j][i] = x - x % 2 if i == j else x
+    norms = (sum(x * x for x in row) for row in gram)
+    hadamard = sum(math.log2(q) for q in norms if q) / 2
+    past = rank > MAX_RANK or hadamard > MAX_BITS
+    matrix = [[sign * (i == j) for j in range(rank)] for i in range(rank)]
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "gram.json"), "w") as fh:
+            json.dump({"gram": gram}, fh)
+        with open(os.path.join(tmp, "matrix.json"), "w") as fh:
+            json.dump({"matrix": matrix}, fh)
+        for argv in (
+            ["lattice", "--in", "gram.json"],
+            ["involution", "--lattice", "gram.json", "--matrix", "matrix.json"],
+        ):
+            start = time.perf_counter()
+            done = run_python("-m", "k3zeta.cli", *argv, cwd=tmp, timeout=3 * CAP_RUN_S)
+            assert time.perf_counter() - start < CAP_RUN_S
+            assert done.returncode in (0, 2)
+            assert b"Traceback" not in done.stderr
+            # the float bound of the package and this exact one may differ
+            # in the last bits: no verdict that close to the cap
+            if abs(hadamard - MAX_BITS) > 1e-6:
+                assert (b"past the cap" in done.stderr) == past
+            if past or argv[0] == "lattice":
+                assert done.returncode == (2 if past else 0)
 
 
 @pytest.mark.parametrize(

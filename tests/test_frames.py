@@ -78,9 +78,12 @@ def test_involution_must_be_a_lattice_isometry():
     assert is_compatible(seed_frame(), iso) and not is_compatible(moved, iso)
     plain = np.array(iso.matrix, dtype=float)
     for invol in (plain, plain.tolist(), iso.matrix):
-        with pytest.raises(InputError, match="exact lattice isometry"):
+        message = "^involution must be of type LatticeIsometry, not %s$" % (
+            type(invol).__name__
+        )
+        with pytest.raises(InputError, match=message):
             is_compatible(seed_frame(), invol)
-        with pytest.raises(InputError, match="exact lattice isometry"):
+        with pytest.raises(InputError, match=message):
             compatible_frames(seed_frame(), invol, 1, 0.3)
 
 
@@ -90,7 +93,7 @@ def test_involution_must_be_a_lattice_isometry():
 )
 def test_frame_checks_refuse_what_is_not_a_frame(frame, name):
     iso = enriques_involution()
-    message = "^frame must be an HKFrame, not %s$" % name
+    message = "^frame must be of type HKFrame, not %s$" % name
     with pytest.raises(InputError, match=message):
         is_compatible(frame, iso)
     with pytest.raises(InputError, match=message):

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -42,6 +43,19 @@ def test_canonical_rejects_non_finite_and_bad_keys():
         jsonio.canonical_dumps({1: "x"})
     with pytest.raises(InputError):
         jsonio.canonical_dumps({"x": object()})
+
+
+def test_an_output_integer_past_the_str_limit_is_an_input_error():
+    # the Hadamard cap of `lattices` keeps every integer the command line
+    # prints well under the limit, so only a direct call reaches it here
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(InputError) as info:
+            jsonio.canonical_dumps({"determinant": [10**4300]})
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert str(info.value) == "output integer past the 4300-digit limit"
 
 
 def test_loads_rejects_bad_json():

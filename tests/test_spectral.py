@@ -773,7 +773,7 @@ def test_library_arguments_are_refused_not_truncated(call):
             lambda: frames.random_compatible_frame(
                 _ENRIQUES.float_matrix, np.random.default_rng(0)
             ),
-            "random_compatible_frame needs an exact lattice isometry",
+            "involution must be of type LatticeIsometry, not ndarray",
         ),
         (
             lambda: intlinalg.integer_kernel([]),
@@ -799,31 +799,68 @@ def test_library_arguments_are_refused_not_truncated(call):
             "period coordinates must have length 12",
         ),
         # a report or a truncation of something that is not a spectrum
-        (lambda: tau_iota(5), "spectrum must be an EquivariantSpectrum, not int"),
+        (
+            lambda: tau_iota(5),
+            "spectrum must be of type EquivariantSpectrum, not int",
+        ),
         (
             lambda: truncate_entries(None, 3),
-            "spectrum must be an EquivariantSpectrum, not NoneType",
+            "spectrum must be of type EquivariantSpectrum, not NoneType",
         ),
         (
             lambda: spectral.zeta_values([1, 2]),
-            "spectrum must be an EquivariantSpectrum, not list",
+            "spectrum must be of type EquivariantSpectrum, not list",
         ),
         (
             lambda: equivariant_determinant_report(HeatTail(2, [1, 0, 0])),
-            "spectrum must be an EquivariantSpectrum, not HeatTail",
+            "spectrum must be of type EquivariantSpectrum, not HeatTail",
         ),
         # the lattice path with a float matrix where an isometry belongs
         (
             lambda: lattices.eigenlattice(np.eye(2), 1),
-            "an eigenlattice needs an exact lattice isometry",
+            "isometry must be of type LatticeIsometry, not ndarray",
         ),
         (
             lambda: periods.period_of(seed_frame(), np.eye(22)),
-            "a period needs an exact lattice isometry",
+            "involution must be of type LatticeIsometry, not ndarray",
         ),
         (
             lambda: periods.period_of(seed_frame(), _ENRIQUES, np.eye(22)),
-            "a marking must be an exact lattice isometry",
+            "marking must be of type LatticeIsometry, not ndarray",
+        ),
+        # the lattice and period constructors and functions, given plain
+        # arrays or lists where a record belongs
+        (
+            lambda: lattices.LatticeIsometry([[0, 1], [1, 0]], [[1, 0], [0, 1]]),
+            "lattice must be of type Lattice, not list",
+        ),
+        (
+            lambda: lattices.SublatticeBasis([[0, 1], [1, 0]], [[1, 0]]),
+            "ambient lattice must be of type Lattice, not list",
+        ),
+        (
+            lambda: lattices.direct_sum(_ENRIQUES.lattice, [[0, 1], [1, 0]]),
+            "a summand must be of type Lattice, not list",
+        ),
+        (
+            lambda: lattices.discriminant_info(_ENRIQUES.lattice),
+            "sublattice must be of type SublatticeBasis, not Lattice",
+        ),
+        (
+            lambda: lattices.is_hyperbolic_type(None),
+            "sublattice must be of type SublatticeBasis, not NoneType",
+        ),
+        (
+            lambda: periods.PeriodPoint(np.eye(12), np.ones(12)),
+            "sublattice must be of type SublatticeBasis, not ndarray",
+        ),
+        (
+            lambda: periods.component_label(np.array([1.0, 1j])),
+            "period point must be of type PeriodPoint, not ndarray",
+        ),
+        (
+            lambda: periods.PeriodPair([1.0, 1j]),
+            "plus point must be of type PeriodPoint, not list",
         ),
         (lambda: round_sphere_spectrum(1.0, True, 1), "l_max must be at least 2"),
         (lambda: flat_torus_spectrum([], None, 10.0), "gram matrix must be nonempty"),
@@ -841,18 +878,18 @@ def test_library_arguments_are_refused_not_truncated(call):
         ),
         (
             lambda: EquivariantSpectrum(((1.0, 1, 0),), (1, 0), {"dim": 0}),
-            "tail must be a HeatTail",
+            "tail must be of type HeatTail, not dict",
         ),
         (lambda: CurveComponent(0.0, _POINT), "curve volume must be positive"),
         (lambda: CurveComponent(-1.0, _POINT), "curve volume must be positive"),
         (
             lambda: CurveComponent(1.0, _POINT.tail),
-            "curve component needs an EquivariantSpectrum",
+            "curve spectrum must be of type EquivariantSpectrum, not HeatTail",
         ),
         (
             # a spectrum where a curve belongs
             lambda: tau_iota(_POINT, [_POINT]),
-            "curves hold CurveComponents, not EquivariantSpectrum",
+            "a curve must be of type CurveComponent, not EquivariantSpectrum",
         ),
     ]
     + [

@@ -16,6 +16,9 @@ the benchmark finds the caches it empties before each operation.
 
 Each exact matrix from outside is converted in `lattices` alone, so one
 module owns what an integer matrix is.
+
+The type of a record argument is checked by `Record._require` alone: no
+other module raises after an `isinstance` test against a record class.
 """
 
 import ast
@@ -163,3 +166,43 @@ def test_only_lattices_converts_an_integer_matrix():
         if "to_int_matrix" in _identifiers(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert readers == {"lattices"}
+
+
+def _record_classes() -> set[str]:
+    """The names of the package's subclasses of Record, at any depth."""
+    for path in PACKAGE:
+        stem = "" if path.stem == "__init__" else "." + path.stem
+        importlib.import_module("k3zeta" + stem)
+    found, todo = set(), [importlib.import_module("k3zeta._record").Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("k3zeta."):
+                found.add(sub.__name__)
+                todo.append(sub)
+    return found
+
+
+def _record_type_checks(paths, records) -> list[str]:
+    """module:line of each `if` in these modules whose test calls
+    isinstance against one of `records` and whose body raises."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.If):
+                continue
+            tested = set()
+            for call in ast.walk(node.test):
+                if getattr(getattr(call, "func", None), "id", "") == "isinstance":
+                    tested |= _identifiers(call.args[-1])
+            body = ast.Module(body=node.body, type_ignores=[])
+            raises = any(isinstance(n, ast.Raise) for n in ast.walk(body))
+            if tested & records and raises:
+                found.append("%s:%d" % (path.stem, node.lineno))
+    return found
+
+
+def test_only_record_checks_the_type_of_a_record_argument():
+    # a hand-written check would have its own message, and a new entry
+    # point could skip it unnoticed; Record._require is the one check
+    paths = [path for path in PACKAGE if path.stem != "_record"]
+    assert _record_type_checks(paths, _record_classes()) == []
